@@ -81,6 +81,7 @@ from .ustats import (
     indicator_diag_kernel,
     product_kernel,
     table_kernel,
+    tuple_counts,
     u_statistic,
     verify_hoeffding,
 )

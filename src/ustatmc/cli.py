@@ -51,8 +51,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-        p.add_argument("--budget", type=int, default=None, help="override the enumeration budget")
-        p.add_argument("--jobs", type=int, default=1, help="worker count (never changes results)")
+        p.add_argument("--budget", type=int, default=None,
+                       help="override the cap on enumeration work and work-array cells")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="threads for Monte Carlo replicate blocks (never changes results)")
     return parser
 
 

@@ -55,7 +55,7 @@ SCHEMA: dict = {
         "replicates": "int >= 2",
         "master_seed": "uint64",
         "bounds": "list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': float?}",
-        "budget": "int — enumeration cap (default 1e8)",
+        "budget": "int — cap on enumeration work and work-array cells (default 1e8)",
         "exact_pairs_budget": "int — exact-oracle cap on binom(n,m)^2 (default 20000)",
     },
     "slln": {

@@ -11,6 +11,9 @@ per state and a nonnegative non-increasing sequence rho(k) -> 0 with
 for all probability vectors mu, mu'.  Total variation is the unnormalized
 L1 convention, sup_{|f|<=1} |mu(f) - mu'(f)|, with range [0, 2]; every bound
 in :mod:`ustatmc.bounds` and :mod:`ustatmc.proofs` assumes it.
+
+Paths come from one sampler, :func:`sample_paths` (a batch of seeds, one
+PCG64 stream each); :func:`simulate` is its one-seed case.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ import numpy as np
 from .errors import NotErgodic
 
 _ATOL = 1e-12
+# rows * states below which the sampler walks blocks of time side by side:
+# below it a step's Python overhead outweighs the S-fold block composition
+# (timed crossover between r*S = 256 and 640 on a 2-core x86 VM, numpy 2.4)
+_WIDTH = 512
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -445,47 +452,86 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
 def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> Trajectory:
     """Sample a length-n path; values[t] is the chain at time t, values[0] ~ mu0.
 
-    Bit-reproducible for a fixed seed: one PCG64 stream yields n uniforms,
-    and each step inverts the relevant row CDF.  The same inversion is used
-    by the vectorized replicate engine, so batching cannot change a path.
+    The one-seed case of :func:`sample_paths`, so a path never depends on
+    whether it was drawn alone or in a batch.
+    """
+    return Trajectory(sample_paths(kernel, mu0, n, [seed])[0], seed, mu0)
+
+
+def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Simulate one length-n path per seed; row r is the path of seeds[r].
+
+    Seed s draws n uniforms u from its own PCG64 stream; values[0] inverts
+    the CDF of mu0 at u[0] and values[t] inverts the CDF of row values[t-1]
+    at u[t]: the number of CDF entries <= u, capped at S-1 against
+    cumulative rounding overshoot at u ~ 1.  Rows depend only on their own
+    seed, so any partition of the seed list yields identical rows.
+
+    A uniform is first coded by how many distinct CDF values lie at or
+    below it; that code fixes the inversion from every state at once, so
+    the walk runs through one next-state table with S rows and one column
+    per code: at most S * (S^2 + 1) cells, whatever n and the seed count.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mu0.size != kernel.size:
         raise ValueError("dimension mismatch")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
+    s = kernel.size
     cdf = np.cumsum(kernel.matrix, axis=1)
+    cuts = np.concatenate(([-np.inf], np.unique(cdf)))
     cdf0 = np.cumsum(mu0.weights)
-    last = kernel.size - 1
-    path = np.empty(n, dtype=np.int64)
-    # min() guards against cumulative-rounding overshoot at u ~ 1
-    path[0] = min(int((cdf0 <= u[0]).sum()), last)
-    for t in range(1, n):
-        path[t] = min(int((cdf[path[t - 1]] <= u[t]).sum()), last)
-    return Trajectory(path, seed, mu0)
-
-
-def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequence[int]) -> np.ndarray:
-    """Simulate one path per seed, vectorized over replicates.
-
-    Row r equals ``simulate(kernel, mu0, n, seeds[r]).values`` bit for bit;
-    each replicate draws from its own PCG64 stream, so any partition of the
-    seed list yields identical rows.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = len(seeds)
-    u = np.empty((r, n))
-    for i, s in enumerate(seeds):
-        u[i] = np.random.Generator(np.random.PCG64(int(s))).random(n)
-    cdf = np.cumsum(kernel.matrix, axis=1)
-    cdf0 = np.cumsum(mu0.weights)
-    paths = np.empty((r, n), dtype=np.int64)
-    paths[:, 0] = (cdf0[None, :] <= u[:, 0, None]).sum(axis=1)
-    np.clip(paths[:, 0], 0, kernel.size - 1, out=paths[:, 0])
-    for t in range(1, n):
-        rows = cdf[paths[:, t - 1]]
-        paths[:, t] = (rows <= u[:, t, None]).sum(axis=1)
-        np.clip(paths[:, t], 0, kernel.size - 1, out=paths[:, t])
+    # column t holds the code of the step into time t until the walk
+    # replaces it by the state at time t
+    paths = np.empty((len(seeds), n), dtype=np.int64)
+    for i, seed in enumerate(seeds):
+        u = np.random.Generator(np.random.PCG64(int(seed))).random(n)
+        paths[i, 0] = min(int(np.searchsorted(cdf0, u[0], side="right")), s - 1)
+        paths[i, 1:] = np.searchsorted(cuts, u[1:], side="right") - 1
+    _walk(paths, cdf, cuts)
     return paths
+
+
+def _walk(paths: np.ndarray, cdf: np.ndarray, cuts: np.ndarray) -> None:
+    """Replace the codes in paths[:, 1:] by states, in place, stepping from
+    the states in paths[:, 0].
+
+    With few rows, time is cut into blocks of about sqrt(steps): the end
+    state of every block is found for every start state at once, the block
+    start states are chained in order, and each block is replayed from its
+    start, so the Python loop runs about 3 sqrt(steps) times instead of
+    steps.
+    """
+    r, steps = paths.shape[0], paths.shape[1] - 1
+    s = cdf.shape[0]
+    w = cuts.size
+    # nxt[x * w + k] = w * (next state from x under code k)
+    table = np.empty((s, w), dtype=np.int64)
+    for x in range(s):
+        table[x] = np.searchsorted(cdf[x], cuts, side="right")
+    np.minimum(table, s - 1, out=table)
+    nxt = (table * w).ravel()
+    # states are stored as x * w, so a step is one lookup nxt[state + code]
+    paths[:, 0] *= w
+    block = math.isqrt(steps) if r * s < _WIDTH else 1
+    done = 0
+    if block > 1:
+        nb = steps // block
+        codes = paths[:, 1 : 1 + nb * block].reshape(r, nb, block)
+        # end state of every block but the last, for every start state
+        ends = np.broadcast_to(np.arange(s) * w, (r, nb - 1, s))
+        for j in range(block):
+            ends = nxt[ends + codes[:, :-1, j, None]]
+        ends = ends.reshape(r, -1)
+        starts = np.empty((r, nb), dtype=np.int64)
+        starts[:, 0] = paths[:, 0]
+        rows = np.arange(r)
+        for b in range(1, nb):
+            starts[:, b] = ends[rows, (b - 1) * s + starts[:, b - 1] // w]
+        for j in range(block):
+            starts = nxt[starts + codes[:, :, j]]
+            codes[:, :, j] = starts
+        done = nb * block
+    # the steps after the last whole block: all of them when block == 1
+    for t in range(done + 1, steps + 1):
+        paths[:, t] = nxt[paths[:, t - 1] + paths[:, t]]
+    paths //= w

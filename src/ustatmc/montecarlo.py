@@ -13,6 +13,11 @@ Streams therefore do not depend on how replicates are partitioned across
 workers, and every reduction runs in fixed replicate order, so results are
 bitwise reproducible for a fixed master seed at any --jobs value.
 
+Replicate paths come from the one sampler :func:`ustatmc.markov.sample_paths`
+and are counted by the one engine :func:`ustatmc.ustats.tuple_counts`; the
+strong-law run uses the same two on its single path, reading the counts at
+every checkpoint.
+
 The exact oracle expands E[U^2] over all pairs of index m-tuples and
 contracts each term against the exact joint law of the merged time set; it
 shares no code path with the simulation estimate it cross-checks.
@@ -31,7 +36,9 @@ from .bounds import BoundInputs, BoundReport, corollary2_bound, corollary3_bound
 from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, GeometricRho, sample_paths, simulate
 from .proofs import joint_law
-from .ustats import SymmetricKernelFn, degeneracy_order, hoeffding_project
+from .ustats import (
+    DEFAULT_BUDGET, SymmetricKernelFn, contract_counts, degeneracy_order, hoeffding_project, tuple_counts,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -107,7 +114,7 @@ class ExperimentConfig:
     master_seed: int
     bounds: list[dict] = field(default_factory=list)
     slln: SllnConfig | None = None
-    budget: int = 10**8
+    budget: int = DEFAULT_BUDGET
     exact_pairs_budget: int = EXACT_PAIRS_BUDGET
     jobs: int = 1
 
@@ -141,11 +148,12 @@ def exact_l2(
         raise ValueError("exact oracle needs a tabulated kernel")
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
-    combos = list(itertools.combinations(range(n), m))
-    if len(combos) ** 2 > pairs_budget:
-        raise BudgetExceeded(f"binom(n,m)^2 = {len(combos) ** 2} exceeds exact-oracle budget {pairs_budget}")
+    pairs = math.comb(n, m) ** 2
+    if pairs > pairs_budget:
+        raise BudgetExceeded(f"binom(n,m)^2 = {pairs} exceeds exact-oracle budget {pairs_budget}")
     if kernel.size ** (2 * m) > tensor_budget:
         raise BudgetExceeded("joint-law tensors exceed budget")
+    combos = list(itertools.combinations(range(n), m))
     law_cache: dict[tuple[int, ...], np.ndarray] = {}
     table = h.table
     total = 0.0
@@ -174,40 +182,6 @@ def exact_l2(
 # ---------------------------------------------------------------------------
 # replicated simulation
 
-def _u_values_for_paths(paths: np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
-    """U_{n,m}(h) for each path row, by the exact counting recursion.
-
-    m = 1 and m = 2 are fully vectorized; higher degrees run the per-path
-    recursion.  Every reduction is along a row's own axis, so the value of
-    a row never depends on which other rows are in the batch.
-    """
-    table = h.table
-    if table is None:
-        raise ValueError("replicated estimation needs a tabulated kernel")
-    m = h.degree
-    r, n = paths.shape
-    if n < m:
-        raise DegreeTooLarge(f"n = {n} < m = {m}")
-    s = table.shape[0]
-    if m == 1:
-        vals = table[paths]
-        return vals.sum(axis=1) / n
-    if m == 2:
-        onehot = np.eye(s)[paths]                      # (r, n, s)
-        before = np.cumsum(onehot, axis=1) - onehot    # counts of i < t by state
-        hsel = table.T[paths]                          # hsel[r, t, s'] = H[s', x_rt]
-        inc = (before * hsel).sum(axis=2)
-        return inc.sum(axis=1) / math.comb(n, 2)
-    out = np.empty(r)
-    for i in range(r):
-        levels: list = [1.0] + [np.zeros((s,) * c) for c in range(1, m + 1)]
-        for x in paths[i]:
-            for c in range(m, 0, -1):
-                levels[c][..., x] += levels[c - 1]
-        out[i] = float(np.tensordot(levels[m], table, axes=m)) / math.comb(n, m)
-    return out
-
-
 def replicate_u_values(
     kernel: FiniteKernel,
     mu0: Distribution,
@@ -216,22 +190,44 @@ def replicate_u_values(
     replicates: int,
     master_seed: int,
     jobs: int = 1,
+    budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
-    """One U value per replicate, in replicate order, independent of jobs."""
+    """One U value per replicate, in replicate order, independent of jobs.
+
+    Replicates are split into ``jobs`` contiguous blocks, each sampled as
+    one batch in its own thread (numpy releases the interpreter lock inside
+    the array work) and counted by the one engine :func:`tuple_counts` in
+    sub-batches whose level tensors fit ``budget`` (one sub-batch per
+    thread at a time).  Every row is computed
+    on its own, so each value is bit-identical to ``u_statistic`` on that
+    replicate's path at any ``jobs`` and any ``budget``.
+    """
+    table = h.table
+    if table is None:
+        raise ValueError("replicated estimation needs a tabulated kernel")
+    m = h.degree
+    if n < m:
+        raise DegreeTooLarge(f"n = {n} < m = {m}")
+    s = table.shape[0]
+    # one row's levels beyond the budget are refused by tuple_counts
+    rows = max(1, budget // s**m)
     seeds = [mix64(master_seed, r) for r in range(replicates)]
     chunk = max(1, math.ceil(replicates / max(jobs, 1)))
     blocks = [seeds[i : i + chunk] for i in range(0, replicates, chunk)]
 
     def work(block: list[int]) -> np.ndarray:
         paths = sample_paths(kernel, mu0, n, block)
-        return _u_values_for_paths(paths, h)
+        return np.concatenate([
+            contract_counts(tuple_counts(paths[i : i + rows], s, m, budget=budget), table)
+            for i in range(0, len(paths), rows)
+        ])
 
     if jobs <= 1 or len(blocks) == 1:
         parts = [work(b) for b in blocks]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(work, blocks))
-    return np.concatenate(parts)
+    return np.concatenate(parts) / math.comb(n, m)
 
 
 def estimate_l2(config: ExperimentConfig, n: int, h: SymmetricKernelFn | None = None) -> L2Estimate:
@@ -242,7 +238,9 @@ def estimate_l2(config: ExperimentConfig, n: int, h: SymmetricKernelFn | None = 
     fixed master seed at any jobs value.
     """
     h = config.h if h is None else h
-    u = replicate_u_values(config.kernel, config.mu0, h, n, config.replicates, config.master_seed, config.jobs)
+    u = replicate_u_values(
+        config.kernel, config.mu0, h, n, config.replicates, config.master_seed, config.jobs, config.budget
+    )
     u2 = u * u
     mean_u2 = float(u2.sum() / u2.size)
     point = math.sqrt(max(mean_u2, 0.0))
@@ -327,38 +325,6 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
     return reports
 
 
-def _slln_running_numerators(path: np.ndarray, h: SymmetricKernelFn, checkpoints: list[int]) -> dict[int, float]:
-    """Numerator sum_{t_1<...<t_m <= c} h at each checkpoint c, incrementally."""
-    table = h.table
-    m = h.degree
-    s = table.shape[0]
-    n = path.size
-    marks = set(checkpoints)
-    out: dict[int, float] = {}
-    if m == 1:
-        csum = np.cumsum(table[path])
-        for c in checkpoints:
-            out[c] = float(csum[c - 1])
-        return out
-    if m == 2:
-        onehot = np.eye(s)[path]
-        before = np.cumsum(onehot, axis=0) - onehot
-        inc = (before * table.T[path]).sum(axis=1)
-        csum = np.cumsum(inc)
-        for c in checkpoints:
-            out[c] = float(csum[c - 1])
-        return out
-    levels: list = [1.0] + [np.zeros((s,) * c) for c in range(1, m + 1)]
-    for t in range(n):
-        x = path[t]
-        for c in range(m, 1, -1):
-            levels[c][..., x] += levels[c - 1]
-        levels[1][x] += 1.0
-        if (t + 1) in marks:
-            out[t + 1] = float(np.tensordot(levels[m], table, axes=m))
-    return out
-
-
 def run_slln_experiment(config: ExperimentConfig) -> dict:
     """Single seeded trajectory tracked at dyadic checkpoints.
 
@@ -387,10 +353,11 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     pi = config.kernel.stationary()
     target = hoeffding_project(config.h, pi, 0).value
     traj = simulate(config.kernel, config.mu0, n_max, config.master_seed)
-    numerators = _slln_running_numerators(traj.values, config.h, checkpoints)
+    counts = tuple_counts(traj.values, s, m, checkpoints=checkpoints, budget=config.budget)
+    numerators = contract_counts(counts, config.h.table)
     rows = []
-    for c in checkpoints:
-        u_n = numerators[c] / math.comb(c, m)
+    for c, numerator in zip(checkpoints, numerators):
+        u_n = float(numerator) / math.comb(c, m)
         rows.append({"n": c, "u_n": u_n, "target": target, "abs_error": abs(u_n - target)})
     return {
         "rows": rows,

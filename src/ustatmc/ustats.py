@@ -10,14 +10,17 @@ pi^{(m-c)} to h; the signed product is expanded exactly over the 2^c subsets
 of fixed arguments, so every identity here is checkable to float precision
 on finite state spaces.
 
-Tabulated kernels are evaluated by a counting recursion over the path
-(cost n * S^{m-1} instead of binom(n, m) kernel calls); the per-tuple counts
-are exact integers in float64, so results do not depend on enumeration or
-partition order.
+Tabulated kernels are evaluated by one counting engine, :func:`tuple_counts`
+(cost n * S^{m-1} instead of binom(n, m) kernel calls), which serves
+:func:`u_statistic`, the replicate estimator and the strong-law run.  It
+counts increasing index tuples by state in int64, so the counts are exact
+and do not depend on how a path is cut or batched; the final contraction
+with the kernel table runs in one fixed float order.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,17 +188,123 @@ def table_kernel(table: np.ndarray, states: Sequence[float] | None = None) -> Sy
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _combination_value_counts(path: np.ndarray, m: int, s: int) -> np.ndarray:
-    """counts[v_1, ..., v_m] = #{t_1 < ... < t_m : (path[t_1..t_m]) = (v_1..v_m)}.
+def tuple_counts(
+    paths: np.ndarray,
+    s: int,
+    m: int,
+    checkpoints: Sequence[int] | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> np.ndarray:
+    """Exact counts of increasing index m-tuples by state, oldest index first:
 
-    One left-to-right pass; counts stay below binom(n, m) so float64 holds
-    them exactly.
+        counts[..., v_1, ..., v_m] = #{t_1 < ... < t_m : path[t_i] = v_i}.
+
+    ``paths`` is one path (n,) or a batch (rows, n) counted row by row.  The
+    engine keeps int64 level tensors L_c (count of c-tuples by state,
+    newest index first) for c = 1..m and, at each time step, adds L_{c-1}
+    into the slice L_c[x_t] of every row at once.  A single path is first
+    cut into about sqrt(n) equal pieces (at most budget // S^m), counted as
+    a batch, and the pieces are joined in order by Chen's identity
+    L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A).  With ``checkpoints`` (single
+    path only) the result holds one tensor per checkpoint c: the counts
+    over path[:c], read from level snapshots inside the pieces.
+
+    Counts are exact while binom(n, m) < 2^63 (checked), and do not depend
+    on the budget; the S^m level cells of each row of a batch, or of one
+    piece of a path, must fit it.
     """
-    levels: list = [1.0] + [np.zeros((s,) * c) for c in range(1, m + 1)]
-    for x in path:
+    paths = np.asarray(paths)
+    n = paths.shape[-1]
+    if n < m:
+        raise DegreeTooLarge(f"n = {n} < m = {m}")
+    # the largest cell of any level L_c, c <= m, is at most binom(n, min(m, n // 2))
+    if math.comb(n, min(m, n // 2)) >= 2**63:
+        raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
+    rows = len(paths) if paths.ndim == 2 else 1
+    if rows * s**m > budget:
+        raise BudgetExceeded(f"level tensors rows*S^m = {rows * s**m} exceed budget {budget}")
+    if paths.ndim == 2:
+        if checkpoints is not None:
+            raise ValueError("checkpoints apply to a single path")
+        return _oldest_first(_count_rows(paths, np.full(rows, n), s, m, {})[0][m], s, m)
+    pieces = min(math.isqrt(n), budget // s**m)
+    bounds = [n * i // pieces for i in range(pieces + 1)]
+    marks = [n] if checkpoints is None else [int(c) for c in checkpoints]
+    if any(not m <= c <= n for c in marks):
+        raise ValueError(f"checkpoints must lie in [{m}, {n}]")
+    # checkpoint c is the prefix ending `offset` steps into piece p
+    where = {}
+    for c in marks:
+        p = bisect.bisect_left(bounds, c) - 1
+        where[c] = (p, c - bounds[p])
+    snaps: dict = {}
+    for p, offset in where.values():
+        snaps.setdefault(offset, set()).add(p)
+    lengths = np.diff(bounds)
+    grid = np.zeros((lengths.size, int(lengths.max())), dtype=np.int64)
+    for p, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        grid[p, : b - a] = paths[a:b]
+    pieces_levels, snapped = _count_rows(grid, lengths, s, m, snaps)
+    acc = _empty_levels(1, s, m)
+    out = {}
+    for p in range(len(bounds) - 1):
+        for c, (q, offset) in where.items():
+            if q == p:
+                out[c] = _join(acc, snapped[p, offset], m)[m]
+        acc = _join(acc, [lv[p : p + 1] for lv in pieces_levels], m)
+    counts = _oldest_first(np.concatenate([out[c] for c in marks]), s, m)
+    return counts[0] if checkpoints is None else counts
+
+
+def _empty_levels(rows: int, s: int, m: int) -> list:
+    return [np.ones((rows, 1), dtype=np.int64)] + [np.zeros((rows, s**c), dtype=np.int64) for c in range(1, m + 1)]
+
+
+def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, snaps: dict) -> tuple[list, dict]:
+    """Level tensors of each row grid[i, :lengths[i]], in one pass over
+    time vectorized across rows, plus copies of row p's levels after
+    ``offset`` steps for each p in snaps[offset]."""
+    levels = _empty_levels(grid.shape[0], s, m)
+    # L_c viewed as (rows * S, S^(c-1)): row i, newest state x is line i * S + x
+    lines = [None] + [lv.reshape(-1, s ** (c - 1)) for c, lv in enumerate(levels) if c]
+    base = np.arange(grid.shape[0]) * s
+    full = int(lengths.min())
+    snapped = {}
+    for t in range(grid.shape[1]):
+        live = slice(None) if t < full else lengths > t
+        idx = (base + grid[:, t])[live]
         for c in range(m, 0, -1):
-            levels[c][..., x] += levels[c - 1]
-    return levels[m]
+            lines[c][idx] += levels[c - 1][live]
+        for p in snaps.get(t + 1, ()):
+            snapped[p, t + 1] = [lv[p : p + 1].copy() for lv in levels]
+    return levels, snapped
+
+
+def _join(a: list, b: list, m: int) -> list:
+    """Levels of the concatenation A B (A first) by Chen's identity; the
+    newest-first layout puts B's indices before A's."""
+    return [a[0]] + [
+        sum(np.einsum("ri,rj->rij", b[j], a[c - j]).reshape(len(a[0]), -1) for j in range(c + 1))
+        for c in range(1, m + 1)
+    ]
+
+
+def _oldest_first(level: np.ndarray, s: int, m: int) -> np.ndarray:
+    """(rows, S^m) newest-first counts as a (rows, S, ..., S) oldest-first view."""
+    return level.reshape((level.shape[0],) + (s,) * m).transpose(0, *range(m, 0, -1))
+
+
+def contract_counts(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_v counts[..., v] * table[v] for each leading index of ``counts``.
+
+    One BLAS dot product per count tensor over its oldest-first C order:
+    the float order of ``np.tensordot(counts_i, table, axes=m)``, so a value
+    never depends on the batch it was counted in.  Counts convert to
+    float64 exactly below 2^53.
+    """
+    t = table.ravel()
+    tensors = counts.reshape((-1,) + table.shape)
+    return np.array([np.dot(c.astype(np.float64, order="C").ravel(), t) for c in tensors])
 
 
 def u_statistic(traj: Trajectory, h, budget: int = DEFAULT_BUDGET) -> float:
@@ -203,8 +312,8 @@ def u_statistic(traj: Trajectory, h, budget: int = DEFAULT_BUDGET) -> float:
 
     Accepts a :class:`SymmetricKernelFn` or a :class:`ProjectedKernel`; a
     degree-0 projection evaluates to its constant.  Tabulated kernels use
-    the exact counting recursion; raw callables fall back to lexicographic
-    enumeration, whose binom(n, m) cost must fit the budget.
+    the exact counting engine :func:`tuple_counts`; raw callables fall back
+    to lexicographic enumeration, whose binom(n, m) cost must fit the budget.
     """
     m = h.degree
     if m == 0:
@@ -217,9 +326,8 @@ def u_statistic(traj: Trajectory, h, budget: int = DEFAULT_BUDGET) -> float:
         s = table.shape[0]
         if n * s ** (m - 1) > budget:
             raise BudgetExceeded(f"counting cost n*S^(m-1) = {n * s ** (m - 1)} exceeds budget {budget}")
-        counts = _combination_value_counts(traj.values, m, s)
-        total = float(np.tensordot(counts, table, axes=m)) if m > 0 else 0.0
-        return total / math.comb(n, m)
+        counts = tuple_counts(traj.values, s, m, budget=budget)
+        return float(contract_counts(counts, table)[0]) / math.comb(n, m)
     if math.comb(n, m) > budget:
         raise BudgetExceeded(f"binom({n},{m}) = {math.comb(n, m)} exceeds budget {budget}")
     states = h.states if isinstance(h, SymmetricKernelFn) else h.base.states

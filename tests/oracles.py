@@ -102,3 +102,25 @@ def dirac_pair_rho(p: np.ndarray, v: np.ndarray, k: int) -> float:
         for y in range(x + 1, s):
             best = max(best, float(np.abs(pk[x] - pk[y]).sum()) / (v[x] + v[y]))
     return best
+
+
+def tuple_counts_enum(path, s: int, m: int) -> np.ndarray:
+    """counts[v_1..v_m] = #{t_1 < ... < t_m : path[t_i] = v_i}, by listing
+    every index combination."""
+    counts = np.zeros((s,) * m, dtype=np.int64)
+    for combo in itertools.combinations(path, m):
+        counts[tuple(combo)] += 1
+    return counts
+
+
+def replay_path(matrix: np.ndarray, mu0: np.ndarray, n: int, seed: int) -> list[int]:
+    """The documented sampler, one step at a time: n PCG64 uniforms, and
+    state t is the number of CDF entries of row (state t-1) at or below
+    u[t], capped at S-1 (state 0 inverts the CDF of mu0)."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    cdf = np.cumsum(matrix, axis=1)
+    last = len(mu0) - 1
+    path = [min(int((np.cumsum(mu0) <= u[0]).sum()), last)]
+    for t in range(1, n):
+        path.append(min(int((cdf[path[-1]] <= u[t]).sum()), last))
+    return path

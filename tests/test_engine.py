@@ -1,0 +1,149 @@
+"""The one sampler and the one counting engine against naive oracles, and
+the budget checks that refuse before anything large is allocated."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import replay_path, tuple_counts_enum
+from ustatmc import (
+    BudgetExceeded, Distribution, FiniteKernel, exact_l2, replicate_u_values, sample_paths, simulate, table_kernel,
+    tuple_counts,
+)
+from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
+
+
+@st.composite
+def counting_cases(draw):
+    s = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 40))
+    path = np.array(draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)))
+    checkpoints = sorted(draw(st.sets(st.integers(m, n), min_size=1, max_size=5)))
+    # the budget holds the levels of this many pieces of the path
+    rows = draw(st.integers(1, 8))
+    return s, m, path, checkpoints, rows * s**m
+
+
+@settings(max_examples=150, deadline=None)
+@given(counting_cases())
+def test_counts_match_enumeration_at_checkpoints(case):
+    s, m, path, checkpoints, budget = case
+    got = tuple_counts(path, s, m, checkpoints=checkpoints, budget=budget)
+    assert got.shape == (len(checkpoints),) + (s,) * m
+    for c, counts in zip(checkpoints, got):
+        assert np.array_equal(counts, tuple_counts_enum(path[:c], s, m))
+    # the default cut into about sqrt(n) pieces
+    assert np.array_equal(tuple_counts(path, s, m), tuple_counts_enum(path, s, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counting_cases(), st.data())
+def test_chen_identity_on_random_splits(case, data):
+    s, m, path, _, _ = case
+    n = path.size
+    bounds = [0, *sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))), n] if n > 1 else [0, 1]
+    acc = _empty_levels(1, s, m)
+    for a, b in zip(bounds, bounds[1:]):
+        piece = _count_rows(path[None, a:b], np.array([b - a]), s, m, {})[0]
+        acc = _join(acc, piece, m)
+    assert np.array_equal(_oldest_first(acc[m], s, m)[0], tuple_counts_enum(path, s, m))
+
+
+@settings(max_examples=50, deadline=None)
+@given(counting_cases(), st.integers(1, 5))
+def test_batch_counts_match_enumeration(case, rows):
+    s, m, path, _, _ = case
+    batch = np.array([np.roll(path, k) for k in range(rows)])
+    got = tuple_counts(batch, s, m)
+    for row, counts in zip(batch, got):
+        assert np.array_equal(counts, tuple_counts_enum(row, s, m))
+
+
+def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
+    # 7 replicates of 2^3 level cells do not fit a budget of 20: sub-batches of 2 rows
+    h = table_kernel(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
+    mu0 = Distribution.uniform(2)
+    whole = replicate_u_values(two_state_kernel, mu0, h, 30, 7, 11)
+    for jobs in (1, 2, 3):
+        got = replicate_u_values(two_state_kernel, mu0, h, 30, 7, 11, jobs, budget=20)
+        assert got.tobytes() == whole.tobytes()
+
+
+@st.composite
+def chains_with_ties(draw):
+    """Random chains whose rows and initial law have zero entries, so the
+    CDFs have ties."""
+    s = draw(st.integers(1, 5))
+    weights = st.lists(st.integers(0, 3), min_size=s, max_size=s).filter(any)
+    matrix = np.array([draw(weights) for _ in range(s)], dtype=float)
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    mu0 = Distribution.normalized(draw(weights))
+    return FiniteKernel(np.arange(s, dtype=float), matrix), mu0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chains_with_ties(),
+    st.integers(1, 300),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+)
+def test_sampler_matches_per_step_replay(chain, n, seeds):
+    kernel, mu0 = chain
+    paths = sample_paths(kernel, mu0, n, seeds)
+    assert paths.shape == (len(seeds), n)
+    for row, seed in zip(paths, seeds):
+        assert np.array_equal(simulate(kernel, mu0, n, seed).values, row)
+        assert row.tolist() == replay_path(kernel.matrix, mu0.weights, n, seed)
+
+
+def test_sampler_many_rows_match_replay():
+    # enough rows that every step advances all replicates at once
+    rng = np.random.default_rng(3)
+    matrix = rng.random((4, 4)) * (rng.random((4, 4)) > 0.3) + np.eye(4) * 0.01
+    kernel = FiniteKernel(np.arange(4.0), matrix / matrix.sum(axis=1, keepdims=True))
+    mu0 = Distribution.uniform(4)
+    seeds = [int(x) for x in rng.integers(0, 2**63, 200)]
+    paths = sample_paths(kernel, mu0, 37, seeds)
+    for row, seed in zip(paths, seeds):
+        assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 37, seed)
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_level_tensors_refused_before_allocation():
+    # one row's levels, 100^3 cells, exceed the budget
+    batch = np.broadcast_to(np.int64(0), (1000, 50))
+    assert _peak_bytes(tuple_counts, batch, 100, 3, budget=10**5) < 2**20
+    assert _peak_bytes(tuple_counts, batch[0], 100, 3, budget=10**5) < 2**20
+
+
+def test_int64_overflow_refused():
+    # binom(300000, 4) > 2^63: int64 counts could wrap
+    path = np.broadcast_to(np.int64(0), (300_000,))
+    assert _peak_bytes(tuple_counts, path, 1, 4) < 2**20
+
+
+def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):
+    h = table_kernel(np.zeros((2, 2, 2)))
+    peak = _peak_bytes(exact_l2, Distribution.dirac(0, 2), two_state_kernel, h, 400, 3)
+    assert peak < 2**20
+
+
+def test_engine_rejects_bad_checkpoints():
+    path = np.zeros(10, dtype=np.int64)
+    with pytest.raises(ValueError):
+        tuple_counts(path, 1, 2, checkpoints=[1])
+    with pytest.raises(ValueError):
+        tuple_counts(path[None, :], 1, 2, checkpoints=[4])

@@ -104,7 +104,7 @@ def test_replicate_u_matches_per_path_dp(two_state_kernel, canonical_product_h):
     u = replicate_u_values(two_state_kernel, mu, canonical_product_h, 19, 7, 4242)
     for r in range(7):
         traj = simulate(two_state_kernel, mu, 19, mix64(4242, r))
-        assert u[r] == pytest.approx(u_statistic(traj, canonical_product_h), rel=1e-12, abs=1e-15)
+        assert u[r] == u_statistic(traj, canonical_product_h)
 
 
 def test_replicate_u_degree_three(two_state_kernel):
@@ -115,7 +115,7 @@ def test_replicate_u_degree_three(two_state_kernel):
     u = replicate_u_values(two_state_kernel, mu, h3, 11, 5, 77)
     for r in range(5):
         traj = simulate(two_state_kernel, mu, 11, mix64(77, r))
-        assert u[r] == pytest.approx(u_statistic(traj, h3), rel=1e-12, abs=1e-15)
+        assert u[r] == u_statistic(traj, h3)
 
 
 def test_variance_experiment_exact_and_mc_regimes(two_state_kernel, two_state_profile, canonical_product_h):
