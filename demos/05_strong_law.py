@@ -16,11 +16,10 @@ h = product_kernel(2).tabulated(kernel.states)
 config = ExperimentConfig(
     kernel=kernel, mu0=Distribution.dirac(0, 2), profile=profile, h=h, m=2,
     n_grid=[10], replicates=2, master_seed=20240,
-    slln=SllnConfig(n_max=100_000, delta=0.1),
+    slln=SllnConfig(n_max=100_000),
 )
 result = run_slln_experiment(config)
 print("target pi^(2) h =", result["target"])
-print("moment condition:", result["moment_condition"])
 print(f"\n{'n':>8} {'U_n':>12} {'|U_n - target|':>16}")
 for row in result["rows"]:
     print(f"{row['n']:>8} {row['u_n']:>12.6f} {row['abs_error']:>16.6f}")

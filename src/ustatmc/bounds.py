@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, NeedDeclaredEnvelope, NotCanonical, PNotPositive, Unbounded
+from .errors import (
+    BudgetExceeded, ConfigError, DomainError, NeedDeclaredEnvelope, NotCanonical, PNotPositive, Unbounded,
+)
 from .markov import Distribution, ErgodicityProfile, FiniteKernel
 from .ustats import SymmetricKernelFn
 
@@ -246,6 +248,62 @@ def corollary3_bound(inputs: BoundInputs, h: SymmetricKernelFn | None = None) ->
         - _log_binom(inputs.n, inputs.m)
     )
     return math.exp(log_b)
+
+
+def bound_requests(bounds: list[dict], d: int, m: int) -> list[tuple[str, float | None]]:
+    """Validated, routed and deduplicated (name, p) pairs, in request order.
+
+    Theorem 1 and Corollary 3 need a completely degenerate kernel; for a
+    d-degenerate kernel with d < m both are routed to the centered
+    Corollary 2.  ``p`` is kept for corollary3 only.  An unknown name, a
+    corollary3 request without ``p``, or a ``p`` that is not a number > 0
+    raises :class:`ConfigError`, so callers run it before any bound or L2 work.
+    """
+    requests: list[tuple[str, float | None]] = []
+    for request in bounds:
+        if not isinstance(request, dict) or request.get("name") not in ("theorem1", "corollary2", "corollary3"):
+            raise ConfigError(f"unknown bound request {request!r}")
+        name, p = request["name"], request.get("p")
+        if (p is None and name == "corollary3") or not (p is None or isinstance(p, (int, float)) and p > 0):
+            raise ConfigError(f"bound request {request!r} needs a number p > 0")
+        if name in ("theorem1", "corollary3") and d < m:
+            name = "corollary2"
+        key = (name, p if name == "corollary3" else None)
+        if key not in requests:
+            requests.append(key)
+    return requests
+
+
+def evaluate_bounds(
+    requests: list[tuple[str, float | None]],
+    n: int,
+    h: SymmetricKernelFn,
+    profile: ErgodicityProfile,
+    mu: Distribution,
+    kernel: FiniteKernel | None,
+    d: int,
+    m_value: float | None = None,
+) -> list[tuple[str, str, float, str]]:
+    """(statistic, label, value, inputs digest) for each request of
+    :func:`bound_requests` at sample size n.
+
+    ``statistic`` is what the bound dominates: "u" for ||U_{n,m}(h)||
+    (theorem1, corollary3) and "u_centered" for ||U_{n,m}(h) - pi^{(m)}h||
+    (corollary2).  Without ``m_value`` each bound resolves M(mu, V) itself.
+    """
+    sup_h = h.sup_norm()
+    out = []
+    for name, p in requests:
+        inputs = BoundInputs(n=n, m=h.degree, profile=profile, mu=mu, kernel=kernel,
+                             sup_h=sup_h, p=p, d=d, m_value=m_value)
+        if name == "theorem1":
+            entry = ("u", name, theorem1_bound(inputs))
+        elif name == "corollary2":
+            entry = ("u_centered", name, corollary2_bound(inputs))
+        else:
+            entry = ("u", f"corollary3[p={p:g}]", corollary3_bound(inputs, h))
+        out.append((*entry, inputs.digest()))
+    return out
 
 
 def geometric_sum_bound(varrho: float, m: int) -> float:

@@ -6,7 +6,9 @@
 
 Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
-1 on a violation (worst instance is reported), 2 on a configuration error.
+1 on a violation (worst instance is reported), 2 on a configuration error
+(including a bad bound request: an unknown name, corollary3 without p,
+or p <= 0).
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
 and seeds yield byte-identical files at any --jobs value.
 """
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
-from .bounds import BoundInputs, corollary2_bound, corollary3_bound, theorem1_bound
+from .bounds import bound_requests, evaluate_bounds
 from .errors import ConfigError, UstatmcError
 from .markov import simulate
 from .montecarlo import run_slln_experiment, run_variance_experiment
@@ -99,27 +101,14 @@ def cmd_certify_profile(args) -> int:
 def cmd_bound(args) -> int:
     doc = cfg.load_document(args.config)
     config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
-    pi = config.kernel.stationary()
-    d = degeneracy_order(config.h, pi)
-    sup_h = config.h.sup_norm()
-    rows = []
-    for n in config.n_grid:
-        for request in config.bounds:
-            name, p = request["name"], request.get("p")
-            inputs = BoundInputs(n=n, m=config.m, profile=config.profile, mu=config.mu0,
-                                 kernel=config.kernel, sup_h=sup_h, p=p, d=d)
-            if name in ("theorem1", "corollary3") and d < config.m:
-                name = "corollary2"
-            if name == "theorem1":
-                value, label = theorem1_bound(inputs), "theorem1"
-            elif name == "corollary2":
-                value, label = corollary2_bound(inputs), "corollary2"
-            elif name == "corollary3":
-                value, label = corollary3_bound(inputs, config.h), f"corollary3[p={p:g}]"
-            else:
-                raise ConfigError(f"unknown bound {name!r}")
-            rows.append({"n": n, "m": config.m, "bound_name": label, "bound": value,
-                         "degeneracy": d, "inputs_hash": inputs.digest()})
+    d = degeneracy_order(config.h, config.kernel.stationary())
+    requests = bound_requests(config.bounds, d, config.m)
+    rows = [
+        {"n": n, "m": config.m, "bound_name": label, "bound": value, "degeneracy": d, "inputs_hash": digest}
+        for n in config.n_grid
+        for _, label, value, digest in evaluate_bounds(
+            requests, n, config.h, config.profile, config.mu0, config.kernel, d)
+    ]
     path = _out_dir(args) / "bounds.csv"
     write_csv(path, ["n", "m", "bound_name", "bound", "degeneracy", "inputs_hash"], rows)
     print(f"bound: {len(rows)} values over n={config.n_grid} -> {path}")

@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, GeometricRho, certify_rho
 from .montecarlo import ExperimentConfig, SllnConfig
 from .ustats import (
+    DEFAULT_BUDGET,
     SymmetricKernelFn,
     additive_kernel,
     gaussian_rbf_kernel,
@@ -54,14 +55,13 @@ SCHEMA: dict = {
         "n_grid": "strictly increasing list[int]",
         "replicates": "int >= 2",
         "master_seed": "uint64",
-        "bounds": "list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': float?}",
+        "bounds": "list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': float > 0, required by "
+                  "corollary3}; theorem1/corollary3 run as corollary2 unless h is completely degenerate",
         "budget": "int — cap on enumeration work and work-array cells (default 1e8)",
-        "exact_pairs_budget": "int — exact-oracle cap on binom(n,m)^2 (default 20000)",
     },
     "slln": {
         "n_max": "int",
         "checkpoints": "list[int] | omit for dyadic powers of two",
-        "delta": "float > 0 — log-moment exponent recorded with the run",
         "threshold": "optional float — final |U_n - target| asserted below this",
     },
     "simulate": {"n": "int path length", "seed": "uint64 (overridden by --seed)"},
@@ -203,7 +203,6 @@ def build_experiment(
             slln = SllnConfig(
                 n_max=int(_require(slln_section, "n_max", "slln")),
                 checkpoints=slln_section.get("checkpoints"),
-                delta=float(slln_section.get("delta", 0.1)),
                 threshold=slln_section.get("threshold"),
             )
         except ValueError as exc:
@@ -225,8 +224,7 @@ def build_experiment(
             master_seed=int(seed_override if seed_override is not None else section.get("master_seed", 0)),
             bounds=section.get("bounds", []),
             slln=slln,
-            budget=int(budget_override if budget_override is not None else section.get("budget", 10**8)),
-            exact_pairs_budget=int(section.get("exact_pairs_budget", 20_000)),
+            budget=int(budget_override if budget_override is not None else section.get("budget", DEFAULT_BUDGET)),
             jobs=jobs,
         )
     except ValueError as exc:

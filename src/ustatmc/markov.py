@@ -288,16 +288,13 @@ class ErgodicityProfile:
     ``provenance`` is "certified" when rho was tabulated exactly from a
     finite chain and "declared" when supplied by the user for a
     sampler-backed chain (in which case ``declared_m`` must carry the
-    supremum sup_k mu P^k(V) if bounds are to be computed).  ``drift`` may
-    record (lambda, b) of a drift condition P V <= lambda V + b as metadata;
-    nothing is derived from it.
+    supremum sup_k mu P^k(V) if bounds are to be computed).
     """
 
     v_values: np.ndarray
     rho: RhoSequence
     provenance: str = "certified"
     declared_m: float | None = None
-    drift: tuple[float, float] | None = None
 
     def __post_init__(self):
         v = _freeze(self.v_values)
@@ -326,8 +323,6 @@ class ErgodicityProfile:
         out = {"v": self.v_values.tolist(), "rho": rho, "provenance": self.provenance}
         if self.declared_m is not None:
             out["declared_m"] = self.declared_m
-        if self.drift is not None:
-            out["drift"] = {"lambda": self.drift[0], "b": self.drift[1]}
         return out
 
     @staticmethod
@@ -343,13 +338,8 @@ class ErgodicityProfile:
             )
         else:
             raise ValueError(f"unknown rho kind {r['kind']!r}")
-        drift = d.get("drift")
         return ErgodicityProfile(
-            np.asarray(d["v"], dtype=float),
-            rho,
-            d.get("provenance", "certified"),
-            d.get("declared_m"),
-            (drift["lambda"], drift["b"]) if drift else None,
+            np.asarray(d["v"], dtype=float), rho, d.get("provenance", "certified"), d.get("declared_m")
         )
 
 

@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundInputs, BoundReport, corollary2_bound, corollary3_bound, m_sup, theorem1_bound
+from .bounds import BoundReport, bound_requests, evaluate_bounds, m_sup
 from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
-from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, GeometricRho, sample_paths, simulate
-from .proofs import joint_law
+from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, sample_paths, simulate
+from .proofs import TENSOR_BUDGET, joint_law
 from .ustats import (
     DEFAULT_BUDGET, SymmetricKernelFn, contract_counts, degeneracy_order, hoeffding_project, tuple_counts,
 )
@@ -43,7 +43,6 @@ from .ustats import (
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 EXACT_PAIRS_BUDGET = 20_000
-TENSOR_BUDGET = 10**7
 
 
 def mix64(seed: int, r: int) -> int:
@@ -74,14 +73,11 @@ class L2Estimate:
 class SllnConfig:
     n_max: int
     checkpoints: list[int] | None = None
-    delta: float = 0.1
     threshold: float | None = None
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError("n_max must be >= 2")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
 
     def resolve_checkpoints(self, m: int) -> list[int]:
         if self.checkpoints is not None:
@@ -115,7 +111,6 @@ class ExperimentConfig:
     bounds: list[dict] = field(default_factory=list)
     slln: SllnConfig | None = None
     budget: int = DEFAULT_BUDGET
-    exact_pairs_budget: int = EXACT_PAIRS_BUDGET
     jobs: int = 1
 
     def __post_init__(self):
@@ -267,60 +262,35 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
     """Compare the (exact or estimated) L2 of the U-statistic against every
     requested bound, per n in the grid.
 
-    Completely degenerate kernels go to the uncentered bounds; anything
-    else is routed to the centered bound automatically.  The centered
-    statistic is realized as U_{n,m}(h - pi^{(m)}h).
+    Requests are validated and routed by :func:`bound_requests` before any
+    L2 work: completely degenerate kernels go to the uncentered bounds,
+    anything else to the centered bound.  The centered statistic is
+    realized as U_{n,m}(h - pi^{(m)}h).
     """
     kernel, h, m = config.kernel, config.h, config.m
     pi = kernel.stationary()
     d = degeneracy_order(h, pi)
-    sup_h = h.sup_norm()
-    mean_h = hoeffding_project(h, pi, 0).value
+    requests = bound_requests(config.bounds, d, m)
     m_value = m_sup(config.mu0, config.profile, kernel)
-    canonical = d >= m
-
-    requests: list[tuple[str, float | None]] = []
-    for request in config.bounds:
-        name = request["name"]
-        p = request.get("p")
-        if name in ("theorem1", "corollary3") and not canonical:
-            name = "corollary2"
-        if (name, p if name == "corollary3" else None) not in requests:
-            requests.append((name, p if name == "corollary3" else None))
-
-    centered_h = h.shifted(mean_h)
+    stat_hs = {"u": h, "u_centered": h.shifted(hoeffding_project(h, pi, 0).value)}
     reports: list[BoundReport] = []
     for n in config.n_grid:
-        variants = {"u" if name != "corollary2" else "u_centered" for name, _ in requests}
+        entries = evaluate_bounds(requests, n, h, config.profile, config.mu0, kernel, d, m_value)
         per_variant: dict[str, BoundReport] = {}
-        for variant in sorted(variants):
-            stat_h = h if variant == "u" else centered_h
+        for variant in sorted({statistic for statistic, *_ in entries}):
             try:
-                value = exact_l2(config.mu0, kernel, stat_h, n, m, config.exact_pairs_budget)
+                value = exact_l2(config.mu0, kernel, stat_hs[variant], n, m)
                 report = BoundReport(n=n, m=m, statistic=variant, l2_value=value, l2_kind="exact")
             except BudgetExceeded:
-                est = estimate_l2(config, n, h=stat_h)
+                est = estimate_l2(config, n, h=stat_hs[variant])
                 report = BoundReport(
                     n=n, m=m, statistic=variant, l2_value=est.point, l2_kind="monte-carlo",
                     stderr=est.stderr, replicates=est.replicates,
                 )
             report.rho_provenance = _rho_provenance(config, n)
             per_variant[variant] = report
-        for name, p in requests:
-            inputs = BoundInputs(
-                n=n, m=m, profile=config.profile, mu=config.mu0, kernel=kernel,
-                sup_h=sup_h, p=p, d=d, m_value=m_value,
-            )
-            if name == "theorem1":
-                per_variant["u"].add("theorem1", theorem1_bound(inputs), inputs.digest())
-            elif name == "corollary2":
-                per_variant["u_centered"].add("corollary2", corollary2_bound(inputs), inputs.digest())
-            elif name == "corollary3":
-                if p is None:
-                    raise ConfigError("corollary3 request needs p > 0")
-                per_variant["u"].add(f"corollary3[p={p:g}]", corollary3_bound(inputs, h), inputs.digest())
-            else:
-                raise ConfigError(f"unknown bound {name!r}")
+        for statistic, label, value, digest in entries:
+            per_variant[statistic].add(label, value, digest)
         reports.extend(per_variant[v] for v in sorted(per_variant))
     return reports
 
@@ -329,19 +299,13 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     """Single seeded trajectory tracked at dyadic checkpoints.
 
     Emits (n, U_n, target, |U_n - target|) with target = pi^{(m)}h computed
-    exactly.  On a finite chain the mixing profile is geometric-or-better
-    and bounded h satisfies the log-moment condition automatically; both
-    are recorded in the metadata rather than re-derived.
+    exactly.  A finite ergodic chain mixes geometrically and a tabulated h
+    is bounded, so the strong law's conditions hold without a check.
     """
     if config.slln is None:
         raise ConfigError("no slln section configured")
     if config.h.table is None:
         raise ConfigError("slln experiment needs a tabulated kernel")
-    rho = config.profile.rho
-    if isinstance(rho, GeometricRho) or (isinstance(rho, ExplicitRho) and rho.tail_rate < 1.0):
-        rate = "geometric"
-    else:
-        raise ConfigError("slln needs a summable-rate profile (polynomial r > 1 or better)")
     m = config.m
     checkpoints = config.slln.resolve_checkpoints(m)
     n_max = checkpoints[-1]
@@ -359,11 +323,4 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     for c, numerator in zip(checkpoints, numerators):
         u_n = float(numerator) / math.comb(c, m)
         rows.append({"n": c, "u_n": u_n, "target": target, "abs_error": abs(u_n - target)})
-    return {
-        "rows": rows,
-        "target": target,
-        "seed": config.master_seed,
-        "rate": rate,
-        "delta": config.slln.delta,
-        "moment_condition": "automatic (finite state space, bounded kernel); recorded as checked",
-    }
+    return {"rows": rows, "target": target, "seed": config.master_seed}

@@ -73,9 +73,6 @@ class JointLaw:
     def arity(self) -> int:
         return self.tensor.ndim
 
-    def marginalize_last(self) -> "JointLaw":
-        return JointLaw(self.tensor.sum(axis=-1))
-
     def expect(self, values: np.ndarray) -> float:
         return float(np.tensordot(self.tensor, values, axes=self.arity))
 

@@ -10,7 +10,7 @@ pi^{(m-c)} to h; the signed product is expanded exactly over the 2^c subsets
 of fixed arguments, so every identity here is checkable to float precision
 on finite state spaces.
 
-Tabulated kernels are evaluated by one counting engine, :func:`tuple_counts`
+Every path is evaluated by one counting engine, :func:`tuple_counts`
 (cost n * S^{m-1} instead of binom(n, m) kernel calls), which serves
 :func:`u_statistic`, the replicate estimator and the strong-law run.  It
 counts increasing index tuples by state in int64, so the counts are exact
@@ -81,14 +81,6 @@ class SymmetricKernelFn:
         if self.declared_sup is not None and self.table is not None:
             if np.abs(self.table).max() > self.declared_sup * (1 + 1e-12):
                 raise ValueError("table exceeds declared sup-norm envelope")
-
-    def eval(self, *values: float) -> float:
-        if len(values) != self.degree:
-            raise ValueError(f"expected {self.degree} arguments")
-        if self.fn is not None:
-            return float(self.fn(*values))
-        idx = tuple(int(np.argmin(np.abs(self.states - v))) for v in values)
-        return float(self.table[idx])
 
     def tabulated(self, states: Sequence[float]) -> "SymmetricKernelFn":
         """Dense evaluation over a finite state embedding."""
@@ -311,9 +303,10 @@ def u_statistic(traj: Trajectory, h, budget: int = DEFAULT_BUDGET) -> float:
     """Average of h over all strictly increasing index m-tuples of the path.
 
     Accepts a :class:`SymmetricKernelFn` or a :class:`ProjectedKernel`; a
-    degree-0 projection evaluates to its constant.  Tabulated kernels use
-    the exact counting engine :func:`tuple_counts`; raw callables fall back
-    to lexicographic enumeration, whose binom(n, m) cost must fit the budget.
+    degree-0 projection evaluates to its constant.  Every path is counted
+    by the exact engine :func:`tuple_counts` and contracted with the kernel
+    table; a callable-only kernel is first tabulated over its state
+    embedding, whose S^m cells must fit the budget.
     """
     m = h.degree
     if m == 0:
@@ -322,21 +315,17 @@ def u_statistic(traj: Trajectory, h, budget: int = DEFAULT_BUDGET) -> float:
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
     table = h.table
-    if table is not None:
-        s = table.shape[0]
-        if n * s ** (m - 1) > budget:
-            raise BudgetExceeded(f"counting cost n*S^(m-1) = {n * s ** (m - 1)} exceeds budget {budget}")
-        counts = tuple_counts(traj.values, s, m, budget=budget)
-        return float(contract_counts(counts, table)[0]) / math.comb(n, m)
-    if math.comb(n, m) > budget:
-        raise BudgetExceeded(f"binom({n},{m}) = {math.comb(n, m)} exceeds budget {budget}")
-    states = h.states if isinstance(h, SymmetricKernelFn) else h.base.states
-    if states is None:
-        raise ValueError("raw-callable kernels need a state embedding to evaluate a path")
-    vals = states[traj.values]
-    fn = h.fn
-    total = math.fsum(fn(*combo) for combo in itertools.combinations(vals, m))
-    return total / math.comb(n, m)
+    if table is None:
+        if h.states is None:
+            raise ValueError("raw-callable kernels need a state embedding to evaluate a path")
+        if h.states.size**m > budget:
+            raise BudgetExceeded(f"kernel table S^m = {h.states.size**m} exceeds budget {budget}")
+        table = h.tabulated(h.states).table
+    s = table.shape[0]
+    if n * s ** (m - 1) > budget:
+        raise BudgetExceeded(f"counting cost n*S^(m-1) = {n * s ** (m - 1)} exceeds budget {budget}")
+    counts = tuple_counts(traj.values, s, m, budget=budget)
+    return float(contract_counts(counts, table)[0]) / math.comb(n, m)
 
 
 def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> ProjectedKernel:

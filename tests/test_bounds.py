@@ -7,6 +7,7 @@ import pytest
 from oracles import c_nm_squared_rational, geometric_partial_sums
 from ustatmc import (
     BoundInputs,
+    ConfigError,
     Distribution,
     DomainError,
     ErgodicityProfile,
@@ -18,10 +19,12 @@ from ustatmc import (
     SymmetricKernelFn,
     Unbounded,
     b_q,
+    bound_requests,
     c_nm,
     corollary2_bound,
     corollary3_bound,
     d_constant,
+    evaluate_bounds,
     geometric_sum_bound,
     lemma6_constant,
     m_sup,
@@ -256,3 +259,35 @@ def test_bound_inputs_digest_stability(two_state_kernel, two_state_profile, mu_d
     assert a.digest() == b.digest()
     c = _inputs(two_state_kernel, two_state_profile, mu_dirac0, sup_h=2.0)
     assert a.digest() != c.digest()
+
+
+def test_bound_requests_route_and_deduplicate():
+    bounds = [{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}, {"name": "corollary3", "p": 1},
+              {"name": "corollary2", "p": 2.0}, {"name": "corollary3", "p": 0.5}]
+    assert bound_requests(bounds, d=2, m=2) == [
+        ("theorem1", None), ("corollary3", 1.0), ("corollary2", None), ("corollary3", 0.5),
+    ]
+    assert bound_requests(bounds, d=1, m=2) == [("corollary2", None)]
+    assert bound_requests(bounds, d=3, m=2) == bound_requests(bounds, d=2, m=2)
+
+
+@pytest.mark.parametrize("bad", [
+    {"name": "theorem9"}, {"p": 1.0}, "theorem1", {"name": "corollary3"}, {"name": "corollary3", "p": 0},
+    {"name": "corollary3", "p": "1"}, {"name": "theorem1", "p": -1.0},
+])
+def test_bound_requests_reject_bad_requests(bad):
+    with pytest.raises(ConfigError):
+        bound_requests([{"name": "corollary2"}, bad], d=1, m=2)
+
+
+def test_evaluate_bounds_matches_the_bound_functions(two_state_kernel, two_state_profile, mu_dirac0,
+                                                      canonical_product_h):
+    requests = [("theorem1", None), ("corollary2", None), ("corollary3", 1.0)]
+    got = evaluate_bounds(requests, 30, canonical_product_h, two_state_profile, mu_dirac0, two_state_kernel, d=2)
+    inputs = {p: _inputs(two_state_kernel, two_state_profile, mu_dirac0, n=30, p=p, d=2,
+                         sup_h=canonical_product_h.sup_norm()) for p in (None, 1.0)}
+    assert got == [
+        ("u", "theorem1", theorem1_bound(inputs[None]), inputs[None].digest()),
+        ("u_centered", "corollary2", corollary2_bound(inputs[None]), inputs[None].digest()),
+        ("u", "corollary3[p=1]", corollary3_bound(inputs[1.0], canonical_product_h), inputs[1.0].digest()),
+    ]

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from ustatmc import ConfigError
+from ustatmc import ConfigError, bounds, montecarlo
 from ustatmc.cli import main
 from ustatmc.config import SCHEMA, build_chain, build_experiment, build_initial, build_kernel_fn, load_document
 
@@ -122,6 +123,46 @@ def test_cli_bound_zero_mixing(tmp_path):
     rows = (tmp_path / "z" / "bounds.csv").read_text().splitlines()[1:]
     assert len(rows) == 6
     assert all(float(r.split(",")[3]) == 0.0 for r in rows)
+
+
+BAD_BOUND_REQUESTS = {
+    "unknown-name": {"name": "theorem9"},
+    "corollary3-without-p": {"name": "corollary3"},
+    "nonpositive-p": {"name": "corollary3", "p": -1},
+}
+
+
+@pytest.mark.parametrize("command", ["bound", "verify-variance"])
+@pytest.mark.parametrize("bad", BAD_BOUND_REQUESTS.values(), ids=BAD_BOUND_REQUESTS.keys())
+def test_cli_bad_bound_request_is_config_error(tmp_path, monkeypatch, command, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bound or L2 work started before the requests were validated")
+
+    for module, name in [(bounds, "m_sup"), (montecarlo, "m_sup"), (montecarlo, "exact_l2"),
+                         (montecarlo, "estimate_l2")]:
+        monkeypatch.setattr(module, name, no_work)
+    doc = _variance_doc()
+    doc["experiment"]["bounds"] = [{"name": "theorem1"}, bad]
+    cfg = _write(tmp_path, "bad.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bound_and_verify_variance_agree_on_routed_requests(tmp_path):
+    doc = _variance_doc()
+    # 1-degenerate, so theorem1 and corollary3 both run as corollary2
+    doc["kernel_fn"] = {"name": "additive", "degree": 2, "params": {"center": "pi"}}
+    doc["experiment"]["bounds"] = [{"name": "theorem1"}, {"name": "corollary3", "p": 1}]
+    cfg = _write(tmp_path, "routed.json", doc)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    with open(tmp_path / "b" / "bounds.csv") as fh:
+        bound_rows = list(csv.DictReader(fh))
+    with open(tmp_path / "v" / "variance.csv") as fh:
+        variance_rows = list(csv.DictReader(fh))
+    assert [(r["n"], r["bound_name"]) for r in bound_rows] == [("20", "corollary2"), ("40", "corollary2")]
+    keys = ("n", "bound_name", "bound", "inputs_hash")
+    assert [[r[k] for k in keys] for r in bound_rows] == [[r[k] for k in keys] for r in variance_rows]
 
 
 def test_cli_verify_variance_pass_and_exit_codes(tmp_path):

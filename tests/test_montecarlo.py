@@ -244,7 +244,7 @@ def test_experiment_config_validation(two_state_kernel, two_state_profile, canon
     with pytest.raises(ValueError):
         _config(two_state_kernel, two_state_profile, canonical_product_h, n_grid=[10, 10])
     with pytest.raises(ValueError):
-        SllnConfig(n_max=1000, delta=0.0)
+        SllnConfig(n_max=1)
 
 
 def test_l2_estimate_invariants():

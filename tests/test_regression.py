@@ -27,9 +27,10 @@ DEGREE_THREE = {
 }
 
 DIGESTS = {
-    "two_state_variance": "2acf39a50f9961bd936b068e2050ba73100dc78dd259347b7d4c6bedde4c7e07",
-    "slln": "7824f92884b6a0c44f286966bcfc50f10c165e9615a3af2c1e3f99b2b526cf69",
-    "degree_three": "c7a99afbbceab72fa5201aa65821d2ad15511dc4993e5992e053cb6cd6d026b9",
+    ("two_state_variance", "variance.csv"): "2acf39a50f9961bd936b068e2050ba73100dc78dd259347b7d4c6bedde4c7e07",
+    ("two_state_variance", "bounds.csv"): "8e5266ac2e6700f6a78813afaf96e7cf0f914b9ced08f2b5347efa892362612f",
+    ("slln", "slln.csv"): "7824f92884b6a0c44f286966bcfc50f10c165e9615a3af2c1e3f99b2b526cf69",
+    ("degree_three", "variance.csv"): "c7a99afbbceab72fa5201aa65821d2ad15511dc4993e5992e053cb6cd6d026b9",
 }
 
 
@@ -41,6 +42,7 @@ def _digest(path: Path) -> str:
     "name, command, artifact",
     [
         ("two_state_variance", "verify-variance", "variance.csv"),
+        ("two_state_variance", "bound", "bounds.csv"),
         ("slln", "verify-slln", "slln.csv"),
         ("degree_three", "verify-variance", "variance.csv"),
     ],
@@ -52,4 +54,4 @@ def test_artifact_digest(tmp_path, name, command, artifact):
     else:
         config = CONFIGS / f"{name}.json"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert _digest(tmp_path / "out" / artifact) == DIGESTS[name]
+    assert _digest(tmp_path / "out" / artifact) == DIGESTS[name, artifact]
