@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
-from .bounds import bound_requests, evaluate_bounds
+from .bounds import bound_requests, evaluate_bounds, m_sup
 from .errors import ConfigError, UstatmcError
 from .markov import simulate
 from .montecarlo import run_slln_experiment, run_variance_experiment
@@ -103,11 +103,12 @@ def cmd_bound(args) -> int:
     config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
     d = degeneracy_order(config.h, config.kernel.stationary())
     requests = bound_requests(config.bounds, d, config.m)
+    m_value = m_sup(config.mu0, config.profile, config.kernel)
     rows = [
         {"n": n, "m": config.m, "bound_name": label, "bound": value, "degeneracy": d, "inputs_hash": digest}
         for n in config.n_grid
         for _, label, value, digest in evaluate_bounds(
-            requests, n, config.h, config.profile, config.mu0, config.kernel, d)
+            requests, n, config.h, config.profile, config.mu0, config.kernel, d, m_value)
     ]
     path = _out_dir(args) / "bounds.csv"
     write_csv(path, ["n", "m", "bound_name", "bound", "degeneracy", "inputs_hash"], rows)

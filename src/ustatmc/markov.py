@@ -415,15 +415,16 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     s = kernel.size
     measured = np.zeros(k_max + 1)
     if s > 1:
-        pairs = [(x, y) for x in range(s) for y in range(x + 1, s)]
-        denom = np.array([v[x] + v[y] for x, y in pairs])
+        xs, ys = np.triu_indices(s, 1)
+        denom = v[xs] + v[ys]
         raw = [np.eye(s)[x] for x in range(s)]
 
         def ratio_max() -> float:
-            norm = [w / w.sum() for w in raw]
-            return max(
-                float(np.abs(norm[x] - norm[y]).sum()) / d for (x, y), d in zip(pairs, denom)
-            )
+            # every pair's |norm[x] - norm[y]| summed along its own row: the
+            # float order of summing each pair's vector on its own
+            norm = np.array([w / w.sum() for w in raw])
+            gaps = norm[xs] - norm[ys]
+            return float((np.abs(gaps, out=gaps).sum(axis=-1) / denom).max())
 
         measured[0] = ratio_max()
         for k in range(1, k_max + 1):

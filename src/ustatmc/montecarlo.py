@@ -14,9 +14,13 @@ workers, and every reduction runs in fixed replicate order, so results are
 bitwise reproducible for a fixed master seed at any --jobs value.
 
 Replicate paths come from the one sampler :func:`ustatmc.markov.sample_paths`
-and are counted by the one engine :func:`ustatmc.ustats.tuple_counts`; the
-strong-law run uses the same two on its single path, reading the counts at
-every checkpoint.
+and are counted by the one engine of :mod:`ustatmc.ustats`.  Since
+``Generator.random(n)`` is a prefix of ``Generator.random(n_max)`` for the
+same stream, replicate r's path at n is the first n steps of its path at
+n_max.  So one path of length max n per replicate serves every Monte Carlo
+n of the grid, and both statistics: the count loop reads each n off as it
+passes it (:func:`replicate_u_grid`).  The strong-law run reads its single
+path at every checkpoint the same way.
 
 The exact oracle expands E[U^2] over all pairs of index m-tuples and
 contracts each term against the exact joint law of the merged time set; it
@@ -29,6 +33,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, sample_paths, simulate
 from .proofs import TENSOR_BUDGET, joint_law
 from .ustats import (
-    DEFAULT_BUDGET, SymmetricKernelFn, contract_counts, degeneracy_order, hoeffding_project, tuple_counts,
+    DEFAULT_BUDGET, SymmetricKernelFn, contract_counts, degeneracy_order, hoeffding_project, tuple_counts, tuple_sums,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -67,6 +72,20 @@ class L2Estimate:
     def __post_init__(self):
         if self.point < 0 or self.stderr < 0:
             raise ValueError("point and stderr must be >= 0")
+
+    @staticmethod
+    def from_u_values(u: np.ndarray) -> "L2Estimate":
+        """point = sqrt(mean U_r^2); stderr maps the standard error of
+        mean(U^2) through the square root (delta method)."""
+        u2 = u * u
+        mean_u2 = float(u2.sum() / u2.size)
+        point = math.sqrt(max(mean_u2, 0.0))
+        if u2.size > 1 and point > 0.0:
+            se_mean = math.sqrt(float(np.var(u2, ddof=1)) / u2.size)
+            stderr = se_mean / (2.0 * point)
+        else:
+            stderr = 0.0
+        return L2Estimate(point=point, stderr=stderr, replicates=u2.size)
 
 
 @dataclass
@@ -177,6 +196,59 @@ def exact_l2(
 # ---------------------------------------------------------------------------
 # replicated simulation
 
+def replicate_u_grid(
+    kernel: FiniteKernel,
+    mu0: Distribution,
+    hs: Sequence[SymmetricKernelFn],
+    ns: Sequence[int],
+    replicates: int,
+    master_seed: int,
+    jobs: int = 1,
+    budget: int = DEFAULT_BUDGET,
+) -> np.ndarray:
+    """U values of every kernel of ``hs`` (one degree m) at every n of
+    ``ns``: out[k, j, r] = U_{ns[j], m}(hs[k]) on replicate r's path.
+
+    Replicate r's path at n is the first n steps of its path at max(ns):
+    its PCG64 stream's first n uniforms do not depend on how many are
+    drawn.  So each replicate is sampled once, to max(ns), and counted
+    once, by :func:`tuple_sums`, which reads every n of the grid as the
+    count loop passes it.  Replicates are split into ``jobs`` contiguous
+    blocks, each sampled as one batch in its own thread (numpy releases the
+    interpreter lock inside the array work) and counted in sub-batches
+    whose level tensors fit ``budget`` (one sub-batch per thread at a
+    time).  Every row is computed on its own, so each value is
+    bit-identical to ``u_statistic`` on that replicate's first n steps at
+    any ``jobs`` and any ``budget``.
+    """
+    tables = [h.table for h in hs]
+    if any(table is None for table in tables):
+        raise ValueError("replicated estimation needs a tabulated kernel")
+    m = hs[0].degree
+    if min(ns) < m:
+        raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
+    s = tables[0].shape[0]
+    # one row's levels beyond the budget are refused by tuple_sums
+    rows = max(1, budget // s**m)
+    seeds = [mix64(master_seed, r) for r in range(replicates)]
+    chunk = max(1, math.ceil(replicates / max(jobs, 1)))
+    blocks = [seeds[i : i + chunk] for i in range(0, replicates, chunk)]
+
+    def work(block: list[int]) -> np.ndarray:
+        paths = sample_paths(kernel, mu0, max(ns), block)
+        return np.concatenate(
+            [tuple_sums(paths[i : i + rows], tables, ns, budget) for i in range(0, len(paths), rows)], axis=-1
+        )
+
+    if jobs <= 1 or len(blocks) == 1:
+        parts = [work(b) for b in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(work, blocks))
+    sums = np.concatenate(parts, axis=-1)
+    return np.stack([sums[:, j] / math.comb(n, m) for j, n in enumerate(ns)], axis=1)
+
+
 def replicate_u_values(
     kernel: FiniteKernel,
     mu0: Distribution,
@@ -187,64 +259,19 @@ def replicate_u_values(
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
-    """One U value per replicate, in replicate order, independent of jobs.
-
-    Replicates are split into ``jobs`` contiguous blocks, each sampled as
-    one batch in its own thread (numpy releases the interpreter lock inside
-    the array work) and counted by the one engine :func:`tuple_counts` in
-    sub-batches whose level tensors fit ``budget`` (one sub-batch per
-    thread at a time).  Every row is computed
-    on its own, so each value is bit-identical to ``u_statistic`` on that
-    replicate's path at any ``jobs`` and any ``budget``.
-    """
-    table = h.table
-    if table is None:
-        raise ValueError("replicated estimation needs a tabulated kernel")
-    m = h.degree
-    if n < m:
-        raise DegreeTooLarge(f"n = {n} < m = {m}")
-    s = table.shape[0]
-    # one row's levels beyond the budget are refused by tuple_counts
-    rows = max(1, budget // s**m)
-    seeds = [mix64(master_seed, r) for r in range(replicates)]
-    chunk = max(1, math.ceil(replicates / max(jobs, 1)))
-    blocks = [seeds[i : i + chunk] for i in range(0, replicates, chunk)]
-
-    def work(block: list[int]) -> np.ndarray:
-        paths = sample_paths(kernel, mu0, n, block)
-        return np.concatenate([
-            contract_counts(tuple_counts(paths[i : i + rows], s, m, budget=budget), table)
-            for i in range(0, len(paths), rows)
-        ])
-
-    if jobs <= 1 or len(blocks) == 1:
-        parts = [work(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, blocks))
-    return np.concatenate(parts) / math.comb(n, m)
+    """One U value per replicate, in replicate order: the one-kernel,
+    one-n case of :func:`replicate_u_grid`."""
+    return replicate_u_grid(kernel, mu0, [h], [n], replicates, master_seed, jobs, budget)[0, 0]
 
 
 def estimate_l2(config: ExperimentConfig, n: int, h: SymmetricKernelFn | None = None) -> L2Estimate:
-    """Monte Carlo estimate of ||U_{n,m}(h)||_2 over config.replicates paths.
-
-    point = sqrt(mean U_r^2); stderr maps the standard error of mean(U^2)
-    through the square root (delta method).  Bitwise deterministic for a
-    fixed master seed at any jobs value.
-    """
+    """Monte Carlo estimate of ||U_{n,m}(h)||_2 over config.replicates paths
+    (see :meth:`L2Estimate.from_u_values`).  Bitwise deterministic for a
+    fixed master seed at any jobs value."""
     h = config.h if h is None else h
-    u = replicate_u_values(
+    return L2Estimate.from_u_values(replicate_u_values(
         config.kernel, config.mu0, h, n, config.replicates, config.master_seed, config.jobs, config.budget
-    )
-    u2 = u * u
-    mean_u2 = float(u2.sum() / u2.size)
-    point = math.sqrt(max(mean_u2, 0.0))
-    if u2.size > 1 and point > 0.0:
-        se_mean = math.sqrt(float(np.var(u2, ddof=1)) / u2.size)
-        stderr = se_mean / (2.0 * point)
-    else:
-        stderr = 0.0
-    return L2Estimate(point=point, stderr=stderr, replicates=u2.size)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +292,10 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
     Requests are validated and routed by :func:`bound_requests` before any
     L2 work: completely degenerate kernels go to the uncentered bounds,
     anything else to the centered bound.  The centered statistic is
-    realized as U_{n,m}(h - pi^{(m)}h).
+    realized as U_{n,m}(h - pi^{(m)}h).  The bounds of every n are
+    evaluated first, then the exact oracle is tried per (n, statistic);
+    every n it refuses is estimated by one :func:`replicate_u_grid` pass,
+    one path per replicate, shared by both statistics.
     """
     kernel, h, m = config.kernel, config.h, config.m
     pi = kernel.stationary()
@@ -273,25 +303,36 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
     requests = bound_requests(config.bounds, d, m)
     m_value = m_sup(config.mu0, config.profile, kernel)
     stat_hs = {"u": h, "u_centered": h.shifted(hoeffding_project(h, pi, 0).value)}
-    reports: list[BoundReport] = []
+    entries = {n: evaluate_bounds(requests, n, h, config.profile, config.mu0, kernel, d, m_value)
+               for n in config.n_grid}
+    variants = {n: sorted({statistic for statistic, *_ in entries[n]}) for n in config.n_grid}
+    found: dict[tuple[int, str], BoundReport] = {}
+    refused = []
     for n in config.n_grid:
-        entries = evaluate_bounds(requests, n, h, config.profile, config.mu0, kernel, d, m_value)
-        per_variant: dict[str, BoundReport] = {}
-        for variant in sorted({statistic for statistic, *_ in entries}):
+        for variant in variants[n]:
             try:
                 value = exact_l2(config.mu0, kernel, stat_hs[variant], n, m)
-                report = BoundReport(n=n, m=m, statistic=variant, l2_value=value, l2_kind="exact")
+                found[n, variant] = BoundReport(n=n, m=m, statistic=variant, l2_value=value, l2_kind="exact")
             except BudgetExceeded:
-                est = estimate_l2(config, n, h=stat_hs[variant])
-                report = BoundReport(
-                    n=n, m=m, statistic=variant, l2_value=est.point, l2_kind="monte-carlo",
-                    stderr=est.stderr, replicates=est.replicates,
-                )
-            report.rho_provenance = _rho_provenance(config, n)
-            per_variant[variant] = report
-        for statistic, label, value, digest in entries:
-            per_variant[statistic].add(label, value, digest)
-        reports.extend(per_variant[v] for v in sorted(per_variant))
+                refused.append((n, variant))
+    if refused:
+        mc_ns = sorted({n for n, _ in refused})
+        mc_variants = sorted({variant for _, variant in refused})
+        u = replicate_u_grid(kernel, config.mu0, [stat_hs[v] for v in mc_variants], mc_ns,
+                             config.replicates, config.master_seed, config.jobs, config.budget)
+        for n, variant in refused:
+            est = L2Estimate.from_u_values(u[mc_variants.index(variant), mc_ns.index(n)])
+            found[n, variant] = BoundReport(
+                n=n, m=m, statistic=variant, l2_value=est.point, l2_kind="monte-carlo",
+                stderr=est.stderr, replicates=est.replicates,
+            )
+    reports: list[BoundReport] = []
+    for n in config.n_grid:
+        for variant in variants[n]:
+            found[n, variant].rho_provenance = _rho_provenance(config, n)
+        for statistic, label, value, digest in entries[n]:
+            found[n, statistic].add(label, value, digest)
+        reports.extend(found[n, v] for v in variants[n])
     return reports
 
 

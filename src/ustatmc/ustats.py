@@ -203,27 +203,19 @@ def tuple_counts(
 
     Counts are exact while binom(n, m) < 2^63 (checked), and do not depend
     on the budget; the S^m level cells of each row of a batch, or of one
-    piece of a path, must fit it.
+    piece of a path, must fit it.  State indices must lie in [0, S).
     """
     paths = np.asarray(paths)
     n = paths.shape[-1]
-    if n < m:
-        raise DegreeTooLarge(f"n = {n} < m = {m}")
-    # the largest cell of any level L_c, c <= m, is at most binom(n, min(m, n // 2))
-    if math.comb(n, min(m, n // 2)) >= 2**63:
-        raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
     rows = len(paths) if paths.ndim == 2 else 1
-    if rows * s**m > budget:
-        raise BudgetExceeded(f"level tensors rows*S^m = {rows * s**m} exceed budget {budget}")
+    _check_counting(paths, s, m, rows, budget)
     if paths.ndim == 2:
         if checkpoints is not None:
             raise ValueError("checkpoints apply to a single path")
         return _oldest_first(_count_rows(paths, np.full(rows, n), s, m, {})[0][m], s, m)
     pieces = min(math.isqrt(n), budget // s**m)
     bounds = [n * i // pieces for i in range(pieces + 1)]
-    marks = [n] if checkpoints is None else [int(c) for c in checkpoints]
-    if any(not m <= c <= n for c in marks):
-        raise ValueError(f"checkpoints must lie in [{m}, {n}]")
+    marks = [n] if checkpoints is None else _checkpoints(checkpoints, m, n)
     # checkpoint c is the prefix ending `offset` steps into piece p
     where = {}
     for c in marks:
@@ -232,44 +224,103 @@ def tuple_counts(
     snaps: dict = {}
     for p, offset in where.values():
         snaps.setdefault(offset, set()).add(p)
+    reads = {
+        offset: lambda levels, ps=ps: {p: [lv[p : p + 1].copy() for lv in levels] for p in ps}
+        for offset, ps in snaps.items()
+    }
     lengths = np.diff(bounds)
     grid = np.zeros((lengths.size, int(lengths.max())), dtype=np.int64)
     for p, (a, b) in enumerate(zip(bounds, bounds[1:])):
         grid[p, : b - a] = paths[a:b]
-    pieces_levels, snapped = _count_rows(grid, lengths, s, m, snaps)
+    pieces_levels, snapped = _count_rows(grid, lengths, s, m, reads)
     acc = _empty_levels(1, s, m)
     out = {}
     for p in range(len(bounds) - 1):
         for c, (q, offset) in where.items():
             if q == p:
-                out[c] = _join(acc, snapped[p, offset], m)[m]
+                out[c] = _join(acc, snapped[offset][p], m)[m]
         acc = _join(acc, [lv[p : p + 1] for lv in pieces_levels], m)
     counts = _oldest_first(np.concatenate([out[c] for c in marks]), s, m)
     return counts[0] if checkpoints is None else counts
+
+
+def tuple_sums(
+    paths: np.ndarray,
+    tables: Sequence[np.ndarray],
+    checkpoints: Sequence[int],
+    budget: int = DEFAULT_BUDGET,
+) -> np.ndarray:
+    """Kernel sums over the increasing index m-tuples of every checkpoint
+    prefix of every row of a batch ``paths`` (rows, n):
+
+        out[k, j, i] = sum_{t_1 < ... < t_m < checkpoints[j]} tables[k][paths[i, t_1], ..., paths[i, t_m]]
+
+    for tables of one shape (S,) * m.  The step loop of :func:`tuple_counts`
+    runs once, to the last checkpoint; as it passes a checkpoint c, the live
+    counts are contracted with every table by :func:`contract_counts`.  So
+    each sum is bit-identical to contracting ``tuple_counts(paths[:, :c])``,
+    and no count tensor outlives its checkpoint.  The checks of
+    :func:`tuple_counts` on a batch apply.
+    """
+    paths = np.asarray(paths)
+    s, m = tables[0].shape[0], tables[0].ndim
+    _check_counting(paths, s, m, len(paths), budget)
+    marks = _checkpoints(checkpoints, m, paths.shape[1])
+    top = max(marks)
+
+    def read(levels: list) -> list:
+        counts = _oldest_first(levels[m], s, m)
+        return [contract_counts(counts, table) for table in tables]
+
+    _, sums = _count_rows(paths[:, :top], np.full(len(paths), top), s, m, dict.fromkeys(marks, read))
+    return np.array([[sums[c][k] for c in marks] for k in range(len(tables))])
+
+
+def _check_counting(paths: np.ndarray, s: int, m: int, rows: int, budget: int) -> None:
+    """Refuse, before anything is allocated, what the engine cannot count
+    exactly within the budget."""
+    n = paths.shape[-1]
+    if n < m:
+        raise DegreeTooLarge(f"n = {n} < m = {m}")
+    # the largest cell of any level L_c, c <= m, is at most binom(n, min(m, n // 2))
+    if math.comb(n, min(m, n // 2)) >= 2**63:
+        raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
+    if rows * s**m > budget:
+        raise BudgetExceeded(f"level tensors rows*S^m = {rows * s**m} exceed budget {budget}")
+    # an index >= S would be counted in the next row's slice of the level tensors
+    if paths.size and (paths.min() < 0 or paths.max() >= s):
+        raise ValueError(f"state indices must lie in [0, {s})")
+
+
+def _checkpoints(checkpoints: Sequence[int], m: int, n: int) -> list[int]:
+    marks = [int(c) for c in checkpoints]
+    if not marks or any(not m <= c <= n for c in marks):
+        raise ValueError(f"checkpoints must lie in [{m}, {n}]")
+    return marks
 
 
 def _empty_levels(rows: int, s: int, m: int) -> list:
     return [np.ones((rows, 1), dtype=np.int64)] + [np.zeros((rows, s**c), dtype=np.int64) for c in range(1, m + 1)]
 
 
-def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, snaps: dict) -> tuple[list, dict]:
+def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, reads: dict) -> tuple[list, dict]:
     """Level tensors of each row grid[i, :lengths[i]], in one pass over
-    time vectorized across rows, plus copies of row p's levels after
-    ``offset`` steps for each p in snaps[offset]."""
+    time vectorized across rows, and for each step count t in ``reads``
+    the value reads[t](levels) of the live levels after t steps."""
     levels = _empty_levels(grid.shape[0], s, m)
     # L_c viewed as (rows * S, S^(c-1)): row i, newest state x is line i * S + x
     lines = [None] + [lv.reshape(-1, s ** (c - 1)) for c, lv in enumerate(levels) if c]
     base = np.arange(grid.shape[0]) * s
     full = int(lengths.min())
-    snapped = {}
+    read_out = {}
     for t in range(grid.shape[1]):
         live = slice(None) if t < full else lengths > t
         idx = (base + grid[:, t])[live]
         for c in range(m, 0, -1):
             lines[c][idx] += levels[c - 1][live]
-        for p in snaps.get(t + 1, ()):
-            snapped[p, t + 1] = [lv[p : p + 1].copy() for lv in levels]
-    return levels, snapped
+        if t + 1 in reads:
+            read_out[t + 1] = reads[t + 1](levels)
+    return levels, read_out
 
 
 def _join(a: list, b: list, m: int) -> list:

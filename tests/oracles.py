@@ -124,3 +124,20 @@ def replay_path(matrix: np.ndarray, mu0: np.ndarray, n: int, seed: int) -> list[
     for t in range(1, n):
         path.append(min(int((cdf[path[-1]] <= u[t]).sum()), last))
     return path
+
+
+def pair_loop_rho_table(matrix: np.ndarray, v: np.ndarray, k_max: int) -> np.ndarray:
+    """rho(0..k_max) by the pair loop: each Dirac evolved by one w @ P per
+    step and normalized, then max over pairs x < y of sum |norm_x - norm_y|
+    / (V(x) + V(y)), made non-increasing by a reversed running maximum."""
+    s = matrix.shape[0]
+    raw = [np.eye(s)[x] for x in range(s)]
+    measured = []
+    for k in range(k_max + 1):
+        if k:
+            raw = [w @ matrix for w in raw]
+        norm = [w / w.sum() for w in raw]
+        measured.append(max(
+            float(np.abs(norm[x] - norm[y]).sum()) / (v[x] + v[y]) for x in range(s) for y in range(x + 1, s)
+        ))
+    return np.maximum.accumulate(np.array(measured)[::-1])[::-1]

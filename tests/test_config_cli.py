@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ustatmc import ConfigError, bounds, montecarlo
+from ustatmc import ConfigError, bounds, cli, montecarlo
 from ustatmc.cli import main
 from ustatmc.config import SCHEMA, build_chain, build_experiment, build_initial, build_kernel_fn, load_document
 
@@ -138,14 +138,33 @@ def test_cli_bad_bound_request_is_config_error(tmp_path, monkeypatch, command, b
     def no_work(*args, **kwargs):
         raise AssertionError("bound or L2 work started before the requests were validated")
 
-    for module, name in [(bounds, "m_sup"), (montecarlo, "m_sup"), (montecarlo, "exact_l2"),
-                         (montecarlo, "estimate_l2")]:
+    for module, name in [(bounds, "m_sup"), (montecarlo, "m_sup"), (cli, "m_sup"), (montecarlo, "exact_l2"),
+                         (montecarlo, "estimate_l2"), (montecarlo, "replicate_u_grid")]:
         monkeypatch.setattr(module, name, no_work)
     doc = _variance_doc()
     doc["experiment"]["bounds"] = [{"name": "theorem1"}, bad]
     cfg = _write(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "verify-variance"])
+def test_cli_resolves_m_sup_once_per_command(tmp_path, monkeypatch, command):
+    calls = []
+    m_sup = bounds.m_sup
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return m_sup(*args, **kwargs)
+
+    for module in (cli, montecarlo):
+        monkeypatch.setattr(module, "m_sup", counted)
+    monkeypatch.setattr(bounds, "m_sup", lambda *a, **k: pytest.fail("M(mu, V) resolved per bound"))
+    doc = _variance_doc()
+    doc["experiment"]["bounds"] = [{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}]
+    cfg = _write(tmp_path, "m.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_bound_and_verify_variance_agree_on_routed_requests(tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import replay_path, tuple_counts_enum
 from ustatmc import (
-    BudgetExceeded, Distribution, FiniteKernel, exact_l2, replicate_u_values, sample_paths, simulate, table_kernel,
-    tuple_counts,
+    BudgetExceeded, Distribution, FiniteKernel, Trajectory, exact_l2, mix64, replicate_u_grid, replicate_u_values,
+    sample_paths, simulate, table_kernel, tuple_counts, tuple_sums, u_statistic,
 )
 from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
 
@@ -147,3 +147,47 @@ def test_engine_rejects_bad_checkpoints():
         tuple_counts(path, 1, 2, checkpoints=[1])
     with pytest.raises(ValueError):
         tuple_counts(path[None, :], 1, 2, checkpoints=[4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chains_with_ties(),
+    st.integers(1, 3),
+    st.data(),
+    st.integers(2, 9),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 4),
+    st.integers(0, 2**63),
+)
+def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, master_seed):
+    kernel, mu0 = chain
+    s = kernel.size
+    ns = sorted(data.draw(st.sets(st.integers(m + 1, 40), max_size=4)) | {m})
+    rng = np.random.default_rng(master_seed % 2**32)
+    idx = np.indices((s,) * m)
+    h = table_kernel(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
+    hs = [h, h.shifted(0.375)]
+    # sub-batches of `rows` replicates, fewer than a jobs block holds when rows < replicates / jobs
+    got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=rows * s**m)
+    assert got.shape == (2, len(ns), replicates)
+    for k, hk in enumerate(hs):
+        for j, n in enumerate(ns):
+            one = replicate_u_values(kernel, mu0, hk, n, replicates, master_seed)
+            assert np.all(got[k, j] == one)
+            # and each value is the U-statistic of that replicate's own length-n path
+            for r in range(replicates):
+                assert got[k, j, r] == u_statistic(simulate(kernel, mu0, n, mix64(master_seed, r)), hk)
+
+
+def test_engine_refuses_states_outside_the_table():
+    # a path over 3 states counted against a 2-state table
+    traj = Trajectory([0, 2, 1, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 1, 1, 0], 0, Distribution.uniform(3))
+    with pytest.raises(ValueError, match="state indices"):
+        u_statistic(traj, table_kernel(np.array([[1.0, 2.0], [2.0, 3.0]])))
+    # the last piece of the path, where the overflow used to hit past the array
+    with pytest.raises(ValueError, match="state indices"):
+        tuple_counts([0, 2, 1, 0, 1, 1, 0, 2, 0], 2, 2)
+    with pytest.raises(ValueError, match="state indices"):
+        tuple_counts(np.array([[0, 1, -1], [0, 1, 1]]), 2, 2)
+    with pytest.raises(ValueError, match="state indices"):
+        tuple_sums(np.array([[0, 1, 1], [0, 2, 1]]), [np.ones((2, 2))], [2, 3])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dirac_pair_rho
+from oracles import dirac_pair_rho, pair_loop_rho_table
 from ustatmc import (
     Distribution,
     ErgodicityProfile,
@@ -122,6 +124,26 @@ def test_certify_rho_refuses_no_decay():
     lazy_flip = FiniteKernel([0.0, 1.0], [[1e-15, 1 - 1e-15], [1 - 1e-15, 1e-15]])
     with pytest.raises(NotErgodic):
         certify_rho(lazy_flip, np.ones(2), k_max=1)
+
+
+@st.composite
+def positive_chains_with_weights(draw):
+    """Strictly positive rows (ergodic, and mixing within one step) and V = 1
+    or a random V >= 1."""
+    s = draw(st.integers(2, 12))
+    entries = st.lists(st.floats(0.01, 1.0), min_size=s, max_size=s)
+    matrix = np.array([draw(entries) for _ in range(s)])
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    v = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=s, max_size=s))) if draw(st.booleans()) else np.ones(s)
+    return matrix, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_chains_with_weights(), st.integers(1, 40))
+def test_certify_rho_equals_pair_loop(chain, k_max):
+    matrix, v = chain
+    profile = certify_rho(FiniteKernel(np.arange(float(len(v))), matrix), v, k_max)
+    assert np.array_equal(profile.rho.values, pair_loop_rho_table(matrix, v, k_max))
 
 
 def test_profile_serialization_round_trip(two_state_profile):

@@ -26,11 +26,36 @@ DEGREE_THREE = {
     "experiment": {"n_grid": [10, 40, 80], "replicates": 300, "master_seed": 77, "bounds": [{"name": "theorem1"}]},
 }
 
+# 1-degenerate (d = 1 < m = 2), so the bound is routed to corollary2 and the
+# Monte Carlo rows estimate the centered statistic U_{n,m}(h - pi^{(m)}h)
+ADDITIVE_CENTERED = {
+    "chain": DEGREE_THREE["chain"],
+    "initial": {"dirac": 0},
+    "kernel_fn": {"name": "additive", "degree": 2, "params": {"center": "pi"}},
+    "experiment": {"n_grid": [10, 40, 80], "replicates": 300, "master_seed": 78, "bounds": [{"name": "theorem1"}]},
+}
+
+# a canonical kernel with theorem1 and corollary2: at each Monte Carlo n the
+# statistics "u" and "u_centered" come from the same replicate paths
+BOTH_STATISTICS = {
+    "chain": DEGREE_THREE["chain"],
+    "initial": {"dirac": 1},
+    "kernel_fn": {"name": "product", "degree": 2, "params": {"center": "pi"}},
+    "experiment": {
+        "n_grid": [10, 30, 60], "replicates": 300, "master_seed": 79,
+        "bounds": [{"name": "theorem1"}, {"name": "corollary2"}],
+    },
+}
+
+INLINE = {"degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS}
+
 DIGESTS = {
     ("two_state_variance", "variance.csv"): "2acf39a50f9961bd936b068e2050ba73100dc78dd259347b7d4c6bedde4c7e07",
     ("two_state_variance", "bounds.csv"): "8e5266ac2e6700f6a78813afaf96e7cf0f914b9ced08f2b5347efa892362612f",
     ("slln", "slln.csv"): "7824f92884b6a0c44f286966bcfc50f10c165e9615a3af2c1e3f99b2b526cf69",
     ("degree_three", "variance.csv"): "c7a99afbbceab72fa5201aa65821d2ad15511dc4993e5992e053cb6cd6d026b9",
+    ("additive_centered", "variance.csv"): "fc60006f3462438a9809b16304e6704a6462a5b4708c748c0ed4073aba9f56f7",
+    ("both_statistics", "variance.csv"): "68845b2ee3ddb956bc152d4f36e75478b519c1f0598161db23d701b153e64ed4",
 }
 
 
@@ -45,12 +70,14 @@ def _digest(path: Path) -> str:
         ("two_state_variance", "bound", "bounds.csv"),
         ("slln", "verify-slln", "slln.csv"),
         ("degree_three", "verify-variance", "variance.csv"),
+        ("additive_centered", "verify-variance", "variance.csv"),
+        ("both_statistics", "verify-variance", "variance.csv"),
     ],
 )
 def test_artifact_digest(tmp_path, name, command, artifact):
-    if name == "degree_three":
-        config = tmp_path / "degree_three.json"
-        config.write_text(json.dumps(DEGREE_THREE))
+    if name in INLINE:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(INLINE[name]))
     else:
         config = CONFIGS / f"{name}.json"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
