@@ -195,12 +195,9 @@ def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float, budget: int 
 
 
 def d_constant(p: float, m_value: float, bq_value: float) -> float:
-    """D(p, mu, V, h) = 2^{(2p+1)/(2(p+1))} [p^{1/(p+1)} + p^{-p/(p+1)}]^{1/2}
-    sqrt(M(mu,V)) B_{2(p+1)}(h)."""
-    if not p > 0:
-        raise PNotPositive("p must be > 0")
-    bracket = p ** (1.0 / (p + 1.0)) + p ** (-p / (p + 1.0))
-    return 2.0 ** ((2.0 * p + 1.0) / (2.0 * (p + 1.0))) * math.sqrt(bracket) * math.sqrt(m_value) * bq_value
+    """D(p, mu, V, h) = 2^{(2p+1)/(2(p+1))} C(p)^{1/2} sqrt(M(mu,V)) B_{2(p+1)}(h),
+    with C(p) = p^{1/(p+1)} + p^{-p/(p+1)} from :func:`lemma6_constant`."""
+    return 2.0 ** ((2.0 * p + 1.0) / (2.0 * (p + 1.0))) * math.sqrt(lemma6_constant(p)) * math.sqrt(m_value) * bq_value
 
 
 def lemma6_constant(p: float) -> float:

@@ -48,8 +48,6 @@ SCHEMA: dict = {
             "bandwidth": "float (gaussian-rbf)",
             "values": "nested list, one axis per argument (table)",
         },
-        "declared_sup": "optional float envelope",
-        "declared_bq": "optional {q: B_q} envelopes",
     },
     "experiment": {
         "n_grid": "strictly increasing list[int]",
@@ -175,10 +173,6 @@ def build_kernel_fn(doc: dict, kernel: FiniteKernel) -> SymmetricKernelFn:
                 raise ConfigError("table rank does not match declared degree")
         else:
             raise ConfigError(f"unknown kernel_fn name {name!r}")
-        if section.get("declared_sup") is not None:
-            h.declared_sup = float(section["declared_sup"])
-        if section.get("declared_bq"):
-            h.declared_bq = {float(q): float(b) for q, b in section["declared_bq"].items()}
         return h.tabulated(kernel.states)
     except ConfigError:
         raise

@@ -286,9 +286,9 @@ class ErgodicityProfile:
     """The pair (V, rho) controlling V-weighted total-variation mixing.
 
     ``provenance`` is "certified" when rho was tabulated exactly from a
-    finite chain and "declared" when supplied by the user for a
-    sampler-backed chain (in which case ``declared_m`` must carry the
-    supremum sup_k mu P^k(V) if bounds are to be computed).
+    finite chain and "declared" when supplied by the user (in which case
+    ``declared_m`` must carry the supremum sup_k mu P^k(V) if bounds are
+    to be computed).
     """
 
     v_values: np.ndarray

@@ -175,12 +175,14 @@ def verify_prop5(
     """Exact TV between the true and tilted laws of (Y_{i_1}, ..., Y_{i_2m})
     against its certificate 4 rho(j*) M(mu, V)."""
     _, j_star, _ = j_indices(tup)
-    pi = kernel.stationary()
     true_law = joint_law(mu, kernel, tup.indices, budget)
-    tilted = tilde_law(mu, kernel, pi, tup, budget)
-    tv = tv_between(true_law, tilted)
-    bound = 4.0 * profile.rho_at(j_star) * m_sup(mu, profile, kernel)
-    return tv, bound
+    tilted = tilde_law(mu, kernel, kernel.stationary(), tup, budget)
+    return tv_between(true_law, tilted), _prop5_bound(m_sup(mu, profile, kernel), profile.rho_at(j_star))
+
+
+def _prop5_bound(m_value: float, rho_j: float) -> float:
+    """Proposition 5 certificate 4 rho(j*) M(mu, V) on TV(true, tilted)."""
+    return 4.0 * rho_j * m_value
 
 
 def verify_lemma6(
@@ -226,15 +228,18 @@ def verify_prop7(
     _, j_star, _ = j_indices(tup)
     law = joint_law(mu, kernel, tup.indices, budget)
     lhs = abs(f_sigma_expectation(law, h, sigma))
-    m_value = m_sup(mu, profile, kernel)
-    rho_j = profile.rho_at(j_star)
-    bound1 = 4.0 * m_value * rho_j * h.sup_norm() ** 2
-    bound2 = None
-    if p is not None:
-        bq_value = b_q(h, profile, 2.0 * (p + 1.0))
-        d_val = d_constant(p, m_value, bq_value)
-        bound2 = h.degree**2 * d_val**2 * rho_j ** (p / (p + 1.0))
-    return lhs, bound1, bound2
+    bounds = _prop7_bounds(h, profile, m_sup(mu, profile, kernel), () if p is None else (p,))
+    bound1, bound2 = bounds(profile.rho_at(j_star))
+    return lhs, bound1, bound2.get(p)
+
+
+def _prop7_bounds(h: SymmetricKernelFn, profile: ErgodicityProfile, m_value: float, p_values: Sequence[float]):
+    """Proposition 7 certificates on |E f_sigma| as a function of rho(j*):
+    the bounded form 4 M(mu,V) rho(j*) |h|_inf^2, and per p the moment form
+    m^2 D(p,mu,V,h)^2 rho(j*)^{p/(p+1)}."""
+    sup_sq = h.sup_norm() ** 2
+    scale = {p: h.degree**2 * d_constant(p, m_value, b_q(h, profile, 2.0 * (p + 1.0))) ** 2 for p in p_values}
+    return lambda rho_j: (4.0 * m_value * rho_j * sup_sq, {p: c * rho_j ** (p / (p + 1.0)) for p, c in scale.items()})
 
 
 def count_tuples(n: int, m: int, k: int, budget: int = TENSOR_BUDGET) -> int:
@@ -290,6 +295,44 @@ def random_canonical_kernel(
     raise RuntimeError("could not draw a nonvanishing canonical kernel")
 
 
+class _Record:
+    """Running summary of one certificate lhs <= bound over the grid: the
+    instance count, the largest lhs/bound over positive bounds, the largest
+    excess lhs - bound and the first instance attaining it (its lhs stored
+    under ``lhs_key``).  With ``tolerance`` it records an identity instead:
+    lhs is an absolute residual held to that tolerance, and its excess
+    starts at 0, so a grid of exact zeros keeps no worst case."""
+
+    def __init__(self, lhs_key: str | None = None, tolerance: float | None = None):
+        self.lhs_key, self.tolerance = lhs_key, tolerance
+        self.instances, self.max_ratio, self.worst = 0, 0.0, None
+        self.max_excess = -math.inf if tolerance is None else 0.0
+
+    def update(self, case: dict, lhs: np.ndarray, bound: float, sigmas: Sequence | None = None) -> None:
+        """Record lhs[i] <= bound for every instance i of one tuple, named
+        by ``case`` and, when given, the permutation sigmas[i]."""
+        self.instances += lhs.size
+        if bound > 0:
+            self.max_ratio = max(self.max_ratio, float((lhs / bound).max()))
+        excess = lhs - bound
+        # first maximum of the rounded excesses: what a sequential scan with a strict > keeps
+        i = int(excess.argmax())
+        if excess[i] > self.max_excess:
+            self.max_excess = float(excess[i])
+            self.worst = dict(case)
+            if sigmas is not None:
+                self.worst["sigma"] = list(sigmas[i])
+            if self.lhs_key is not None:
+                self.worst.update({self.lhs_key: float(lhs[i]), "bound": bound})
+
+    def report(self) -> dict:
+        if self.tolerance is None:
+            return {"instances": self.instances, "max_ratio": self.max_ratio, "max_violation": self.max_excess,
+                    "worst_case": self.worst, "pass": self.max_excess <= 0.0}
+        return {"instances": self.instances, "max_abs_residual": self.max_excess, "worst_case": self.worst,
+                "tolerance": self.tolerance, "pass": self.max_excess <= self.tolerance}
+
+
 def proposition_grid_check(
     num_chains: int = 3,
     size: int = 3,
@@ -304,24 +347,16 @@ def proposition_grid_check(
     """Exhaustive small-space verification of every proof-level inequality.
 
     Returns a JSON-ready summary per inequality: number of instances, the
-    worst lhs/bound ratio, and the tuple attaining it.  ``passed`` is True
+    worst lhs/bound ratio, and the tuple attaining it.  ``"pass"`` is True
     iff no instance violates its certificate (the tilted-moment identity is
     held to 1e-11 absolute).
     """
     rng = np.random.default_rng(seed)
     sigmas = list(itertools.permutations(range(2 * m)))
     tuples = [OrderedTuple(c) for c in itertools.combinations_with_replacement(range(1, i_max + 1), 2 * m)]
-    report: dict = {}
-
-    eq19_max = 0.0
-    eq19_worst = None
-    prop5_max = -math.inf
-    prop5_worst = None
-    prop5_ratio = 0.0
-    prop7_max = {p: -math.inf for p in (None, *p_values)}
-    prop7_worst = {p: None for p in (None, *p_values)}
-    prop7_ratio = {p: 0.0 for p in (None, *p_values)}
-    instances = {"eq19": 0, "prop5": 0, "prop7_bound1": 0, "prop7_bound2": 0}
+    eq19 = _Record(tolerance=1e-11)
+    prop5 = _Record("tv")
+    prop7 = {p: _Record("lhs") for p in (None, *p_values)}
 
     for chain_idx in range(num_chains):
         kernel = random_ergodic_kernel(size, rng)
@@ -330,52 +365,19 @@ def proposition_grid_check(
         profile = certify_rho(kernel, np.ones(size), k_max=i_max + 1)
         h = random_canonical_kernel(kernel, m, rng)
         m_value = m_sup(mu, profile, kernel)
-        sup_sq = h.sup_norm() ** 2
-        bq_cache = {p: b_q(h, profile, 2.0 * (p + 1.0)) for p in p_values}
+        prop7_bounds = _prop7_bounds(h, profile, m_value, p_values)
         for tup in tuples:
-            _, j_star, _ = j_indices(tup)
             law = joint_law(mu, kernel, tup.indices)
             tilted = tilde_law(mu, kernel, pi, tup)
-            tv = tv_between(law, tilted)
-            rho_j = profile.rho_at(j_star)
-            bound5 = 4.0 * rho_j * m_value
-            instances["prop5"] += 1
-            if bound5 > 0:
-                prop5_ratio = max(prop5_ratio, tv / bound5)
-            if tv - bound5 > prop5_max:
-                prop5_max = tv - bound5
-                prop5_worst = {"chain": chain_idx, "tuple": list(tup.indices), "tv": tv, "bound": bound5}
-            bound1 = 4.0 * m_value * rho_j * sup_sq
-            bound2 = {
-                p: m**2 * d_constant(p, m_value, bq_cache[p]) ** 2 * rho_j ** (p / (p + 1.0))
-                for p in p_values
-            }
-            for sigma in sigmas:
-                resid = abs(f_sigma_expectation(tilted, h, sigma))
-                instances["eq19"] += 1
-                if resid > eq19_max:
-                    eq19_max = resid
-                    eq19_worst = {"chain": chain_idx, "tuple": list(tup.indices), "sigma": list(sigma)}
-                lhs = abs(f_sigma_expectation(law, h, sigma))
-                instances["prop7_bound1"] += 1
-                if bound1 > 0:
-                    prop7_ratio[None] = max(prop7_ratio[None], lhs / bound1)
-                if lhs - bound1 > prop7_max[None]:
-                    prop7_max[None] = lhs - bound1
-                    prop7_worst[None] = {
-                        "chain": chain_idx, "tuple": list(tup.indices), "sigma": list(sigma),
-                        "lhs": lhs, "bound": bound1,
-                    }
-                for p in p_values:
-                    instances["prop7_bound2"] += 1
-                    if bound2[p] > 0:
-                        prop7_ratio[p] = max(prop7_ratio[p], lhs / bound2[p])
-                    if lhs - bound2[p] > prop7_max[p]:
-                        prop7_max[p] = lhs - bound2[p]
-                        prop7_worst[p] = {
-                            "chain": chain_idx, "tuple": list(tup.indices), "sigma": list(sigma),
-                            "lhs": lhs, "bound": bound2[p],
-                        }
+            rho_j = profile.rho_at(j_indices(tup)[1])
+            case = {"chain": chain_idx, "tuple": list(tup.indices)}
+            prop5.update(case, np.array([tv_between(law, tilted)]), _prop5_bound(m_value, rho_j))
+            resid = np.array([abs(f_sigma_expectation(tilted, h, sigma)) for sigma in sigmas])
+            eq19.update(case, resid, 0.0, sigmas)
+            lhs = np.array([abs(f_sigma_expectation(law, h, sigma)) for sigma in sigmas])
+            bound1, bound2 = prop7_bounds(rho_j)
+            for p, bound in {None: bound1, **bound2}.items():
+                prop7[p].update(case, lhs, bound, sigmas)
 
     lemma6_viol = 0
     lemma6_max_ratio = 0.0
@@ -401,35 +403,8 @@ def proposition_grid_check(
                 if cnt > counting_bound(n, mm, k):
                     counting_viol += 1
 
-    report["eq19"] = {
-        "instances": instances["eq19"],
-        "max_abs_residual": eq19_max,
-        "worst_case": eq19_worst,
-        "tolerance": 1e-11,
-        "pass": eq19_max <= 1e-11,
-    }
-    report["prop5"] = {
-        "instances": instances["prop5"],
-        "max_ratio": prop5_ratio,
-        "max_violation": prop5_max,
-        "worst_case": prop5_worst,
-        "pass": prop5_max <= 0.0,
-    }
-    report["prop7_bound1"] = {
-        "instances": instances["prop7_bound1"],
-        "max_ratio": prop7_ratio[None],
-        "max_violation": prop7_max[None],
-        "worst_case": prop7_worst[None],
-        "pass": prop7_max[None] <= 0.0,
-    }
-    for p in p_values:
-        report[f"prop7_bound2_p{p}"] = {
-            "instances": instances["prop7_bound2"] // len(p_values),
-            "max_ratio": prop7_ratio[p],
-            "max_violation": prop7_max[p],
-            "worst_case": prop7_worst[p],
-            "pass": prop7_max[p] <= 0.0,
-        }
+    report = {"eq19": eq19.report(), "prop5": prop5.report(), "prop7_bound1": prop7[None].report()}
+    report.update({f"prop7_bound2_p{p}": prop7[p].report() for p in p_values})
     report["lemma6"] = {
         "instances": lemma6_trials,
         "violations": lemma6_viol,

@@ -20,7 +20,6 @@ with the kernel table runs in one fixed float order.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ class SymmetricKernelFn:
     ``fn`` evaluates on raw state values; ``table`` (indexed by state
     indices, one axis per argument) is the exact dense form used by every
     finite-space operation.  ``declared_sup`` and ``declared_bq`` are user
-    envelopes for sampler-backed chains where no table exists.
+    envelopes for a callable kernel that has no table.
     """
 
     degree: int
@@ -195,11 +194,12 @@ def tuple_counts(
     engine keeps int64 level tensors L_c (count of c-tuples by state,
     newest index first) for c = 1..m and, at each time step, adds L_{c-1}
     into the slice L_c[x_t] of every row at once.  A single path is first
-    cut into about sqrt(n) equal pieces (at most budget // S^m), counted as
-    a batch, and the pieces are joined in order by Chen's identity
-    L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A).  With ``checkpoints`` (single
-    path only) the result holds one tensor per checkpoint c: the counts
-    over path[:c], read from level snapshots inside the pieces.
+    cut into about sqrt(n) equal pieces and at every checkpoint, the pieces
+    are counted as rows in batches of budget // S^m, and they are joined
+    in order by Chen's identity L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A).
+    With ``checkpoints`` (single path only) the result holds one tensor
+    per checkpoint c: the counts over path[:c], which is the running join
+    after the piece that ends at c.
 
     Counts are exact while binom(n, m) < 2^63 (checked), and do not depend
     on the budget; the S^m level cells of each row of a batch, or of one
@@ -213,33 +213,27 @@ def tuple_counts(
         if checkpoints is not None:
             raise ValueError("checkpoints apply to a single path")
         return _oldest_first(_count_rows(paths, np.full(rows, n), s, m, {})[0][m], s, m)
-    pieces = min(math.isqrt(n), budget // s**m)
-    bounds = [n * i // pieces for i in range(pieces + 1)]
     marks = [n] if checkpoints is None else _checkpoints(checkpoints, m, n)
-    # checkpoint c is the prefix ending `offset` steps into piece p
-    where = {}
-    for c in marks:
-        p = bisect.bisect_left(bounds, c) - 1
-        where[c] = (p, c - bounds[p])
-    snaps: dict = {}
-    for p, offset in where.values():
-        snaps.setdefault(offset, set()).add(p)
-    reads = {
-        offset: lambda levels, ps=ps: {p: [lv[p : p + 1].copy() for lv in levels] for p in ps}
-        for offset, ps in snaps.items()
-    }
-    lengths = np.diff(bounds)
-    grid = np.zeros((lengths.size, int(lengths.max())), dtype=np.int64)
-    for p, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        grid[p, : b - a] = paths[a:b]
-    pieces_levels, snapped = _count_rows(grid, lengths, s, m, reads)
+    # about sqrt(n) equal pieces, also cut at every checkpoint
+    pieces, wanted = math.isqrt(n), set(marks)
+    cuts = sorted({n * i // pieces for i in range(pieces + 1)} | wanted)
+    batch = budget // s**m
     acc = _empty_levels(1, s, m)
     out = {}
-    for p in range(len(bounds) - 1):
-        for c, (q, offset) in where.items():
-            if q == p:
-                out[c] = _join(acc, snapped[offset][p], m)[m]
-        acc = _join(acc, [lv[p : p + 1] for lv in pieces_levels], m)
+    for lo in range(0, len(cuts) - 1, batch):
+        ends = cuts[lo : lo + batch + 1]
+        lengths = np.diff(ends)
+        # rows longest first, as _count_rows needs: piece p is row rank[p]
+        order = np.argsort(-lengths, kind="stable")
+        rank = np.argsort(order)
+        grid = np.zeros((lengths.size, int(lengths.max())), dtype=np.int64)
+        for p, (a, b) in enumerate(zip(ends, ends[1:])):
+            grid[rank[p], : b - a] = paths[a:b]
+        levels = _count_rows(grid, lengths[order], s, m, {})[0]
+        for p, end in enumerate(ends[1:]):
+            acc = _join(acc, [lv[rank[p] : rank[p] + 1] for lv in levels], m)
+            if end in wanted:
+                out[end] = acc[m]
     counts = _oldest_first(np.concatenate([out[c] for c in marks]), s, m)
     return counts[0] if checkpoints is None else counts
 
@@ -306,15 +300,18 @@ def _empty_levels(rows: int, s: int, m: int) -> list:
 def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, reads: dict) -> tuple[list, dict]:
     """Level tensors of each row grid[i, :lengths[i]], in one pass over
     time vectorized across rows, and for each step count t in ``reads``
-    the value reads[t](levels) of the live levels after t steps."""
+    the value reads[t](levels) of the live levels after t steps.  Rows come
+    longest first (``lengths`` non-increasing), so the rows still live at
+    any step are a prefix, updated through views."""
     levels = _empty_levels(grid.shape[0], s, m)
     # L_c viewed as (rows * S, S^(c-1)): row i, newest state x is line i * S + x
     lines = [None] + [lv.reshape(-1, s ** (c - 1)) for c, lv in enumerate(levels) if c]
     base = np.arange(grid.shape[0]) * s
-    full = int(lengths.min())
+    # rows live at step t: the first alive[t], those with lengths > t
+    alive = np.searchsorted(-lengths, -np.arange(grid.shape[1]), side="left")
     read_out = {}
     for t in range(grid.shape[1]):
-        live = slice(None) if t < full else lengths > t
+        live = slice(alive[t])
         idx = (base + grid[:, t])[live]
         for c in range(m, 0, -1):
             lines[c][idx] += levels[c - 1][live]

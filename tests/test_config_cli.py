@@ -78,6 +78,16 @@ def test_build_kernel_fn_table_rank_mismatch():
         build_kernel_fn(doc, kernel)
 
 
+def test_kernel_envelopes_come_from_the_table():
+    # every config kernel is tabulated, so no document key declares sup|h| or B_q
+    kernel, _ = build_chain({"chain": TWO_STATE})
+    values = [[3.0, 0.0], [0.0, 1.0]]
+    doc = {"kernel_fn": {"name": "table", "degree": 2, "params": {"values": values}, "declared_sup": 1.0}}
+    h = build_kernel_fn(doc, kernel)
+    assert h.sup_norm() == 3.0 and h.declared_sup is None and h.declared_bq is None
+    assert not {"declared_sup", "declared_bq"} & SCHEMA["kernel_fn"].keys()
+
+
 def test_build_experiment_profiles():
     doc = _variance_doc()
     config = build_experiment(doc)

@@ -284,3 +284,21 @@ def test_proposition_grid_check_passes_quickly():
     assert report["pass"]
     assert report["eq19"]["max_abs_residual"] <= 1e-11
     assert report["prop5"]["instances"] == math.comb(5 + 3, 4)
+
+
+def test_grid_record_keeps_first_worst_case_and_zero_identity():
+    from ustatmc.proofs import _Record
+
+    record = _Record("lhs")
+    sigmas = [(0, 1), (1, 0), (0, 1)]
+    record.update({"tuple": [1]}, np.array([0.5, 0.75, 0.75]), 1.0, sigmas)
+    record.update({"tuple": [2]}, np.array([0.25]), 0.5, sigmas)  # same excess -0.25: not kept
+    assert record.report() == {
+        "instances": 4, "max_ratio": 0.75, "max_violation": -0.25, "pass": True,
+        "worst_case": {"tuple": [1], "sigma": [1, 0], "lhs": 0.75, "bound": 1.0},
+    }
+    identity = _Record(tolerance=1e-11)
+    identity.update({"tuple": [1]}, np.zeros(3), 0.0, sigmas)
+    assert identity.report() == {
+        "instances": 3, "max_abs_residual": 0.0, "worst_case": None, "tolerance": 1e-11, "pass": True,
+    }

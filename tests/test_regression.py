@@ -1,5 +1,5 @@
-"""Byte-identity gate: sha256 digests of the CSVs that fixed configs and
-seeds produce.
+"""Byte-identity gate: sha256 digests of the CSV/JSON artifacts that fixed
+configs and seeds produce.
 
 A change that alters any of these files on purpose (a new float order, a
 new column, a new sampler) must update the digests below and state the
@@ -56,6 +56,7 @@ DIGESTS = {
     ("degree_three", "variance.csv"): "c7a99afbbceab72fa5201aa65821d2ad15511dc4993e5992e053cb6cd6d026b9",
     ("additive_centered", "variance.csv"): "fc60006f3462438a9809b16304e6704a6462a5b4708c748c0ed4073aba9f56f7",
     ("both_statistics", "variance.csv"): "68845b2ee3ddb956bc152d4f36e75478b519c1f0598161db23d701b153e64ed4",
+    ("propositions", "propositions.json"): "df31ba4ab5e52a784703a2484364586f782ba6561602ff22b0851f75dde356f5",
 }
 
 
@@ -72,6 +73,7 @@ def _digest(path: Path) -> str:
         ("degree_three", "verify-variance", "variance.csv"),
         ("additive_centered", "verify-variance", "variance.csv"),
         ("both_statistics", "verify-variance", "variance.csv"),
+        ("propositions", "check-propositions", "propositions.json"),
     ],
 )
 def test_artifact_digest(tmp_path, name, command, artifact):
