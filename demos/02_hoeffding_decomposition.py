@@ -9,13 +9,13 @@ import numpy as np
 
 from ustatmc import (
     Distribution,
+    SymmetricKernelFn,
     additive_kernel,
     degeneracy_order,
     hoeffding_project,
     product_kernel,
     random_ergodic_kernel,
     simulate,
-    table_kernel,
     u_statistic,
     verify_hoeffding,
 )
@@ -26,18 +26,18 @@ pi = kernel.stationary()
 print("states:", kernel.states, " pi:", np.round(pi.weights, 4))
 
 raw = rng.standard_normal((4, 4))
-h = table_kernel((raw + raw.T) / 2, kernel.states)
+h = SymmetricKernelFn((raw + raw.T) / 2)
 print("\nprojections of a random symmetric kernel (m = 2):")
 for c in range(3):
     proj = hoeffding_project(h, pi, c)
-    print(f"  pi_{c},2 h: max |.| = {proj.max_abs():.6g}")
+    print(f"  pi_{c},2 h: max |.| = {proj.sup_norm():.6g}")
     if c >= 1:
         residual = np.abs(np.tensordot(proj.table, pi.weights, axes=([-1], [0]))).max()
         print(f"            canonicity residual = {residual:.3e}")
 
 center = pi.expect(kernel.states)
 print("\ndegeneracy orders:")
-print("  constant kernel        d =", degeneracy_order(table_kernel(np.full((4, 4), 2.0)), pi))
+print("  constant kernel        d =", degeneracy_order(SymmetricKernelFn(np.full((4, 4), 2.0)), pi))
 print("  centered additive      d =", degeneracy_order(additive_kernel(2, center=center).tabulated(kernel.states), pi))
 print("  centered product       d =", degeneracy_order(product_kernel(2, center=center).tabulated(kernel.states), pi))
 

@@ -12,11 +12,11 @@ from ustatmc import (
     Distribution,
     ExperimentConfig,
     FiniteKernel,
+    SymmetricKernelFn,
     certify_rho,
     geometric_sum_bound,
     product_kernel,
     run_variance_experiment,
-    table_kernel,
 )
 
 kernel = FiniteKernel([-1.0, 1.0], [[0.7, 0.3], [0.2, 0.8]])
@@ -26,7 +26,7 @@ profile = certify_rho(kernel, np.ones(2), k_max=450)
 h = product_kernel(2, center=pi.expect(kernel.states)).tabulated(kernel.states)
 
 config = ExperimentConfig(
-    kernel=kernel, mu0=mu, profile=profile, h=h, m=2,
+    kernel=kernel, mu0=mu, profile=profile, h=h,
     n_grid=[6, 10, 50, 200], replicates=4000, master_seed=99,
     bounds=[{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}],
 )
@@ -38,9 +38,9 @@ for report in run_variance_experiment(config):
               f"{entry.name:>14} {entry.value:>9.4f}")
 
 states = kernel.states
-mixed = table_kernel(states[:, None] + states[None, :] + states[:, None] * states[None, :], states)
+mixed = SymmetricKernelFn(states[:, None] + states[None, :] + states[:, None] * states[None, :])
 config2 = ExperimentConfig(
-    kernel=kernel, mu0=mu, profile=profile, h=mixed, m=2,
+    kernel=kernel, mu0=mu, profile=profile, h=mixed,
     n_grid=[50, 200], replicates=4000, master_seed=99,
     bounds=[{"name": "theorem1"}],  # non-canonical: routed to corollary2
 )

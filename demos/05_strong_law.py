@@ -14,7 +14,7 @@ profile = certify_rho(kernel, np.ones(2), k_max=64)
 h = product_kernel(2).tabulated(kernel.states)
 
 config = ExperimentConfig(
-    kernel=kernel, mu0=Distribution.dirac(0, 2), profile=profile, h=h, m=2,
+    kernel=kernel, mu0=Distribution.dirac(0, 2), profile=profile, h=h,
     n_grid=[10], replicates=2, master_seed=20240,
     slln=SllnConfig(n_max=100_000),
 )

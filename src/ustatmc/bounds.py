@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded, ConfigError, DomainError, NeedDeclaredEnvelope, NotCanonical, PNotPositive, Unbounded,
-)
+from .errors import BudgetExceeded, ConfigError, DomainError, NotCanonical, PNotPositive, Unbounded
 from .markov import Distribution, ErgodicityProfile, FiniteKernel
 from .ustats import SymmetricKernelFn
 
@@ -174,15 +172,10 @@ def corollary2_bound(inputs: BoundInputs) -> float:
 def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float, budget: int = ENUM_BUDGET) -> float:
     """B_q(h) = sup over m-tuples of |h| / sum_j V(y_j)^{1/q}.
 
-    Exact maximization over the dense table when S^m fits the budget;
-    general-space kernels must declare the envelope.
+    Exact maximization over the dense table when S^m fits the budget.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if h.table is None:
-        if h.declared_bq and q in h.declared_bq:
-            return float(h.declared_bq[q])
-        raise NeedDeclaredEnvelope(f"no table and no declared B_q for q = {q}")
     s = h.table.shape[0]
     if s**h.degree > budget:
         raise BudgetExceeded(f"S^m = {s**h.degree} exceeds enumeration budget {budget}")

@@ -6,9 +6,11 @@
 
 Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
-1 on a violation (worst instance is reported), 2 on a configuration error
-(including a bad bound request: an unknown name, corollary3 without p,
-or p <= 0).
+1 on a violation (worst instance is reported), 2 on a configuration error.
+A configuration error is found before any work starts; it includes a bad
+bound request (an unknown name, corollary3 without p, or p <= 0) and a bad
+propositions section (a count below its least value, or a p_values entry
+that is not a finite number > 0).
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
 and seeds yield byte-identical files at any --jobs value.
 """
@@ -70,9 +72,9 @@ def cmd_simulate(args) -> int:
     doc = cfg.load_document(args.config)
     kernel, _ = cfg.build_chain(doc)
     mu0 = cfg.build_initial(doc, kernel.size)
-    section = doc.get("simulate", {})
-    n = int(section.get("n", 1000))
-    seed = int(args.seed if args.seed is not None else section.get("seed", 0))
+    section = cfg.section(doc, "simulate", {})
+    n = cfg.integer(section, "n", 1000, "simulate", 1)
+    seed = args.seed if args.seed is not None else cfg.integer(section, "seed", 0, "simulate", 0)
     traj = simulate(kernel, mu0, n, seed)
     rows = [
         {"step": t, "state_index": int(i), "state_value": float(kernel.states[i])}
@@ -87,7 +89,7 @@ def cmd_simulate(args) -> int:
 def cmd_certify_profile(args) -> int:
     doc = cfg.load_document(args.config)
     kernel, v = cfg.build_chain(doc)
-    k_max = int(doc.get("profile", {}).get("k_max", 64))
+    k_max = cfg.integer(cfg.section(doc, "profile", {}), "k_max", 64, "profile", 0)
     from .markov import certify_rho
 
     profile = certify_rho(kernel, v, k_max)
@@ -165,16 +167,7 @@ def cmd_verify_slln(args) -> int:
 
 def cmd_check_propositions(args) -> int:
     doc = cfg.load_document(args.config)
-    section = doc.get("propositions", {})
-    seed = int(args.seed if args.seed is not None else section.get("seed", 7))
-    report = proposition_grid_check(
-        num_chains=int(section.get("chains", 3)),
-        size=int(section.get("size", 3)),
-        m=int(section.get("m", 2)),
-        i_max=int(section.get("i_max", 8)),
-        seed=seed,
-        p_values=tuple(section.get("p_values", (0.5, 1.0))),
-    )
+    report = proposition_grid_check(**cfg.build_propositions(doc, args.seed))
     path = _out_dir(args) / "propositions.json"
     write_json(path, report)
     for name, entry in report.items():

@@ -9,6 +9,7 @@ are ignored.  ``SCHEMA`` is the machine-readable description printed by
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from .ustats import (
     gaussian_rbf_kernel,
     indicator_diag_kernel,
     product_kernel,
-    table_kernel,
 )
 
 SCHEMA: dict = {
@@ -46,7 +46,7 @@ SCHEMA: dict = {
         "params": {
             "center": "float | 'pi' (product/additive): subtract from each argument",
             "bandwidth": "float (gaussian-rbf)",
-            "values": "nested list, one axis per argument (table)",
+            "values": "symmetric nested list, one axis per argument and one entry per state (table)",
         },
     },
     "experiment": {
@@ -64,12 +64,12 @@ SCHEMA: dict = {
     },
     "simulate": {"n": "int path length", "seed": "uint64 (overridden by --seed)"},
     "propositions": {
-        "chains": "int (default 3)",
-        "size": "int states (default 3)",
-        "m": "int (default 2)",
-        "i_max": "int largest time index (default 8)",
+        "chains": "int >= 1 (default 3)",
+        "size": "int states >= 2 (default 3)",
+        "m": "int >= 1 (default 2)",
+        "i_max": "int largest time index >= 1 (default 8)",
         "seed": "uint64 (default 7)",
-        "p_values": "list[float] (default [0.5, 1.0])",
+        "p_values": "list[float] > 0 (default [0.5, 1.0])",
     },
 }
 
@@ -94,17 +94,37 @@ def _require(doc: dict, key: str, where: str) -> object:
     return doc[key]
 
 
-def build_chain(doc: dict) -> tuple[FiniteKernel, np.ndarray]:
-    section = _require(doc, "chain", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("'chain' must be an object")
-    states = np.asarray(_require(section, "states", "chain"), dtype=float)
-    matrix = np.asarray(_require(section, "matrix", "chain"), dtype=float)
+def section(doc: dict, key: str, default: dict | None = None) -> dict:
+    """The object under ``key``; ``default`` when it is absent, and a
+    required section when no default is given."""
+    entry = _require(doc, key, "config") if default is None else doc.get(key, default)
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{key!r} must be an object")
+    return entry
+
+
+def integer(entries: dict, key: str, default: object, where: str, least: int) -> int:
+    """``entries[key]`` as an integer no smaller than ``least``; ``default``
+    when it is absent, and a required key when no default is given."""
+    raw = _require(entries, key, where) if default is None else entries.get(key, default)
     try:
+        value = int(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}.{key} must be an integer: {exc}") from exc
+    if value < least:
+        raise ConfigError(f"{where}.{key} must be >= {least}, got {value}")
+    return value
+
+
+def build_chain(doc: dict) -> tuple[FiniteKernel, np.ndarray]:
+    entries = section(doc, "chain")
+    try:
+        states = np.asarray(_require(entries, "states", "chain"), dtype=float)
+        matrix = np.asarray(_require(entries, "matrix", "chain"), dtype=float)
         kernel = FiniteKernel(states, matrix)
-    except ValueError as exc:
+        v = np.asarray(entries.get("v", np.ones(kernel.size)), dtype=float)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid chain: {exc}") from exc
-    v = np.asarray(section.get("v", np.ones(kernel.size)), dtype=float)
     if v.shape != (kernel.size,) or np.any(v < 1.0):
         raise ConfigError("'v' must list one value >= 1 per state")
     return kernel, v
@@ -123,61 +143,61 @@ def build_initial(doc: dict, size: int) -> Distribution:
 
 
 def build_profile(doc: dict, kernel: FiniteKernel, v: np.ndarray, k_max_default: int) -> ErgodicityProfile:
-    section = doc.get("profile", {"kind": "certify"})
-    kind = section.get("kind", "certify")
+    entries = section(doc, "profile", {"kind": "certify"})
+    kind = entries.get("kind", "certify")
     try:
         if kind == "certify":
-            return certify_rho(kernel, v, int(section.get("k_max", k_max_default)))
+            return certify_rho(kernel, v, int(entries.get("k_max", k_max_default)))
         if kind == "geometric":
-            rho = GeometricRho(float(_require(section, "c", "profile")), float(_require(section, "varrho", "profile")))
-            return ErgodicityProfile(v, rho, provenance=section.get("provenance", "declared"),
-                                     declared_m=section.get("m_value"))
+            rho = GeometricRho(float(_require(entries, "c", "profile")), float(_require(entries, "varrho", "profile")))
+            return ErgodicityProfile(v, rho, provenance=entries.get("provenance", "declared"),
+                                     declared_m=entries.get("m_value"))
         if kind == "explicit":
-            rho = ExplicitRho(np.asarray(_require(section, "values", "profile"), dtype=float),
-                              float(section.get("tail_rate", 0.0)))
-            return ErgodicityProfile(v, rho, provenance=section.get("provenance", "declared"),
-                                     declared_m=section.get("m_value"))
+            rho = ExplicitRho(np.asarray(_require(entries, "values", "profile"), dtype=float),
+                              float(entries.get("tail_rate", 0.0)))
+            return ErgodicityProfile(v, rho, provenance=entries.get("provenance", "declared"),
+                                     declared_m=entries.get("m_value"))
         if kind == "declared":
-            inner = dict(section)
+            inner = dict(entries)
             inner.setdefault("v", v.tolist())
             inner.setdefault("provenance", "declared")
             profile = ErgodicityProfile.from_dict(inner)
-            if profile.declared_m is None and "m_value" in section:
-                profile = ErgodicityProfile(profile.v_values, profile.rho, "declared", float(section["m_value"]))
+            if profile.declared_m is None and "m_value" in entries:
+                profile = ErgodicityProfile(profile.v_values, profile.rho, "declared", float(entries["m_value"]))
             return profile
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid profile: {exc}") from exc
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
 def build_kernel_fn(doc: dict, kernel: FiniteKernel) -> SymmetricKernelFn:
-    section = _require(doc, "kernel_fn", "config")
-    name = _require(section, "name", "kernel_fn")
-    degree = int(_require(section, "degree", "kernel_fn"))
-    params = section.get("params", {})
+    """The kernel table named by the kernel_fn section: a builtin family
+    tabulated over the chain's state values, or the listed values."""
+    entries = section(doc, "kernel_fn")
+    name = _require(entries, "name", "kernel_fn")
+    degree = integer(entries, "degree", None, "kernel_fn", 1)
+    params = section(entries, "params", {})
     try:
         if name in ("product", "additive"):
             center = params.get("center", 0.0)
             if center == "pi":
                 center = kernel.stationary().expect(kernel.states)
-            fn = product_kernel if name == "product" else additive_kernel
-            h = fn(degree, center=float(center))
-        elif name == "indicator-diag":
-            h = indicator_diag_kernel(degree)
-        elif name == "gaussian-rbf":
-            h = gaussian_rbf_kernel(degree, bandwidth=float(params.get("bandwidth", 1.0)))
-        elif name == "table":
-            h = table_kernel(np.asarray(_require(params, "values", "kernel_fn.params"), dtype=float),
-                             kernel.states)
+            family = product_kernel if name == "product" else additive_kernel
+            return family(degree, center=float(center)).tabulated(kernel.states)
+        if name == "indicator-diag":
+            return indicator_diag_kernel(degree).tabulated(kernel.states)
+        if name == "gaussian-rbf":
+            return gaussian_rbf_kernel(degree, bandwidth=float(params.get("bandwidth", 1.0))).tabulated(kernel.states)
+        if name == "table":
+            h = SymmetricKernelFn(np.asarray(_require(params, "values", "kernel_fn.params"), dtype=float))
             if h.degree != degree:
                 raise ConfigError("table rank does not match declared degree")
-        else:
-            raise ConfigError(f"unknown kernel_fn name {name!r}")
-        return h.tabulated(kernel.states)
-    except ConfigError:
-        raise
+            if h.table.shape[0] != kernel.size:
+                raise ConfigError(f"table axes must have one entry per state ({kernel.size})")
+            return h
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid kernel_fn: {exc}") from exc
+    raise ConfigError(f"unknown kernel_fn name {name!r}")
 
 
 def build_experiment(
@@ -188,18 +208,24 @@ def build_experiment(
 ) -> ExperimentConfig:
     kernel, v = build_chain(doc)
     mu0 = build_initial(doc, kernel.size)
-    section = doc.get("experiment", {})
-    n_grid = [int(n) for n in section.get("n_grid", [])]
-    slln_section = doc.get("slln")
+    entries = section(doc, "experiment", {})
+    n_grid = entries.get("n_grid", [])
+    try:
+        if not isinstance(n_grid, list):
+            raise TypeError(f"got {n_grid!r}")
+        n_grid = [int(n) for n in n_grid]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"experiment.n_grid must be a list of integers: {exc}") from exc
     slln = None
-    if slln_section is not None:
+    if doc.get("slln") is not None:
+        slln_entries = section(doc, "slln")
         try:
             slln = SllnConfig(
-                n_max=int(_require(slln_section, "n_max", "slln")),
-                checkpoints=slln_section.get("checkpoints"),
-                threshold=slln_section.get("threshold"),
+                n_max=int(_require(slln_entries, "n_max", "slln")),
+                checkpoints=slln_entries.get("checkpoints"),
+                threshold=slln_entries.get("threshold"),
             )
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid slln section: {exc}") from exc
     k_needed = max(n_grid, default=0)
     if slln is not None:
@@ -212,14 +238,32 @@ def build_experiment(
             mu0=mu0,
             profile=profile,
             h=h,
-            m=h.degree,
             n_grid=n_grid,
-            replicates=int(section.get("replicates", 2)),
-            master_seed=int(seed_override if seed_override is not None else section.get("master_seed", 0)),
-            bounds=section.get("bounds", []),
+            replicates=int(entries.get("replicates", 2)),
+            master_seed=int(seed_override if seed_override is not None else entries.get("master_seed", 0)),
+            bounds=entries.get("bounds", []),
             slln=slln,
-            budget=int(budget_override if budget_override is not None else section.get("budget", DEFAULT_BUDGET)),
+            budget=int(budget_override if budget_override is not None else entries.get("budget", DEFAULT_BUDGET)),
             jobs=jobs,
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid experiment section: {exc}") from exc
+
+
+def build_propositions(doc: dict, seed_override: int | None = None) -> dict:
+    """Keyword arguments of :func:`ustatmc.proofs.proposition_grid_check`
+    from the propositions section, validated before any work."""
+    entries = section(doc, "propositions", {})
+    p_values = entries.get("p_values", [0.5, 1.0])
+    if not isinstance(p_values, list) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) and p > 0 for p in p_values
+    ):
+        raise ConfigError(f"propositions.p_values must be a list of finite numbers > 0, got {p_values!r}")
+    return {
+        "num_chains": integer(entries, "chains", 3, "propositions", 1),
+        "size": integer(entries, "size", 3, "propositions", 2),
+        "m": integer(entries, "m", 2, "propositions", 1),
+        "i_max": integer(entries, "i_max", 8, "propositions", 1),
+        "seed": seed_override if seed_override is not None else integer(entries, "seed", 7, "propositions", 0),
+        "p_values": tuple(p_values),
+    }

@@ -24,15 +24,6 @@ class DegreeTooLarge(UstatmcError):
     """The trajectory is shorter than the kernel degree (n < m)."""
 
 
-class NonIntegrable(UstatmcError):
-    """A projection needs exact integrals against pi but the kernel has no
-    dense table (general state space without a quadrature rule)."""
-
-
-class NeedDeclaredEnvelope(UstatmcError):
-    """B_q requested on a general state space without a declared envelope."""
-
-
 class PNotPositive(UstatmcError):
     """A moment-splitting exponent p must be strictly positive."""
 

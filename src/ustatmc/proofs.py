@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import b_q, d_constant, lemma6_constant, m_sup
 from .errors import BudgetExceeded, NotCanonical, PNotPositive
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
-from .ustats import SymmetricKernelFn, canonicalize, degeneracy_order, table_kernel
+from .ustats import SymmetricKernelFn, canonicalize, degeneracy_order
 
 TENSOR_BUDGET = 10**7
 
@@ -144,8 +144,6 @@ def f_sigma_expectation(law: JointLaw, h: SymmetricKernelFn, sigma: Sequence[int
         raise ValueError(f"law arity {law.arity} does not match 2m = {2 * m}")
     if sorted(sigma) != list(range(2 * m)):
         raise ValueError("sigma must be a permutation of range(2m)")
-    if h.table is None:
-        raise ValueError("f_sigma contraction needs a tabulated kernel")
     out = np.einsum(
         law.tensor,
         list(range(2 * m)),
@@ -289,7 +287,7 @@ def random_canonical_kernel(
         for perm in itertools.permutations(range(m)):
             sym += np.transpose(raw, perm)
         sym /= math.factorial(m)
-        h = canonicalize(table_kernel(sym, kernel.states), pi)
+        h = canonicalize(SymmetricKernelFn(sym), pi)
         if np.abs(h.table).max() > 1e-8:
             return h
     raise RuntimeError("could not draw a nonvanishing canonical kernel")

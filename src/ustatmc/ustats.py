@@ -4,11 +4,15 @@ For a symmetric degree-m function h and a path Y_0, ..., Y_{n-1},
 
     U_{n,m}(h) = binom(n, m)^{-1} * sum_{t_1 < ... < t_m} h(Y_{t_1}, ..., Y_{t_m})
 
-with the convention that a degree-0 kernel is the constant it holds.  The
-projection pi_{c,m}h applies (delta_{y_1} - pi) x ... x (delta_{y_c} - pi) x
-pi^{(m-c)} to h; the signed product is expanded exactly over the 2^c subsets
-of fixed arguments, so every identity here is checkable to float precision
-on finite state spaces.
+with the convention that a degree-0 kernel is the constant it holds.  A
+kernel is always its dense table over the S states of the chain
+(:class:`SymmetricKernelFn`, one axis per argument; a 0-d table for degree
+0).  The builtin families are recipes (:class:`KernelFamily`) that become
+kernels only when tabulated over the state values.  The projection
+pi_{c,m}h applies (delta_{y_1} - pi) x ... x (delta_{y_c} - pi) x
+pi^{(m-c)} to h and is again a kernel, of degree c; the signed product is
+expanded exactly over the 2^c subsets of fixed arguments, so every identity
+here is checkable to float precision.
 
 Every path is evaluated by one counting engine, :func:`tuple_counts`
 (cost n * S^{m-1} instead of binom(n, m) kernel calls), which serves
@@ -27,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegreeTooLarge, NonIntegrable
+from .errors import BudgetExceeded, DegreeTooLarge
 from .markov import Distribution, Trajectory
 
 DEFAULT_BUDGET = 10**8
@@ -48,132 +52,86 @@ def _check_table_symmetry(table: np.ndarray) -> None:
 
 @dataclass
 class SymmetricKernelFn:
-    """Symmetric function of m state values, optionally tabulated.
+    """A symmetric function of m states, held as its dense table: one axis
+    per argument, indexed by state index, so that every finite-space
+    quantity (sup |h|, B_q(h), projections, U-statistics) is exact.
 
-    ``fn`` evaluates on raw state values; ``table`` (indexed by state
-    indices, one axis per argument) is the exact dense form used by every
-    finite-space operation.  ``declared_sup`` and ``declared_bq`` are user
-    envelopes for a callable kernel that has no table.
+    The degree m is ``table.ndim``.  A 0-d table is the degree-0 kernel: the
+    constant it holds, as a degree-0 Hoeffding projection is.
     """
 
-    degree: int
-    fn: Callable[..., float] | None = None
-    table: np.ndarray | None = None
-    states: np.ndarray | None = None
-    declared_sup: float | None = None
-    declared_bq: dict[float, float] | None = None
+    table: np.ndarray
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.fn is None and self.table is None:
-            raise ValueError("kernel needs a callable or a table")
-        if self.table is not None:
-            t = np.array(self.table, dtype=float)
-            if t.ndim != self.degree or len(set(t.shape)) != 1:
-                raise ValueError("table must be a hypercube with one axis per argument")
-            _check_table_symmetry(t)
-            t.setflags(write=False)
-            self.table = t
-        if self.states is not None:
-            self.states = np.asarray(self.states, dtype=float)
-        if self.declared_sup is not None and self.table is not None:
-            if np.abs(self.table).max() > self.declared_sup * (1 + 1e-12):
-                raise ValueError("table exceeds declared sup-norm envelope")
-
-    def tabulated(self, states: Sequence[float]) -> "SymmetricKernelFn":
-        """Dense evaluation over a finite state embedding."""
-        if self.table is not None:
-            return self
-        states = np.asarray(states, dtype=float)
-        grids = np.meshgrid(*([states] * self.degree), indexing="ij")
-        table = np.vectorize(self.fn, otypes=[float])(*grids)
-        return SymmetricKernelFn(
-            self.degree,
-            fn=self.fn,
-            table=table,
-            states=states,
-            declared_sup=self.declared_sup,
-            declared_bq=self.declared_bq,
-        )
-
-    def sup_norm(self) -> float:
-        """Exact sup |h| from the table, else the declared envelope."""
-        if self.table is not None:
-            return float(np.abs(self.table).max())
-        if self.declared_sup is not None:
-            return float(self.declared_sup)
-        raise ValueError("no table and no declared sup-norm")
-
-    def shifted(self, offset: float) -> "SymmetricKernelFn":
-        """h - offset (a degree-m kernel; U_{n,m}(h - offset) = U_{n,m}(h) - offset)."""
-        if self.table is not None:
-            return SymmetricKernelFn(self.degree, table=self.table - offset, states=self.states)
-        fn = self.fn
-        return SymmetricKernelFn(self.degree, fn=lambda *ys: fn(*ys) - offset, states=self.states)
-
-
-@dataclass
-class ProjectedKernel:
-    """pi_{c,m}h: the degree-c canonical component of a symmetric kernel.
-
-    For c = 0 the projection is the scalar pi^{(m)}h held in ``value``;
-    otherwise ``table`` is its dense form over c state indices.
-    """
-
-    base: SymmetricKernelFn
-    c: int
-    pi: Distribution
-    table: np.ndarray | None
-    value: float = 0.0
+        t = np.array(self.table, dtype=float)
+        if len(set(t.shape)) > 1:
+            raise ValueError("table must be a hypercube with one axis per argument")
+        _check_table_symmetry(t)
+        t.setflags(write=False)
+        self.table = t
 
     @property
     def degree(self) -> int:
-        return self.c
+        return self.table.ndim
 
-    def as_kernel(self) -> SymmetricKernelFn:
-        if self.c == 0:
-            raise ValueError("a degree-0 projection is a scalar, not a kernel")
-        return SymmetricKernelFn(self.c, table=self.table, states=self.base.states)
+    def sup_norm(self) -> float:
+        """Exact sup |h| over the table."""
+        return float(np.abs(self.table).max())
 
-    def max_abs(self) -> float:
-        return abs(self.value) if self.c == 0 else float(np.abs(self.table).max())
+    def shifted(self, offset: float) -> "SymmetricKernelFn":
+        """h - offset (a degree-m kernel; U_{n,m}(h - offset) = U_{n,m}(h) - offset)."""
+        return SymmetricKernelFn(self.table - offset)
 
 
 # ---------------------------------------------------------------------------
 # builtin kernel families (config interface)
 
-def product_kernel(m: int, center: float = 0.0) -> SymmetricKernelFn:
+@dataclass(frozen=True)
+class KernelFamily:
+    """A builtin kernel recipe: a symmetric function ``fn`` of ``degree``
+    raw state values, which only becomes a kernel once tabulated over a
+    finite state embedding."""
+
+    degree: int
+    fn: Callable[..., float]
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError("degree must be >= 1")
+
+    def tabulated(self, states: Sequence[float]) -> SymmetricKernelFn:
+        """fn evaluated on every m-tuple of state values."""
+        states = np.asarray(states, dtype=float)
+        grids = np.meshgrid(*([states] * self.degree), indexing="ij")
+        return SymmetricKernelFn(np.vectorize(self.fn, otypes=[float])(*grids))
+
+
+def product_kernel(m: int, center: float = 0.0) -> KernelFamily:
     """h(y_1..y_m) = prod_j (y_j - center)."""
-    return SymmetricKernelFn(m, fn=lambda *ys: math.prod(y - center for y in ys))
+    return KernelFamily(m, lambda *ys: math.prod(y - center for y in ys))
 
 
-def additive_kernel(m: int, center: float = 0.0) -> SymmetricKernelFn:
+def additive_kernel(m: int, center: float = 0.0) -> KernelFamily:
     """h(y_1..y_m) = sum_j (y_j - center)."""
-    return SymmetricKernelFn(m, fn=lambda *ys: sum(y - center for y in ys))
+    return KernelFamily(m, lambda *ys: sum(y - center for y in ys))
 
 
-def indicator_diag_kernel(m: int, atol: float = 0.0) -> SymmetricKernelFn:
+def indicator_diag_kernel(m: int, atol: float = 0.0) -> KernelFamily:
     """1 if all arguments coincide (within atol), else 0."""
-    return SymmetricKernelFn(
-        m, fn=lambda *ys: 1.0 if max(ys) - min(ys) <= atol else 0.0, declared_sup=1.0
-    )
+    return KernelFamily(m, lambda *ys: 1.0 if max(ys) - min(ys) <= atol else 0.0)
 
 
-def gaussian_rbf_kernel(m: int, bandwidth: float = 1.0) -> SymmetricKernelFn:
+def gaussian_rbf_kernel(m: int, bandwidth: float = 1.0) -> KernelFamily:
     """exp(-sum_{i<j} (y_i - y_j)^2 / (2 * bandwidth^2)); symmetric for any m."""
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be > 0")
     inv = 1.0 / (2.0 * bandwidth * bandwidth)
 
     def fn(*ys: float) -> float:
         sq = sum((a - b) ** 2 for a, b in itertools.combinations(ys, 2))
         return math.exp(-sq * inv)
 
-    return SymmetricKernelFn(m, fn=fn, declared_sup=1.0)
-
-
-def table_kernel(table: np.ndarray, states: Sequence[float] | None = None) -> SymmetricKernelFn:
-    t = np.asarray(table, dtype=float)
-    return SymmetricKernelFn(t.ndim, table=t, states=None if states is None else np.asarray(states, dtype=float))
+    return KernelFamily(m, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -347,37 +305,30 @@ def contract_counts(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.array([np.dot(c.astype(np.float64, order="C").ravel(), t) for c in tensors])
 
 
-def u_statistic(traj: Trajectory, h, budget: int = DEFAULT_BUDGET) -> float:
+def u_statistic(traj: Trajectory, h: SymmetricKernelFn, budget: int = DEFAULT_BUDGET) -> float:
     """Average of h over all strictly increasing index m-tuples of the path.
 
-    Accepts a :class:`SymmetricKernelFn` or a :class:`ProjectedKernel`; a
-    degree-0 projection evaluates to its constant.  Every path is counted
-    by the exact engine :func:`tuple_counts` and contracted with the kernel
-    table; a callable-only kernel is first tabulated over its state
-    embedding, whose S^m cells must fit the budget.
+    A degree-0 kernel (such as the projection pi_{0,m}h) evaluates to its
+    constant.  Otherwise the path is counted by the exact engine
+    :func:`tuple_counts`, whose n * S^(m-1) cost must fit the budget, and
+    the counts are contracted with the kernel table.
     """
     m = h.degree
     if m == 0:
-        return float(h.value)
+        return float(h.table)
     n = len(traj)
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
-    table = h.table
-    if table is None:
-        if h.states is None:
-            raise ValueError("raw-callable kernels need a state embedding to evaluate a path")
-        if h.states.size**m > budget:
-            raise BudgetExceeded(f"kernel table S^m = {h.states.size**m} exceeds budget {budget}")
-        table = h.tabulated(h.states).table
-    s = table.shape[0]
+    s = h.table.shape[0]
     if n * s ** (m - 1) > budget:
         raise BudgetExceeded(f"counting cost n*S^(m-1) = {n * s ** (m - 1)} exceeds budget {budget}")
     counts = tuple_counts(traj.values, s, m, budget=budget)
-    return float(contract_counts(counts, table)[0]) / math.comb(n, m)
+    return float(contract_counts(counts, h.table)[0]) / math.comb(n, m)
 
 
-def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> ProjectedKernel:
-    """Exact pi_{c,m}h by signed-measure expansion.
+def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> SymmetricKernelFn:
+    """Exact pi_{c,m}h by signed-measure expansion, as a degree-c kernel
+    (for c = 0, the 0-d table holding the constant pi^{(m)}h).
 
     Expanding the product of (delta - pi) factors gives
 
@@ -390,9 +341,7 @@ def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> Project
     m = h.degree
     if not 0 <= c <= m:
         raise ValueError(f"c must lie in [0, {m}]")
-    if h.table is None:
-        raise NonIntegrable("projection needs a dense table (finite state space)")
-    if pi.size != h.table.shape[0]:
+    if m and pi.size != h.table.shape[0]:
         raise ValueError("pi dimension does not match the kernel table")
     w = pi.weights
     partial = [None] * (m + 1)
@@ -400,7 +349,7 @@ def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> Project
     for k in range(m - 1, -1, -1):
         partial[k] = np.tensordot(partial[k + 1], w, axes=([-1], [0]))
     if c == 0:
-        return ProjectedKernel(base=h, c=0, pi=pi, table=None, value=float(partial[0]))
+        return SymmetricKernelFn(partial[0])
     s = pi.size
     out = np.zeros((s,) * c)
     for k in range(c + 1):
@@ -408,7 +357,7 @@ def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> Project
         for positions in itertools.combinations(range(c), k):
             shape = tuple(s if p in positions else 1 for p in range(c))
             out += sign * np.asarray(partial[k]).reshape(shape)
-    return ProjectedKernel(base=h, c=c, pi=pi, table=out)
+    return SymmetricKernelFn(out)
 
 
 def degeneracy_order(h: SymmetricKernelFn, pi: Distribution, eps: float = DEGENERACY_EPS) -> int:
@@ -416,7 +365,7 @@ def degeneracy_order(h: SymmetricKernelFn, pi: Distribution, eps: float = DEGENE
     (then h integrates to zero against every product argument and
     U_{n,m}(h) is identically pi^{(m)}h = 0)."""
     for d in range(h.degree + 1):
-        if hoeffding_project(h, pi, d).max_abs() > eps:
+        if hoeffding_project(h, pi, d).sup_norm() > eps:
             return d
     return h.degree + 1
 
@@ -433,13 +382,10 @@ def verify_hoeffding(
     lhs = u_statistic(traj, h, budget)
     rhs = 0.0
     for c in range(h.degree + 1):
-        proj = hoeffding_project(h, pi, c)
-        term = proj.value if c == 0 else u_statistic(traj, proj, budget)
-        rhs += math.comb(h.degree, c) * term
+        rhs += math.comb(h.degree, c) * u_statistic(traj, hoeffding_project(h, pi, c), budget)
     return abs(lhs - rhs)
 
 
 def canonicalize(h: SymmetricKernelFn, pi: Distribution) -> SymmetricKernelFn:
-    """The completely degenerate part pi_{m,m}h as a standalone kernel."""
-    proj = hoeffding_project(h, pi, h.degree)
-    return SymmetricKernelFn(h.degree, table=proj.table, states=h.states)
+    """The completely degenerate part pi_{m,m}h."""
+    return hoeffding_project(h, pi, h.degree)

@@ -17,6 +17,7 @@ from ustatmc import (
     Distribution,
     OrderedTuple,
     SllnConfig,
+    SymmetricKernelFn,
     ExperimentConfig,
     b_q,
     certify_rho,
@@ -37,7 +38,6 @@ from ustatmc import (
     run_slln_experiment,
     run_variance_experiment,
     simulate,
-    table_kernel,
     theorem1_bound,
     tilde_law,
     tv_between,
@@ -70,7 +70,7 @@ def _hoeffding_grid():
         kernel = random_ergodic_kernel(5, rng)
         m = 2 if i % 2 == 0 else 3
         n = int(rng.integers(10, 31))
-        h = table_kernel(_symmetric_table(rng, 5, m), kernel.states)
+        h = SymmetricKernelFn(_symmetric_table(rng, 5, m))
         traj = simulate(kernel, Distribution.uniform(5), n, seed=int(rng.integers(1 << 32)))
         yield kernel, h, traj
 
@@ -216,7 +216,7 @@ def test_criterion_08_theorem1_statistical_regime(
     start = time.perf_counter()
     config = ExperimentConfig(
         kernel=two_state_kernel, mu0=mu_dirac0, profile=two_state_profile,
-        h=canonical_product_h, m=2, n_grid=[50, 100, 200, 400],
+        h=canonical_product_h, n_grid=[50, 100, 200, 400],
         replicates=2000, master_seed=CHAIN8_SEED, bounds=[{"name": "theorem1"}],
     )
     reports = run_variance_experiment(config)
@@ -232,14 +232,14 @@ def test_criterion_08_theorem1_statistical_regime(
 def _additive_plus_product_kernel(kernel):
     f = kernel.states
     table = f[:, None] + f[None, :] + f[:, None] * f[None, :]
-    return table_kernel(table, kernel.states)
+    return SymmetricKernelFn(table)
 
 
 def test_criterion_09_corollary2_statistical(two_state_kernel, two_state_profile, mu_dirac0):
     h = _additive_plus_product_kernel(two_state_kernel)
     config = ExperimentConfig(
         kernel=two_state_kernel, mu0=mu_dirac0, profile=two_state_profile,
-        h=h, m=2, n_grid=[50, 100, 200, 400], replicates=2000,
+        h=h, n_grid=[50, 100, 200, 400], replicates=2000,
         master_seed=CHAIN8_SEED, bounds=[{"name": "corollary2"}],
     )
     reports = run_variance_experiment(config)
@@ -261,7 +261,7 @@ def test_criterion_10_corollary3(two_state_kernel, two_state_profile, mu_dirac0,
         ok &= exact <= corollary3_bound(inputs)
     config = ExperimentConfig(
         kernel=two_state_kernel, mu0=mu_dirac0, profile=two_state_profile,
-        h=canonical_product_h, m=2, n_grid=[50, 100, 200, 400], replicates=2000,
+        h=canonical_product_h, n_grid=[50, 100, 200, 400], replicates=2000,
         master_seed=CHAIN8_SEED, bounds=[{"name": "corollary3", "p": p}],
     )
     reports = run_variance_experiment(config)
@@ -296,7 +296,7 @@ def test_criterion_13_slln(two_state_kernel, two_state_profile, mu_dirac0):
     h = product_kernel(2).tabulated(two_state_kernel.states)  # h(x, y) = xy on {-1, +1}
     config = ExperimentConfig(
         kernel=two_state_kernel, mu0=mu_dirac0, profile=two_state_profile,
-        h=h, m=2, n_grid=[10], replicates=2, master_seed=SLLN_SEED,
+        h=h, n_grid=[10], replicates=2, master_seed=SLLN_SEED,
         slln=SllnConfig(n_max=100_000),
     )
     result = run_slln_experiment(config)

@@ -13,7 +13,6 @@ from ustatmc import (
     ErgodicityProfile,
     ExplicitRho,
     GeometricRho,
-    NeedDeclaredEnvelope,
     NotCanonical,
     PNotPositive,
     SymmetricKernelFn,
@@ -28,7 +27,6 @@ from ustatmc import (
     geometric_sum_bound,
     lemma6_constant,
     m_sup,
-    table_kernel,
     theorem1_bound,
 )
 
@@ -157,9 +155,9 @@ def test_corollary2_empty_sum_when_all_projections_vanish(two_state_kernel, two_
 
 
 def test_b_q_trivial_cases(two_state_profile):
-    ones = table_kernel(np.ones((2, 2)))
+    ones = SymmetricKernelFn(np.ones((2, 2)))
     assert b_q(ones, two_state_profile, q=2.0) == pytest.approx(0.5, abs=1e-14)
-    zeros = table_kernel(np.zeros((2, 2)))
+    zeros = SymmetricKernelFn(np.zeros((2, 2)))
     assert b_q(zeros, two_state_profile, q=4.0) == 0.0
 
 
@@ -175,15 +173,7 @@ def test_b_q_matches_brute_force():
         for i in range(3)
         for j in range(3)
     )
-    assert b_q(table_kernel(table), profile, q) == pytest.approx(best, rel=1e-12)
-
-
-def test_b_q_needs_envelope_without_table(two_state_profile):
-    h = SymmetricKernelFn(2, fn=lambda x, y: x * y)
-    with pytest.raises(NeedDeclaredEnvelope):
-        b_q(h, two_state_profile, q=4.0)
-    h_decl = SymmetricKernelFn(2, fn=lambda x, y: x * y, declared_bq={4.0: 2.5})
-    assert b_q(h_decl, two_state_profile, q=4.0) == 2.5
+    assert b_q(SymmetricKernelFn(table), profile, q) == pytest.approx(best, rel=1e-12)
 
 
 def test_d_constant_p1_hand_value():
@@ -201,7 +191,7 @@ def test_lemma6_constant_continuity():
 
 
 def test_corollary3_zero_and_guards(two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h):
-    zero_h = table_kernel(np.zeros((2, 2)))
+    zero_h = SymmetricKernelFn(np.zeros((2, 2)))
     inputs = _inputs(two_state_kernel, two_state_profile, mu_dirac0, p=1.0)
     assert corollary3_bound(inputs, zero_h) == 0.0
     with pytest.raises(PNotPositive):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ustatmc import ConfigError, bounds, cli, montecarlo
+from ustatmc import ConfigError, bounds, cli, montecarlo, proofs
 from ustatmc.cli import main
 from ustatmc.config import SCHEMA, build_chain, build_experiment, build_initial, build_kernel_fn, load_document
 
@@ -84,7 +84,7 @@ def test_kernel_envelopes_come_from_the_table():
     values = [[3.0, 0.0], [0.0, 1.0]]
     doc = {"kernel_fn": {"name": "table", "degree": 2, "params": {"values": values}, "declared_sup": 1.0}}
     h = build_kernel_fn(doc, kernel)
-    assert h.sup_norm() == 3.0 and h.declared_sup is None and h.declared_bq is None
+    assert h.sup_norm() == 3.0
     assert not {"declared_sup", "declared_bq"} & SCHEMA["kernel_fn"].keys()
 
 
@@ -248,6 +248,50 @@ def test_cli_check_propositions(tmp_path):
     report = json.loads((tmp_path / "p" / "propositions.json").read_text())
     assert report["pass"] is True
     assert report["eq19"]["max_abs_residual"] <= 1e-11
+
+
+BAD_PROPOSITIONS = {
+    "zero-p": {"p_values": [0.0]},
+    "p-values-string": {"p_values": "ab"},
+    "one-state": {"size": 1},
+    "degree-zero": {"m": 0},
+    "chains-not-int": {"chains": "x"},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PROPOSITIONS.values(), ids=BAD_PROPOSITIONS.keys())
+def test_cli_bad_propositions_section_is_config_error(tmp_path, monkeypatch, capsys, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the proposition grid started before its section was validated")
+
+    for module in (cli, proofs):
+        monkeypatch.setattr(module, "proposition_grid_check", no_work)
+    cfg = _write(tmp_path, "bad.json", {"propositions": {"chains": 1, "i_max": 3, **bad}})
+    assert main(["check-propositions", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+BAD_SECTIONS = {
+    "degree-text": {"kernel_fn": {"name": "product", "degree": "x"}},
+    "degree-zero": {"kernel_fn": {"name": "product", "degree": 0}},
+    "rbf-bandwidth-zero": {"kernel_fn": {"name": "gaussian-rbf", "degree": 2, "params": {"bandwidth": 0}}},
+    "table-size": {"kernel_fn": {"name": "table", "degree": 1, "params": {"values": [1.0, 2.0, 3.0]}}},
+    "n-grid-text": {"experiment": {"n_grid": ["a"], "bounds": [{"name": "theorem1"}]}},
+    "n-below-degree": {"experiment": {"n_grid": [1, 20], "bounds": [{"name": "theorem1"}]}},
+    "profile-not-object": {"profile": ["certify"]},
+    "checkpoint-text": {"slln": {"n_max": 100, "checkpoints": ["a"]}},
+}
+
+
+@pytest.mark.parametrize("command", ["bound", "verify-variance"])
+@pytest.mark.parametrize("bad", BAD_SECTIONS.values(), ids=BAD_SECTIONS.keys())
+def test_cli_malformed_section_is_config_error(tmp_path, capsys, command, bad):
+    cfg = _write(tmp_path, "bad.json", {**_variance_doc(), **bad})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rerun_byte_identical(tmp_path):

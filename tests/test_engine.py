@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import replay_path, tuple_counts_enum
 from ustatmc import (
-    BudgetExceeded, Distribution, FiniteKernel, Trajectory, exact_l2, mix64, replicate_u_grid, replicate_u_values,
-    sample_paths, simulate, table_kernel, tuple_counts, tuple_sums, u_statistic,
+    BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, Trajectory, exact_l2, mix64, replicate_u_grid,
+    replicate_u_values, sample_paths, simulate, tuple_counts, tuple_sums, u_statistic,
 )
 from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
 
@@ -65,7 +65,7 @@ def test_batch_counts_match_enumeration(case, rows):
 
 def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
     # 7 replicates of 2^3 level cells do not fit a budget of 20: sub-batches of 2 rows
-    h = table_kernel(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
+    h = SymmetricKernelFn(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
     mu0 = Distribution.uniform(2)
     whole = replicate_u_values(two_state_kernel, mu0, h, 30, 7, 11)
     for jobs in (1, 2, 3):
@@ -136,7 +136,7 @@ def test_int64_overflow_refused():
 
 
 def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):
-    h = table_kernel(np.zeros((2, 2, 2)))
+    h = SymmetricKernelFn(np.zeros((2, 2, 2)))
     peak = _peak_bytes(exact_l2, Distribution.dirac(0, 2), two_state_kernel, h, 400, 3)
     assert peak < 2**20
 
@@ -165,7 +165,7 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
     ns = sorted(data.draw(st.sets(st.integers(m + 1, 40), max_size=4)) | {m})
     rng = np.random.default_rng(master_seed % 2**32)
     idx = np.indices((s,) * m)
-    h = table_kernel(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
+    h = SymmetricKernelFn(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
     hs = [h, h.shifted(0.375)]
     # sub-batches of `rows` replicates, fewer than a jobs block holds when rows < replicates / jobs
     got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=rows * s**m)
@@ -183,7 +183,7 @@ def test_engine_refuses_states_outside_the_table():
     # a path over 3 states counted against a 2-state table
     traj = Trajectory([0, 2, 1, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 1, 1, 0], 0, Distribution.uniform(3))
     with pytest.raises(ValueError, match="state indices"):
-        u_statistic(traj, table_kernel(np.array([[1.0, 2.0], [2.0, 3.0]])))
+        u_statistic(traj, SymmetricKernelFn(np.array([[1.0, 2.0], [2.0, 3.0]])))
     # the last piece of the path, where the overflow used to hit past the array
     with pytest.raises(ValueError, match="state indices"):
         tuple_counts([0, 2, 1, 0, 1, 1, 0, 2, 0], 2, 2)

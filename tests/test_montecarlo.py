@@ -9,6 +9,7 @@ from ustatmc import (
     ExperimentConfig,
     FiniteKernel,
     SllnConfig,
+    SymmetricKernelFn,
     certify_rho,
     estimate_l2,
     exact_l2,
@@ -19,7 +20,6 @@ from ustatmc import (
     replicate_u_values,
     run_slln_experiment,
     run_variance_experiment,
-    table_kernel,
 )
 
 
@@ -29,7 +29,6 @@ def _config(kernel, profile, h, **kw):
         mu0=Distribution.dirac(0, kernel.size),
         profile=profile,
         h=h,
-        m=h.degree,
         n_grid=[8],
         replicates=4000,
         master_seed=5150,
@@ -49,7 +48,7 @@ def test_mix64_avalanche_and_determinism():
 
 def test_exact_l2_zero_kernel(two_state_kernel):
     mu = Distribution.dirac(0, 2)
-    assert exact_l2(mu, two_state_kernel, table_kernel(np.zeros((2, 2))), 6, 2) == 0.0
+    assert exact_l2(mu, two_state_kernel, SymmetricKernelFn(np.zeros((2, 2))), 6, 2) == 0.0
 
 
 def test_exact_l2_single_combination(two_state_kernel, canonical_product_h):
@@ -76,7 +75,7 @@ def test_exact_l2_matches_monte_carlo(two_state_kernel, two_state_profile, canon
 
 
 def test_estimate_l2_constant_kernel(two_state_kernel, two_state_profile):
-    h = table_kernel(np.full((2, 2), -2.5))
+    h = SymmetricKernelFn(np.full((2, 2), -2.5))
     config = _config(two_state_kernel, two_state_profile, h, replicates=50)
     est = estimate_l2(config, 10)
     assert est.point == pytest.approx(2.5, abs=1e-12)
@@ -134,7 +133,7 @@ def test_variance_experiment_exact_and_mc_regimes(two_state_kernel, two_state_pr
 
 
 def test_variance_experiment_routes_non_canonical_to_corollary2(two_state_kernel, two_state_profile):
-    h = table_kernel(np.array([[1.0, 0.1], [0.1, 0.6]]), two_state_kernel.states)
+    h = SymmetricKernelFn(np.array([[1.0, 0.1], [0.1, 0.6]]))
     config = _config(
         two_state_kernel, two_state_profile, h,
         n_grid=[40], replicates=400, bounds=[{"name": "theorem1"}],
@@ -152,7 +151,7 @@ def test_variance_experiment_single_state_degenerate_chain():
     kernel = FiniteKernel([0.0], [[1.0]])
     profile = certify_rho(kernel, np.ones(1), k_max=4)
     assert all(profile.rho_at(k) == 0.0 for k in range(5))
-    h = table_kernel(np.zeros((1, 1)))
+    h = SymmetricKernelFn(np.zeros((1, 1)))
     config = _config(kernel, profile, h, n_grid=[4], bounds=[{"name": "theorem1"}], replicates=2)
     reports = run_variance_experiment(config)
     assert reports[0].l2_value == 0.0
@@ -161,7 +160,7 @@ def test_variance_experiment_single_state_degenerate_chain():
 
 
 def test_slln_constant_kernel_zero_error(two_state_kernel, two_state_profile):
-    h = table_kernel(np.full((2, 2), 3.0))
+    h = SymmetricKernelFn(np.full((2, 2), 3.0))
     config = _config(two_state_kernel, two_state_profile, h, slln=SllnConfig(n_max=2000), replicates=2)
     result = run_slln_experiment(config)
     assert all(row["abs_error"] <= 1e-12 for row in result["rows"])
@@ -227,7 +226,7 @@ def test_slln_error_within_extrapolated_scale(two_state_kernel, two_state_profil
     h = product_kernel(2).tabulated(two_state_kernel.states)
     pi = two_state_kernel.stationary()
     mu = Distribution.dirac(0, 2)
-    centered = h.shifted(hoeffding_project(h, pi, 0).value)
+    centered = h.shifted(float(hoeffding_project(h, pi, 0).table))
     base = exact_l2(mu, two_state_kernel, centered, 12, 2)
     config = _config(
         two_state_kernel, two_state_profile, h,
@@ -244,7 +243,10 @@ def test_experiment_config_validation(two_state_kernel, two_state_profile, canon
     with pytest.raises(ValueError):
         _config(two_state_kernel, two_state_profile, canonical_product_h, n_grid=[10, 10])
     with pytest.raises(ValueError):
+        _config(two_state_kernel, two_state_profile, SymmetricKernelFn(np.array(1.0)))  # degree 0
+    with pytest.raises(ValueError):
         SllnConfig(n_max=1)
+    assert _config(two_state_kernel, two_state_profile, canonical_product_h).m == 2
 
 
 def test_l2_estimate_invariants():

@@ -11,6 +11,7 @@ from ustatmc import (
     NotCanonical,
     OrderedTuple,
     PNotPositive,
+    SymmetricKernelFn,
     certify_rho,
     count_tuples,
     counting_bound,
@@ -23,7 +24,6 @@ from ustatmc import (
     random_canonical_kernel,
     random_ergodic_kernel,
     sample_paths,
-    table_kernel,
     tilde_law,
     verify_lemma6,
     verify_prop5,
@@ -130,7 +130,7 @@ def test_tilde_law_m1_hand_tensor(two_state_kernel):
 def test_f_sigma_identity_constant_kernel(two_state_kernel):
     mu = Distribution.dirac(0, 2)
     law = joint_law(mu, two_state_kernel, (1, 2, 3, 4))
-    ones = table_kernel(np.ones((2, 2)))
+    ones = SymmetricKernelFn(np.ones((2, 2)))
     assert f_sigma_expectation(law, ones, (0, 1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_f_sigma_monte_carlo_cross_check(two_state_kernel):
     rng = np.random.default_rng(123)
     mu = Distribution.normalized([0.6, 0.4])
     raw = rng.standard_normal((2, 2))
-    h = table_kernel((raw + raw.T) / 2, two_state_kernel.states)
+    h = SymmetricKernelFn((raw + raw.T) / 2)
     tup = OrderedTuple((1, 2, 4, 6))
     sigma = (2, 0, 3, 1)
     exact = f_sigma_expectation(joint_law(mu, two_state_kernel, tup.indices), h, sigma)
@@ -248,7 +248,7 @@ def test_prop7_bounds_hold_on_ladder(two_state_kernel, two_state_profile, canoni
 
 def test_prop7_zero_kernel(two_state_kernel, two_state_profile):
     mu = Distribution.dirac(0, 2)
-    zero = table_kernel(np.zeros((2, 2)))
+    zero = SymmetricKernelFn(np.zeros((2, 2)))
     lhs, bound1, bound2 = verify_prop7(
         mu, two_state_kernel, two_state_profile, zero, OrderedTuple((1, 3, 5, 7)), (0, 1, 2, 3)
     )
@@ -257,7 +257,7 @@ def test_prop7_zero_kernel(two_state_kernel, two_state_profile):
 
 def test_prop7_rejects_non_canonical(two_state_kernel, two_state_profile):
     mu = Distribution.dirac(0, 2)
-    h = table_kernel(np.array([[1.0, 0.2], [0.2, 0.9]]), two_state_kernel.states)
+    h = SymmetricKernelFn(np.array([[1.0, 0.2], [0.2, 0.9]]))
     with pytest.raises(NotCanonical):
         verify_prop7(mu, two_state_kernel, two_state_profile, h, OrderedTuple((1, 3, 5, 7)), (0, 1, 2, 3))
 

@@ -47,7 +47,26 @@ BOTH_STATISTICS = {
     },
 }
 
-INLINE = {"degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS}
+# the two builtin families with no closed form in the tests: a degree-3
+# Gaussian RBF (tabulated through math.exp) and a degree-2 diagonal indicator
+GAUSSIAN_RBF = {
+    "chain": DEGREE_THREE["chain"],
+    "initial": {"dirac": 2},
+    "kernel_fn": {"name": "gaussian-rbf", "degree": 3, "params": {"bandwidth": 0.8}},
+    "experiment": {"n_grid": [10, 30], "replicates": 200, "master_seed": 80, "bounds": [{"name": "theorem1"}]},
+}
+
+INDICATOR_DIAG = {
+    "chain": DEGREE_THREE["chain"],
+    "initial": {"dirac": 0},
+    "kernel_fn": {"name": "indicator-diag", "degree": 2},
+    "experiment": {"n_grid": [10, 30, 60], "replicates": 200, "master_seed": 81, "bounds": [{"name": "corollary2"}]},
+}
+
+INLINE = {
+    "degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS,
+    "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG,
+}
 
 DIGESTS = {
     ("two_state_variance", "variance.csv"): "2acf39a50f9961bd936b068e2050ba73100dc78dd259347b7d4c6bedde4c7e07",
@@ -56,6 +75,8 @@ DIGESTS = {
     ("degree_three", "variance.csv"): "c7a99afbbceab72fa5201aa65821d2ad15511dc4993e5992e053cb6cd6d026b9",
     ("additive_centered", "variance.csv"): "fc60006f3462438a9809b16304e6704a6462a5b4708c748c0ed4073aba9f56f7",
     ("both_statistics", "variance.csv"): "68845b2ee3ddb956bc152d4f36e75478b519c1f0598161db23d701b153e64ed4",
+    ("gaussian_rbf", "variance.csv"): "1e2f634cdc11e246d013bc3ec2b0318cdd4ee8ab9b64748c63f2aeb43601300b",
+    ("indicator_diag", "variance.csv"): "f947c5915a612699f5865ce8ce503170348ec54601c55193241a477404deb971",
     ("propositions", "propositions.json"): "df31ba4ab5e52a784703a2484364586f782ba6561602ff22b0851f75dde356f5",
 }
 
@@ -73,6 +94,8 @@ def _digest(path: Path) -> str:
         ("degree_three", "verify-variance", "variance.csv"),
         ("additive_centered", "verify-variance", "variance.csv"),
         ("both_statistics", "verify-variance", "variance.csv"),
+        ("gaussian_rbf", "verify-variance", "variance.csv"),
+        ("indicator_diag", "verify-variance", "variance.csv"),
         ("propositions", "check-propositions", "propositions.json"),
     ],
 )

@@ -9,7 +9,6 @@ from ustatmc import (
     BudgetExceeded,
     DegreeTooLarge,
     Distribution,
-    NonIntegrable,
     SymmetricKernelFn,
     Trajectory,
     additive_kernel,
@@ -21,7 +20,6 @@ from ustatmc import (
     product_kernel,
     random_ergodic_kernel,
     simulate,
-    table_kernel,
     u_statistic,
     verify_hoeffding,
 )
@@ -46,7 +44,7 @@ def test_u_statistic_worked_example():
 
 
 def test_u_statistic_constant_kernel_is_one():
-    h = table_kernel(np.ones((4, 4, 4)))
+    h = SymmetricKernelFn(np.ones((4, 4, 4)))
     for n in (3, 5, 9):
         traj = _traj(np.arange(n) % 4, 4)
         assert u_statistic(traj, h) == pytest.approx(1.0, abs=1e-13)
@@ -55,7 +53,7 @@ def test_u_statistic_constant_kernel_is_one():
 def test_u_statistic_m1_is_sample_mean():
     rng = np.random.default_rng(2)
     vals = rng.standard_normal(5)
-    h = table_kernel(vals)
+    h = SymmetricKernelFn(vals)
     idx = rng.integers(0, 5, size=40)
     assert u_statistic(_traj(idx, 5), h) == pytest.approx(float(vals[idx].mean()), abs=1e-13)
 
@@ -65,8 +63,7 @@ def test_u_statistic_counting_matches_enumeration_oracle():
     for m in (1, 2, 3, 4):
         s = 4
         table = _random_symmetric_table(rng, s, m)
-        states = np.linspace(-1, 1, s)
-        h = table_kernel(table, states)
+        h = SymmetricKernelFn(table)
         idx = rng.integers(0, s, size=14)
         expected = u_stat_enum(idx.tolist(), m, lambda *ix: float(table[tuple(ix)]))
         assert u_statistic(_traj(idx, s), h) == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -80,36 +77,32 @@ def test_u_statistic_linearity():
     idx = rng.integers(0, s, size=15)
     traj = _traj(idx, s)
     a, b = 0.7, -2.5
-    lhs = u_statistic(traj, table_kernel(a * t1 + b * t2))
-    rhs = a * u_statistic(traj, table_kernel(t1)) + b * u_statistic(traj, table_kernel(t2))
+    lhs = u_statistic(traj, SymmetricKernelFn(a * t1 + b * t2))
+    rhs = a * u_statistic(traj, SymmetricKernelFn(t1)) + b * u_statistic(traj, SymmetricKernelFn(t2))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_u_statistic_errors():
-    h = table_kernel(np.zeros((2, 2)))
+    h = SymmetricKernelFn(np.zeros((2, 2)))
     with pytest.raises(DegreeTooLarge):
         u_statistic(_traj([0], 2), h)
-    fn_only = SymmetricKernelFn(2, fn=lambda x, y: x * y, states=np.array([0.0, 1.0]))
+    # counting costs n * S^(m-1) = 300 * 2 cells, refused before any count
     with pytest.raises(BudgetExceeded):
-        u_statistic(_traj(np.zeros(300, dtype=int), 2), fn_only, budget=10)
-    # a callable is tabulated before counting, so its S^m table must fit the budget
-    fn_wide = SymmetricKernelFn(2, fn=lambda x, y: x * y, states=np.arange(4.0))
-    with pytest.raises(BudgetExceeded):
-        u_statistic(_traj([0, 1], 4), fn_wide, budget=10)
-    with pytest.raises(ValueError):
-        u_statistic(_traj([0, 1], 2), SymmetricKernelFn(2, fn=lambda x, y: x * y))
+        u_statistic(_traj(np.zeros(300, dtype=int), 2), h, budget=10)
 
 
-def test_callable_path_matches_table_path(two_state_kernel):
-    traj = simulate(two_state_kernel, Distribution.dirac(0, 2), 25, seed=4)
-    h_fn = SymmetricKernelFn(2, fn=lambda x, y: (x + y) ** 2, states=two_state_kernel.states)
-    h_tab = h_fn.tabulated(two_state_kernel.states)
-    assert u_statistic(traj, h_fn) == u_statistic(traj, h_tab)
+def test_degree_zero_kernel_is_its_constant():
+    h = SymmetricKernelFn(np.array(2.5))
+    assert h.degree == 0 and h.sup_norm() == 2.5
+    assert u_statistic(_traj([0, 1, 1], 2), h) == 2.5
+    assert hoeffding_project(h, Distribution.uniform(2), 0).table == 2.5
 
 
 def test_table_symmetry_validation():
     with pytest.raises(ValueError):
-        table_kernel(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        SymmetricKernelFn(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError):
+        SymmetricKernelFn(np.zeros((2, 3)))  # one axis per argument, all of length S
     gaussian_rbf_kernel(3, bandwidth=0.8).tabulated(np.array([-1.0, 0.0, 2.0]))  # symmetric builtin
 
 
@@ -119,21 +112,19 @@ def test_projection_matches_naive_expansion():
     pi = kernel.stationary()
     for m in (2, 3):
         table = _random_symmetric_table(rng, 4, m)
-        h = table_kernel(table, kernel.states)
+        h = SymmetricKernelFn(table)
         for c in range(m + 1):
             proj = hoeffding_project(h, pi, c)
             expected = naive_projection(table, pi.weights, c)
-            if c == 0:
-                assert proj.value == pytest.approx(expected, abs=1e-12)
-            else:
-                assert np.abs(proj.table - expected).max() <= 1e-11
+            assert proj.degree == c
+            assert np.abs(proj.table - expected).max() <= 1e-11
 
 
 def test_projection_canonicity_in_every_prefix():
     rng = np.random.default_rng(13)
     kernel = random_ergodic_kernel(5, rng)
     pi = kernel.stationary()
-    h = table_kernel(_random_symmetric_table(rng, 5, 3), kernel.states)
+    h = SymmetricKernelFn(_random_symmetric_table(rng, 5, 3))
     for c in (1, 2, 3):
         proj = hoeffding_project(h, pi, c)
         integral = np.tensordot(proj.table, pi.weights, axes=([-1], [0]))
@@ -144,7 +135,7 @@ def test_projection_worked_examples(two_state_kernel):
     pi = two_state_kernel.stationary()
     # additive kernel has no degree-2 canonical part
     h_add = additive_kernel(2).tabulated(two_state_kernel.states)
-    assert hoeffding_project(h_add, pi, 2).max_abs() <= 1e-12
+    assert hoeffding_project(h_add, pi, 2).sup_norm() <= 1e-12
     # product of centered factors is untouched by the full projection
     center = pi.expect(two_state_kernel.states)
     h_prod = product_kernel(2, center=center).tabulated(two_state_kernel.states)
@@ -161,20 +152,20 @@ def test_degeneracy_orders(two_state_kernel):
     states = two_state_kernel.states
     center = pi.expect(states)
     assert degeneracy_order(product_kernel(2, center=center).tabulated(states), pi) == 2
-    assert degeneracy_order(table_kernel(np.full((2, 2), 5.0)), pi) == 0
+    assert degeneracy_order(SymmetricKernelFn(np.full((2, 2), 5.0)), pi) == 0
     # uncentered additive kernel has a nonzero mean, so its first
     # nonvanishing projection is the degree-0 one
     assert degeneracy_order(additive_kernel(2).tabulated(states), pi) == 0
     # centering the factors kills the mean; the degree-1 part survives
     assert degeneracy_order(additive_kernel(2, center=center).tabulated(states), pi) == 1
     # all projections vanish only for the zero kernel
-    assert degeneracy_order(table_kernel(np.zeros((2, 2))), pi) == 3
+    assert degeneracy_order(SymmetricKernelFn(np.zeros((2, 2))), pi) == 3
 
 
 def test_degeneracy_zero_mean_value(two_state_kernel):
     pi = two_state_kernel.stationary()
-    h = table_kernel(np.full((2, 2), 5.0))
-    assert hoeffding_project(h, pi, 0).value == pytest.approx(5.0, abs=1e-14)
+    h = SymmetricKernelFn(np.full((2, 2), 5.0))
+    assert float(hoeffding_project(h, pi, 0).table) == pytest.approx(5.0, abs=1e-14)
 
 
 def test_hoeffding_identity_small_grid():
@@ -182,7 +173,7 @@ def test_hoeffding_identity_small_grid():
     for s, m, n in [(3, 2, 12), (4, 3, 10), (3, 4, 9), (6, 2, 30)]:
         kernel = random_ergodic_kernel(s, rng)
         pi = kernel.stationary()
-        h = table_kernel(_random_symmetric_table(rng, s, m), kernel.states)
+        h = SymmetricKernelFn(_random_symmetric_table(rng, s, m))
         traj = simulate(kernel, Distribution.uniform(s), n, seed=int(rng.integers(1 << 30)))
         u = u_statistic(traj, h)
         assert verify_hoeffding(traj, h, pi) <= 1e-10 * (1.0 + abs(u))
@@ -190,14 +181,14 @@ def test_hoeffding_identity_small_grid():
 
 def test_hoeffding_identity_constant_kernel(two_state_kernel):
     pi = two_state_kernel.stationary()
-    h = table_kernel(np.full((2, 2), 3.25))
+    h = SymmetricKernelFn(np.full((2, 2), 3.25))
     traj = simulate(two_state_kernel, pi, 18, seed=6)
     assert verify_hoeffding(traj, h, pi) <= 1e-12
 
 
 def test_hoeffding_identity_m1(two_state_kernel):
     pi = two_state_kernel.stationary()
-    h = table_kernel(np.array([2.0, -1.0]))
+    h = SymmetricKernelFn(np.array([2.0, -1.0]))
     traj = simulate(two_state_kernel, Distribution.dirac(1, 2), 40, seed=77)
     assert verify_hoeffding(traj, h, pi) <= 1e-12
 
@@ -205,16 +196,9 @@ def test_hoeffding_identity_m1(two_state_kernel):
 def test_canonicalize_produces_canonical(two_state_kernel):
     rng = np.random.default_rng(30)
     pi = two_state_kernel.stationary()
-    h = table_kernel(_random_symmetric_table(rng, 2, 2), two_state_kernel.states)
+    h = SymmetricKernelFn(_random_symmetric_table(rng, 2, 2))
     hc = canonicalize(h, pi)
     assert degeneracy_order(hc, pi) >= 2
-
-
-def test_projection_requires_table():
-    pi = Distribution.uniform(2)
-    h = SymmetricKernelFn(2, fn=lambda x, y: x * y)
-    with pytest.raises(NonIntegrable):
-        hoeffding_project(h, pi, 1)
 
 
 def test_indicator_diag_kernel_values():
@@ -224,6 +208,7 @@ def test_indicator_diag_kernel_values():
     assert h.sup_norm() == 1.0
 
 
-def test_declared_sup_envelope_enforced():
-    with pytest.raises(ValueError):
-        SymmetricKernelFn(2, table=np.full((2, 2), 3.0), declared_sup=1.0)
+def test_builtin_families_need_degree_one():
+    for family in (product_kernel, additive_kernel, indicator_diag_kernel, gaussian_rbf_kernel):
+        with pytest.raises(ValueError):
+            family(0)
