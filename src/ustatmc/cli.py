@@ -8,7 +8,8 @@ Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
 1 on a violation (worst instance is reported), 2 on a configuration error.
 A configuration error is found before any work starts; it includes a bad
-bound request (an unknown name, corollary3 without p, or p <= 0) and a bad
+bound request (an unknown name, corollary3 without p, or p <= 0), a count
+that is not an integer (a fraction, a string or a boolean) and a bad
 propositions section (a count below its least value, or a p_values entry
 that is not a finite number > 0).
 Artifacts are CSV/JSON with round-trip float formatting; identical configs

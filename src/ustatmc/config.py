@@ -103,14 +103,27 @@ def section(doc: dict, key: str, default: dict | None = None) -> dict:
     return entry
 
 
+def _as_int(raw: object, name: str) -> int:
+    """A JSON integer, or a float with no fractional part; anything else
+    (a fraction, a string, a boolean) is refused rather than truncated."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}")
+    return raw
+
+
+def _int_list(raw: object, name: str) -> list[int]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list of integers, got {raw!r}")
+    return [_as_int(x, f"{name} entry") for x in raw]
+
+
 def integer(entries: dict, key: str, default: object, where: str, least: int) -> int:
     """``entries[key]`` as an integer no smaller than ``least``; ``default``
     when it is absent, and a required key when no default is given."""
     raw = _require(entries, key, where) if default is None else entries.get(key, default)
-    try:
-        value = int(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}.{key} must be an integer: {exc}") from exc
+    value = _as_int(raw, f"{where}.{key}")
     if value < least:
         raise ConfigError(f"{where}.{key} must be >= {least}, got {value}")
     return value
@@ -147,7 +160,7 @@ def build_profile(doc: dict, kernel: FiniteKernel, v: np.ndarray, k_max_default:
     kind = entries.get("kind", "certify")
     try:
         if kind == "certify":
-            return certify_rho(kernel, v, int(entries.get("k_max", k_max_default)))
+            return certify_rho(kernel, v, integer(entries, "k_max", k_max_default, "profile", 0))
         if kind == "geometric":
             rho = GeometricRho(float(_require(entries, "c", "profile")), float(_require(entries, "varrho", "profile")))
             return ErgodicityProfile(v, rho, provenance=entries.get("provenance", "declared"),
@@ -209,20 +222,17 @@ def build_experiment(
     kernel, v = build_chain(doc)
     mu0 = build_initial(doc, kernel.size)
     entries = section(doc, "experiment", {})
-    n_grid = entries.get("n_grid", [])
-    try:
-        if not isinstance(n_grid, list):
-            raise TypeError(f"got {n_grid!r}")
-        n_grid = [int(n) for n in n_grid]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"experiment.n_grid must be a list of integers: {exc}") from exc
+    n_grid = _int_list(entries.get("n_grid", []), "experiment.n_grid")
     slln = None
     if doc.get("slln") is not None:
         slln_entries = section(doc, "slln")
+        checkpoints = slln_entries.get("checkpoints")
+        if checkpoints is not None:
+            checkpoints = _int_list(checkpoints, "slln.checkpoints")
         try:
             slln = SllnConfig(
-                n_max=int(_require(slln_entries, "n_max", "slln")),
-                checkpoints=slln_entries.get("checkpoints"),
+                n_max=integer(slln_entries, "n_max", None, "slln", 2),
+                checkpoints=checkpoints,
                 threshold=slln_entries.get("threshold"),
             )
         except (ValueError, TypeError) as exc:
@@ -232,6 +242,8 @@ def build_experiment(
         k_needed = max(k_needed, 64)
     profile = build_profile(doc, kernel, v, k_max_default=max(k_needed, 16))
     h = build_kernel_fn(doc, kernel)
+    master_seed = integer(entries, "master_seed", 0, "experiment", 0) if seed_override is None else seed_override
+    budget = integer(entries, "budget", DEFAULT_BUDGET, "experiment", 1) if budget_override is None else budget_override
     try:
         return ExperimentConfig(
             kernel=kernel,
@@ -239,11 +251,11 @@ def build_experiment(
             profile=profile,
             h=h,
             n_grid=n_grid,
-            replicates=int(entries.get("replicates", 2)),
-            master_seed=int(seed_override if seed_override is not None else entries.get("master_seed", 0)),
+            replicates=integer(entries, "replicates", 2, "experiment", 2),
+            master_seed=master_seed,
             bounds=entries.get("bounds", []),
             slln=slln,
-            budget=int(budget_override if budget_override is not None else entries.get("budget", DEFAULT_BUDGET)),
+            budget=budget,
             jobs=jobs,
         )
     except (ValueError, TypeError) as exc:

@@ -97,12 +97,10 @@ class SllnConfig:
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError("n_max must be >= 2")
-        if self.checkpoints is not None:
-            self.checkpoints = [int(c) for c in self.checkpoints]
 
     def resolve_checkpoints(self, m: int) -> list[int]:
         if self.checkpoints is not None:
-            pts = sorted(set(self.checkpoints))
+            pts = sorted(set(int(c) for c in self.checkpoints))
         else:
             pts = []
             c = 8

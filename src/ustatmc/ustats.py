@@ -357,7 +357,11 @@ def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> Symmetr
         for positions in itertools.combinations(range(c), k):
             shape = tuple(s if p in positions else 1 for p in range(c))
             out += sign * np.asarray(partial[k]).reshape(shape)
-    return SymmetricKernelFn(out)
+    # The sum above rounds in an order that depends on the argument order,
+    # so out[i, j] and out[j, i] can differ by ulp(pi^{(m)}h), which is far
+    # above the symmetry tolerance of a small projection of a large kernel.
+    # Every entry takes the value at its sorted index instead.
+    return SymmetricKernelFn(out[tuple(np.sort(np.indices(out.shape), axis=0))])
 
 
 def degeneracy_order(h: SymmetricKernelFn, pi: Distribution, eps: float = DEGENERACY_EPS) -> int:

@@ -256,6 +256,9 @@ BAD_PROPOSITIONS = {
     "one-state": {"size": 1},
     "degree-zero": {"m": 0},
     "chains-not-int": {"chains": "x"},
+    "size-fraction": {"size": 2.9},
+    "degree-fraction": {"m": 2.5},
+    "chains-bool": {"chains": True},
 }
 
 
@@ -281,6 +284,12 @@ BAD_SECTIONS = {
     "n-below-degree": {"experiment": {"n_grid": [1, 20], "bounds": [{"name": "theorem1"}]}},
     "profile-not-object": {"profile": ["certify"]},
     "checkpoint-text": {"slln": {"n_max": 100, "checkpoints": ["a"]}},
+    "checkpoint-fraction": {"slln": {"n_max": 100, "checkpoints": [10, 20.5]}},
+    "degree-fraction": {"kernel_fn": {"name": "product", "degree": 2.5}},
+    "n-grid-fraction": {"experiment": {"n_grid": [10, 20.5], "bounds": [{"name": "theorem1"}]}},
+    "n-grid-not-list": {"experiment": {"n_grid": 20, "bounds": [{"name": "theorem1"}]}},
+    "replicates-text": {"experiment": {"n_grid": [10], "replicates": "3", "bounds": [{"name": "theorem1"}]}},
+    "n-max-fraction": {"slln": {"n_max": 100.5}},
 }
 
 
@@ -292,6 +301,15 @@ def test_cli_malformed_section_is_config_error(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_counts_are_integers():
+    doc = _variance_doc()
+    doc["kernel_fn"]["degree"] = 2.0
+    doc["experiment"].update(n_grid=[20.0, 40], replicates=300.0, budget=1e8)
+    config = build_experiment(doc)
+    assert config.m == 2 and config.n_grid == [20, 40] and config.replicates == 300
+    assert all(type(x) is int for x in (config.m, *config.n_grid, config.replicates, config.budget))
 
 
 def test_cli_rerun_byte_identical(tmp_path):
