@@ -24,7 +24,7 @@ profile = certify_rho(kernel, v, k_max=30)
 print("\ncertified rho(k) with V = (1, 2):")
 for k in (0, 1, 2, 4, 8, 16):
     print(f"  rho({k:>2}) = {profile.rho_at(k):.6g}")
-print("geometric tail rate (estimated):", profile.rho.tail_rate)
+print(f"past k = 30, rho stays at rho(30) (tail rate {profile.rho.tail_rate}: P contracts total variation)")
 
 print("\ncontraction check tv(mu P^k, nu P^k) <= rho(k) (mu(V) + nu(V)):")
 nu = Distribution.normalized([0.9, 0.1])
@@ -37,4 +37,4 @@ print("\nweighted moment supremum:")
 print("  M(dirac0, V) =", m_sup(mu, profile, kernel))
 print("  M(pi, V)     =", m_sup(pi, profile, kernel), "(equals pi(V) at stationarity)")
 
-print("\nserialized profile:", profile.to_dict()["rho"]["kind"], "provenance", profile.provenance)
+print("\nserialized profile: keys", sorted(profile.to_dict()), "provenance", profile.provenance)

@@ -32,7 +32,6 @@ from .markov import (
     ErgodicityProfile,
     ExplicitRho,
     FiniteKernel,
-    GeometricRho,
     Trajectory,
     certify_rho,
     evolve,

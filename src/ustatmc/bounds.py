@@ -40,10 +40,13 @@ ENUM_BUDGET = 10**7
 def m_sup(mu: Distribution, profile: ErgodicityProfile, kernel: FiniteKernel | None) -> float:
     """M(mu, V) = sup_{k >= 0} mu P^k(V).
 
-    Computed by exact iteration until rho(K) * (mu(V) + pi(V)) * max(V)
-    certifies that every later iterate is within 1e-9 of the limit pi(V);
-    the result is clamped to at least pi(V), which the supremum always
-    dominates.  Declared profiles must carry the supremum directly.
+    Computed by exact iteration until ||mu P^K - pi||_1 * max(V) <
+    1e-9 * pi(V).  P contracts total variation and fixes pi, so every
+    later iterate has |mu P^k(V) - pi(V)| <= ||mu P^K - pi||_1 * max(V):
+    all of them lie within 1e-9 * pi(V) of the limit, and the result is
+    clamped to at least pi(V), which the supremum always dominates.  The
+    tolerance is relative because pi(V) >= 1 may be large.  rho is not
+    read.  Declared profiles must carry the supremum directly.
     """
     if profile.provenance == "declared":
         if profile.declared_m is None:
@@ -54,15 +57,14 @@ def m_sup(mu: Distribution, profile: ErgodicityProfile, kernel: FiniteKernel | N
     v = profile.v_values
     pi = kernel.stationary()
     pi_v = pi.expect(v)
-    mu_v = mu.expect(v)
     v_max = float(v.max())
     w = mu.weights
-    best = mu_v
+    best = mu.expect(v)
     k = 0
-    while profile.rho_at(k) * (mu_v + pi_v) * v_max >= M_SUP_TOL:
+    while float(np.abs(w - pi.weights).sum()) * v_max >= M_SUP_TOL * pi_v:
         k += 1
         if k > _M_SUP_MAX_ITER:
-            raise Unbounded("mixing sequence decays too slowly to certify M(mu, V)")
+            raise Unbounded("chain mixes too slowly to certify M(mu, V)")
         w = w @ kernel.matrix
         best = max(best, float(w @ v))
     return max(best, pi_v)
@@ -333,7 +335,7 @@ class BoundEntry:
 
 @dataclass
 class BoundReport:
-    """Per-n comparison of an L2 value (exact or estimated) against bounds.
+    """Per-n comparison of an L2 value (exact or Monte Carlo) against bounds.
 
     ``statistic`` records what was measured: "u" for ||U_{n,m}(h)|| and
     "u_centered" for ||U_{n,m}(h) - pi^{(m)}h||.  ``margin`` on each entry

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, GeometricRho, certify_rho
+from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, certify_rho
 from .montecarlo import ExperimentConfig, SllnConfig
 from .ustats import (
     DEFAULT_BUDGET,
@@ -34,11 +34,16 @@ SCHEMA: dict = {
     },
     "initial": "list[float] weights | {'dirac': index} | 'uniform' (default: dirac at 0)",
     "profile": {
-        "kind": "'certify' (default) | 'geometric' | 'explicit' | 'declared'",
+        "kind": "'certify' (default) | 'geometric' | 'explicit' | 'declared'; only certify gives provenance "
+                "'certified', every other kind is 'declared' and no key sets it",
         "k_max": "int — table length for kind=certify (default: max n needed)",
-        "c / varrho": "floats for kind=geometric: rho(k) = c * varrho^k",
-        "values / tail_rate": "for kind=explicit",
-        "m_value": "float — required sup_k mu P^k(V) for kind=declared",
+        "c / varrho": "floats for kind=geometric: rho(k) = c * varrho^k, c >= 0, 0 <= varrho <= 1",
+        "values / tail_rate": "for kind=explicit: non-increasing rho(0..K), then rho(K) * tail_rate^(k-K) "
+                              "(tail_rate in [0, 1], default 0)",
+        "rho / v": "for kind=declared: a profile document as certify-profile writes it, rho = {values, tail_rate} "
+                   "and v = list[float] >= 1, one per state (default: the chain's v)",
+        "m_value": "float — sup_k mu P^k(V) for any declared kind (declared_m in a profile document); "
+                   "bounds need it",
     },
     "kernel_fn": {
         "name": "'product' | 'additive' | 'indicator-diag' | 'gaussian-rbf' | 'table'",
@@ -156,31 +161,34 @@ def build_initial(doc: dict, size: int) -> Distribution:
 
 
 def build_profile(doc: dict, kernel: FiniteKernel, v: np.ndarray, k_max_default: int) -> ErgodicityProfile:
+    """``certify`` tabulates rho for this chain; every other kind is a
+    declared profile, whatever the document says its provenance is.
+
+    ``geometric`` (c, varrho) and ``explicit`` (values, tail_rate) give rho
+    in the section itself; ``declared`` reads a profile document, such as
+    the output of ``certify-profile``, with rho and v under their own keys.
+    """
     entries = section(doc, "profile", {"kind": "certify"})
     kind = entries.get("kind", "certify")
+    if kind == "certify":
+        return certify_rho(kernel, v, integer(entries, "k_max", k_max_default, "profile", 0))
+    if kind not in ("geometric", "explicit", "declared"):
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    rho, m_value = entries, entries.get("m_value")
     try:
-        if kind == "certify":
-            return certify_rho(kernel, v, integer(entries, "k_max", k_max_default, "profile", 0))
-        if kind == "geometric":
-            rho = GeometricRho(float(_require(entries, "c", "profile")), float(_require(entries, "varrho", "profile")))
-            return ErgodicityProfile(v, rho, provenance=entries.get("provenance", "declared"),
-                                     declared_m=entries.get("m_value"))
-        if kind == "explicit":
-            rho = ExplicitRho(np.asarray(_require(entries, "values", "profile"), dtype=float),
-                              float(entries.get("tail_rate", 0.0)))
-            return ErgodicityProfile(v, rho, provenance=entries.get("provenance", "declared"),
-                                     declared_m=entries.get("m_value"))
         if kind == "declared":
-            inner = dict(entries)
-            inner.setdefault("v", v.tolist())
-            inner.setdefault("provenance", "declared")
-            profile = ErgodicityProfile.from_dict(inner)
-            if profile.declared_m is None and "m_value" in entries:
-                profile = ErgodicityProfile(profile.v_values, profile.rho, "declared", float(entries["m_value"]))
-            return profile
-    except (ValueError, KeyError, TypeError) as exc:
+            rho, m_value = section(entries, "rho"), entries.get("declared_m", m_value)
+            v = np.asarray(entries.get("v", v), dtype=float)
+            if v.shape != (kernel.size,):
+                raise ConfigError(f"profile 'v' must list one value per state ({kernel.size})")
+        if kind == "geometric":
+            values, tail_rate = [_require(rho, "c", "profile")], _require(rho, "varrho", "profile")
+        else:
+            values, tail_rate = _require(rho, "values", "profile"), rho.get("tail_rate", 0.0)
+        return ErgodicityProfile(v, ExplicitRho(np.asarray(values, dtype=float), float(tail_rate)),
+                                 declared_m=None if m_value is None else float(m_value))
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid profile: {exc}") from exc
-    raise ConfigError(f"unknown profile kind {kind!r}")
 
 
 def build_kernel_fn(doc: dict, kernel: FiniteKernel) -> SymmetricKernelFn:
@@ -223,6 +231,9 @@ def build_experiment(
     mu0 = build_initial(doc, kernel.size)
     entries = section(doc, "experiment", {})
     n_grid = _int_list(entries.get("n_grid", []), "experiment.n_grid")
+    bounds = entries.get("bounds", [])
+    if not isinstance(bounds, list):
+        raise ConfigError(f"experiment.bounds must be a list of bound requests, got {bounds!r}")
     slln = None
     if doc.get("slln") is not None:
         slln_entries = section(doc, "slln")
@@ -253,7 +264,7 @@ def build_experiment(
             n_grid=n_grid,
             replicates=integer(entries, "replicates", 2, "experiment", 2),
             master_seed=master_seed,
-            bounds=entries.get("bounds", []),
+            bounds=bounds,
             slln=slln,
             budget=budget,
             jobs=jobs,

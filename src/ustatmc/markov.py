@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -212,40 +212,17 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
 
 
 @dataclass(frozen=True)
-class GeometricRho:
-    """rho(k) = c * varrho^k with 0 < varrho < 1."""
-
-    c: float
-    varrho: float
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
-        if not 0.0 < self.varrho < 1.0:
-            raise ValueError("varrho must lie in (0, 1)")
-
-    def at(self, k: int) -> float:
-        return self.c * self.varrho**k
-
-    def table(self, n: int) -> np.ndarray:
-        return self.c * self.varrho ** np.arange(n + 1, dtype=float)
-
-    def uses_tail(self, n: int) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
 class ExplicitRho:
-    """Tabulated rho(0..k_max) plus a geometric tail beyond the table.
+    """Tabulated rho(0..k_max); past the table rho(k) = rho(k_max) *
+    tail_rate^(k - k_max).
 
-    The table is exact and non-increasing; the tail rate is an estimate
-    (``tail_provenance`` = "estimated") and exact verification never relies
-    on it.
+    A declared sequence c * varrho^k is the one-entry table [c] with tail
+    rate varrho.  A table from :func:`certify_rho` has tail rate 1: the
+    chain's rho(k_max) bounds every later term.
     """
 
     values: np.ndarray
     tail_rate: float
-    tail_provenance: str = "estimated"
 
     def __post_init__(self):
         v = _freeze(self.values)
@@ -255,8 +232,8 @@ class ExplicitRho:
             raise ValueError("rho values must be nonnegative")
         if np.any(np.diff(v) > 0):
             raise ValueError("rho values must be non-increasing")
-        if not 0.0 <= self.tail_rate < 1.0:
-            raise ValueError("tail_rate must lie in [0, 1)")
+        if not 0.0 <= self.tail_rate <= 1.0:
+            raise ValueError("tail_rate must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
     @property
@@ -278,22 +255,19 @@ class ExplicitRho:
         return n > self.k_max
 
 
-RhoSequence = Union[GeometricRho, ExplicitRho]
-
-
 @dataclass(frozen=True)
 class ErgodicityProfile:
     """The pair (V, rho) controlling V-weighted total-variation mixing.
 
     ``provenance`` is "certified" when rho was tabulated exactly from a
-    finite chain and "declared" when supplied by the user (in which case
-    ``declared_m`` must carry the supremum sup_k mu P^k(V) if bounds are
-    to be computed).
+    finite chain by :func:`certify_rho`, and "declared" when supplied by
+    the user (in which case ``declared_m`` must carry the supremum
+    sup_k mu P^k(V) if bounds are to be computed).
     """
 
     v_values: np.ndarray
-    rho: RhoSequence
-    provenance: str = "certified"
+    rho: ExplicitRho
+    provenance: str = "declared"
     declared_m: float | None = None
 
     def __post_init__(self):
@@ -311,36 +285,14 @@ class ErgodicityProfile:
         return self.rho.table(n)
 
     def to_dict(self) -> dict:
-        if isinstance(self.rho, GeometricRho):
-            rho = {"kind": "geometric", "c": self.rho.c, "varrho": self.rho.varrho}
-        else:
-            rho = {
-                "kind": "explicit",
-                "values": self.rho.values.tolist(),
-                "tail_rate": self.rho.tail_rate,
-                "tail_provenance": self.rho.tail_provenance,
-            }
-        out = {"v": self.v_values.tolist(), "rho": rho, "provenance": self.provenance}
+        out = {
+            "v": self.v_values.tolist(),
+            "rho": {"values": self.rho.values.tolist(), "tail_rate": self.rho.tail_rate},
+            "provenance": self.provenance,
+        }
         if self.declared_m is not None:
             out["declared_m"] = self.declared_m
         return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "ErgodicityProfile":
-        r = d["rho"]
-        if r["kind"] == "geometric":
-            rho: RhoSequence = GeometricRho(float(r["c"]), float(r["varrho"]))
-        elif r["kind"] == "explicit":
-            rho = ExplicitRho(
-                np.asarray(r["values"], dtype=float),
-                float(r["tail_rate"]),
-                r.get("tail_provenance", "estimated"),
-            )
-        else:
-            raise ValueError(f"unknown rho kind {r['kind']!r}")
-        return ErgodicityProfile(
-            np.asarray(d["v"], dtype=float), rho, d.get("provenance", "certified"), d.get("declared_m")
-        )
 
 
 @dataclass(frozen=True)
@@ -365,31 +317,6 @@ class Trajectory:
         return self.values.size
 
 
-def _tail_rate_estimate(kernel: FiniteKernel, measured: np.ndarray) -> float:
-    """Per-step contraction estimate for the geometric tail.
-
-    Second-largest singular value of diag(pi)^{1/2} P diag(pi)^{-1/2},
-    falling back to the empirical decay of the measured ratios.  Estimate
-    only; exact verification never evaluates rho beyond the table.
-    """
-    try:
-        pi = kernel.stationary().weights
-        d = np.sqrt(pi)
-        a = (d[:, None] * kernel.matrix) / d[None, :]
-        sv = np.linalg.svd(a, compute_uv=False)
-        rate = float(sv[1]) if sv.size > 1 else 0.0
-        if math.isfinite(rate) and 0.0 <= rate < 1.0:
-            return rate
-    except (np.linalg.LinAlgError, NotErgodic):
-        pass
-    k_max = measured.size - 1
-    lag = min(10, k_max)
-    if lag >= 1 and measured[k_max - lag] > 0 and measured[k_max] > 0:
-        rate = float((measured[k_max] / measured[k_max - lag]) ** (1.0 / lag))
-        return min(max(rate, 0.0), 1.0 - 1e-12)
-    return 0.5
-
-
 def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> ErgodicityProfile:
     """Tabulate the minimal certified mixing sequence of a finite chain.
 
@@ -402,8 +329,12 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     path :func:`evolve` takes, so the tabulated inequality against
     :func:`tv_distance` holds bit for bit; a reversed running maximum makes
     the stored table exactly non-increasing while still dominating every
-    measured ratio.  A geometric tail (estimated rate) is appended for
-    evaluation beyond the table.
+    measured ratio.
+
+    The tail rate is 1, so rho(k) = rho(k_max) for every k > k_max.  That
+    is proven, not fitted: P contracts total variation, so each Dirac
+    pair's tv(delta_x P^k, delta_x' P^k), and with it the pair's ratio,
+    cannot grow with k (Dobrushin 1956).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -436,8 +367,7 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
             f"no observable mixing: rho({k_max}) = {rho_vals[k_max]:.3e} "
             f"has not decayed below rho(0) = {rho_vals[0]:.3e}"
         )
-    rate = _tail_rate_estimate(kernel, measured)
-    return ErgodicityProfile(v, ExplicitRho(rho_vals, rate), provenance="certified")
+    return ErgodicityProfile(v, ExplicitRho(rho_vals, 1.0), provenance="certified")
 
 
 def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> Trajectory:

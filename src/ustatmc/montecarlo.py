@@ -39,7 +39,7 @@ import numpy as np
 
 from .bounds import BoundReport, bound_requests, evaluate_bounds, m_sup
 from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
-from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, sample_paths, simulate
+from .markov import Distribution, ErgodicityProfile, FiniteKernel, sample_paths, simulate
 from .proofs import TENSOR_BUDGET, joint_law
 from .ustats import (
     DEFAULT_BUDGET, SymmetricKernelFn, contract_counts, degeneracy_order, hoeffding_project, tuple_counts, tuple_sums,
@@ -278,16 +278,8 @@ def estimate_l2(config: ExperimentConfig, n: int, h: SymmetricKernelFn | None = 
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def _rho_provenance(config: ExperimentConfig, n: int) -> str:
-    rho = config.profile.rho
-    tag = config.profile.provenance
-    if isinstance(rho, ExplicitRho) and rho.uses_tail(n):
-        tag += "+estimated-tail"
-    return tag
-
-
 def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
-    """Compare the (exact or estimated) L2 of the U-statistic against every
+    """Compare the (exact or Monte Carlo) L2 of the U-statistic against every
     requested bound, per n in the grid.
 
     Requests are validated and routed by :func:`bound_requests` before any
@@ -295,7 +287,7 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
     anything else to the centered bound.  The centered statistic is
     realized as U_{n,m}(h - pi^{(m)}h).  The bounds of every n are
     evaluated first, then the exact oracle is tried per (n, statistic);
-    every n it refuses is estimated by one :func:`replicate_u_grid` pass,
+    every n it refuses goes to one :func:`replicate_u_grid` pass,
     one path per replicate, shared by both statistics.
     """
     kernel, h, m = config.kernel, config.h, config.m
@@ -313,7 +305,8 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
         for variant in variants[n]:
             try:
                 value = exact_l2(config.mu0, kernel, stat_hs[variant], n, m)
-                found[n, variant] = BoundReport(n=n, m=m, statistic=variant, l2_value=value, l2_kind="exact")
+                found[n, variant] = BoundReport(n=n, m=m, statistic=variant, l2_value=value, l2_kind="exact",
+                                                rho_provenance=config.profile.provenance)
             except BudgetExceeded:
                 refused.append((n, variant))
     if refused:
@@ -325,12 +318,10 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
             est = L2Estimate.from_u_values(u[mc_variants.index(variant), mc_ns.index(n)])
             found[n, variant] = BoundReport(
                 n=n, m=m, statistic=variant, l2_value=est.point, l2_kind="monte-carlo",
-                stderr=est.stderr, replicates=est.replicates,
+                stderr=est.stderr, replicates=est.replicates, rho_provenance=config.profile.provenance,
             )
     reports: list[BoundReport] = []
     for n in config.n_grid:
-        for variant in variants[n]:
-            found[n, variant].rho_provenance = _rho_provenance(config, n)
         for statistic, label, value, digest in entries[n]:
             found[n, statistic].add(label, value, digest)
         reports.extend(found[n, v] for v in variants[n])

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import c_nm_squared_rational, geometric_partial_sums
 from ustatmc import (
@@ -12,13 +14,14 @@ from ustatmc import (
     DomainError,
     ErgodicityProfile,
     ExplicitRho,
-    GeometricRho,
+    FiniteKernel,
     NotCanonical,
     PNotPositive,
     SymmetricKernelFn,
     Unbounded,
     b_q,
     bound_requests,
+    certify_rho,
     c_nm,
     corollary2_bound,
     corollary3_bound,
@@ -30,14 +33,12 @@ from ustatmc import (
     theorem1_bound,
 )
 
-GEO_HALF = ErgodicityProfile(np.ones(2), GeometricRho(1.0, 0.5))
+GEO_HALF = ErgodicityProfile(np.ones(2), ExplicitRho(np.array([1.0]), 0.5))
 ZERO_RHO = ErgodicityProfile(np.ones(2), ExplicitRho(np.zeros(8), 0.0), provenance="declared", declared_m=1.0)
 
 
 def test_m_sup_stationary_start(two_state_kernel):
     v = np.array([1.0, 2.0])
-    from ustatmc import certify_rho
-
     profile = certify_rho(two_state_kernel, v, k_max=80)
     pi = two_state_kernel.stationary()
     assert m_sup(pi, profile, two_state_kernel) == pytest.approx(pi.expect(v), abs=1e-12)
@@ -48,8 +49,6 @@ def test_m_sup_constant_v(two_state_kernel, two_state_profile, mu_dirac0):
 
 
 def test_m_sup_matches_direct_iteration(two_state_kernel, mu_dirac0):
-    from ustatmc import certify_rho
-
     v = np.array([1.0, 2.0])
     profile = certify_rho(two_state_kernel, v, k_max=220)
     # brute force over k <= 200; limit pi(V) = 1.6
@@ -63,10 +62,41 @@ def test_m_sup_matches_direct_iteration(two_state_kernel, mu_dirac0):
     assert got >= 1.6 - 1e-12
 
 
+@st.composite
+def chains_weights_and_starts(draw):
+    """Strictly positive rows, V = 1 or V >= 1 on a log scale up to 1e6, and
+    a Dirac or a random initial law."""
+    s = draw(st.integers(2, 7))
+    entries = st.lists(st.floats(0.01, 1.0), min_size=s, max_size=s)
+    matrix = np.array([draw(entries) for _ in range(s)])
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    v = np.ones(s)
+    if draw(st.booleans()):
+        v = 10.0 ** np.array(draw(st.lists(st.floats(0.0, 6.0), min_size=s, max_size=s)))
+    if draw(st.booleans()):
+        mu = Distribution.dirac(draw(st.integers(0, s - 1)), s)
+    else:
+        mu = Distribution.normalized(draw(st.lists(st.floats(0.01, 1.0), min_size=s, max_size=s)))
+    return FiniteKernel(np.arange(float(s)), matrix), v, mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains_weights_and_starts())
+def test_m_sup_ignores_rho_and_matches_brute_force(case):
+    kernel, v, mu = case
+    got = m_sup(mu, certify_rho(kernel, v, 3), kernel)
+    assert got == m_sup(mu, certify_rho(kernel, v, 40), kernel)
+    w, best = mu.weights, mu.expect(v)
+    for _ in range(2000):
+        w = w @ kernel.matrix
+        best = max(best, float(w @ v))
+    assert abs(got - best) <= 1e-9 * kernel.stationary().expect(v)
+
+
 def test_m_sup_declared_profile():
-    declared = ErgodicityProfile(np.ones(3), GeometricRho(2.0, 0.9), provenance="declared", declared_m=4.5)
+    declared = ErgodicityProfile(np.ones(3), ExplicitRho(np.array([2.0]), 0.9), provenance="declared", declared_m=4.5)
     assert m_sup(Distribution.uniform(3), declared, None) == 4.5
-    missing = ErgodicityProfile(np.ones(3), GeometricRho(2.0, 0.9), provenance="declared")
+    missing = ErgodicityProfile(np.ones(3), ExplicitRho(np.array([2.0]), 0.9), provenance="declared")
     with pytest.raises(Unbounded):
         m_sup(Distribution.uniform(3), missing, None)
 
@@ -166,7 +196,7 @@ def test_b_q_matches_brute_force():
     table = rng.standard_normal((3, 3))
     table = (table + table.T) / 2
     v = 1.0 + rng.random(3) * 3.0
-    profile = ErgodicityProfile(v, GeometricRho(1.0, 0.5), "declared", 1.0)
+    profile = ErgodicityProfile(v, ExplicitRho(np.array([1.0]), 0.5), "declared", 1.0)
     q = 4.0
     best = max(
         abs(table[i, j]) / (v[i] ** (1 / q) + v[j] ** (1 / q))

@@ -101,6 +101,30 @@ def test_build_experiment_profiles():
     assert config.master_seed == 7
 
 
+def _provenances(path):
+    with open(path) as fh:
+        return {row["provenance"] for row in csv.DictReader(fh)}
+
+
+def test_only_certify_rho_gives_certified_rows(tmp_path):
+    doc = _variance_doc()
+    # a document cannot label a declared rho certified
+    doc["profile"] = {"kind": "geometric", "c": 1.0, "varrho": 0.5, "m_value": 1.0, "provenance": "certified"}
+    cfg = _write(tmp_path, "geo.json", doc)
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "geo")]) == 0
+    assert _provenances(tmp_path / "geo" / "variance.csv") == {"declared"}
+    # nor keep the label of a profile certified elsewhere
+    certify = _write(tmp_path, "certify.json", {"chain": TWO_STATE, "profile": {"k_max": 64}})
+    assert main(["certify-profile", "--config", certify, "--out", str(tmp_path / "p")]) == 0
+    profile = json.loads((tmp_path / "p" / "profile.json").read_text())
+    assert profile["provenance"] == "certified"
+    doc["profile"] = {"kind": "declared", "m_value": 1.0, **profile}
+    cfg = _write(tmp_path, "declared.json", doc)
+    assert build_experiment(doc).profile.provenance == "declared"
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "dec")]) == 0
+    assert _provenances(tmp_path / "dec" / "variance.csv") == {"declared"}
+
+
 def test_schema_is_json_ready():
     json.dumps(SCHEMA)
 
@@ -290,6 +314,10 @@ BAD_SECTIONS = {
     "n-grid-not-list": {"experiment": {"n_grid": 20, "bounds": [{"name": "theorem1"}]}},
     "replicates-text": {"experiment": {"n_grid": [10], "replicates": "3", "bounds": [{"name": "theorem1"}]}},
     "n-max-fraction": {"slln": {"n_max": 100.5}},
+    "bounds-number": {"experiment": {"n_grid": [10], "bounds": 5}},
+    "bounds-object": {"experiment": {"n_grid": [10], "bounds": {"name": "theorem1"}}},
+    "declared-v-length": {"profile": {"kind": "declared", "v": [1.0, 1.0, 1.0], "m_value": 1.0,
+                                      "rho": {"kind": "explicit", "values": [1.0, 0.5], "tail_rate": 0.5}}},
 }
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dirac_pair_rho, pair_loop_rho_table
@@ -9,7 +9,6 @@ from ustatmc import (
     ErgodicityProfile,
     ExplicitRho,
     FiniteKernel,
-    GeometricRho,
     NotErgodic,
     certify_rho,
     evolve,
@@ -146,14 +145,17 @@ def test_certify_rho_equals_pair_loop(chain, k_max):
     assert np.array_equal(profile.rho.values, pair_loop_rho_table(matrix, v, k_max))
 
 
-def test_profile_serialization_round_trip(two_state_profile):
+def test_profile_serialization_round_trip(two_state_kernel, two_state_profile):
+    from ustatmc.config import build_profile
+
     d = two_state_profile.to_dict()
     assert d["provenance"] == "certified"
-    assert d["rho"]["tail_provenance"] == "estimated"
-    back = ErgodicityProfile.from_dict(d)
+    assert d["rho"]["tail_rate"] == 1.0
+    back = build_profile({"profile": {"kind": "declared", **d}}, two_state_kernel, np.ones(2), 0)
     assert np.array_equal(back.rho.values, two_state_profile.rho.values)
-    geo = ErgodicityProfile(np.ones(2), GeometricRho(2.0, 0.25), provenance="declared", declared_m=1.5)
-    geo2 = ErgodicityProfile.from_dict(geo.to_dict())
+    assert back.rho.tail_rate == 1.0
+    geo = ErgodicityProfile(np.ones(2), ExplicitRho(np.array([2.0]), 0.25), provenance="declared", declared_m=1.5)
+    geo2 = build_profile({"profile": {"kind": "declared", **geo.to_dict()}}, two_state_kernel, np.ones(2), 0)
     assert geo2.rho_at(3) == pytest.approx(2.0 * 0.25**3)
     assert geo2.declared_m == 1.5
 
@@ -165,11 +167,57 @@ def test_explicit_rho_tail_and_monotonicity():
     assert rho.uses_tail(3) and not rho.uses_tail(2)
     with pytest.raises(ValueError):
         ExplicitRho(np.array([0.5, 0.6]), tail_rate=0.5)
+    with pytest.raises(ValueError):
+        ExplicitRho(np.array([0.5]), tail_rate=1.5)
+
+
+def test_declared_geometric_rho_is_a_one_entry_table():
+    # c * varrho^k in the float order of the closed form, at every k and in tables
+    for c, varrho in [(1.0, 0.5), (2.0, 0.9), (0.37, 0.123), (5.5, 0.999)]:
+        rho = ExplicitRho(np.array([c]), varrho)
+        assert all(rho.at(k) == c * varrho**k for k in range(200))
+        assert np.array_equal(rho.table(150), c * varrho ** np.arange(151, dtype=float))
+
+
+def test_certified_tail_is_flat(two_state_kernel):
+    profile = certify_rho(two_state_kernel, np.ones(2), k_max=5)
+    assert profile.rho.tail_rate == 1.0
+    assert all(profile.rho_at(k) == profile.rho_at(5) for k in range(6, 40))
+    assert np.array_equal(profile.rho_table(12)[5:], np.full(8, profile.rho_at(5)))
 
 
 def test_profile_requires_v_at_least_one():
     with pytest.raises(ValueError):
-        ErgodicityProfile(np.array([0.5, 1.0]), GeometricRho(1.0, 0.5))
+        ErgodicityProfile(np.array([0.5, 1.0]), ExplicitRho(np.array([1.0]), 0.5))
+
+
+@st.composite
+def sparse_chains_with_weights(draw):
+    """Rows with zero entries, not reversible in general; V = 1 or a random
+    V >= 1.  Chains that are not ergodic, or show no decay by k_max, are
+    refused by certify_rho and skipped by the test."""
+    s = draw(st.integers(2, 7))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=s, max_size=s)
+    matrix = np.array([draw(entries) for _ in range(s)])
+    # a positive entry per row keeps every row a distribution
+    matrix[np.arange(s), draw(st.lists(st.integers(0, s - 1), min_size=s, max_size=s))] += 0.05
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    v = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=s, max_size=s))) if draw(st.booleans()) else np.ones(s)
+    return matrix, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_chains_with_weights(), st.integers(2, 25))
+def test_certified_tail_dominates_a_longer_table(chain, k_max):
+    matrix, v = chain
+    kernel = FiniteKernel(np.arange(float(len(v))), matrix)
+    try:
+        short = certify_rho(kernel, v, k_max)
+    except NotErgodic:
+        assume(False)
+    long = certify_rho(kernel, v, 4 * k_max).rho.values
+    # 1e-15 is the float resolution of the table itself
+    assert all(short.rho_at(k) >= long[k] - 1e-15 for k in range(4 * k_max + 1))
 
 
 def test_simulate_deterministic_and_seeded(two_state_kernel, mu_dirac0):

@@ -63,20 +63,31 @@ INDICATOR_DIAG = {
     "experiment": {"n_grid": [10, 30, 60], "replicates": 200, "master_seed": 81, "bounds": [{"name": "corollary2"}]},
 }
 
+# the two-state demo chain under a declared geometric profile
+# rho(k) = 1.5 * 0.6^k, held as the one-entry table [1.5] with tail rate 0.6
+DECLARED_GEOMETRIC = {
+    "chain": {"states": [-1.0, 1.0], "matrix": [[0.7, 0.3], [0.2, 0.8]]},
+    "initial": {"dirac": 0},
+    "kernel_fn": {"name": "product", "degree": 2, "params": {"center": "pi"}},
+    "profile": {"kind": "geometric", "c": 1.5, "varrho": 0.6, "m_value": 1.25},
+    "experiment": {"n_grid": [50, 100, 200, 400], "bounds": [{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}]},
+}
+
 INLINE = {
     "degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS,
-    "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG,
+    "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG, "declared_geometric": DECLARED_GEOMETRIC,
 }
 
 DIGESTS = {
-    ("two_state_variance", "variance.csv"): "2acf39a50f9961bd936b068e2050ba73100dc78dd259347b7d4c6bedde4c7e07",
-    ("two_state_variance", "bounds.csv"): "8e5266ac2e6700f6a78813afaf96e7cf0f914b9ced08f2b5347efa892362612f",
+    ("two_state_variance", "variance.csv"): "e85662a12fc3b5e42695ed169e7a2542d7318a28d8ba6322f2cb9b847efcc524",
+    ("two_state_variance", "bounds.csv"): "a8e48827a58f73429ec41e276a794d2e493f002eb97cfcc8c8c8cae5c87ec555",
     ("slln", "slln.csv"): "7824f92884b6a0c44f286966bcfc50f10c165e9615a3af2c1e3f99b2b526cf69",
-    ("degree_three", "variance.csv"): "c7a99afbbceab72fa5201aa65821d2ad15511dc4993e5992e053cb6cd6d026b9",
-    ("additive_centered", "variance.csv"): "fc60006f3462438a9809b16304e6704a6462a5b4708c748c0ed4073aba9f56f7",
-    ("both_statistics", "variance.csv"): "68845b2ee3ddb956bc152d4f36e75478b519c1f0598161db23d701b153e64ed4",
-    ("gaussian_rbf", "variance.csv"): "1e2f634cdc11e246d013bc3ec2b0318cdd4ee8ab9b64748c63f2aeb43601300b",
-    ("indicator_diag", "variance.csv"): "f947c5915a612699f5865ce8ce503170348ec54601c55193241a477404deb971",
+    ("degree_three", "variance.csv"): "44505e283c8547a37ff7a1be0967166ffb4f6531f0e3c9463a3dca46e35d92de",
+    ("additive_centered", "variance.csv"): "412db08c11748e18209d5b8ccae357859cde37dc825a53f4ef32be2aa243d8c6",
+    ("both_statistics", "variance.csv"): "f8974f6fea1c8352927e08e066ec652b726b6a02c0c92b2a85acec1bc38d8ec8",
+    ("gaussian_rbf", "variance.csv"): "5f492db4655be5da2277035b6edff1d045c753fd4ecc663c49289c75b0afb140",
+    ("indicator_diag", "variance.csv"): "41879149b2195c4d0a2d68ddeb8bb6aca15eadc316ae527fa3984777125fdcf8",
+    ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
     ("propositions", "propositions.json"): "df31ba4ab5e52a784703a2484364586f782ba6561602ff22b0851f75dde356f5",
 }
 
@@ -96,6 +107,7 @@ def _digest(path: Path) -> str:
         ("both_statistics", "verify-variance", "variance.csv"),
         ("gaussian_rbf", "verify-variance", "variance.csv"),
         ("indicator_diag", "verify-variance", "variance.csv"),
+        ("declared_geometric", "bound", "bounds.csv"),
         ("propositions", "check-propositions", "propositions.json"),
     ],
 )
