@@ -44,11 +44,9 @@ from .montecarlo import (
     ExperimentConfig,
     L2Estimate,
     SllnConfig,
-    estimate_l2,
     exact_l2,
     mix64,
     replicate_u_grid,
-    replicate_u_values,
     run_slln_experiment,
     run_variance_experiment,
 )
@@ -80,7 +78,6 @@ from .ustats import (
     hoeffding_project,
     indicator_diag_kernel,
     product_kernel,
-    tuple_counts,
     tuple_sums,
     u_statistic,
     verify_hoeffding,

@@ -11,8 +11,10 @@ A configuration error is found before any work starts; it includes a bad
 bound request (an unknown name, corollary3 without p, or p <= 0), an
 experiment.bounds that is not a list, a declared profile whose v does not
 list one value per state, a count that is not an integer (a fraction, a
-string or a boolean) and a bad propositions section (a count below its
-least value, or a p_values entry that is not a finite number > 0).
+string or a boolean), an initial.dirac that is not a state index, an
+slln.threshold that is not a finite number > 0, a --seed below 0 or a
+--budget below 1, and a bad propositions section (a count below its least
+value, or a p_values entry that is not a finite number > 0).
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
 and seeds yield byte-identical files at any --jobs value.
 """
@@ -198,6 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
+        for flag, least in (("seed", 0), ("budget", 1)):
+            value = getattr(args, flag)
+            if value is not None and value < least:
+                raise ConfigError(f"--{flag} must be >= {least}, got {value}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ SCHEMA: dict = {
         "matrix": "list[list[float]] — row-stochastic transition matrix (required)",
         "v": "list[float] >= 1 — weight function V per state (default: all 1)",
     },
-    "initial": "list[float] weights | {'dirac': index} | 'uniform' (default: dirac at 0)",
+    "initial": "list[float] weights | {'dirac': int index in [0, S)} | 'uniform' (default: dirac at 0)",
     "profile": {
         "kind": "'certify' (default) | 'geometric' | 'explicit' | 'declared'; only certify gives provenance "
                 "'certified', every other kind is 'declared' and no key sets it",
@@ -65,7 +65,7 @@ SCHEMA: dict = {
     "slln": {
         "n_max": "int",
         "checkpoints": "list[int] | omit for dyadic powers of two",
-        "threshold": "optional float — final |U_n - target| asserted below this",
+        "threshold": "optional finite float > 0 — final |U_n - target| asserted below this",
     },
     "simulate": {"n": "int path length", "seed": "uint64 (overridden by --seed)"},
     "propositions": {
@@ -118,6 +118,11 @@ def _as_int(raw: object, name: str) -> int:
     return raw
 
 
+def _positive_number(raw: object) -> bool:
+    """A finite JSON number > 0 (a boolean is not a number here)."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw) and raw > 0
+
+
 def _int_list(raw: object, name: str) -> list[int]:
     if not isinstance(raw, list):
         raise ConfigError(f"{name} must be a list of integers, got {raw!r}")
@@ -154,7 +159,10 @@ def build_initial(doc: dict, size: int) -> Distribution:
         if entry == "uniform":
             return Distribution.uniform(size)
         if isinstance(entry, dict) and "dirac" in entry:
-            return Distribution.dirac(int(entry["dirac"]), size)
+            index = _as_int(entry["dirac"], "initial.dirac")
+            if not 0 <= index < size:
+                raise ConfigError(f"initial.dirac must lie in [0, {size}), got {index}")
+            return Distribution.dirac(index, size)
         return Distribution(np.asarray(entry, dtype=float))
     except (ValueError, IndexError, TypeError) as exc:
         raise ConfigError(f"invalid initial distribution: {exc}") from exc
@@ -240,11 +248,14 @@ def build_experiment(
         checkpoints = slln_entries.get("checkpoints")
         if checkpoints is not None:
             checkpoints = _int_list(checkpoints, "slln.checkpoints")
+        threshold = slln_entries.get("threshold")
+        if threshold is not None and not _positive_number(threshold):
+            raise ConfigError(f"slln.threshold must be a finite number > 0 or null, got {threshold!r}")
         try:
             slln = SllnConfig(
                 n_max=integer(slln_entries, "n_max", None, "slln", 2),
                 checkpoints=checkpoints,
-                threshold=slln_entries.get("threshold"),
+                threshold=threshold,
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid slln section: {exc}") from exc
@@ -278,9 +289,7 @@ def build_propositions(doc: dict, seed_override: int | None = None) -> dict:
     from the propositions section, validated before any work."""
     entries = section(doc, "propositions", {})
     p_values = entries.get("p_values", [0.5, 1.0])
-    if not isinstance(p_values, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) and p > 0 for p in p_values
-    ):
+    if not isinstance(p_values, list) or not all(_positive_number(p) for p in p_values):
         raise ConfigError(f"propositions.p_values must be a list of finite numbers > 0, got {p_values!r}")
     return {
         "num_chains": integer(entries, "chains", 3, "propositions", 1),

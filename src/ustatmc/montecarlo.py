@@ -14,13 +14,14 @@ workers, and every reduction runs in fixed replicate order, so results are
 bitwise reproducible for a fixed master seed at any --jobs value.
 
 Replicate paths come from the one sampler :func:`ustatmc.markov.sample_paths`
-and are counted by the one engine of :mod:`ustatmc.ustats`.  Since
-``Generator.random(n)`` is a prefix of ``Generator.random(n_max)`` for the
-same stream, replicate r's path at n is the first n steps of its path at
+and are counted by the one counting call :func:`ustatmc.ustats.tuple_sums`.
+Since ``Generator.random(n)`` is a prefix of ``Generator.random(n_max)`` for
+the same stream, replicate r's path at n is the first n steps of its path at
 n_max.  So one path of length max n per replicate serves every Monte Carlo
-n of the grid, and both statistics: the count loop reads each n off as it
-passes it (:func:`replicate_u_grid`).  The strong-law run reads its single
-path at every checkpoint the same way.
+n of the grid, and both statistics: the count reads each n off as it
+passes it (:func:`replicate_u_grid`, which calls ``tuple_sums`` once per
+jobs block).  The strong-law run reads its single path at every checkpoint
+with one ``tuple_sums`` call on that path.
 
 The exact oracle expands E[U^2] over all pairs of index m-tuples and
 contracts each term against the exact joint law of the merged time set; it
@@ -42,7 +43,7 @@ from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, sample_paths, simulate
 from .proofs import TENSOR_BUDGET, joint_law
 from .ustats import (
-    DEFAULT_BUDGET, SymmetricKernelFn, contract_counts, degeneracy_order, hoeffding_project, tuple_counts, tuple_sums,
+    DEFAULT_BUDGET, SymmetricKernelFn, check_path_cost, degeneracy_order, hoeffding_project, tuple_sums,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -215,31 +216,25 @@ def replicate_u_grid(
     Replicate r's path at n is the first n steps of its path at max(ns):
     its PCG64 stream's first n uniforms do not depend on how many are
     drawn.  So each replicate is sampled once, to max(ns), and counted
-    once, by :func:`tuple_sums`, which reads every n of the grid as the
-    count loop passes it.  Replicates are split into ``jobs`` contiguous
-    blocks, each sampled as one batch in its own thread (numpy releases the
-    interpreter lock inside the array work) and counted in sub-batches
-    whose level tensors fit ``budget`` (one sub-batch per thread at a
-    time).  Every row is computed on its own, so each value is
-    bit-identical to ``u_statistic`` on that replicate's first n steps at
-    any ``jobs`` and any ``budget``.
+    once.  Replicates are split into ``jobs`` contiguous blocks, each
+    sampled as one batch in its own thread (numpy releases the interpreter
+    lock inside the array work) and counted by one :func:`tuple_sums`
+    call, which reads every n of the grid as the count loop passes it and
+    keeps the level tensors of each sub-batch within ``budget`` (one
+    sub-batch per thread at a time).  Every row is computed on its own, so
+    each value is bit-identical to ``u_statistic`` on that replicate's
+    first n steps at any ``jobs`` and any ``budget``.
     """
     tables = [h.table for h in hs]
     m = hs[0].degree
     if min(ns) < m:
         raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
-    s = tables[0].shape[0]
-    # one row's levels beyond the budget are refused by tuple_sums
-    rows = max(1, budget // s**m)
     seeds = [mix64(master_seed, r) for r in range(replicates)]
     chunk = max(1, math.ceil(replicates / max(jobs, 1)))
     blocks = [seeds[i : i + chunk] for i in range(0, replicates, chunk)]
 
     def work(block: list[int]) -> np.ndarray:
-        paths = sample_paths(kernel, mu0, max(ns), block)
-        return np.concatenate(
-            [tuple_sums(paths[i : i + rows], tables, ns, budget) for i in range(0, len(paths), rows)], axis=-1
-        )
+        return tuple_sums(sample_paths(kernel, mu0, max(ns), block), tables, ns, budget)
 
     if jobs <= 1 or len(blocks) == 1:
         parts = [work(b) for b in blocks]
@@ -248,31 +243,6 @@ def replicate_u_grid(
             parts = list(pool.map(work, blocks))
     sums = np.concatenate(parts, axis=-1)
     return np.stack([sums[:, j] / math.comb(n, m) for j, n in enumerate(ns)], axis=1)
-
-
-def replicate_u_values(
-    kernel: FiniteKernel,
-    mu0: Distribution,
-    h: SymmetricKernelFn,
-    n: int,
-    replicates: int,
-    master_seed: int,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """One U value per replicate, in replicate order: the one-kernel,
-    one-n case of :func:`replicate_u_grid`."""
-    return replicate_u_grid(kernel, mu0, [h], [n], replicates, master_seed, jobs, budget)[0, 0]
-
-
-def estimate_l2(config: ExperimentConfig, n: int, h: SymmetricKernelFn | None = None) -> L2Estimate:
-    """Monte Carlo estimate of ||U_{n,m}(h)||_2 over config.replicates paths
-    (see :meth:`L2Estimate.from_u_values`).  Bitwise deterministic for a
-    fixed master seed at any jobs value."""
-    h = config.h if h is None else h
-    return L2Estimate.from_u_values(replicate_u_values(
-        config.kernel, config.mu0, h, n, config.replicates, config.master_seed, config.jobs, config.budget
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +310,11 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     m = config.m
     checkpoints = config.slln.resolve_checkpoints(m)
     n_max = checkpoints[-1]
-    s = config.kernel.size
-    if n_max * s ** max(m - 1, 1) > config.budget:
-        raise BudgetExceeded(
-            f"incremental update cost n_max*S^(m-1) = {n_max * s ** max(m - 1, 1)} exceeds budget {config.budget}"
-        )
+    check_path_cost(n_max, config.kernel.size, m, config.budget)
     pi = config.kernel.stationary()
     target = float(hoeffding_project(config.h, pi, 0).table)
     traj = simulate(config.kernel, config.mu0, n_max, config.master_seed)
-    counts = tuple_counts(traj.values, s, m, checkpoints=checkpoints, budget=config.budget)
-    numerators = contract_counts(counts, config.h.table)
+    numerators = tuple_sums(traj.values, [config.h.table], checkpoints, config.budget)[0]
     rows = []
     for c, numerator in zip(checkpoints, numerators):
         u_n = float(numerator) / math.comb(c, m)

@@ -14,12 +14,13 @@ pi^{(m-c)} to h and is again a kernel, of degree c; the signed product is
 expanded exactly over the 2^c subsets of fixed arguments, so every identity
 here is checkable to float precision.
 
-Every path is evaluated by one counting engine, :func:`tuple_counts`
-(cost n * S^{m-1} instead of binom(n, m) kernel calls), which serves
-:func:`u_statistic`, the replicate estimator and the strong-law run.  It
-counts increasing index tuples by state in int64, so the counts are exact
-and do not depend on how a path is cut or batched; the final contraction
-with the kernel table runs in one fixed float order.
+Every path is evaluated by one counting call, :func:`tuple_sums` (cost
+n * S^{m-1} per path instead of binom(n, m) kernel calls), which takes one
+path or a batch and serves :func:`u_statistic`, the replicate estimator and
+the strong-law run.  It counts increasing index tuples by state in int64,
+so the counts are exact and do not depend on how a path is cut or
+batched; at each checkpoint the counts are contracted with the kernel
+tables in one fixed float order.
 """
 
 from __future__ import annotations
@@ -137,47 +138,58 @@ def gaussian_rbf_kernel(m: int, bandwidth: float = 1.0) -> KernelFamily:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def tuple_counts(
+def tuple_sums(
     paths: np.ndarray,
-    s: int,
-    m: int,
-    checkpoints: Sequence[int] | None = None,
+    tables: Sequence[np.ndarray],
+    checkpoints: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
-    """Exact counts of increasing index m-tuples by state, oldest index first:
+    """Kernel sums over the increasing index m-tuples of every checkpoint
+    prefix of one path (n,), giving out[k, j], or of every row i of a
+    batch (rows, n), giving out[k, j, i]:
 
-        counts[..., v_1, ..., v_m] = #{t_1 < ... < t_m : path[t_i] = v_i}.
+        out[k, j, i] = sum_{t_1 < ... < t_m < checkpoints[j]} tables[k][paths[i, t_1], ..., paths[i, t_m]]
 
-    ``paths`` is one path (n,) or a batch (rows, n) counted row by row.  The
-    engine keeps int64 level tensors L_c (count of c-tuples by state,
-    newest index first) for c = 1..m and, at each time step, adds L_{c-1}
-    into the slice L_c[x_t] of every row at once.  A single path is first
-    cut into about sqrt(n) equal pieces and at every checkpoint, the pieces
-    are counted as rows in batches of budget // S^m, and they are joined
-    in order by Chen's identity L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A).
-    With ``checkpoints`` (single path only) the result holds one tensor
-    per checkpoint c: the counts over path[:c], which is the running join
-    after the piece that ends at c.
+    for tables of one shape (S,) * m.  The engine keeps int64 level tensors
+    L_c (count of c-tuples by state, newest index first) for c = 1..m and,
+    at each time step, adds L_{c-1} into the slice L_c[x_t] of every row at
+    once.  A batch is counted in sub-batches of budget // S^m rows.  One
+    path is first cut into about sqrt(n) equal pieces and at every
+    checkpoint, the pieces are counted as rows in sub-batches of the same
+    size, and they are joined in order by Chen's identity
+    L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A).  Either way, as the count
+    passes a checkpoint the live counts are contracted with every table by
+    :func:`_contract`, so no count tensor outlives its checkpoint.
 
-    Counts are exact while binom(n, m) < 2^63 (checked), and do not depend
-    on the budget; the S^m level cells of each row of a batch, or of one
-    piece of a path, must fit it.  State indices must lie in [0, S).
+    Counts are exact while binom(n, m) < 2^63 (checked), so a sum does not
+    depend on the budget, on how a path is cut or on the batch it is
+    counted in; the S^m level cells of one row must fit the budget.  State
+    indices must lie in [0, S).
     """
     paths = np.asarray(paths)
-    n = paths.shape[-1]
-    rows = len(paths) if paths.ndim == 2 else 1
-    _check_counting(paths, s, m, rows, budget)
+    s, m = tables[0].shape[0], tables[0].ndim
+    _check_counting(paths, s, m, budget)
+    marks = _checkpoints(checkpoints, m, paths.shape[-1])
+    top, batch = max(marks), budget // s**m
+
+    def read(levels: list) -> list:
+        counts = _oldest_first(levels[m], s, m)
+        return [_contract(counts, table) for table in tables]
+
+    def stack(sums: dict) -> np.ndarray:
+        return np.array([[sums[c][k] for c in marks] for k in range(len(tables))])
+
     if paths.ndim == 2:
-        if checkpoints is not None:
-            raise ValueError("checkpoints apply to a single path")
-        return _oldest_first(_count_rows(paths, np.full(rows, n), s, m, {})[0][m], s, m)
-    marks = [n] if checkpoints is None else _checkpoints(checkpoints, m, n)
+        reads = dict.fromkeys(marks, read)
+        return np.concatenate([
+            stack(_count_rows(rows, np.full(len(rows), top), s, m, reads)[1])
+            for rows in (paths[i : i + batch, :top] for i in range(0, len(paths), batch))
+        ], axis=-1)
     # about sqrt(n) equal pieces, also cut at every checkpoint
-    pieces, wanted = math.isqrt(n), set(marks)
-    cuts = sorted({n * i // pieces for i in range(pieces + 1)} | wanted)
-    batch = budget // s**m
+    pieces, wanted = math.isqrt(top), set(marks)
+    cuts = sorted({top * i // pieces for i in range(pieces + 1)} | wanted)
     acc = _empty_levels(1, s, m)
-    out = {}
+    sums = {}
     for lo in range(0, len(cuts) - 1, batch):
         ends = cuts[lo : lo + batch + 1]
         lengths = np.diff(ends)
@@ -191,44 +203,11 @@ def tuple_counts(
         for p, end in enumerate(ends[1:]):
             acc = _join(acc, [lv[rank[p] : rank[p] + 1] for lv in levels], m)
             if end in wanted:
-                out[end] = acc[m]
-    counts = _oldest_first(np.concatenate([out[c] for c in marks]), s, m)
-    return counts[0] if checkpoints is None else counts
+                sums[end] = read(acc)
+    return stack(sums)[..., 0]
 
 
-def tuple_sums(
-    paths: np.ndarray,
-    tables: Sequence[np.ndarray],
-    checkpoints: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """Kernel sums over the increasing index m-tuples of every checkpoint
-    prefix of every row of a batch ``paths`` (rows, n):
-
-        out[k, j, i] = sum_{t_1 < ... < t_m < checkpoints[j]} tables[k][paths[i, t_1], ..., paths[i, t_m]]
-
-    for tables of one shape (S,) * m.  The step loop of :func:`tuple_counts`
-    runs once, to the last checkpoint; as it passes a checkpoint c, the live
-    counts are contracted with every table by :func:`contract_counts`.  So
-    each sum is bit-identical to contracting ``tuple_counts(paths[:, :c])``,
-    and no count tensor outlives its checkpoint.  The checks of
-    :func:`tuple_counts` on a batch apply.
-    """
-    paths = np.asarray(paths)
-    s, m = tables[0].shape[0], tables[0].ndim
-    _check_counting(paths, s, m, len(paths), budget)
-    marks = _checkpoints(checkpoints, m, paths.shape[1])
-    top = max(marks)
-
-    def read(levels: list) -> list:
-        counts = _oldest_first(levels[m], s, m)
-        return [contract_counts(counts, table) for table in tables]
-
-    _, sums = _count_rows(paths[:, :top], np.full(len(paths), top), s, m, dict.fromkeys(marks, read))
-    return np.array([[sums[c][k] for c in marks] for k in range(len(tables))])
-
-
-def _check_counting(paths: np.ndarray, s: int, m: int, rows: int, budget: int) -> None:
+def _check_counting(paths: np.ndarray, s: int, m: int, budget: int) -> None:
     """Refuse, before anything is allocated, what the engine cannot count
     exactly within the budget."""
     n = paths.shape[-1]
@@ -237,11 +216,18 @@ def _check_counting(paths: np.ndarray, s: int, m: int, rows: int, budget: int) -
     # the largest cell of any level L_c, c <= m, is at most binom(n, min(m, n // 2))
     if math.comb(n, min(m, n // 2)) >= 2**63:
         raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
-    if rows * s**m > budget:
-        raise BudgetExceeded(f"level tensors rows*S^m = {rows * s**m} exceed budget {budget}")
+    if s**m > budget:
+        raise BudgetExceeded(f"level tensors of one row S^m = {s**m} exceed budget {budget}")
     # an index >= S would be counted in the next row's slice of the level tensors
     if paths.size and (paths.min() < 0 or paths.max() >= s):
         raise ValueError(f"state indices must lie in [0, {s})")
+
+
+def check_path_cost(n: int, s: int, m: int, budget: int) -> None:
+    """Refuse one path of n steps whose counting cost n * S^(m-1) exceeds
+    the budget."""
+    if n * s ** (m - 1) > budget:
+        raise BudgetExceeded(f"counting cost n*S^(m-1) = {n * s ** (m - 1)} exceeds budget {budget}")
 
 
 def _checkpoints(checkpoints: Sequence[int], m: int, n: int) -> list[int]:
@@ -292,8 +278,8 @@ def _oldest_first(level: np.ndarray, s: int, m: int) -> np.ndarray:
     return level.reshape((level.shape[0],) + (s,) * m).transpose(0, *range(m, 0, -1))
 
 
-def contract_counts(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_v counts[..., v] * table[v] for each leading index of ``counts``.
+def _contract(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_v counts[i, v] * table[v] for each row i of ``counts``.
 
     One BLAS dot product per count tensor over its oldest-first C order:
     the float order of ``np.tensordot(counts_i, table, axes=m)``, so a value
@@ -301,29 +287,22 @@ def contract_counts(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
     float64 exactly below 2^53.
     """
     t = table.ravel()
-    tensors = counts.reshape((-1,) + table.shape)
-    return np.array([np.dot(c.astype(np.float64, order="C").ravel(), t) for c in tensors])
+    return np.array([np.dot(c.astype(np.float64, order="C").ravel(), t) for c in counts])
 
 
 def u_statistic(traj: Trajectory, h: SymmetricKernelFn, budget: int = DEFAULT_BUDGET) -> float:
     """Average of h over all strictly increasing index m-tuples of the path.
 
     A degree-0 kernel (such as the projection pi_{0,m}h) evaluates to its
-    constant.  Otherwise the path is counted by the exact engine
-    :func:`tuple_counts`, whose n * S^(m-1) cost must fit the budget, and
-    the counts are contracted with the kernel table.
+    constant.  Otherwise the path's kernel sum comes from the exact engine
+    :func:`tuple_sums`, whose n * S^(m-1) cost must fit the budget.
     """
     m = h.degree
     if m == 0:
         return float(h.table)
     n = len(traj)
-    if n < m:
-        raise DegreeTooLarge(f"n = {n} < m = {m}")
-    s = h.table.shape[0]
-    if n * s ** (m - 1) > budget:
-        raise BudgetExceeded(f"counting cost n*S^(m-1) = {n * s ** (m - 1)} exceeds budget {budget}")
-    counts = tuple_counts(traj.values, s, m, budget=budget)
-    return float(contract_counts(counts, h.table)[0]) / math.comb(n, m)
+    check_path_cost(n, h.table.shape[0], m, budget)
+    return float(tuple_sums(traj.values, [h.table], [n], budget)[0, 0]) / math.comb(n, m)
 
 
 def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> SymmetricKernelFn:

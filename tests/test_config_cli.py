@@ -173,7 +173,7 @@ def test_cli_bad_bound_request_is_config_error(tmp_path, monkeypatch, command, b
         raise AssertionError("bound or L2 work started before the requests were validated")
 
     for module, name in [(bounds, "m_sup"), (montecarlo, "m_sup"), (cli, "m_sup"), (montecarlo, "exact_l2"),
-                         (montecarlo, "estimate_l2"), (montecarlo, "replicate_u_grid")]:
+                         (montecarlo, "replicate_u_grid")]:
         monkeypatch.setattr(module, name, no_work)
     doc = _variance_doc()
     doc["experiment"]["bounds"] = [{"name": "theorem1"}, bad]
@@ -318,6 +318,13 @@ BAD_SECTIONS = {
     "bounds-object": {"experiment": {"n_grid": [10], "bounds": {"name": "theorem1"}}},
     "declared-v-length": {"profile": {"kind": "declared", "v": [1.0, 1.0, 1.0], "m_value": 1.0,
                                       "rho": {"kind": "explicit", "values": [1.0, 0.5], "tail_rate": 0.5}}},
+    "dirac-fraction": {"initial": {"dirac": 1.7}},
+    "dirac-bool": {"initial": {"dirac": True}},
+    "dirac-negative": {"initial": {"dirac": -1}},
+    "threshold-text": {"slln": {"n_max": 100, "threshold": "abc"}},
+    "threshold-negative": {"slln": {"n_max": 100, "threshold": -1}},
+    "threshold-zero": {"slln": {"n_max": 100, "threshold": 0}},
+    "threshold-infinite": {"slln": {"n_max": 100, "threshold": float("inf")}},
 }
 
 
@@ -326,6 +333,26 @@ BAD_SECTIONS = {
 def test_cli_malformed_section_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "bad.json", {**_variance_doc(), **bad})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+BAD_OVERRIDES = {"seed-negative": ["--seed", "-1"], "budget-zero": ["--budget", "0"]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound", "verify-variance", "verify-slln", "check-propositions"])
+@pytest.mark.parametrize("flag", BAD_OVERRIDES.values(), ids=BAD_OVERRIDES.keys())
+def test_cli_bad_seed_or_budget_override_is_config_error(tmp_path, monkeypatch, capsys, command, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the overrides were validated")
+
+    for module, name in [(cli, "simulate"), (cli, "m_sup"), (cli, "run_variance_experiment"),
+                         (cli, "run_slln_experiment"), (cli, "proposition_grid_check")]:
+        monkeypatch.setattr(module, name, no_work)
+    doc = {**_variance_doc(), "slln": {"n_max": 100}, "propositions": {"chains": 1, "i_max": 3}}
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import replay_path, tuple_counts_enum
 from ustatmc import (
     BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, Trajectory, exact_l2, mix64, replicate_u_grid,
-    replicate_u_values, sample_paths, simulate, tuple_counts, tuple_sums, u_statistic,
+    sample_paths, simulate, tuple_sums, u_statistic,
 )
 from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
 
@@ -28,16 +28,34 @@ def counting_cases(draw):
     return s, m, path, checkpoints, rows * s**m
 
 
+def _one_hot_tables(s, m):
+    """One table per cell of (S,) * m, so that the kernel sums are the counts."""
+    return list(np.eye(s**m).reshape((s**m,) + (s,) * m))
+
+
 @settings(max_examples=150, deadline=None)
 @given(counting_cases())
 def test_counts_match_enumeration_at_checkpoints(case):
     s, m, path, checkpoints, budget = case
-    got = tuple_counts(path, s, m, checkpoints=checkpoints, budget=budget)
-    assert got.shape == (len(checkpoints),) + (s,) * m
-    for c, counts in zip(checkpoints, got):
-        assert np.array_equal(counts, tuple_counts_enum(path[:c], s, m))
-    # the default cut into about sqrt(n) pieces
-    assert np.array_equal(tuple_counts(path, s, m), tuple_counts_enum(path, s, m))
+    got = tuple_sums(path, _one_hot_tables(s, m), checkpoints, budget)
+    assert got.shape == (s**m, len(checkpoints))
+    for c, counts in zip(checkpoints, got.T):
+        assert np.array_equal(counts.reshape((s,) * m), tuple_counts_enum(path[:c], s, m))
+    # the whole path, cut into about sqrt(n) pieces
+    whole = tuple_sums(path, _one_hot_tables(s, m), [path.size])[:, 0]
+    assert np.array_equal(whole.reshape((s,) * m), tuple_counts_enum(path, s, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counting_cases(), st.data())
+def test_one_path_sums_match_a_one_row_batch(case, data):
+    s, m, path, checkpoints, budget = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tables = [rng.normal(size=(s,) * m), rng.normal(size=(s,) * m)]
+    one = tuple_sums(path, tables, checkpoints, budget)
+    batch = tuple_sums(path[None, :], tables, checkpoints, budget)
+    assert one.shape == (2, len(checkpoints)) and batch.shape == (2, len(checkpoints), 1)
+    assert one.tobytes() == batch[..., 0].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,18 +76,18 @@ def test_chen_identity_on_random_splits(case, data):
 def test_batch_counts_match_enumeration(case, rows):
     s, m, path, _, _ = case
     batch = np.array([np.roll(path, k) for k in range(rows)])
-    got = tuple_counts(batch, s, m)
-    for row, counts in zip(batch, got):
-        assert np.array_equal(counts, tuple_counts_enum(row, s, m))
+    got = tuple_sums(batch, _one_hot_tables(s, m), [path.size])
+    for row, counts in zip(batch, got[:, 0].T):
+        assert np.array_equal(counts.reshape((s,) * m), tuple_counts_enum(row, s, m))
 
 
 def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
     # 7 replicates of 2^3 level cells do not fit a budget of 20: sub-batches of 2 rows
     h = SymmetricKernelFn(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
     mu0 = Distribution.uniform(2)
-    whole = replicate_u_values(two_state_kernel, mu0, h, 30, 7, 11)
+    whole = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11)[0, 0]
     for jobs in (1, 2, 3):
-        got = replicate_u_values(two_state_kernel, mu0, h, 30, 7, 11, jobs, budget=20)
+        got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, jobs, budget=20)[0, 0]
         assert got.tobytes() == whole.tobytes()
 
 
@@ -125,14 +143,15 @@ def _peak_bytes(fn, *args, **kwargs):
 def test_level_tensors_refused_before_allocation():
     # one row's levels, 100^3 cells, exceed the budget
     batch = np.broadcast_to(np.int64(0), (1000, 50))
-    assert _peak_bytes(tuple_counts, batch, 100, 3, budget=10**5) < 2**20
-    assert _peak_bytes(tuple_counts, batch[0], 100, 3, budget=10**5) < 2**20
+    table = np.broadcast_to(0.0, (100,) * 3)
+    assert _peak_bytes(tuple_sums, batch, [table], [50], budget=10**5) < 2**20
+    assert _peak_bytes(tuple_sums, batch[0], [table], [50], budget=10**5) < 2**20
 
 
 def test_int64_overflow_refused():
     # binom(300000, 4) > 2^63: int64 counts could wrap
     path = np.broadcast_to(np.int64(0), (300_000,))
-    assert _peak_bytes(tuple_counts, path, 1, 4) < 2**20
+    assert _peak_bytes(tuple_sums, path, [np.zeros((1,) * 4)], [300_000]) < 2**20
 
 
 def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):
@@ -143,10 +162,11 @@ def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):
 
 def test_engine_rejects_bad_checkpoints():
     path = np.zeros(10, dtype=np.int64)
-    with pytest.raises(ValueError):
-        tuple_counts(path, 1, 2, checkpoints=[1])
-    with pytest.raises(ValueError):
-        tuple_counts(path[None, :], 1, 2, checkpoints=[4])
+    table = np.zeros((1, 1))
+    for paths in (path, path[None, :]):
+        for checkpoints in ([1], [4, 11], []):
+            with pytest.raises(ValueError, match="checkpoints"):
+                tuple_sums(paths, [table], checkpoints)
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,7 +192,7 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
     assert got.shape == (2, len(ns), replicates)
     for k, hk in enumerate(hs):
         for j, n in enumerate(ns):
-            one = replicate_u_values(kernel, mu0, hk, n, replicates, master_seed)
+            one = replicate_u_grid(kernel, mu0, [hk], [n], replicates, master_seed)[0, 0]
             assert np.all(got[k, j] == one)
             # and each value is the U-statistic of that replicate's own length-n path
             for r in range(replicates):
@@ -186,8 +206,8 @@ def test_engine_refuses_states_outside_the_table():
         u_statistic(traj, SymmetricKernelFn(np.array([[1.0, 2.0], [2.0, 3.0]])))
     # the last piece of the path, where the overflow used to hit past the array
     with pytest.raises(ValueError, match="state indices"):
-        tuple_counts([0, 2, 1, 0, 1, 1, 0, 2, 0], 2, 2)
+        tuple_sums([0, 2, 1, 0, 1, 1, 0, 2, 0], [np.ones((2, 2))], [9])
     with pytest.raises(ValueError, match="state indices"):
-        tuple_counts(np.array([[0, 1, -1], [0, 1, 1]]), 2, 2)
+        tuple_sums(np.array([[0, 1, -1], [0, 1, 1]]), [np.ones((2, 2))], [3])
     with pytest.raises(ValueError, match="state indices"):
         tuple_sums(np.array([[0, 1, 1], [0, 2, 1]]), [np.ones((2, 2))], [2, 3])

@@ -10,14 +10,14 @@ from ustatmc import (
     FiniteKernel,
     SllnConfig,
     SymmetricKernelFn,
+    L2Estimate,
     certify_rho,
-    estimate_l2,
     exact_l2,
     hoeffding_project,
     joint_law,
     mix64,
     product_kernel,
-    replicate_u_values,
+    replicate_u_grid,
     run_slln_experiment,
     run_variance_experiment,
 )
@@ -66,33 +66,33 @@ def test_exact_l2_budget(two_state_kernel, canonical_product_h):
         exact_l2(mu, two_state_kernel, canonical_product_h, 50, 2)
 
 
-def test_exact_l2_matches_monte_carlo(two_state_kernel, two_state_profile, canonical_product_h):
+def test_exact_l2_matches_monte_carlo(two_state_kernel, canonical_product_h):
     mu = Distribution.dirac(0, 2)
     exact = exact_l2(mu, two_state_kernel, canonical_product_h, 6, 2)
-    config = _config(two_state_kernel, two_state_profile, canonical_product_h, replicates=100_000)
-    est = estimate_l2(config, 6)
+    u = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [6], 100_000, 5150)[0, 0]
+    est = L2Estimate.from_u_values(u)
     assert abs(est.point - exact) <= 3.0 * est.stderr
 
 
-def test_estimate_l2_constant_kernel(two_state_kernel, two_state_profile):
+def test_estimate_l2_constant_kernel(two_state_kernel):
     h = SymmetricKernelFn(np.full((2, 2), -2.5))
-    config = _config(two_state_kernel, two_state_profile, h, replicates=50)
-    est = estimate_l2(config, 10)
+    u = replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [h], [10], 50, 5150)[0, 0]
+    est = L2Estimate.from_u_values(u)
     assert est.point == pytest.approx(2.5, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
 
-def test_estimate_l2_deterministic_across_jobs(two_state_kernel, two_state_profile, canonical_product_h):
-    u1 = replicate_u_values(two_state_kernel, Distribution.dirac(0, 2), canonical_product_h, 37, 301, 888, jobs=1)
-    u3 = replicate_u_values(two_state_kernel, Distribution.dirac(0, 2), canonical_product_h, 37, 301, 888, jobs=3)
-    u8 = replicate_u_values(two_state_kernel, Distribution.dirac(0, 2), canonical_product_h, 37, 301, 888, jobs=8)
+def test_estimate_l2_deterministic_across_jobs(two_state_kernel, canonical_product_h):
+    mu = Distribution.dirac(0, 2)
+    u1, u3, u8 = (replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [37], 301, 888, jobs)[0, 0]
+                  for jobs in (1, 3, 8))
     assert np.array_equal(u1, u3) and np.array_equal(u1, u8)
 
 
-def test_estimate_l2_same_seed_identical(two_state_kernel, two_state_profile, canonical_product_h):
-    config = _config(two_state_kernel, two_state_profile, canonical_product_h, replicates=128)
-    a = estimate_l2(config, 12)
-    b = estimate_l2(config, 12)
+def test_estimate_l2_same_seed_identical(two_state_kernel, canonical_product_h):
+    a, b = (L2Estimate.from_u_values(
+        replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [canonical_product_h], [12], 128, 5150)[0, 0]
+    ) for _ in range(2))
     assert a == b
 
 
@@ -100,7 +100,7 @@ def test_replicate_u_matches_per_path_dp(two_state_kernel, canonical_product_h):
     from ustatmc import simulate, u_statistic
 
     mu = Distribution.dirac(0, 2)
-    u = replicate_u_values(two_state_kernel, mu, canonical_product_h, 19, 7, 4242)
+    u = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [19], 7, 4242)[0, 0]
     for r in range(7):
         traj = simulate(two_state_kernel, mu, 19, mix64(4242, r))
         assert u[r] == u_statistic(traj, canonical_product_h)
@@ -111,7 +111,7 @@ def test_replicate_u_degree_three(two_state_kernel):
 
     mu = Distribution.dirac(0, 2)
     h3 = product_kernel(3).tabulated(two_state_kernel.states)
-    u = replicate_u_values(two_state_kernel, mu, h3, 11, 5, 77)
+    u = replicate_u_grid(two_state_kernel, mu, [h3], [11], 5, 77)[0, 0]
     for r in range(5):
         traj = simulate(two_state_kernel, mu, 11, mix64(77, r))
         assert u[r] == u_statistic(traj, h3)

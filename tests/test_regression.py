@@ -73,9 +73,20 @@ DECLARED_GEOMETRIC = {
     "experiment": {"n_grid": [50, 100, 200, 400], "bounds": [{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}]},
 }
 
+# the three-state chain on one path, degree 3: the single-path counting
+# route, which joins the cut pieces and reads the sums at every checkpoint
+SLLN_DEGREE_THREE = {
+    "chain": DEGREE_THREE["chain"],
+    "initial": {"dirac": 0},
+    "kernel_fn": {"name": "product", "degree": 3, "params": {"center": "pi"}},
+    "experiment": {"master_seed": 82},
+    "slln": {"n_max": 3000, "checkpoints": [16, 100, 1000, 3000]},
+}
+
 INLINE = {
     "degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS,
     "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG, "declared_geometric": DECLARED_GEOMETRIC,
+    "slln_degree_three": SLLN_DEGREE_THREE,
 }
 
 DIGESTS = {
@@ -89,6 +100,7 @@ DIGESTS = {
     ("indicator_diag", "variance.csv"): "41879149b2195c4d0a2d68ddeb8bb6aca15eadc316ae527fa3984777125fdcf8",
     ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
     ("propositions", "propositions.json"): "df31ba4ab5e52a784703a2484364586f782ba6561602ff22b0851f75dde356f5",
+    ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
 }
 
 
@@ -109,6 +121,7 @@ def _digest(path: Path) -> str:
         ("indicator_diag", "verify-variance", "variance.csv"),
         ("declared_geometric", "bound", "bounds.csv"),
         ("propositions", "check-propositions", "propositions.json"),
+        ("slln_degree_three", "verify-slln", "slln.csv"),
     ],
 )
 def test_artifact_digest(tmp_path, name, command, artifact):
