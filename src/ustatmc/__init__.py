@@ -2,7 +2,6 @@
 decompositions, explicit variance bounds, and their verification."""
 
 from .bounds import (
-    BoundInputs,
     BoundReport,
     b_q,
     bound_requests,

@@ -15,6 +15,11 @@ centered norm ||U_{n,m}(h) - pi^{(m)}h|| is at most
 
     sqrt(M(mu,V)) |h|_inf sum_{c=d∨1}^m binom(m,c) 2^c C_{n,c} n^{-c/2}.
 
+Each formula takes only its numbers.  :func:`evaluate_bounds` is the one
+path from the parsed (name, p) requests of an experiment to the bound
+values of every n: it routes the requests by the degeneracy order of h
+and computes M(mu, V), |h|_inf and each B_{2(p+1)} once per run.
+
 Factorials and binomials are combined in log space; an exact-rational
 recomputation of the combinatorial factors backs the tests.
 """
@@ -28,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, DomainError, NotCanonical, PNotPositive, Unbounded
+from .errors import BudgetExceeded, DomainError, NotCanonical, PNotPositive, Unbounded
 from .markov import Distribution, ErgodicityProfile, FiniteKernel
-from .ustats import SymmetricKernelFn
+from .ustats import SymmetricKernelFn, degeneracy_order
 
 M_SUP_TOL = 1e-9
 _M_SUP_MAX_ITER = 1_000_000
@@ -98,77 +103,46 @@ def c_nm(n: int, m: int, profile: ErgodicityProfile) -> float:
     return math.exp(log_c)
 
 
-@dataclass
-class BoundInputs:
-    """Everything a bound evaluation needs; optional fields only for the
-    bounds that use them.  ``m_value`` short-circuits the M(mu, V)
-    iteration when the caller has it already."""
+def _inputs_hash(n: int, m: int, profile: ErgodicityProfile, mu: Distribution, sup_h: float,
+                 p: float | None, d: int) -> str:
+    """First 16 hex digits of the sha256 of a bound's inputs as sorted JSON.
 
-    n: int
-    m: int
-    profile: ErgodicityProfile
-    mu: Distribution
-    kernel: FiniteKernel | None = None
-    sup_h: float | None = None
-    bq: float | None = None
-    bq_q: float | None = None
-    p: float | None = None
-    d: int | None = None
-    m_value: float | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise ValueError("need n >= m >= 1")
-        if self.sup_h is not None and self.sup_h < 0:
-            raise ValueError("sup_h must be >= 0")
-        if self.p is not None and not self.p > 0:
-            raise PNotPositive("p must be > 0")
-
-    def resolve_m(self) -> float:
-        if self.m_value is not None:
-            return float(self.m_value)
-        return m_sup(self.mu, self.profile, self.kernel)
-
-    def digest(self) -> str:
-        payload = {
-            "n": self.n,
-            "m": self.m,
-            "profile": self.profile.to_dict(),
-            "mu": self.mu.weights.tolist(),
-            "sup_h": self.sup_h,
-            "bq": self.bq,
-            "bq_q": self.bq_q,
-            "p": self.p,
-            "d": self.d,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+    ``bq`` and ``bq_q`` are always null: B_q is computed from the kernel
+    table, never declared, and the keys stay so every hash keeps its bytes.
+    """
+    payload = {
+        "n": n,
+        "m": m,
+        "profile": profile.to_dict(),
+        "mu": mu.weights.tolist(),
+        "sup_h": sup_h,
+        "bq": None,
+        "bq_q": None,
+        "p": p,
+        "d": d,
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def theorem1_bound(inputs: BoundInputs) -> float:
+def theorem1_bound(n: int, m: int, profile: ErgodicityProfile, m_value: float, sup_h: float, d: int) -> float:
     """L2 bound for a bounded completely degenerate kernel:
     C_{n,m} sqrt(M(mu,V)) |h|_inf n^{-m/2}."""
-    if inputs.sup_h is None:
-        raise ValueError("theorem1_bound needs sup_h")
-    if inputs.d is not None and inputs.d < inputs.m:
-        raise NotCanonical(f"kernel is {inputs.d}-degenerate, needs complete degeneracy {inputs.m}")
-    c = c_nm(inputs.n, inputs.m, inputs.profile)
-    return c * math.sqrt(inputs.resolve_m()) * inputs.sup_h * inputs.n ** (-inputs.m / 2.0)
+    if d < m:
+        raise NotCanonical(f"kernel is {d}-degenerate, needs complete degeneracy {m}")
+    return c_nm(n, m, profile) * math.sqrt(m_value) * sup_h * n ** (-m / 2.0)
 
 
-def corollary2_bound(inputs: BoundInputs) -> float:
+def corollary2_bound(n: int, m: int, profile: ErgodicityProfile, m_value: float, sup_h: float, d: int) -> float:
     """Centered L2 bound for a bounded d-degenerate kernel:
     sqrt(M) |h|_inf sum_{c=d∨1}^m binom(m,c) 2^c C_{n,c} n^{-c/2}.
 
     An empty sum (all projections vanish, d = m+1) is 0: the statistic is
     then identically its mean."""
-    if inputs.sup_h is None:
-        raise ValueError("corollary2_bound needs sup_h")
-    d = 0 if inputs.d is None else inputs.d
     total = 0.0
-    for c in range(max(d, 1), inputs.m + 1):
-        total += math.comb(inputs.m, c) * 2.0**c * c_nm(inputs.n, c, inputs.profile) * inputs.n ** (-c / 2.0)
-    return math.sqrt(inputs.resolve_m()) * inputs.sup_h * total
+    for c in range(max(d, 1), m + 1):
+        total += math.comb(m, c) * 2.0**c * c_nm(n, c, profile) * n ** (-c / 2.0)
+    return math.sqrt(m_value) * sup_h * total
 
 
 def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float, budget: int = ENUM_BUDGET) -> float:
@@ -202,8 +176,9 @@ def lemma6_constant(p: float) -> float:
     return p ** (1.0 / (p + 1.0)) + p ** (-p / (p + 1.0))
 
 
-def corollary3_bound(inputs: BoundInputs, h: SymmetricKernelFn | None = None) -> float:
-    """L2 bound for a completely degenerate kernel with finite B_{2(p+1)}:
+def corollary3_bound(n: int, m: int, profile: ErgodicityProfile, m_value: float, bq: float, p: float,
+                     d: int) -> float:
+    """L2 bound for a completely degenerate kernel with finite B_{2(p+1)} = ``bq``:
 
         2^{m/2} m sqrt((2m)!) D(p,mu,V,h)
         (sum_{k<=n} (k+1)^m rho(k)^{p/(p+1)})^{1/2} n^{m/2} / binom(n,m).
@@ -211,91 +186,80 @@ def corollary3_bound(inputs: BoundInputs, h: SymmetricKernelFn | None = None) ->
     The degenerate-but-not-canonical unbounded case is unsupported and
     raises :class:`NotCanonical`.
     """
-    if inputs.p is None:
-        raise PNotPositive("corollary3_bound needs p > 0")
-    if inputs.d is not None and inputs.d < inputs.m:
+    if not p > 0:
+        raise PNotPositive("p must be > 0")
+    if d < m:
         raise NotCanonical("unbounded-kernel bound is only available for completely degenerate h")
-    q = 2.0 * (inputs.p + 1.0)
-    if inputs.bq is not None:
-        if inputs.bq_q is not None and abs(inputs.bq_q - q) > 1e-12:
-            raise ValueError(f"declared B_q has q = {inputs.bq_q}, bound needs q = {q}")
-        bq_value = inputs.bq
-    elif h is not None:
-        bq_value = b_q(h, inputs.profile, q)
-    else:
-        raise ValueError("corollary3_bound needs a B_{2(p+1)} value or the kernel to compute it")
-    if bq_value == 0.0:
+    if bq == 0.0:
         return 0.0
-    s = mixing_sum(inputs.n, inputs.m, inputs.profile, exponent=inputs.p / (inputs.p + 1.0))
+    s = mixing_sum(n, m, profile, exponent=p / (p + 1.0))
     if s == 0.0:
         return 0.0
-    d_val = d_constant(inputs.p, inputs.resolve_m(), bq_value)
     log_b = (
-        inputs.m / 2.0 * math.log(2.0)
-        + math.log(inputs.m)
-        + 0.5 * math.lgamma(2 * inputs.m + 1)
-        + math.log(d_val)
+        m / 2.0 * math.log(2.0)
+        + math.log(m)
+        + 0.5 * math.lgamma(2 * m + 1)
+        + math.log(d_constant(p, m_value, bq))
         + 0.5 * math.log(s)
-        + inputs.m / 2.0 * math.log(inputs.n)
-        - _log_binom(inputs.n, inputs.m)
+        + m / 2.0 * math.log(n)
+        - _log_binom(n, m)
     )
     return math.exp(log_b)
 
 
-def bound_requests(bounds: list[dict], d: int, m: int) -> list[tuple[str, float | None]]:
-    """Validated, routed and deduplicated (name, p) pairs, in request order.
+def bound_requests(requests: list[tuple[str, float | None]], d: int, m: int) -> list[tuple[str, float | None]]:
+    """Routed and deduplicated (name, p) pairs, in request order.
 
-    Theorem 1 and Corollary 3 need a completely degenerate kernel; for a
-    d-degenerate kernel with d < m both are routed to the centered
-    Corollary 2.  ``p`` is kept for corollary3 only.  An unknown name, a
-    corollary3 request without ``p``, or a ``p`` that is not a number > 0
-    raises :class:`ConfigError`, so callers run it before any bound or L2 work.
+    ``requests`` are the pairs that :class:`ustatmc.montecarlo.ExperimentConfig`
+    parsed and validated.  Theorem 1 and Corollary 3 need a completely
+    degenerate kernel; for a d-degenerate kernel with d < m both are routed
+    to the centered Corollary 2.  ``p`` is kept for corollary3 only.
     """
-    requests: list[tuple[str, float | None]] = []
-    for request in bounds:
-        if not isinstance(request, dict) or request.get("name") not in ("theorem1", "corollary2", "corollary3"):
-            raise ConfigError(f"unknown bound request {request!r}")
-        name, p = request["name"], request.get("p")
-        if (p is None and name == "corollary3") or not (p is None or isinstance(p, (int, float)) and p > 0):
-            raise ConfigError(f"bound request {request!r} needs a number p > 0")
+    routed: list[tuple[str, float | None]] = []
+    for name, p in requests:
         if name in ("theorem1", "corollary3") and d < m:
             name = "corollary2"
         key = (name, p if name == "corollary3" else None)
-        if key not in requests:
-            requests.append(key)
-    return requests
+        if key not in routed:
+            routed.append(key)
+    return routed
 
 
 def evaluate_bounds(
     requests: list[tuple[str, float | None]],
-    n: int,
+    n_grid: list[int],
     h: SymmetricKernelFn,
     profile: ErgodicityProfile,
     mu: Distribution,
-    kernel: FiniteKernel | None,
-    d: int,
-    m_value: float | None = None,
-) -> list[tuple[str, str, float, str]]:
-    """(statistic, label, value, inputs digest) for each request of
-    :func:`bound_requests` at sample size n.
+    kernel: FiniteKernel,
+) -> tuple[int, dict[int, list[tuple[str, str, float, str]]]]:
+    """(d, {n: [(statistic, label, value, inputs hash)]}) for the parsed
+    ``requests`` over ``n_grid``.
 
-    ``statistic`` is what the bound dominates: "u" for ||U_{n,m}(h)||
-    (theorem1, corollary3) and "u_centered" for ||U_{n,m}(h) - pi^{(m)}h||
-    (corollary2).  Without ``m_value`` each bound resolves M(mu, V) itself.
+    The degeneracy order d of h under pi, the routing of
+    :func:`bound_requests`, M(mu, V), |h|_inf and each B_{2(p+1)} are
+    computed once; then every n is evaluated.  ``statistic`` is what the
+    bound dominates: "u" for ||U_{n,m}(h)|| (theorem1, corollary3) and
+    "u_centered" for ||U_{n,m}(h) - pi^{(m)}h|| (corollary2).
     """
+    m = h.degree
+    d = degeneracy_order(h, kernel.stationary())
+    routed = bound_requests(requests, d, m)
+    m_value = m_sup(mu, profile, kernel)
     sup_h = h.sup_norm()
-    out = []
-    for name, p in requests:
-        inputs = BoundInputs(n=n, m=h.degree, profile=profile, mu=mu, kernel=kernel,
-                             sup_h=sup_h, p=p, d=d, m_value=m_value)
-        if name == "theorem1":
-            entry = ("u", name, theorem1_bound(inputs))
-        elif name == "corollary2":
-            entry = ("u_centered", name, corollary2_bound(inputs))
-        else:
-            entry = ("u", f"corollary3[p={p:g}]", corollary3_bound(inputs, h))
-        out.append((*entry, inputs.digest()))
-    return out
+    bqs = {p: b_q(h, profile, 2.0 * (p + 1.0)) for name, p in routed if name == "corollary3"}
+    out = {}
+    for n in n_grid:
+        out[n] = []
+        for name, p in routed:
+            if name == "theorem1":
+                entry = ("u", name, theorem1_bound(n, m, profile, m_value, sup_h, d))
+            elif name == "corollary2":
+                entry = ("u_centered", name, corollary2_bound(n, m, profile, m_value, sup_h, d))
+            else:
+                entry = ("u", f"corollary3[p={p:g}]", corollary3_bound(n, m, profile, m_value, bqs[p], p, d))
+            out[n].append((*entry, _inputs_hash(n, m, profile, mu, sup_h, p, d)))
+    return d, out
 
 
 def geometric_sum_bound(varrho: float, m: int) -> float:
@@ -325,8 +289,8 @@ class BoundEntry:
     name: str
     value: float
     inputs_hash: str
-    margin: float | None = None
-    passed: bool | None = None
+    margin: float
+    passed: bool
 
     def __post_init__(self):
         if self.value < 0:
@@ -347,14 +311,14 @@ class BoundReport:
     statistic: str
     l2_value: float
     l2_kind: str
+    rho_provenance: str
     stderr: float = 0.0
     replicates: int = 0
     entries: list[BoundEntry] = field(default_factory=list)
-    rho_provenance: str = "certified"
 
     def add(self, name: str, value: float, inputs_hash: str) -> BoundEntry:
         margin = value - (self.l2_value + 3.0 * self.stderr)
-        entry = BoundEntry(name, value, inputs_hash, margin=margin, passed=margin >= 0.0)
+        entry = BoundEntry(name, value, inputs_hash, margin, margin >= 0.0)
         self.entries.append(entry)
         return entry
 

@@ -8,13 +8,15 @@ Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
 1 on a violation (worst instance is reported), 2 on a configuration error.
 A configuration error is found before any work starts; it includes a bad
-bound request (an unknown name, corollary3 without p, or p <= 0), an
-experiment.bounds that is not a list, a declared profile whose v does not
-list one value per state, a count that is not an integer (a fraction, a
-string or a boolean), an initial.dirac that is not a state index, an
-slln.threshold that is not a finite number > 0, a --seed below 0 or a
---budget below 1, and a bad propositions section (a count below its least
-value, or a p_values entry that is not a finite number > 0).
+bound request (an unknown name, corollary3 without p, or a p that is not a
+finite number > 0, a boolean included), an experiment.bounds that is not a
+list, a declared profile whose v does not list one value per state, a count
+that is not an integer (a fraction, a string or a boolean), an initial.dirac
+that is not a state index, an slln.checkpoints with no entry in [m, n_max],
+an slln.threshold that is not a finite number > 0, a seed (a config seed or
+--seed) outside [0, 2^64), a --budget below 1, and a bad propositions
+section (a count below its least value, or a p_values entry that is not a
+finite number > 0).
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
 and seeds yield byte-identical files at any --jobs value.
 """
@@ -27,13 +29,12 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
-from .bounds import bound_requests, evaluate_bounds, m_sup
+from .bounds import evaluate_bounds
 from .errors import ConfigError, UstatmcError
 from .markov import simulate
 from .montecarlo import run_slln_experiment, run_variance_experiment
 from .proofs import proposition_grid_check
 from .reporting import write_csv, write_json
-from .ustats import degeneracy_order
 
 VARIANCE_COLUMNS = [
     "n", "m", "statistic", "l2_kind", "estimate", "stderr", "replicates",
@@ -78,7 +79,7 @@ def cmd_simulate(args) -> int:
     mu0 = cfg.build_initial(doc, kernel.size)
     section = cfg.section(doc, "simulate", {})
     n = cfg.integer(section, "n", 1000, "simulate", 1)
-    seed = args.seed if args.seed is not None else cfg.integer(section, "seed", 0, "simulate", 0)
+    seed = args.seed if args.seed is not None else cfg.seed(section, "seed", 0, "simulate")
     traj = simulate(kernel, mu0, n, seed)
     rows = [
         {"step": t, "state_index": int(i), "state_value": float(kernel.states[i])}
@@ -107,14 +108,11 @@ def cmd_certify_profile(args) -> int:
 def cmd_bound(args) -> int:
     doc = cfg.load_document(args.config)
     config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
-    d = degeneracy_order(config.h, config.kernel.stationary())
-    requests = bound_requests(config.bounds, d, config.m)
-    m_value = m_sup(config.mu0, config.profile, config.kernel)
+    d, entries = evaluate_bounds(config.bounds, config.n_grid, config.h, config.profile, config.mu0, config.kernel)
     rows = [
         {"n": n, "m": config.m, "bound_name": label, "bound": value, "degeneracy": d, "inputs_hash": digest}
-        for n in config.n_grid
-        for _, label, value, digest in evaluate_bounds(
-            requests, n, config.h, config.profile, config.mu0, config.kernel, d, m_value)
+        for n, values in entries.items()
+        for _, label, value, digest in values
     ]
     path = _out_dir(args) / "bounds.csv"
     write_csv(path, ["n", "m", "bound_name", "bound", "degeneracy", "inputs_hash"], rows)
@@ -200,10 +198,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        for flag, least in (("seed", 0), ("budget", 1)):
-            value = getattr(args, flag)
-            if value is not None and value < least:
-                raise ConfigError(f"--{flag} must be >= {least}, got {value}")
+        if args.seed is not None and not 0 <= args.seed < cfg.SEED_LIMIT:
+            raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
+        if args.budget is not None and args.budget < 1:
+            raise ConfigError(f"--budget must be >= 1, got {args.budget}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,14 +9,13 @@ are ignored.  ``SCHEMA`` is the machine-readable description printed by
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, certify_rho
-from .montecarlo import ExperimentConfig, SllnConfig
+from .montecarlo import ExperimentConfig, SllnConfig, positive_number
 from .ustats import (
     DEFAULT_BUDGET,
     SymmetricKernelFn,
@@ -57,23 +56,23 @@ SCHEMA: dict = {
     "experiment": {
         "n_grid": "strictly increasing list[int]",
         "replicates": "int >= 2",
-        "master_seed": "uint64",
-        "bounds": "list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': float > 0, required by "
+        "master_seed": "uint64, an integer in [0, 2^64)",
+        "bounds": "list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, required by "
                   "corollary3}; theorem1/corollary3 run as corollary2 unless h is completely degenerate",
         "budget": "int — cap on enumeration work and work-array cells (default 1e8)",
     },
     "slln": {
         "n_max": "int",
-        "checkpoints": "list[int] | omit for dyadic powers of two",
+        "checkpoints": "list[int], at least one in [m, n_max] | omit for powers of two from 8, then n_max",
         "threshold": "optional finite float > 0 — final |U_n - target| asserted below this",
     },
-    "simulate": {"n": "int path length", "seed": "uint64 (overridden by --seed)"},
+    "simulate": {"n": "int path length", "seed": "uint64, an integer in [0, 2^64) (overridden by --seed)"},
     "propositions": {
         "chains": "int >= 1 (default 3)",
         "size": "int states >= 2 (default 3)",
         "m": "int >= 1 (default 2)",
         "i_max": "int largest time index >= 1 (default 8)",
-        "seed": "uint64 (default 7)",
+        "seed": "uint64, an integer in [0, 2^64) (default 7)",
         "p_values": "list[float] > 0 (default [0.5, 1.0])",
     },
 }
@@ -118,11 +117,6 @@ def _as_int(raw: object, name: str) -> int:
     return raw
 
 
-def _positive_number(raw: object) -> bool:
-    """A finite JSON number > 0 (a boolean is not a number here)."""
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw) and raw > 0
-
-
 def _int_list(raw: object, name: str) -> list[int]:
     if not isinstance(raw, list):
         raise ConfigError(f"{name} must be a list of integers, got {raw!r}")
@@ -136,6 +130,19 @@ def integer(entries: dict, key: str, default: object, where: str, least: int) ->
     value = _as_int(raw, f"{where}.{key}")
     if value < least:
         raise ConfigError(f"{where}.{key} must be >= {least}, got {value}")
+    return value
+
+
+SEED_LIMIT = 2**64
+
+
+def seed(entries: dict, key: str, default: int, where: str) -> int:
+    """``entries[key]`` as a seed, an integer in [0, 2^64): the master seed
+    is reduced mod 2^64 by ``mix64`` while PCG64 takes the whole integer, so
+    a larger one would not name one stream."""
+    value = integer(entries, key, default, where, 0)
+    if value >= SEED_LIMIT:
+        raise ConfigError(f"{where}.{key} must be < 2^64, got {value}")
     return value
 
 
@@ -239,9 +246,6 @@ def build_experiment(
     mu0 = build_initial(doc, kernel.size)
     entries = section(doc, "experiment", {})
     n_grid = _int_list(entries.get("n_grid", []), "experiment.n_grid")
-    bounds = entries.get("bounds", [])
-    if not isinstance(bounds, list):
-        raise ConfigError(f"experiment.bounds must be a list of bound requests, got {bounds!r}")
     slln = None
     if doc.get("slln") is not None:
         slln_entries = section(doc, "slln")
@@ -249,7 +253,7 @@ def build_experiment(
         if checkpoints is not None:
             checkpoints = _int_list(checkpoints, "slln.checkpoints")
         threshold = slln_entries.get("threshold")
-        if threshold is not None and not _positive_number(threshold):
+        if threshold is not None and not positive_number(threshold):
             raise ConfigError(f"slln.threshold must be a finite number > 0 or null, got {threshold!r}")
         try:
             slln = SllnConfig(
@@ -264,7 +268,7 @@ def build_experiment(
         k_needed = max(k_needed, 64)
     profile = build_profile(doc, kernel, v, k_max_default=max(k_needed, 16))
     h = build_kernel_fn(doc, kernel)
-    master_seed = integer(entries, "master_seed", 0, "experiment", 0) if seed_override is None else seed_override
+    master_seed = seed(entries, "master_seed", 0, "experiment") if seed_override is None else seed_override
     budget = integer(entries, "budget", DEFAULT_BUDGET, "experiment", 1) if budget_override is None else budget_override
     try:
         return ExperimentConfig(
@@ -275,7 +279,7 @@ def build_experiment(
             n_grid=n_grid,
             replicates=integer(entries, "replicates", 2, "experiment", 2),
             master_seed=master_seed,
-            bounds=bounds,
+            bounds=entries.get("bounds", []),
             slln=slln,
             budget=budget,
             jobs=jobs,
@@ -289,13 +293,13 @@ def build_propositions(doc: dict, seed_override: int | None = None) -> dict:
     from the propositions section, validated before any work."""
     entries = section(doc, "propositions", {})
     p_values = entries.get("p_values", [0.5, 1.0])
-    if not isinstance(p_values, list) or not all(_positive_number(p) for p in p_values):
+    if not isinstance(p_values, list) or not all(positive_number(p) for p in p_values):
         raise ConfigError(f"propositions.p_values must be a list of finite numbers > 0, got {p_values!r}")
     return {
         "num_chains": integer(entries, "chains", 3, "propositions", 1),
         "size": integer(entries, "size", 3, "propositions", 2),
         "m": integer(entries, "m", 2, "propositions", 1),
         "i_max": integer(entries, "i_max", 8, "propositions", 1),
-        "seed": seed_override if seed_override is not None else integer(entries, "seed", 7, "propositions", 0),
+        "seed": seed_override if seed_override is not None else seed(entries, "seed", 7, "propositions"),
         "p_values": tuple(p_values),
     }

@@ -33,17 +33,17 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, bound_requests, evaluate_bounds, m_sup
+from .bounds import BoundReport, evaluate_bounds
 from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, sample_paths, simulate
 from .proofs import TENSOR_BUDGET, joint_law
 from .ustats import (
-    DEFAULT_BUDGET, SymmetricKernelFn, check_path_cost, degeneracy_order, hoeffding_project, tuple_sums,
+    DEFAULT_BUDGET, SymmetricKernelFn, check_path_cost, hoeffding_project, tuple_sums,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -89,8 +89,16 @@ class L2Estimate:
         return L2Estimate(point=point, stderr=stderr, replicates=u2.size)
 
 
+def positive_number(raw: object) -> bool:
+    """A finite JSON number > 0 (a boolean is not a number here)."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw) and raw > 0
+
+
 @dataclass
 class SllnConfig:
+    """Strong-law settings.  Inside an :class:`ExperimentConfig`,
+    ``checkpoints`` holds the resolved list of :meth:`resolve_checkpoints`."""
+
     n_max: int
     checkpoints: list[int] | None = None
     threshold: float | None = None
@@ -100,6 +108,8 @@ class SllnConfig:
             raise ValueError("n_max must be >= 2")
 
     def resolve_checkpoints(self, m: int) -> list[int]:
+        """The sorted checkpoints in [m, n_max]: the listed ones, or the
+        powers of two from 8 and then n_max itself."""
         if self.checkpoints is not None:
             pts = sorted(set(int(c) for c in self.checkpoints))
         else:
@@ -112,13 +122,20 @@ class SllnConfig:
                 pts.append(self.n_max)
         pts = [c for c in pts if m <= c <= self.n_max]
         if not pts:
-            raise ValueError("no usable checkpoints at or below n_max")
+            raise ConfigError(f"slln.checkpoints has no entry in [m, n_max] = [{m}, {self.n_max}]")
         return pts
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved inputs for the variance and strong-law experiments."""
+    """Resolved inputs for the variance and strong-law experiments.
+
+    ``bounds`` takes the requests as written, {"name", "p"} objects, and
+    holds them as validated (name, p) pairs: ``p`` is kept as written for
+    corollary3 and is None otherwise.  ``slln`` holds its resolved
+    checkpoints.  A bad request or an unusable checkpoint list raises
+    :class:`ConfigError` here, before any work.
+    """
 
     kernel: FiniteKernel
     mu0: Distribution
@@ -127,7 +144,7 @@ class ExperimentConfig:
     n_grid: list[int]
     replicates: int
     master_seed: int
-    bounds: list[dict] = field(default_factory=list)
+    bounds: list = field(default_factory=list)
     slln: SllnConfig | None = None
     budget: int = DEFAULT_BUDGET
     jobs: int = 1
@@ -143,6 +160,19 @@ class ExperimentConfig:
             raise ValueError(f"n_grid entries must be >= m = {self.m}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not isinstance(self.bounds, list):
+            raise ConfigError(f"experiment.bounds must be a list of bound requests, got {self.bounds!r}")
+        requests = []
+        for request in self.bounds:
+            if not isinstance(request, dict) or request.get("name") not in ("theorem1", "corollary2", "corollary3"):
+                raise ConfigError(f"unknown bound request {request!r}")
+            name, p = request["name"], request.get("p")
+            if (p is None and name == "corollary3") or not (p is None or positive_number(p)):
+                raise ConfigError(f"bound request {request!r} needs a finite number p > 0")
+            requests.append((name, p if name == "corollary3" else None))
+        self.bounds = requests
+        if self.slln is not None:
+            self.slln = replace(self.slln, checkpoints=self.slln.resolve_checkpoints(self.m))
 
     @property
     def m(self) -> int:
@@ -252,22 +282,16 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
     """Compare the (exact or Monte Carlo) L2 of the U-statistic against every
     requested bound, per n in the grid.
 
-    Requests are validated and routed by :func:`bound_requests` before any
-    L2 work: completely degenerate kernels go to the uncentered bounds,
-    anything else to the centered bound.  The centered statistic is
-    realized as U_{n,m}(h - pi^{(m)}h).  The bounds of every n are
-    evaluated first, then the exact oracle is tried per (n, statistic);
-    every n it refuses goes to one :func:`replicate_u_grid` pass,
-    one path per replicate, shared by both statistics.
+    One :func:`evaluate_bounds` call routes the requests and evaluates the
+    bounds of every n: completely degenerate kernels go to the uncentered
+    bounds, anything else to the centered bound.  The centered statistic is
+    realized as U_{n,m}(h - pi^{(m)}h).  Then the exact oracle is tried per
+    (n, statistic); every n it refuses goes to one :func:`replicate_u_grid`
+    pass, one path per replicate, shared by both statistics.
     """
     kernel, h, m = config.kernel, config.h, config.m
-    pi = kernel.stationary()
-    d = degeneracy_order(h, pi)
-    requests = bound_requests(config.bounds, d, m)
-    m_value = m_sup(config.mu0, config.profile, kernel)
-    stat_hs = {"u": h, "u_centered": h.shifted(float(hoeffding_project(h, pi, 0).table))}
-    entries = {n: evaluate_bounds(requests, n, h, config.profile, config.mu0, kernel, d, m_value)
-               for n in config.n_grid}
+    _, entries = evaluate_bounds(config.bounds, config.n_grid, h, config.profile, config.mu0, kernel)
+    stat_hs = {"u": h, "u_centered": h.shifted(float(hoeffding_project(h, kernel.stationary(), 0).table))}
     variants = {n: sorted({statistic for statistic, *_ in entries[n]}) for n in config.n_grid}
     found: dict[tuple[int, str], BoundReport] = {}
     refused = []
@@ -308,7 +332,7 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     if config.slln is None:
         raise ConfigError("no slln section configured")
     m = config.m
-    checkpoints = config.slln.resolve_checkpoints(m)
+    checkpoints = config.slln.checkpoints
     n_max = checkpoints[-1]
     check_path_cost(n_max, config.kernel.size, m, config.budget)
     pi = config.kernel.stationary()

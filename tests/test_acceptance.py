@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ustatmc import (
-    BoundInputs,
     Distribution,
     OrderedTuple,
     SllnConfig,
@@ -197,13 +196,12 @@ def test_criterion_07_theorem1_exact_regime(
     two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h
 ):
     sup_h = canonical_product_h.sup_norm()
+    m_val = m_sup(mu_dirac0, two_state_profile, two_state_kernel)
     worst_ratio = 0.0
     ok = True
     for n in range(2, 13):
         exact = exact_l2(mu_dirac0, two_state_kernel, canonical_product_h, n, 2)
-        inputs = BoundInputs(n=n, m=2, profile=two_state_profile, mu=mu_dirac0,
-                             kernel=two_state_kernel, sup_h=sup_h, d=2)
-        bound = theorem1_bound(inputs)
+        bound = theorem1_bound(n, 2, two_state_profile, m_val, sup_h, 2)
         ok &= exact <= bound
         worst_ratio = max(worst_ratio, exact / bound)
     _report(7, ok and worst_ratio < 0.2,
@@ -252,13 +250,11 @@ def test_criterion_09_corollary2_statistical(two_state_kernel, two_state_profile
 def test_criterion_10_corollary3(two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h):
     p = 1.0
     bq4 = b_q(canonical_product_h, two_state_profile, 2 * (p + 1))  # exact B_4
+    m_val = m_sup(mu_dirac0, two_state_profile, two_state_kernel)
     ok = True
     for n in range(2, 13):
         exact = exact_l2(mu_dirac0, two_state_kernel, canonical_product_h, n, 2)
-        inputs = BoundInputs(n=n, m=2, profile=two_state_profile, mu=mu_dirac0,
-                             kernel=two_state_kernel, sup_h=canonical_product_h.sup_norm(),
-                             p=p, d=2, bq=bq4, bq_q=2 * (p + 1))
-        ok &= exact <= corollary3_bound(inputs)
+        ok &= exact <= corollary3_bound(n, 2, two_state_profile, m_val, bq4, p, 2)
     config = ExperimentConfig(
         kernel=two_state_kernel, mu0=mu_dirac0, profile=two_state_profile,
         h=canonical_product_h, n_grid=[50, 100, 200, 400], replicates=2000,

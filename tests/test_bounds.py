@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import c_nm_squared_rational, geometric_partial_sums
 from ustatmc import (
-    BoundInputs,
     ConfigError,
     Distribution,
     DomainError,
     ErgodicityProfile,
+    ExperimentConfig,
     ExplicitRho,
     FiniteKernel,
     NotCanonical,
@@ -32,6 +32,7 @@ from ustatmc import (
     m_sup,
     theorem1_bound,
 )
+from ustatmc.bounds import _inputs_hash
 
 GEO_HALF = ErgodicityProfile(np.ones(2), ExplicitRho(np.array([1.0]), 0.5))
 ZERO_RHO = ErgodicityProfile(np.ones(2), ExplicitRho(np.zeros(8), 0.0), provenance="declared", declared_m=1.0)
@@ -137,51 +138,47 @@ def test_c_nm_monotone_in_each_rho_value():
         assert c_nm(5, 2, prof) >= ref
 
 
-def _inputs(two_state_kernel, profile, mu, **kw):
-    defaults = dict(n=100, m=2, profile=profile, mu=mu, kernel=two_state_kernel, sup_h=1.44, d=2)
-    defaults.update(kw)
-    return BoundInputs(**defaults)
+def _m_value(two_state_kernel, two_state_profile, mu_dirac0):
+    return m_sup(mu_dirac0, two_state_profile, two_state_kernel)
 
 
 def test_theorem1_zero_cases(two_state_kernel, two_state_profile, mu_dirac0):
-    assert theorem1_bound(_inputs(two_state_kernel, two_state_profile, mu_dirac0, sup_h=0.0)) == 0.0
-    inputs = BoundInputs(n=10, m=2, profile=ZERO_RHO, mu=Distribution.uniform(2), sup_h=3.0, d=2)
-    assert theorem1_bound(inputs) == 0.0
+    m_val = _m_value(two_state_kernel, two_state_profile, mu_dirac0)
+    assert theorem1_bound(100, 2, two_state_profile, m_val, 0.0, 2) == 0.0
+    assert theorem1_bound(10, 2, ZERO_RHO, m_sup(Distribution.uniform(2), ZERO_RHO, None), 3.0, 2) == 0.0
 
 
 def test_theorem1_requires_canonical(two_state_kernel, two_state_profile, mu_dirac0):
     with pytest.raises(NotCanonical):
-        theorem1_bound(_inputs(two_state_kernel, two_state_profile, mu_dirac0, d=1))
+        theorem1_bound(100, 2, two_state_profile, _m_value(two_state_kernel, two_state_profile, mu_dirac0), 1.44, 1)
 
 
 def test_theorem1_log_space_cross_check(two_state_kernel, two_state_profile, mu_dirac0):
-    inputs = _inputs(two_state_kernel, two_state_profile, mu_dirac0)
-    got = theorem1_bound(inputs)
+    m_val = _m_value(two_state_kernel, two_state_profile, mu_dirac0)
+    got = theorem1_bound(100, 2, two_state_profile, m_val, 1.44, 2)
     fracs = [Fraction(1, 2) ** k for k in range(101)]
     c_exact = math.sqrt(float(c_nm_squared_rational(100, 2, fracs)))
-    m_val = m_sup(mu_dirac0, two_state_profile, two_state_kernel)
     assert got == pytest.approx(c_exact * math.sqrt(m_val) * 1.44 / 100.0, rel=1e-10)
 
 
 def test_corollary2_collapses_to_theorem1(two_state_kernel, two_state_profile, mu_dirac0):
-    inputs = _inputs(two_state_kernel, two_state_profile, mu_dirac0, d=2)
-    assert corollary2_bound(inputs) == pytest.approx(4.0 * theorem1_bound(inputs), rel=1e-12)
+    args = (100, 2, two_state_profile, _m_value(two_state_kernel, two_state_profile, mu_dirac0), 1.44, 2)
+    assert corollary2_bound(*args) == pytest.approx(4.0 * theorem1_bound(*args), rel=1e-12)
 
 
 def test_corollary2_term_by_term(two_state_kernel, two_state_profile, mu_dirac0):
-    inputs = _inputs(two_state_kernel, two_state_profile, mu_dirac0, d=1, sup_h=3.0)
-    m_val = m_sup(mu_dirac0, two_state_profile, two_state_kernel)
+    m_val = _m_value(two_state_kernel, two_state_profile, mu_dirac0)
     expected = math.sqrt(m_val) * 3.0 * sum(
         math.comb(2, c) * 2.0**c * c_nm(100, c, two_state_profile) * 100.0 ** (-c / 2.0)
         for c in (1, 2)
     )
-    assert corollary2_bound(inputs) == pytest.approx(expected, rel=1e-12)
-    assert corollary2_bound(_inputs(two_state_kernel, two_state_profile, mu_dirac0, sup_h=0.0, d=1)) == 0.0
+    assert corollary2_bound(100, 2, two_state_profile, m_val, 3.0, 1) == pytest.approx(expected, rel=1e-12)
+    assert corollary2_bound(100, 2, two_state_profile, m_val, 0.0, 1) == 0.0
 
 
 def test_corollary2_empty_sum_when_all_projections_vanish(two_state_kernel, two_state_profile, mu_dirac0):
-    inputs = _inputs(two_state_kernel, two_state_profile, mu_dirac0, d=3)
-    assert corollary2_bound(inputs) == 0.0
+    m_val = _m_value(two_state_kernel, two_state_profile, mu_dirac0)
+    assert corollary2_bound(100, 2, two_state_profile, m_val, 1.44, 3) == 0.0
 
 
 def test_b_q_trivial_cases(two_state_profile):
@@ -221,21 +218,22 @@ def test_lemma6_constant_continuity():
 
 
 def test_corollary3_zero_and_guards(two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h):
-    zero_h = SymmetricKernelFn(np.zeros((2, 2)))
-    inputs = _inputs(two_state_kernel, two_state_profile, mu_dirac0, p=1.0)
-    assert corollary3_bound(inputs, zero_h) == 0.0
-    with pytest.raises(PNotPositive):
-        corollary3_bound(_inputs(two_state_kernel, two_state_profile, mu_dirac0), canonical_product_h)
+    m_val = _m_value(two_state_kernel, two_state_profile, mu_dirac0)
+    zero_bq = b_q(SymmetricKernelFn(np.zeros((2, 2))), two_state_profile, 4.0)
+    assert corollary3_bound(100, 2, two_state_profile, m_val, zero_bq, 1.0, 2) == 0.0
+    bq = b_q(canonical_product_h, two_state_profile, 4.0)
+    for p in (0.0, -1.0):
+        with pytest.raises(PNotPositive):
+            corollary3_bound(100, 2, two_state_profile, m_val, bq, p, 2)
     with pytest.raises(NotCanonical):
-        corollary3_bound(_inputs(two_state_kernel, two_state_profile, mu_dirac0, p=1.0, d=1), canonical_product_h)
+        corollary3_bound(100, 2, two_state_profile, m_val, bq, 1.0, 1)
 
 
 def test_corollary3_formula_cross_check(two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h):
     p = 1.0
-    inputs = _inputs(two_state_kernel, two_state_profile, mu_dirac0, p=p)
-    got = corollary3_bound(inputs, canonical_product_h)
-    m_val = m_sup(mu_dirac0, two_state_profile, two_state_kernel)
+    m_val = _m_value(two_state_kernel, two_state_profile, mu_dirac0)
     bq = b_q(canonical_product_h, two_state_profile, 2 * (p + 1))
+    got = corollary3_bound(100, 2, two_state_profile, m_val, bq, p, 2)
     mix = sum((k + 1) ** 2 * two_state_profile.rho_at(k) ** 0.5 for k in range(101))
     expected = (
         2.0 * 2 * math.sqrt(24.0) * d_constant(p, m_val, bq) * math.sqrt(mix) * 100.0 / math.comb(100, 2)
@@ -273,41 +271,66 @@ def test_hand_value_geometric_sum_m1():
     assert geometric_sum_bound(0.5, 1) == pytest.approx(expected, rel=1e-12)
 
 
-def test_bound_inputs_digest_stability(two_state_kernel, two_state_profile, mu_dirac0):
-    a = _inputs(two_state_kernel, two_state_profile, mu_dirac0)
-    b = _inputs(two_state_kernel, two_state_profile, mu_dirac0)
-    assert a.digest() == b.digest()
-    c = _inputs(two_state_kernel, two_state_profile, mu_dirac0, sup_h=2.0)
-    assert a.digest() != c.digest()
+def test_bound_inputs_digest_stability(two_state_profile, mu_dirac0):
+    # pinned hashes: a bound's inputs hash keeps its bytes across refactors,
+    # p is hashed as written (1 and 1.0 differ), and bq/bq_q stay null keys
+    args = (100, 2, two_state_profile, mu_dirac0)
+    assert _inputs_hash(*args, 1.44, None, 2) == _inputs_hash(*args, 1.44, None, 2) == "853037f6a613e08d"
+    assert _inputs_hash(*args, 2.0, None, 2) == "13f2ae5bca2243ac"
+    assert _inputs_hash(*args, 1.44, 1.0, 2) == "2b6f67e13dcd6981"
+    assert _inputs_hash(*args, 1.44, 1, 2) == "ed0075054cfaf7a9"
+    assert _inputs_hash(*args, 1.44, None, 1) == "4f153686153f543a"
 
 
-def test_bound_requests_route_and_deduplicate():
+def _parsed(bounds, two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h):
+    return ExperimentConfig(kernel=two_state_kernel, mu0=mu_dirac0, profile=two_state_profile,
+                            h=canonical_product_h, n_grid=[10], replicates=2, master_seed=0, bounds=bounds).bounds
+
+
+def test_bound_requests_route_and_deduplicate(two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h):
     bounds = [{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}, {"name": "corollary3", "p": 1},
               {"name": "corollary2", "p": 2.0}, {"name": "corollary3", "p": 0.5}]
-    assert bound_requests(bounds, d=2, m=2) == [
+    requests = _parsed(bounds, two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h)
+    assert requests == [
+        ("theorem1", None), ("corollary3", 1.0), ("corollary3", 1), ("corollary2", None), ("corollary3", 0.5),
+    ]
+    assert type(requests[1][1]) is float and type(requests[2][1]) is int  # p is kept as written
+    assert bound_requests(requests, d=2, m=2) == [
         ("theorem1", None), ("corollary3", 1.0), ("corollary2", None), ("corollary3", 0.5),
     ]
-    assert bound_requests(bounds, d=1, m=2) == [("corollary2", None)]
-    assert bound_requests(bounds, d=3, m=2) == bound_requests(bounds, d=2, m=2)
+    assert bound_requests(requests, d=1, m=2) == [("corollary2", None)]
+    assert bound_requests(requests, d=3, m=2) == bound_requests(requests, d=2, m=2)
 
 
 @pytest.mark.parametrize("bad", [
     {"name": "theorem9"}, {"p": 1.0}, "theorem1", {"name": "corollary3"}, {"name": "corollary3", "p": 0},
-    {"name": "corollary3", "p": "1"}, {"name": "theorem1", "p": -1.0},
+    {"name": "corollary3", "p": "1"}, {"name": "theorem1", "p": -1.0}, {"name": "corollary3", "p": True},
+    {"name": "corollary3", "p": math.inf}, {"name": "corollary3", "p": math.nan},
 ])
-def test_bound_requests_reject_bad_requests(bad):
+def test_bound_requests_reject_bad_requests(two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h,
+                                            bad):
     with pytest.raises(ConfigError):
-        bound_requests([{"name": "corollary2"}, bad], d=1, m=2)
+        _parsed([{"name": "corollary2"}, bad], two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h)
 
 
 def test_evaluate_bounds_matches_the_bound_functions(two_state_kernel, two_state_profile, mu_dirac0,
                                                       canonical_product_h):
     requests = [("theorem1", None), ("corollary2", None), ("corollary3", 1.0)]
-    got = evaluate_bounds(requests, 30, canonical_product_h, two_state_profile, mu_dirac0, two_state_kernel, d=2)
-    inputs = {p: _inputs(two_state_kernel, two_state_profile, mu_dirac0, n=30, p=p, d=2,
-                         sup_h=canonical_product_h.sup_norm()) for p in (None, 1.0)}
-    assert got == [
-        ("u", "theorem1", theorem1_bound(inputs[None]), inputs[None].digest()),
-        ("u_centered", "corollary2", corollary2_bound(inputs[None]), inputs[None].digest()),
-        ("u", "corollary3[p=1]", corollary3_bound(inputs[1.0], canonical_product_h), inputs[1.0].digest()),
-    ]
+    d, got = evaluate_bounds(requests, [30, 60], canonical_product_h, two_state_profile, mu_dirac0,
+                             two_state_kernel)
+    assert d == 2
+    m_val = _m_value(two_state_kernel, two_state_profile, mu_dirac0)
+    sup_h = canonical_product_h.sup_norm()
+    bq = b_q(canonical_product_h, two_state_profile, 4.0)
+    args = (2, two_state_profile, m_val)
+    assert got == {
+        n: [
+            ("u", "theorem1", theorem1_bound(n, *args, sup_h, 2),
+             _inputs_hash(n, 2, two_state_profile, mu_dirac0, sup_h, None, 2)),
+            ("u_centered", "corollary2", corollary2_bound(n, *args, sup_h, 2),
+             _inputs_hash(n, 2, two_state_profile, mu_dirac0, sup_h, None, 2)),
+            ("u", "corollary3[p=1]", corollary3_bound(n, *args, bq, 1.0, 2),
+             _inputs_hash(n, 2, two_state_profile, mu_dirac0, sup_h, 1.0, 2)),
+        ]
+        for n in (30, 60)
+    }

@@ -163,6 +163,8 @@ BAD_BOUND_REQUESTS = {
     "unknown-name": {"name": "theorem9"},
     "corollary3-without-p": {"name": "corollary3"},
     "nonpositive-p": {"name": "corollary3", "p": -1},
+    "boolean-p": {"name": "corollary3", "p": True},
+    "infinite-p": {"name": "corollary3", "p": float("inf")},
 }
 
 
@@ -172,8 +174,8 @@ def test_cli_bad_bound_request_is_config_error(tmp_path, monkeypatch, command, b
     def no_work(*args, **kwargs):
         raise AssertionError("bound or L2 work started before the requests were validated")
 
-    for module, name in [(bounds, "m_sup"), (montecarlo, "m_sup"), (cli, "m_sup"), (montecarlo, "exact_l2"),
-                         (montecarlo, "replicate_u_grid")]:
+    for module, name in [(bounds, "m_sup"), (cli, "evaluate_bounds"), (montecarlo, "evaluate_bounds"),
+                         (montecarlo, "exact_l2"), (montecarlo, "replicate_u_grid")]:
         monkeypatch.setattr(module, name, no_work)
     doc = _variance_doc()
     doc["experiment"]["bounds"] = [{"name": "theorem1"}, bad]
@@ -191,9 +193,8 @@ def test_cli_resolves_m_sup_once_per_command(tmp_path, monkeypatch, command):
         calls.append(args)
         return m_sup(*args, **kwargs)
 
-    for module in (cli, montecarlo):
-        monkeypatch.setattr(module, "m_sup", counted)
-    monkeypatch.setattr(bounds, "m_sup", lambda *a, **k: pytest.fail("M(mu, V) resolved per bound"))
+    # evaluate_bounds, in the bounds module, is the one caller of m_sup
+    monkeypatch.setattr(bounds, "m_sup", counted)
     doc = _variance_doc()
     doc["experiment"]["bounds"] = [{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}]
     cfg = _write(tmp_path, "m.json", doc)
@@ -325,6 +326,8 @@ BAD_SECTIONS = {
     "threshold-negative": {"slln": {"n_max": 100, "threshold": -1}},
     "threshold-zero": {"slln": {"n_max": 100, "threshold": 0}},
     "threshold-infinite": {"slln": {"n_max": 100, "threshold": float("inf")}},
+    "checkpoint-below-degree": {"slln": {"n_max": 100, "checkpoints": [1]}},
+    "checkpoint-past-n-max": {"slln": {"n_max": 100000, "checkpoints": [10**9]}},
 }
 
 
@@ -338,7 +341,23 @@ def test_cli_malformed_section_is_config_error(tmp_path, capsys, command, bad):
     assert not (tmp_path / "out").exists()
 
 
-BAD_OVERRIDES = {"seed-negative": ["--seed", "-1"], "budget-zero": ["--budget", "0"]}
+@pytest.mark.parametrize("checkpoints", [[1], [10**9]], ids=["below-degree", "past-n-max"])
+def test_cli_unusable_checkpoints_exit_2_from_verify_slln(tmp_path, monkeypatch, capsys, checkpoints):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the strong-law run started before its checkpoints were resolved")
+
+    for module, name in [(cli, "run_slln_experiment"), (montecarlo, "simulate")]:
+        monkeypatch.setattr(module, name, no_work)
+    doc = {**_variance_doc(), "slln": {"n_max": 100000, "checkpoints": checkpoints}}
+    cfg = _write(tmp_path, "s.json", doc)
+    assert main(["verify-slln", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+BAD_OVERRIDES = {"seed-negative": ["--seed", "-1"], "budget-zero": ["--budget", "0"],
+                 "seed-2-to-the-64": ["--seed", str(2**64)]}
 
 
 @pytest.mark.parametrize("command", ["simulate", "bound", "verify-variance", "verify-slln", "check-propositions"])
@@ -347,7 +366,7 @@ def test_cli_bad_seed_or_budget_override_is_config_error(tmp_path, monkeypatch, 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the overrides were validated")
 
-    for module, name in [(cli, "simulate"), (cli, "m_sup"), (cli, "run_variance_experiment"),
+    for module, name in [(cli, "simulate"), (cli, "evaluate_bounds"), (cli, "run_variance_experiment"),
                          (cli, "run_slln_experiment"), (cli, "proposition_grid_check")]:
         monkeypatch.setattr(module, name, no_work)
     doc = {**_variance_doc(), "slln": {"n_max": 100}, "propositions": {"chains": 1, "i_max": 3}}
@@ -356,6 +375,36 @@ def test_cli_bad_seed_or_budget_override_is_config_error(tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+SEED_ENTRY_POINTS = {
+    "master-seed": ("verify-variance", "experiment", "master_seed"),
+    "simulate-seed": ("simulate", "simulate", "seed"),
+    "propositions-seed": ("check-propositions", "propositions", "seed"),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS.values(), ids=SEED_ENTRY_POINTS.keys())
+def test_seed_of_2_to_the_64_is_config_error(tmp_path, monkeypatch, capsys, entry):
+    # --seed is checked over every command by test_cli_bad_seed_or_budget_override_is_config_error
+    command, where, key = entry
+    for module, name in [(cli, "simulate"), (cli, "run_variance_experiment"), (cli, "proposition_grid_check")]:
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work started with a seed past 2^64"))
+    doc = {**_variance_doc(), "simulate": {"n": 10}, "propositions": {"chains": 1, "i_max": 3}}
+    doc[where][key] = 2**64
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    doc = {"chain": TWO_STATE, "simulate": {"n": 10, "seed": 2**64 - 1}}
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", str(2**64 - 1)]) == 0
+    assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (tmp_path / "b" / "trajectory.csv").read_bytes()
 
 
 def test_integral_float_counts_are_integers():

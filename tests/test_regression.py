@@ -83,10 +83,36 @@ SLLN_DEGREE_THREE = {
     "slln": {"n_max": 3000, "checkpoints": [16, 100, 1000, 3000]},
 }
 
+# 1-degenerate, so every request, theorem1 and corollary3 included, routes
+# to corollary2: one bound row per n
+ROUTED_TO_COROLLARY2 = {
+    "chain": DEGREE_THREE["chain"],
+    "initial": {"dirac": 0},
+    "kernel_fn": {"name": "additive", "degree": 2, "params": {"center": "pi"}},
+    "experiment": {
+        "n_grid": [10, 40, 80],
+        "bounds": [{"name": "theorem1"}, {"name": "corollary3", "p": 1}, {"name": "corollary2"},
+                   {"name": "corollary3", "p": 2}],
+    },
+}
+
+# a canonical kernel with an integer p and a float p: each p is kept as
+# written, so its inputs hash reads 1 or 2.0
+CANONICAL_P_AS_WRITTEN = {
+    "chain": DEGREE_THREE["chain"],
+    "initial": {"dirac": 1},
+    "kernel_fn": {"name": "product", "degree": 2, "params": {"center": "pi"}},
+    "experiment": {
+        "n_grid": [10, 40, 80],
+        "bounds": [{"name": "theorem1"}, {"name": "corollary3", "p": 1}, {"name": "corollary3", "p": 2.0}],
+    },
+}
+
 INLINE = {
     "degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS,
     "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG, "declared_geometric": DECLARED_GEOMETRIC,
-    "slln_degree_three": SLLN_DEGREE_THREE,
+    "slln_degree_three": SLLN_DEGREE_THREE, "routed_to_corollary2": ROUTED_TO_COROLLARY2,
+    "canonical_p_as_written": CANONICAL_P_AS_WRITTEN,
 }
 
 DIGESTS = {
@@ -101,6 +127,8 @@ DIGESTS = {
     ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
     ("propositions", "propositions.json"): "df31ba4ab5e52a784703a2484364586f782ba6561602ff22b0851f75dde356f5",
     ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
+    ("routed_to_corollary2", "bounds.csv"): "60baf58058f6d4ea0f22a757d1a1d32bfdd776f07618e327fbf608a577494d11",
+    ("canonical_p_as_written", "bounds.csv"): "c94640713e49d88fabc46387a286e2a59212c492aeefaa1f58f12635cf1020a0",
 }
 
 
@@ -122,6 +150,8 @@ def _digest(path: Path) -> str:
         ("declared_geometric", "bound", "bounds.csv"),
         ("propositions", "check-propositions", "propositions.json"),
         ("slln_degree_three", "verify-slln", "slln.csv"),
+        ("routed_to_corollary2", "bound", "bounds.csv"),
+        ("canonical_p_as_written", "bound", "bounds.csv"),
     ],
 )
 def test_artifact_digest(tmp_path, name, command, artifact):
