@@ -32,10 +32,9 @@ config = ExperimentConfig(
 )
 print("canonical product kernel (exact L2 when cheap, Monte Carlo otherwise):")
 print(f"{'n':>5} {'kind':>12} {'L2':>12} {'bound':>24}")
-for report in run_variance_experiment(config):
-    for entry in report.entries:
-        print(f"{report.n:>5} {report.l2_kind:>12} {report.l2_value:>12.6f} "
-              f"{entry.name:>14} {entry.value:>9.4f}")
+for row in run_variance_experiment(config):
+    print(f"{row['n']:>5} {row['l2_kind']:>12} {row['estimate']:>12.6f} "
+          f"{row['bound_name']:>14} {row['bound']:>9.4f}")
 
 states = kernel.states
 mixed = SymmetricKernelFn(states[:, None] + states[None, :] + states[:, None] * states[None, :])
@@ -45,9 +44,8 @@ config2 = ExperimentConfig(
     bounds=[{"name": "theorem1"}],  # non-canonical: routed to corollary2
 )
 print("\nadditive-plus-product kernel, centered statistic:")
-for report in run_variance_experiment(config2):
-    entry = report.entries[0]
-    print(f"  n={report.n:<4} ||U - mean|| = {report.l2_value:.5f} <= {entry.name} = {entry.value:.4f}")
+for row in run_variance_experiment(config2):
+    print(f"  n={row['n']:<4} ||U - mean|| = {row['estimate']:.5f} <= {row['bound_name']} = {row['bound']:.4f}")
 
 print("\nclosed-form majorant of the mixing sum for rho(k) = varrho^k:")
 for m in (1, 2):

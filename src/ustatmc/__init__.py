@@ -2,7 +2,6 @@
 decompositions, explicit variance bounds, and their verification."""
 
 from .bounds import (
-    BoundReport,
     b_q,
     bound_requests,
     c_nm,
@@ -41,9 +40,9 @@ from .markov import (
 )
 from .montecarlo import (
     ExperimentConfig,
-    L2Estimate,
     SllnConfig,
     exact_l2,
+    l2_estimate,
     mix64,
     replicate_u_grid,
     run_slln_experiment,

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,7 +239,8 @@ def evaluate_bounds(
     :func:`bound_requests`, M(mu, V), |h|_inf and each B_{2(p+1)} are
     computed once; then every n is evaluated.  ``statistic`` is what the
     bound dominates: "u" for ||U_{n,m}(h)|| (theorem1, corollary3) and
-    "u_centered" for ||U_{n,m}(h) - pi^{(m)}h|| (corollary2).
+    "u_centered" for ||U_{n,m}(h) - pi^{(m)}h|| (corollary2).  A negative
+    value would be a defect of the formulas and raises ``ValueError``.
     """
     m = h.degree
     d = degeneracy_order(h, kernel.stationary())
@@ -253,12 +253,15 @@ def evaluate_bounds(
         out[n] = []
         for name, p in routed:
             if name == "theorem1":
-                entry = ("u", name, theorem1_bound(n, m, profile, m_value, sup_h, d))
+                statistic, label, value = "u", name, theorem1_bound(n, m, profile, m_value, sup_h, d)
             elif name == "corollary2":
-                entry = ("u_centered", name, corollary2_bound(n, m, profile, m_value, sup_h, d))
+                statistic, label, value = "u_centered", name, corollary2_bound(n, m, profile, m_value, sup_h, d)
             else:
-                entry = ("u", f"corollary3[p={p:g}]", corollary3_bound(n, m, profile, m_value, bqs[p], p, d))
-            out[n].append((*entry, _inputs_hash(n, m, profile, mu, sup_h, p, d)))
+                statistic, label = "u", f"corollary3[p={p:g}]"
+                value = corollary3_bound(n, m, profile, m_value, bqs[p], p, d)
+            if value < 0:
+                raise ValueError("bounds are nonnegative by construction")
+            out[n].append((statistic, label, value, _inputs_hash(n, m, profile, mu, sup_h, p, d)))
     return d, out
 
 
@@ -281,67 +284,3 @@ def geometric_sum_bound(varrho: float, m: int) -> float:
         return (m + 1) * m**m / (varrho * lam ** (m + 1))
     return (m ** (m + 1) - lam ** (m + 1)) / ((m - lam) * varrho * lam ** (m + 1))
 
-
-@dataclass
-class BoundEntry:
-    """One evaluated bound inside a report."""
-
-    name: str
-    value: float
-    inputs_hash: str
-    margin: float
-    passed: bool
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("bounds are nonnegative by construction")
-
-
-@dataclass
-class BoundReport:
-    """Per-n comparison of an L2 value (exact or Monte Carlo) against bounds.
-
-    ``statistic`` records what was measured: "u" for ||U_{n,m}(h)|| and
-    "u_centered" for ||U_{n,m}(h) - pi^{(m)}h||.  ``margin`` on each entry
-    is bound - (l2 + 3 * stderr); a negative margin fails the report.
-    """
-
-    n: int
-    m: int
-    statistic: str
-    l2_value: float
-    l2_kind: str
-    rho_provenance: str
-    stderr: float = 0.0
-    replicates: int = 0
-    entries: list[BoundEntry] = field(default_factory=list)
-
-    def add(self, name: str, value: float, inputs_hash: str) -> BoundEntry:
-        margin = value - (self.l2_value + 3.0 * self.stderr)
-        entry = BoundEntry(name, value, inputs_hash, margin, margin >= 0.0)
-        self.entries.append(entry)
-        return entry
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "n": self.n,
-                "m": self.m,
-                "statistic": self.statistic,
-                "l2_kind": self.l2_kind,
-                "estimate": self.l2_value,
-                "stderr": self.stderr,
-                "replicates": self.replicates,
-                "bound_name": e.name,
-                "bound": e.value,
-                "margin": e.margin,
-                "pass": e.passed,
-                "inputs_hash": e.inputs_hash,
-                "provenance": self.rho_provenance,
-            }
-            for e in self.entries
-        ]

@@ -6,14 +6,19 @@
 
 Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
-1 on a violation (worst instance is reported), 2 on a configuration error.
+1 on a violation (worst instance is reported), 2 on a configuration error,
+3 when a check could not run (a budget refusal, a chain that is not
+ergodic, or an M(mu, V) that cannot be bounded).  A command returns a
+violation and never raises it, so any other package error means the check
+did not run.  Statuses 2 and 3 print one line.
 A configuration error is found before any work starts; it includes a bad
 bound request (an unknown name, corollary3 without p, or a p that is not a
 finite number > 0, a boolean included), an experiment.bounds that is not a
-list, a declared profile whose v does not list one value per state, a count
-that is not an integer (a fraction, a string or a boolean), an initial.dirac
-that is not a state index, an slln.checkpoints with no entry in [m, n_max],
-an slln.threshold that is not a finite number > 0, a seed (a config seed or
+list, initial weights that do not list one value per state, a declared
+profile whose v does not list one value per state, a count that is not an
+integer (a fraction, a string or a boolean), an initial.dirac that is not a
+state index, an slln.checkpoints with no entry in [m, n_max], an
+slln.threshold that is not a finite number > 0, a seed (a config seed or
 --seed) outside [0, 2^64), a --budget below 1, and a bad propositions
 section (a count below its least value, or a p_values entry that is not a
 finite number > 0).
@@ -32,14 +37,10 @@ from . import config as cfg
 from .bounds import evaluate_bounds
 from .errors import ConfigError, UstatmcError
 from .markov import simulate
-from .montecarlo import run_slln_experiment, run_variance_experiment
+from .montecarlo import VARIANCE_COLUMNS, run_slln_experiment, run_variance_experiment
 from .proofs import proposition_grid_check
 from .reporting import write_csv, write_json
 
-VARIANCE_COLUMNS = [
-    "n", "m", "statistic", "l2_kind", "estimate", "stderr", "replicates",
-    "bound_name", "bound", "margin", "pass", "inputs_hash", "provenance",
-]
 SLLN_COLUMNS = ["n", "u_n", "target", "abs_error"]
 
 
@@ -61,7 +62,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
         p.add_argument("--budget", type=int, default=None,
-                       help="override the cap on enumeration work and work-array cells")
+                       help="override the counting engine's cap: S^m level cells per row, and "
+                            "n*S^(m-1) for one counted path (the exact oracle, B_q and the "
+                            "proposition grid keep fixed caps)")
         p.add_argument("--jobs", type=int, default=1,
                        help="threads for Monte Carlo replicate blocks (never changes results)")
     return parser
@@ -125,13 +128,12 @@ def cmd_verify_variance(args) -> int:
     config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
     if not config.bounds:
         raise ConfigError("verify-variance needs experiment.bounds")
-    reports = run_variance_experiment(config)
-    rows = [row for report in reports for row in report.rows()]
+    rows = run_variance_experiment(config)
     out = _out_dir(args)
     write_csv(out / "variance.csv", VARIANCE_COLUMNS, rows)
     failures = [row for row in rows if not row["pass"]]
     summary = {
-        "reports": len(reports),
+        "reports": len({(row["n"], row["statistic"]) for row in rows}),
         "rows": len(rows),
         "failures": failures,
         "pass": not failures,
@@ -207,8 +209,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UstatmcError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        print(f"could not check: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ SCHEMA: dict = {
         "matrix": "list[list[float]] — row-stochastic transition matrix (required)",
         "v": "list[float] >= 1 — weight function V per state (default: all 1)",
     },
-    "initial": "list[float] weights | {'dirac': int index in [0, S)} | 'uniform' (default: dirac at 0)",
+    "initial": "list[float] weights, one per state | {'dirac': int index in [0, S)} | 'uniform' "
+               "(default: dirac at 0)",
     "profile": {
         "kind": "'certify' (default) | 'geometric' | 'explicit' | 'declared'; only certify gives provenance "
                 "'certified', every other kind is 'declared' and no key sets it",
@@ -59,7 +60,8 @@ SCHEMA: dict = {
         "master_seed": "uint64, an integer in [0, 2^64)",
         "bounds": "list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, required by "
                   "corollary3}; theorem1/corollary3 run as corollary2 unless h is completely degenerate",
-        "budget": "int — cap on enumeration work and work-array cells (default 1e8)",
+        "budget": "int >= 1 — the counting engine's cap: S^m level cells per row, and n*S^(m-1) for one "
+                  "counted path; the exact oracle, B_q and the proposition grid keep fixed caps (default 1e8)",
     },
     "slln": {
         "n_max": "int",
@@ -170,9 +172,12 @@ def build_initial(doc: dict, size: int) -> Distribution:
             if not 0 <= index < size:
                 raise ConfigError(f"initial.dirac must lie in [0, {size}), got {index}")
             return Distribution.dirac(index, size)
-        return Distribution(np.asarray(entry, dtype=float))
+        mu = Distribution(np.asarray(entry, dtype=float))
     except (ValueError, IndexError, TypeError) as exc:
         raise ConfigError(f"invalid initial distribution: {exc}") from exc
+    if mu.size != size:
+        raise ConfigError(f"initial weights must list one value per state ({size}), got {mu.size}")
+    return mu
 
 
 def build_profile(doc: dict, kernel: FiniteKernel, v: np.ndarray, k_max_default: int) -> ErgodicityProfile:

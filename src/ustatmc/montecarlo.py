@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, evaluate_bounds
+from .bounds import evaluate_bounds
 from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, sample_paths, simulate
 from .proofs import TENSOR_BUDGET, joint_law
@@ -62,31 +62,15 @@ def mix64(seed: int, r: int) -> int:
     return z
 
 
-@dataclass(frozen=True)
-class L2Estimate:
-    """sqrt(mean of squared replicate values) with a delta-method stderr."""
-
-    point: float
-    stderr: float
-    replicates: int
-
-    def __post_init__(self):
-        if self.point < 0 or self.stderr < 0:
-            raise ValueError("point and stderr must be >= 0")
-
-    @staticmethod
-    def from_u_values(u: np.ndarray) -> "L2Estimate":
-        """point = sqrt(mean U_r^2); stderr maps the standard error of
-        mean(U^2) through the square root (delta method)."""
-        u2 = u * u
-        mean_u2 = float(u2.sum() / u2.size)
-        point = math.sqrt(max(mean_u2, 0.0))
-        if u2.size > 1 and point > 0.0:
-            se_mean = math.sqrt(float(np.var(u2, ddof=1)) / u2.size)
-            stderr = se_mean / (2.0 * point)
-        else:
-            stderr = 0.0
-        return L2Estimate(point=point, stderr=stderr, replicates=u2.size)
+def l2_estimate(u: np.ndarray) -> tuple[float, float]:
+    """(point, stderr) of replicate values ``u``: point = sqrt(mean U_r^2);
+    stderr maps the standard error of mean(U^2) through the square root
+    (delta method)."""
+    u2 = u * u
+    point = math.sqrt(max(float(u2.sum() / u2.size), 0.0))
+    if u2.size > 1 and point > 0.0:
+        return point, math.sqrt(float(np.var(u2, ddof=1)) / u2.size) / (2.0 * point)
+    return point, 0.0
 
 
 def positive_number(raw: object) -> bool:
@@ -278,29 +262,34 @@ def replicate_u_grid(
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
-    """Compare the (exact or Monte Carlo) L2 of the U-statistic against every
-    requested bound, per n in the grid.
+VARIANCE_COLUMNS = [
+    "n", "m", "statistic", "l2_kind", "estimate", "stderr", "replicates",
+    "bound_name", "bound", "margin", "pass", "inputs_hash", "provenance",
+]
+
+
+def run_variance_experiment(config: ExperimentConfig) -> list[dict]:
+    """The ``variance.csv`` rows: the (exact or Monte Carlo) L2 of the
+    U-statistic against every requested bound, per n in the grid.
 
     One :func:`evaluate_bounds` call routes the requests and evaluates the
     bounds of every n: completely degenerate kernels go to the uncentered
     bounds, anything else to the centered bound.  The centered statistic is
     realized as U_{n,m}(h - pi^{(m)}h).  Then the exact oracle is tried per
     (n, statistic); every n it refuses goes to one :func:`replicate_u_grid`
-    pass, one path per replicate, shared by both statistics.
+    pass, one path per replicate, shared by both statistics.  Rows come by
+    n, then statistic, then request order; margin = bound - (l2 + 3 stderr)
+    and a row passes when its margin is >= 0.
     """
     kernel, h, m = config.kernel, config.h, config.m
     _, entries = evaluate_bounds(config.bounds, config.n_grid, h, config.profile, config.mu0, kernel)
     stat_hs = {"u": h, "u_centered": h.shifted(float(hoeffding_project(h, kernel.stationary(), 0).table))}
-    variants = {n: sorted({statistic for statistic, *_ in entries[n]}) for n in config.n_grid}
-    found: dict[tuple[int, str], BoundReport] = {}
+    l2: dict[tuple[int, str], tuple[str, float, float, int]] = {}
     refused = []
     for n in config.n_grid:
-        for variant in variants[n]:
+        for variant in sorted({statistic for statistic, *_ in entries[n]}):
             try:
-                value = exact_l2(config.mu0, kernel, stat_hs[variant], n, m)
-                found[n, variant] = BoundReport(n=n, m=m, statistic=variant, l2_value=value, l2_kind="exact",
-                                                rho_provenance=config.profile.provenance)
+                l2[n, variant] = ("exact", exact_l2(config.mu0, kernel, stat_hs[variant], n, m), 0.0, 0)
             except BudgetExceeded:
                 refused.append((n, variant))
     if refused:
@@ -309,17 +298,17 @@ def run_variance_experiment(config: ExperimentConfig) -> list[BoundReport]:
         u = replicate_u_grid(kernel, config.mu0, [stat_hs[v] for v in mc_variants], mc_ns,
                              config.replicates, config.master_seed, config.jobs, config.budget)
         for n, variant in refused:
-            est = L2Estimate.from_u_values(u[mc_variants.index(variant), mc_ns.index(n)])
-            found[n, variant] = BoundReport(
-                n=n, m=m, statistic=variant, l2_value=est.point, l2_kind="monte-carlo",
-                stderr=est.stderr, replicates=est.replicates, rho_provenance=config.profile.provenance,
-            )
-    reports: list[BoundReport] = []
+            point, stderr = l2_estimate(u[mc_variants.index(variant), mc_ns.index(n)])
+            l2[n, variant] = ("monte-carlo", point, stderr, config.replicates)
+    rows = []
     for n in config.n_grid:
-        for statistic, label, value, digest in entries[n]:
-            found[n, statistic].add(label, value, digest)
-        reports.extend(found[n, v] for v in variants[n])
-    return reports
+        for statistic, label, value, digest in sorted(entries[n], key=lambda entry: entry[0]):
+            kind, estimate, stderr, replicates = l2[n, statistic]
+            margin = value - (estimate + 3.0 * stderr)
+            values = (n, m, statistic, kind, estimate, stderr, replicates, label, value, margin, margin >= 0.0,
+                      digest, config.profile.provenance)
+            rows.append(dict(zip(VARIANCE_COLUMNS, values)))
+    return rows
 
 
 def run_slln_experiment(config: ExperimentConfig) -> dict:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from ustatmc import ConfigError, bounds, cli, montecarlo, proofs
 from ustatmc.cli import main
 from ustatmc.config import SCHEMA, build_chain, build_experiment, build_initial, build_kernel_fn, load_document
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 TWO_STATE = {
     "states": [-1.0, 1.0],
@@ -328,6 +331,8 @@ BAD_SECTIONS = {
     "threshold-infinite": {"slln": {"n_max": 100, "threshold": float("inf")}},
     "checkpoint-below-degree": {"slln": {"n_max": 100, "checkpoints": [1]}},
     "checkpoint-past-n-max": {"slln": {"n_max": 100000, "checkpoints": [10**9]}},
+    "initial-too-long": {"initial": [0.5, 0.25, 0.25]},
+    "initial-too-short": {"initial": [1.0]},
 }
 
 
@@ -354,6 +359,50 @@ def test_cli_unusable_checkpoints_exit_2_from_verify_slln(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+WRONG_LENGTH_INITIAL = {"too-long": [0.5, 0.25, 0.25], "too-short": [1.0]}
+
+
+@pytest.mark.parametrize("initial", WRONG_LENGTH_INITIAL.values(), ids=WRONG_LENGTH_INITIAL.keys())
+def test_cli_wrong_length_initial_exit_2_from_simulate(tmp_path, monkeypatch, capsys, initial):
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("sampling started with a bad initial law"))
+    cfg = _write(tmp_path, "c.json", {"chain": TWO_STATE, "initial": initial, "simulate": {"n": 10}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_could_not_check_exits_3(tmp_path, capsys):
+    # a periodic chain has no certified profile: the bounds cannot be evaluated
+    doc = {**_variance_doc(), "chain": {"states": [-1.0, 1.0], "matrix": [[0.0, 1.0], [1.0, 0.0]]}}
+    cfg = _write(tmp_path, "periodic.json", doc)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("could not check:") and err.count("\n") == 1
+    # the exact oracle refuses n = 50, and the counting engine refuses S^m = 4 > 3
+    demo = str(CONFIGS / "two_state_variance.json")
+    assert main(["verify-variance", "--config", demo, "--out", str(tmp_path / "v"), "--budget", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("could not check:") and err.count("\n") == 1
+    assert not (tmp_path / "v").exists()
+    # a declared profile without M(mu, V) cannot bound anything
+    doc = {**_variance_doc(), "profile": {"kind": "geometric", "c": 1.0, "varrho": 0.5}}
+    cfg = _write(tmp_path, "no_m.json", doc)
+    for command in ("bound", "verify-variance"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 3
+        assert capsys.readouterr().err.startswith("could not check:")
+
+
+def test_budget_does_not_cap_the_exact_oracle(tmp_path):
+    # every n of this grid is exact, so no counting runs and --budget 1 is never consulted
+    doc = _variance_doc()
+    doc["experiment"]["n_grid"] = [6, 10]
+    cfg = _write(tmp_path, "exact.json", doc)
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "v"), "--budget", "1"]) == 0
+    with open(tmp_path / "v" / "variance.csv") as fh:
+        assert {row["l2_kind"] for row in csv.DictReader(fh)} == {"exact"}
 
 
 BAD_OVERRIDES = {"seed-negative": ["--seed", "-1"], "budget-zero": ["--budget", "0"],

@@ -37,6 +37,23 @@ def test_stationary_single_state():
     assert pi.weights.tolist() == [1.0]
 
 
+def test_stationary_power_iteration_matches_direct_solve(monkeypatch):
+    # past 2000 states stationary() iterates pi P instead of solving
+    s = 2001
+    rng = np.random.default_rng(2001)
+    matrix = rng.random((s, s)) * (rng.random(s) ** 3 + 1e-3)
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    kernel = FiniteKernel(np.arange(s, dtype=float), matrix)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("took the direct solve at S > 2000"))
+    pi = stationary(kernel).weights
+    monkeypatch.undo()
+    a = matrix.T - np.eye(s)
+    a[-1] = 1.0
+    direct = np.linalg.solve(a, np.eye(s)[-1])
+    assert np.abs(pi - direct).sum() <= 1e-12
+    assert pi.max() > 2.0 / s  # far from uniform, so the iteration had work to do
+
+
 def test_stationary_rejects_periodic():
     flip = FiniteKernel([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NotErgodic):

@@ -10,11 +10,11 @@ from ustatmc import (
     FiniteKernel,
     SllnConfig,
     SymmetricKernelFn,
-    L2Estimate,
     certify_rho,
     exact_l2,
     hoeffding_project,
     joint_law,
+    l2_estimate,
     mix64,
     product_kernel,
     replicate_u_grid,
@@ -70,16 +70,16 @@ def test_exact_l2_matches_monte_carlo(two_state_kernel, canonical_product_h):
     mu = Distribution.dirac(0, 2)
     exact = exact_l2(mu, two_state_kernel, canonical_product_h, 6, 2)
     u = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [6], 100_000, 5150)[0, 0]
-    est = L2Estimate.from_u_values(u)
-    assert abs(est.point - exact) <= 3.0 * est.stderr
+    point, stderr = l2_estimate(u)
+    assert abs(point - exact) <= 3.0 * stderr
 
 
 def test_estimate_l2_constant_kernel(two_state_kernel):
     h = SymmetricKernelFn(np.full((2, 2), -2.5))
     u = replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [h], [10], 50, 5150)[0, 0]
-    est = L2Estimate.from_u_values(u)
-    assert est.point == pytest.approx(2.5, abs=1e-12)
-    assert est.stderr == pytest.approx(0.0, abs=1e-12)
+    point, stderr = l2_estimate(u)
+    assert point == pytest.approx(2.5, abs=1e-12)
+    assert stderr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimate_l2_deterministic_across_jobs(two_state_kernel, canonical_product_h):
@@ -90,7 +90,7 @@ def test_estimate_l2_deterministic_across_jobs(two_state_kernel, canonical_produ
 
 
 def test_estimate_l2_same_seed_identical(two_state_kernel, canonical_product_h):
-    a, b = (L2Estimate.from_u_values(
+    a, b = (l2_estimate(
         replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [canonical_product_h], [12], 128, 5150)[0, 0]
     ) for _ in range(2))
     assert a == b
@@ -126,10 +126,10 @@ def test_variance_experiment_exact_and_mc_regimes(two_state_kernel, two_state_pr
         replicates=500,
         bounds=[{"name": "theorem1"}],
     )
-    reports = run_variance_experiment(config)
-    assert [r.l2_kind for r in reports] == ["exact", "monte-carlo"]
-    assert all(r.passed for r in reports)
-    assert all(e.name == "theorem1" for r in reports for e in r.entries)
+    rows = run_variance_experiment(config)
+    assert [r["l2_kind"] for r in rows] == ["exact", "monte-carlo"]
+    assert all(r["pass"] for r in rows)
+    assert all(r["bound_name"] == "theorem1" for r in rows)
 
 
 def test_variance_experiment_routes_non_canonical_to_corollary2(two_state_kernel, two_state_profile):
@@ -138,25 +138,25 @@ def test_variance_experiment_routes_non_canonical_to_corollary2(two_state_kernel
         two_state_kernel, two_state_profile, h,
         n_grid=[40], replicates=400, bounds=[{"name": "theorem1"}],
     )
-    reports = run_variance_experiment(config)
-    assert len(reports) == 1
-    assert reports[0].statistic == "u_centered"
-    assert reports[0].entries[0].name == "corollary2"
-    assert reports[0].passed
+    rows = run_variance_experiment(config)
+    assert len(rows) == 1
+    assert rows[0]["statistic"] == "u_centered"
+    assert rows[0]["bound_name"] == "corollary2"
+    assert rows[0]["pass"]
 
 
 def test_variance_experiment_single_state_degenerate_chain():
     # rho vanishes identically on one state; the only canonical kernel is 0,
-    # so bound and L2 are both exactly zero and the margin-0 report passes
+    # so bound and L2 are both exactly zero and the margin-0 row passes
     kernel = FiniteKernel([0.0], [[1.0]])
     profile = certify_rho(kernel, np.ones(1), k_max=4)
     assert all(profile.rho_at(k) == 0.0 for k in range(5))
     h = SymmetricKernelFn(np.zeros((1, 1)))
     config = _config(kernel, profile, h, n_grid=[4], bounds=[{"name": "theorem1"}], replicates=2)
-    reports = run_variance_experiment(config)
-    assert reports[0].l2_value == 0.0
-    assert reports[0].entries[0].value == 0.0
-    assert reports[0].passed
+    rows = run_variance_experiment(config)
+    assert rows[0]["estimate"] == 0.0
+    assert rows[0]["bound"] == 0.0
+    assert rows[0]["pass"]
 
 
 def test_slln_constant_kernel_zero_error(two_state_kernel, two_state_profile):
@@ -213,11 +213,11 @@ def test_both_bounds_reported_when_both_apply(two_state_kernel, two_state_profil
         n_grid=[40], replicates=400,
         bounds=[{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}],
     )
-    (report,) = run_variance_experiment(config)
-    names = [e.name for e in report.entries]
-    assert names == ["theorem1", "corollary3[p=1]"]
+    rows = run_variance_experiment(config)
+    assert {(r["n"], r["statistic"]) for r in rows} == {(40, "u")}
+    assert [r["bound_name"] for r in rows] == ["theorem1", "corollary3[p=1]"]
     # neither bound uniformly dominates; both must hold
-    assert report.passed
+    assert all(r["pass"] for r in rows)
 
 
 def test_slln_error_within_extrapolated_scale(two_state_kernel, two_state_profile):
@@ -249,8 +249,11 @@ def test_experiment_config_validation(two_state_kernel, two_state_profile, canon
     assert _config(two_state_kernel, two_state_profile, canonical_product_h).m == 2
 
 
-def test_l2_estimate_invariants():
-    from ustatmc import L2Estimate
-
-    with pytest.raises(ValueError):
-        L2Estimate(point=-0.1, stderr=0.0, replicates=2)
+def test_l2_estimate_delta_method():
+    # U^2 = (1, 1, 4): mean 2, sample variance 3, so the stderr of the mean
+    # is 1 and the delta method divides it by 2 sqrt(2)
+    point, stderr = l2_estimate(np.array([1.0, -1.0, 2.0]))
+    assert point == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert stderr == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-15)
+    assert l2_estimate(np.array([3.0])) == (3.0, 0.0)
+    assert l2_estimate(np.zeros(4)) == (0.0, 0.0)

@@ -108,12 +108,29 @@ CANONICAL_P_AS_WRITTEN = {
     },
 }
 
+# a declared profile far below the chain's true mixing (c = 1e-4, varrho =
+# 0.1): theorem1 and corollary2 fail at every n while corollary3 passes, on
+# exact (n = 10) and Monte Carlo rows alike, so the run exits 1
+FAILING_BOUNDS = {
+    "chain": DECLARED_GEOMETRIC["chain"],
+    "initial": {"dirac": 0},
+    "kernel_fn": {"name": "product", "degree": 2, "params": {"center": "pi"}},
+    "profile": {"kind": "geometric", "c": 1e-4, "varrho": 0.1, "m_value": 1.0},
+    "experiment": {
+        "n_grid": [10, 40, 80], "replicates": 200, "master_seed": 83,
+        "bounds": [{"name": "theorem1"}, {"name": "corollary2"}, {"name": "corollary3", "p": 1.0}],
+    },
+}
+
 INLINE = {
     "degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS,
     "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG, "declared_geometric": DECLARED_GEOMETRIC,
     "slln_degree_three": SLLN_DEGREE_THREE, "routed_to_corollary2": ROUTED_TO_COROLLARY2,
-    "canonical_p_as_written": CANONICAL_P_AS_WRITTEN,
+    "canonical_p_as_written": CANONICAL_P_AS_WRITTEN, "failing_bounds": FAILING_BOUNDS,
 }
+
+# the exit status of every run not listed here is 0
+EXIT = {"failing_bounds": 1}
 
 DIGESTS = {
     ("two_state_variance", "variance.csv"): "e85662a12fc3b5e42695ed169e7a2542d7318a28d8ba6322f2cb9b847efcc524",
@@ -129,6 +146,8 @@ DIGESTS = {
     ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
     ("routed_to_corollary2", "bounds.csv"): "60baf58058f6d4ea0f22a757d1a1d32bfdd776f07618e327fbf608a577494d11",
     ("canonical_p_as_written", "bounds.csv"): "c94640713e49d88fabc46387a286e2a59212c492aeefaa1f58f12635cf1020a0",
+    ("failing_bounds", "variance.csv"): "6ecc14b39146cdc237e61084f048e6020b62a8f5858ed2cf6bd1aa9c5806b379",
+    ("failing_bounds", "variance_summary.json"): "2205c8e5a41e6030b5ed0cd6542c849286350062bd13b809aba0512bd4803855",
 }
 
 
@@ -152,6 +171,8 @@ def _digest(path: Path) -> str:
         ("slln_degree_three", "verify-slln", "slln.csv"),
         ("routed_to_corollary2", "bound", "bounds.csv"),
         ("canonical_p_as_written", "bound", "bounds.csv"),
+        ("failing_bounds", "verify-variance", "variance.csv"),
+        ("failing_bounds", "verify-variance", "variance_summary.json"),
     ],
 )
 def test_artifact_digest(tmp_path, name, command, artifact):
@@ -160,5 +181,5 @@ def test_artifact_digest(tmp_path, name, command, artifact):
         config.write_text(json.dumps(INLINE[name]))
     else:
         config = CONFIGS / f"{name}.json"
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT.get(name, 0)
     assert _digest(tmp_path / "out" / artifact) == DIGESTS[name, artifact]
