@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, certify_rho
-from .montecarlo import ExperimentConfig, SllnConfig, positive_number
+from .montecarlo import ExperimentConfig, SllnConfig, parse_bound_requests, positive_number
 from .ustats import (
     DEFAULT_BUDGET,
     SymmetricKernelFn,
@@ -42,7 +42,7 @@ SCHEMA: dict = {
                               "(tail_rate in [0, 1], default 0)",
         "rho / v": "for kind=declared: a profile document as certify-profile writes it, rho = {values, tail_rate} "
                    "and v = list[float] >= 1, one per state (default: the chain's v)",
-        "m_value": "float — sup_k mu P^k(V) for any declared kind (declared_m in a profile document); "
+        "m_value": "finite float >= 1 — sup_k mu P^k(V) for any declared kind (declared_m in a profile document); "
                    "bounds need it",
     },
     "kernel_fn": {
@@ -205,6 +205,9 @@ def build_profile(doc: dict, kernel: FiniteKernel, v: np.ndarray, k_max_default:
             values, tail_rate = [_require(rho, "c", "profile")], _require(rho, "varrho", "profile")
         else:
             values, tail_rate = _require(rho, "values", "profile"), rho.get("tail_rate", 0.0)
+        # M(mu, V) >= pi(V) >= 1 because V >= 1
+        if m_value is not None and not (positive_number(m_value) and m_value >= 1):
+            raise ConfigError(f"profile M(mu, V) must be a finite number >= 1, got {m_value!r}")
         return ErgodicityProfile(v, ExplicitRho(np.asarray(values, dtype=float), float(tail_rate)),
                                  declared_m=None if m_value is None else float(m_value))
     except (ValueError, TypeError) as exc:
@@ -250,6 +253,7 @@ def build_experiment(
     kernel, v = build_chain(doc)
     mu0 = build_initial(doc, kernel.size)
     entries = section(doc, "experiment", {})
+    parse_bound_requests(entries.get("bounds", []))  # refuse a bad request before the profile is certified
     n_grid = _int_list(entries.get("n_grid", []), "experiment.n_grid")
     slln = None
     if doc.get("slln") is not None:

@@ -78,6 +78,23 @@ def positive_number(raw: object) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw) and raw > 0
 
 
+def parse_bound_requests(raw: object) -> list[tuple[str, float | None]]:
+    """The bound requests as written, a list of {"name", "p"} objects, as
+    validated (name, p) pairs: ``p`` is kept as written for corollary3 and
+    is None otherwise.  A bad request raises :class:`ConfigError`."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"experiment.bounds must be a list of bound requests, got {raw!r}")
+    requests = []
+    for request in raw:
+        if not isinstance(request, dict) or request.get("name") not in ("theorem1", "corollary2", "corollary3"):
+            raise ConfigError(f"unknown bound request {request!r}")
+        name, p = request["name"], request.get("p")
+        if (p is None and name == "corollary3") or not (p is None or positive_number(p)):
+            raise ConfigError(f"bound request {request!r} needs a finite number p > 0")
+        requests.append((name, p if name == "corollary3" else None))
+    return requests
+
+
 @dataclass
 class SllnConfig:
     """Strong-law settings.  Inside an :class:`ExperimentConfig`,
@@ -115,10 +132,9 @@ class ExperimentConfig:
     """Resolved inputs for the variance and strong-law experiments.
 
     ``bounds`` takes the requests as written, {"name", "p"} objects, and
-    holds them as validated (name, p) pairs: ``p`` is kept as written for
-    corollary3 and is None otherwise.  ``slln`` holds its resolved
-    checkpoints.  A bad request or an unusable checkpoint list raises
-    :class:`ConfigError` here, before any work.
+    holds them as :func:`parse_bound_requests` returns them.  ``slln``
+    holds its resolved checkpoints.  A bad request or an unusable
+    checkpoint list raises :class:`ConfigError` here, before any work.
     """
 
     kernel: FiniteKernel
@@ -144,17 +160,7 @@ class ExperimentConfig:
             raise ValueError(f"n_grid entries must be >= m = {self.m}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if not isinstance(self.bounds, list):
-            raise ConfigError(f"experiment.bounds must be a list of bound requests, got {self.bounds!r}")
-        requests = []
-        for request in self.bounds:
-            if not isinstance(request, dict) or request.get("name") not in ("theorem1", "corollary2", "corollary3"):
-                raise ConfigError(f"unknown bound request {request!r}")
-            name, p = request["name"], request.get("p")
-            if (p is None and name == "corollary3") or not (p is None or positive_number(p)):
-                raise ConfigError(f"bound request {request!r} needs a finite number p > 0")
-            requests.append((name, p if name == "corollary3" else None))
-        self.bounds = requests
+        self.bounds = parse_bound_requests(self.bounds)
         if self.slln is not None:
             self.slln = replace(self.slln, checkpoints=self.slln.resolve_checkpoints(self.m))
 

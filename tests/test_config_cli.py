@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ustatmc import ConfigError, bounds, cli, montecarlo, proofs
+from ustatmc import ConfigError, bounds, cli, config, montecarlo, proofs
 from ustatmc.cli import main
 from ustatmc.config import SCHEMA, build_chain, build_experiment, build_initial, build_kernel_fn, load_document
 
@@ -333,6 +333,12 @@ BAD_SECTIONS = {
     "checkpoint-past-n-max": {"slln": {"n_max": 100000, "checkpoints": [10**9]}},
     "initial-too-long": {"initial": [0.5, 0.25, 0.25]},
     "initial-too-short": {"initial": [1.0]},
+    "m-value-negative": {"profile": {"kind": "geometric", "c": 1.0, "varrho": 0.5, "m_value": -1}},
+    "m-value-nan": {"profile": {"kind": "geometric", "c": 1.0, "varrho": 0.5, "m_value": float("nan")}},
+    "m-value-below-one": {"profile": {"kind": "geometric", "c": 1.0, "varrho": 0.5, "m_value": 0.5}},
+    "m-value-bool": {"profile": {"kind": "geometric", "c": 1.0, "varrho": 0.5, "m_value": True}},
+    "declared-m-below-one": {"profile": {"kind": "declared", "declared_m": 0.5,
+                                         "rho": {"values": [1.0, 0.5], "tail_rate": 0.5}}},
 }
 
 
@@ -356,6 +362,21 @@ def test_cli_unusable_checkpoints_exit_2_from_verify_slln(tmp_path, monkeypatch,
     doc = {**_variance_doc(), "slln": {"n_max": 100000, "checkpoints": checkpoints}}
     cfg = _write(tmp_path, "s.json", doc)
     assert main(["verify-slln", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "verify-variance"])
+def test_cli_bad_bound_request_refused_before_profile_is_certified(tmp_path, monkeypatch, capsys, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the profile was certified before the bound requests were validated")
+
+    monkeypatch.setattr(config, "certify_rho", no_work)
+    doc = _variance_doc()
+    doc["experiment"]["bounds"] = [{"name": "corollary3", "p": True}]
+    cfg = _write(tmp_path, "bad.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_joint_law
 from ustatmc import (
@@ -29,6 +31,7 @@ from ustatmc import (
     verify_prop5,
     verify_prop7,
 )
+from ustatmc.proofs import _f_sigma_values, _pair_partitions
 
 
 def test_j_indices_worked_examples():
@@ -284,6 +287,47 @@ def test_proposition_grid_check_passes_quickly():
     assert report["pass"]
     assert report["eq19"]["max_abs_residual"] <= 1e-11
     assert report["prop5"]["instances"] == math.comb(5 + 3, 4)
+
+
+def test_proposition_grid_check_degree_three():
+    report = proposition_grid_check(num_chains=1, size=2, m=3, i_max=5, seed=3, lemma6_trials=20, counting_n_max=3)
+    assert report["pass"]
+    assert report["eq19"]["instances"] == report["prop7_bound1"]["instances"] == math.comb(5 + 5, 6) * 720
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pair_partitions_group_permutations_by_split(m):
+    sigmas, representatives, index = _pair_partitions(m)
+    assert sigmas == list(itertools.permutations(range(2 * m)))
+    assert len(representatives) == math.comb(2 * m, m) // 2 == {1: 1, 2: 3, 3: 10}[m]
+    # sigma and sigma' share a class exactly when they split range(2m) into the same two halves
+    split_of_class, first_of_class = {}, {}
+    for sigma, c in zip(sigmas, index.tolist()):
+        split = min(tuple(sorted(sigma[:m])), tuple(sorted(sigma[m:])))
+        assert split_of_class.setdefault(c, split) == split
+        first_of_class.setdefault(c, sigma)
+    assert len(set(split_of_class.values())) == len(split_of_class)
+    assert first_of_class == dict(enumerate(representatives))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([2, 3]), m=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_split_contraction_matches_every_f_sigma(size, m, seed, data):
+    times = data.draw(st.lists(st.integers(1, 8), min_size=2 * m, max_size=2 * m))
+    tup = OrderedTuple(tuple(sorted(times)))
+    rng = np.random.default_rng(seed)
+    kernel = random_ergodic_kernel(size, rng)
+    mu = Distribution.normalized(rng.random(size) + 0.05)
+    raw = rng.standard_normal((size,) * m)
+    h = SymmetricKernelFn(sum(np.transpose(raw, perm) for perm in itertools.permutations(range(m))) / math.factorial(m))
+    laws = (joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, kernel.stationary(), tup))
+    sigmas, representatives, index = _pair_partitions(m)
+    values = _f_sigma_values(laws, np.multiply.outer(h.table, h.table).ravel(), representatives, index)
+    assert values.shape == (2, math.factorial(2 * m))
+    tol = 1e-12 * h.sup_norm() ** 2
+    for law, row in zip(laws, values):
+        for sigma, value in zip(sigmas, row):
+            assert abs(value - f_sigma_expectation(law, h, sigma)) <= tol
 
 
 def test_grid_record_keeps_first_worst_case_and_zero_identity():

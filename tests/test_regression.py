@@ -142,7 +142,7 @@ DIGESTS = {
     ("gaussian_rbf", "variance.csv"): "5f492db4655be5da2277035b6edff1d045c753fd4ecc663c49289c75b0afb140",
     ("indicator_diag", "variance.csv"): "41879149b2195c4d0a2d68ddeb8bb6aca15eadc316ae527fa3984777125fdcf8",
     ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
-    ("propositions", "propositions.json"): "df31ba4ab5e52a784703a2484364586f782ba6561602ff22b0851f75dde356f5",
+    ("propositions", "propositions.json"): "207833bb083659c93193d0398b367b675108be3ef92947b1b517a26ca3b4a304",
     ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
     ("routed_to_corollary2", "bounds.csv"): "60baf58058f6d4ea0f22a757d1a1d32bfdd776f07618e327fbf608a577494d11",
     ("canonical_p_as_written", "bounds.csv"): "c94640713e49d88fabc46387a286e2a59212c492aeefaa1f58f12635cf1020a0",
