@@ -49,9 +49,7 @@ from .montecarlo import (
     run_variance_experiment,
 )
 from .proofs import (
-    JointLaw,
     OrderedTuple,
-    count_tuples,
     counting_bound,
     f_sigma_expectation,
     j_indices,

@@ -144,16 +144,16 @@ def corollary2_bound(n: int, m: int, profile: ErgodicityProfile, m_value: float,
     return math.sqrt(m_value) * sup_h * total
 
 
-def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float, budget: int = ENUM_BUDGET) -> float:
+def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float) -> float:
     """B_q(h) = sup over m-tuples of |h| / sum_j V(y_j)^{1/q}.
 
-    Exact maximization over the dense table when S^m fits the budget.
+    Exact maximization over the dense table when S^m fits ``ENUM_BUDGET``.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     s = h.table.shape[0]
-    if s**h.degree > budget:
-        raise BudgetExceeded(f"S^m = {s**h.degree} exceeds enumeration budget {budget}")
+    if s**h.degree > ENUM_BUDGET:
+        raise BudgetExceeded(f"S^m = {s**h.degree} exceeds enumeration budget {ENUM_BUDGET}")
     vq = profile.v_values ** (1.0 / q)
     denom = np.zeros((s,) * h.degree)
     for axis in range(h.degree):

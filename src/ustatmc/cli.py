@@ -8,9 +8,11 @@ Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
 1 on a violation (worst instance is reported), 2 on a configuration error,
 3 when a check could not run (a budget refusal, a chain that is not
-ergodic, or an M(mu, V) that cannot be bounded).  A command returns a
-violation and never raises it, so any other package error means the check
-did not run.  Statuses 2 and 3 print one line.
+ergodic, or an M(mu, V) that cannot be bounded).  A proposition grid whose
+law tensors (S^(2m) cells) or instances (tuples times (2m)! permutations)
+exceed the fixed tensor budget is refused with status 3 before any work.
+A command returns a violation and never raises it, so any other package
+error means the check did not run.  Statuses 2 and 3 print one line.
 A configuration error is found before any work starts; it includes a bad
 bound request (an unknown name, corollary3 without p, or a p that is not a
 finite number > 0, a boolean included), an experiment.bounds that is not a
@@ -19,9 +21,9 @@ profile whose v does not list one value per state, a count that is not an
 integer (a fraction, a string or a boolean), an initial.dirac that is not a
 state index, an slln.checkpoints with no entry in [m, n_max], an
 slln.threshold that is not a finite number > 0, a seed (a config seed or
---seed) outside [0, 2^64), a --budget below 1, and a bad propositions
-section (a count below its least value, or a p_values entry that is not a
-finite number > 0).
+--seed) outside [0, 2^64), a --budget or --jobs below 1, and a bad
+propositions section (a count below its least value, or a p_values entry
+that is not a finite number > 0).
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
 and seeds yield byte-identical files at any --jobs value.
 """
@@ -204,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
         if args.budget is not None and args.budget < 1:
             raise ConfigError(f"--budget must be >= 1, got {args.budget}")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

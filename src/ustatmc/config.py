@@ -76,6 +76,8 @@ SCHEMA: dict = {
         "i_max": "int largest time index >= 1 (default 8)",
         "seed": "uint64, an integer in [0, 2^64) (default 7)",
         "p_values": "list[float] > 0 (default [0.5, 1.0])",
+        "cap": "size^(2m) law cells and binom(i_max + 2m - 1, 2m) * (2m)! (tuple, sigma) instances must each "
+               "be <= 1e7, or the command exits 3 before any work",
     },
 }
 

@@ -179,7 +179,6 @@ def exact_l2(
     n: int,
     m: int,
     pairs_budget: int = EXACT_PAIRS_BUDGET,
-    tensor_budget: int = TENSOR_BUDGET,
 ) -> float:
     """||U_{n,m}(h)||_2 exactly: binom(n,m)^{-2} sum over tuple pairs (A, B)
     of E[h(Y_A) h(Y_B)], each term an exact joint-law contraction over the
@@ -189,7 +188,7 @@ def exact_l2(
     pairs = math.comb(n, m) ** 2
     if pairs > pairs_budget:
         raise BudgetExceeded(f"binom(n,m)^2 = {pairs} exceeds exact-oracle budget {pairs_budget}")
-    if kernel.size ** (2 * m) > tensor_budget:
+    if kernel.size ** (2 * m) > TENSOR_BUDGET:
         raise BudgetExceeded("joint-law tensors exceed budget")
     combos = list(itertools.combinations(range(n), m))
     law_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -200,7 +199,7 @@ def exact_l2(
             merged = tuple(sorted(set(a) | set(b)))
             tensor = law_cache.get(merged)
             if tensor is None:
-                tensor = joint_law(mu, kernel, merged, tensor_budget).tensor
+                tensor = joint_law(mu, kernel, merged)
                 law_cache[merged] = tensor
             pos = {t: i for i, t in enumerate(merged)}
             term = np.einsum(

@@ -14,8 +14,13 @@ integrates to exactly zero under the tilted law, which is what makes the
 total-variation distance between the true and tilted laws the only thing a
 moment bound needs.
 
-All laws are dense probability tensors over S^l, so every inequality in
-this module is checked by exact contraction rather than sampling.
+Every law is a plain float array, a dense probability tensor over S^l
+whose axis i is the state at the i-th time, so every inequality in this
+module is checked by exact contraction rather than sampling.  The module
+builds its laws only from a validated ``Distribution`` and
+``FiniteKernel``, so they are non-negative and sum to 1 by construction.
+Every tensor and every enumeration is checked against ``TENSOR_BUDGET``
+before it is allocated.
 """
 
 from __future__ import annotations
@@ -54,29 +59,6 @@ class OrderedTuple:
         return len(self.indices) // 2
 
 
-@dataclass(frozen=True)
-class JointLaw:
-    """Exact probability tensor over S^arity."""
-
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=float)
-        if np.any(t < -1e-15):
-            raise ValueError("law tensor has negative entries")
-        if abs(float(t.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"law tensor sums to {t.sum()!r}, not 1")
-        t.setflags(write=False)
-        object.__setattr__(self, "tensor", t)
-
-    @property
-    def arity(self) -> int:
-        return self.tensor.ndim
-
-    def expect(self, values: np.ndarray) -> float:
-        return float(np.tensordot(self.tensor, values, axes=self.arity))
-
-
 def j_indices(tup: OrderedTuple) -> tuple[list[int], int, int]:
     """Per-pair minimal gaps, their maximum j*, and the first maximizer l*
     (1-based)."""
@@ -87,10 +69,9 @@ def j_indices(tup: OrderedTuple) -> tuple[list[int], int, int]:
     return js, j_star, ell_star
 
 
-def joint_law(
-    mu: Distribution, kernel: FiniteKernel, ks: Sequence[int], budget: int = TENSOR_BUDGET
-) -> JointLaw:
-    """Law of (Y_{k_1}, ..., Y_{k_l}) for the chain started at mu at time 0.
+def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.ndarray:
+    """Law of (Y_{k_1}, ..., Y_{k_l}) for the chain started at mu at time 0,
+    as a tensor over S^l.
 
     Built coordinate by coordinate from cached matrix powers:
     T_l(..., a, b) = T_{l-1}(..., a) * P^{k_l - k_{l-1}}(a, b).
@@ -101,23 +82,17 @@ def joint_law(
     if ks[0] < 0 or any(a > b for a, b in zip(ks, ks[1:])):
         raise ValueError("time indices must be non-decreasing and >= 0")
     s = kernel.size
-    if s ** len(ks) > budget:
-        raise BudgetExceeded(f"S^l = {s ** len(ks)} exceeds tensor budget {budget}")
+    if s ** len(ks) > TENSOR_BUDGET:
+        raise BudgetExceeded(f"S^l = {s ** len(ks)} exceeds tensor budget {TENSOR_BUDGET}")
     t = mu.weights @ kernel.power(ks[0])
     for prev, cur in zip(ks, ks[1:]):
         t = t[..., :, None] * kernel.power(cur - prev)
-    return JointLaw(t)
+    return t
 
 
-def tilde_law(
-    mu: Distribution,
-    kernel: FiniteKernel,
-    pi: Distribution,
-    tup: OrderedTuple,
-    budget: int = TENSOR_BUDGET,
-) -> JointLaw:
+def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.ndarray:
     """Tilted joint law: the coordinate at the largest minimal gap is
-    replaced by an independent stationary draw.
+    replaced by an independent draw from the stationary law pi.
 
     With l* = 1 the law is pi (x) P_mu^{i_2..i_2m}; otherwise it is
     P_mu^{i_1..i_{2l*-2}} (x) pi (x) P_mu^{i_{2l*}..i_2m}, the blocks being
@@ -125,27 +100,26 @@ def tilde_law(
     """
     _, _, ell_star = j_indices(tup)
     idx = tup.indices
-    if kernel.size ** (2 * tup.m) > budget:
+    if kernel.size ** (2 * tup.m) > TENSOR_BUDGET:
         raise BudgetExceeded("tilted-law tensor exceeds budget")
+    pi = kernel.stationary().weights
     if ell_star == 1:
-        rest = joint_law(mu, kernel, idx[1:], budget)
-        return JointLaw(np.multiply.outer(pi.weights, rest.tensor))
-    left = joint_law(mu, kernel, idx[: 2 * ell_star - 2], budget)
-    right = joint_law(mu, kernel, idx[2 * ell_star - 1 :], budget)
-    t = np.multiply.outer(np.multiply.outer(left.tensor, pi.weights), right.tensor)
-    return JointLaw(t)
+        return np.multiply.outer(pi, joint_law(mu, kernel, idx[1:]))
+    left = joint_law(mu, kernel, idx[: 2 * ell_star - 2])
+    right = joint_law(mu, kernel, idx[2 * ell_star - 1 :])
+    return np.multiply.outer(np.multiply.outer(left, pi), right)
 
 
-def f_sigma_expectation(law: JointLaw, h: SymmetricKernelFn, sigma: Sequence[int]) -> float:
+def f_sigma_expectation(law: np.ndarray, h: SymmetricKernelFn, sigma: Sequence[int]) -> float:
     """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact tensor
     contraction.  ``sigma`` is a 0-based permutation of range(2m)."""
     m = h.degree
-    if law.arity != 2 * m:
-        raise ValueError(f"law arity {law.arity} does not match 2m = {2 * m}")
+    if law.ndim != 2 * m:
+        raise ValueError(f"law arity {law.ndim} does not match 2m = {2 * m}")
     if sorted(sigma) != list(range(2 * m)):
         raise ValueError("sigma must be a permutation of range(2m)")
     out = np.einsum(
-        law.tensor,
+        law,
         list(range(2 * m)),
         h.table,
         [sigma[j] for j in range(m)],
@@ -156,11 +130,11 @@ def f_sigma_expectation(law: JointLaw, h: SymmetricKernelFn, sigma: Sequence[int
     return float(out)
 
 
-def tv_between(law_a: JointLaw, law_b: JointLaw) -> float:
+def tv_between(law_a: np.ndarray, law_b: np.ndarray) -> float:
     """Total variation (unnormalized L1, range [0, 2]) between two tensors."""
-    if law_a.tensor.shape != law_b.tensor.shape:
+    if law_a.shape != law_b.shape:
         raise ValueError("law shapes differ")
-    return float(np.abs(law_a.tensor - law_b.tensor).sum())
+    return float(np.abs(law_a - law_b).sum())
 
 
 def verify_prop5(
@@ -168,14 +142,12 @@ def verify_prop5(
     kernel: FiniteKernel,
     profile: ErgodicityProfile,
     tup: OrderedTuple,
-    budget: int = TENSOR_BUDGET,
 ) -> tuple[float, float]:
     """Exact TV between the true and tilted laws of (Y_{i_1}, ..., Y_{i_2m})
     against its certificate 4 rho(j*) M(mu, V)."""
     _, j_star, _ = j_indices(tup)
-    true_law = joint_law(mu, kernel, tup.indices, budget)
-    tilted = tilde_law(mu, kernel, kernel.stationary(), tup, budget)
-    return tv_between(true_law, tilted), _prop5_bound(m_sup(mu, profile, kernel), profile.rho_at(j_star))
+    tv = tv_between(joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, tup))
+    return tv, _prop5_bound(m_sup(mu, profile, kernel), profile.rho_at(j_star))
 
 
 def _prop5_bound(m_value: float, rho_j: float) -> float:
@@ -209,7 +181,6 @@ def verify_prop7(
     tup: OrderedTuple,
     sigma: Sequence[int],
     p: float | None = None,
-    budget: int = TENSOR_BUDGET,
 ) -> tuple[float, float, float | None]:
     """|E_mu[f_sigma(Y_{i_1}, ..., Y_{i_2m})]| against its two certificates:
 
@@ -224,8 +195,7 @@ def verify_prop7(
     if tup.m != h.degree:
         raise ValueError("tuple length 2m does not match the kernel degree")
     _, j_star, _ = j_indices(tup)
-    law = joint_law(mu, kernel, tup.indices, budget)
-    lhs = abs(f_sigma_expectation(law, h, sigma))
+    lhs = abs(f_sigma_expectation(joint_law(mu, kernel, tup.indices), h, sigma))
     bounds = _prop7_bounds(h, profile, m_sup(mu, profile, kernel), () if p is None else (p,))
     bound1, bound2 = bounds(profile.rho_at(j_star))
     return lhs, bound1, bound2.get(p)
@@ -240,16 +210,11 @@ def _prop7_bounds(h: SymmetricKernelFn, profile: ErgodicityProfile, m_value: flo
     return lambda rho_j: (4.0 * m_value * rho_j * sup_sq, {p: c * rho_j ** (p / (p + 1.0)) for p, c in scale.items()})
 
 
-def count_tuples(n: int, m: int, k: int, budget: int = TENSOR_BUDGET) -> int:
-    """#{ordered 2m-tuples in [1, n] with j*(I) = k}, by enumeration."""
-    return jstar_histogram(n, m, budget).get(k, 0)
-
-
-def jstar_histogram(n: int, m: int, budget: int = TENSOR_BUDGET) -> dict[int, int]:
+def jstar_histogram(n: int, m: int) -> dict[int, int]:
     """Bucket all binom(n + 2m - 1, 2m) ordered 2m-tuples by j*."""
     total = math.comb(n + 2 * m - 1, 2 * m)
-    if total > budget:
-        raise BudgetExceeded(f"{total} tuples exceed enumeration budget {budget}")
+    if total > TENSOR_BUDGET:
+        raise BudgetExceeded(f"{total} tuples exceed enumeration budget {TENSOR_BUDGET}")
     hist: dict[int, int] = {}
     for combo in itertools.combinations_with_replacement(range(1, n + 1), 2 * m):
         _, j_star, _ = j_indices(OrderedTuple(combo))
@@ -313,7 +278,7 @@ def _pair_partitions(m: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...
 
 
 def _f_sigma_values(
-    laws: Sequence[JointLaw], hh: np.ndarray, representatives: Sequence, index: np.ndarray
+    laws: Sequence[np.ndarray], hh: np.ndarray, representatives: Sequence, index: np.ndarray
 ) -> np.ndarray:
     """E_law[f_sigma] for each law (rows) and each sigma (columns, in the
     order of ``index``), from the split representatives and index of
@@ -321,7 +286,7 @@ def _f_sigma_values(
 
     f_sigma = <T transposed by sigma, h (x) h>, so one matrix product with
     a row per (law, split) gives every distinct value."""
-    rows = [law.tensor.transpose(rep).ravel() for law in laws for rep in representatives]
+    rows = [law.transpose(rep).ravel() for law in laws for rep in representatives]
     return (np.stack(rows) @ hh).reshape(len(laws), -1)[:, index]
 
 
@@ -379,8 +344,14 @@ def proposition_grid_check(
     Returns a JSON-ready summary per inequality: number of instances, the
     worst lhs/bound ratio, and the tuple attaining it.  ``"pass"`` is True
     iff no instance violates its certificate (the tilted-moment identity is
-    held to 1e-11 absolute).
+    held to 1e-11 absolute).  A grid whose law tensors (S^(2m) cells) or
+    instances (binom(i_max + 2m - 1, 2m) tuples times (2m)! permutations)
+    exceed ``TENSOR_BUDGET`` raises :class:`BudgetExceeded` before any work.
     """
+    cells, instances = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.factorial(2 * m)
+    if max(cells, instances) > TENSOR_BUDGET:
+        raise BudgetExceeded(f"proposition grid of S^(2m) = {cells} law cells and {instances} "
+                             f"(tuple, sigma) instances exceeds budget {TENSOR_BUDGET}")
     rng = np.random.default_rng(seed)
     sigmas, representatives, index = _pair_partitions(m)
     tuples = [OrderedTuple(c) for c in itertools.combinations_with_replacement(range(1, i_max + 1), 2 * m)]
@@ -390,7 +361,6 @@ def proposition_grid_check(
 
     for chain_idx in range(num_chains):
         kernel = random_ergodic_kernel(size, rng)
-        pi = kernel.stationary()
         mu = Distribution.normalized(rng.random(size) + 0.05)
         profile = certify_rho(kernel, np.ones(size), k_max=i_max + 1)
         h = random_canonical_kernel(kernel, m, rng)
@@ -399,7 +369,7 @@ def proposition_grid_check(
         hh = np.multiply.outer(h.table, h.table).ravel()
         for tup in tuples:
             law = joint_law(mu, kernel, tup.indices)
-            tilted = tilde_law(mu, kernel, pi, tup)
+            tilted = tilde_law(mu, kernel, tup)
             rho_j = profile.rho_at(j_indices(tup)[1])
             case = {"chain": chain_idx, "tuple": list(tup.indices)}
             prop5.update(case, np.array([tv_between(law, tilted)]), _prop5_bound(m_value, rho_j))

@@ -106,7 +106,6 @@ def proposition_grid():
     tuples = [OrderedTuple(c) for c in itertools.combinations_with_replacement(range(1, 9), 4)]
     for _ in range(3):
         kernel = random_ergodic_kernel(3, rng)
-        pi = kernel.stationary()
         mu = Distribution.normalized(rng.random(3) + 0.05)
         profile = certify_rho(kernel, np.ones(3), k_max=9)
         h = random_canonical_kernel(kernel, 2, rng)
@@ -114,10 +113,10 @@ def proposition_grid():
         for tup in tuples:
             laws[tup.indices] = (
                 joint_law(mu, kernel, tup.indices),
-                tilde_law(mu, kernel, pi, tup),
+                tilde_law(mu, kernel, tup),
                 j_indices(tup)[1],
             )
-        grid.append({"kernel": kernel, "pi": pi, "mu": mu, "profile": profile, "h": h, "laws": laws})
+        grid.append({"kernel": kernel, "mu": mu, "profile": profile, "h": h, "laws": laws})
     return grid
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ustatmc import ConfigError, bounds, cli, config, montecarlo, proofs
+from ustatmc import ConfigError, bounds, cli, config, markov, montecarlo, proofs
 from ustatmc.cli import main
 from ustatmc.config import SCHEMA, build_chain, build_experiment, build_initial, build_kernel_fn, load_document
 
@@ -303,6 +304,25 @@ def test_cli_bad_propositions_section_is_config_error(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out").exists()
 
 
+OVERSIZED_GRIDS = {"degree-six": {"m": 6}, "i-max-10000": {"i_max": 10_000}}
+
+
+@pytest.mark.parametrize("big", OVERSIZED_GRIDS.values(), ids=OVERSIZED_GRIDS.keys())
+def test_cli_oversized_proposition_grid_exits_3_before_any_work(tmp_path, monkeypatch, capsys, big):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the proposition grid started work before its size was checked")
+
+    for name in ("_pair_partitions", "random_ergodic_kernel"):
+        monkeypatch.setattr(proofs, name, no_work)
+    cfg = _write(tmp_path, "big.json", {"propositions": {"chains": 1, **big}})
+    start = time.perf_counter()
+    assert main(["check-propositions", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("could not check:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 BAD_SECTIONS = {
     "degree-text": {"kernel_fn": {"name": "product", "degree": "x"}},
     "degree-zero": {"kernel_fn": {"name": "product", "degree": 0}},
@@ -427,17 +447,20 @@ def test_budget_does_not_cap_the_exact_oracle(tmp_path):
 
 
 BAD_OVERRIDES = {"seed-negative": ["--seed", "-1"], "budget-zero": ["--budget", "0"],
-                 "seed-2-to-the-64": ["--seed", str(2**64)]}
+                 "seed-2-to-the-64": ["--seed", str(2**64)], "jobs-zero": ["--jobs", "0"],
+                 "jobs-negative": ["--jobs", "-3"]}
 
 
-@pytest.mark.parametrize("command", ["simulate", "bound", "verify-variance", "verify-slln", "check-propositions"])
+@pytest.mark.parametrize("command", ["simulate", "certify-profile", "bound", "verify-variance", "verify-slln",
+                                     "check-propositions"])
 @pytest.mark.parametrize("flag", BAD_OVERRIDES.values(), ids=BAD_OVERRIDES.keys())
 def test_cli_bad_seed_or_budget_override_is_config_error(tmp_path, monkeypatch, capsys, command, flag):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the overrides were validated")
 
-    for module, name in [(cli, "simulate"), (cli, "evaluate_bounds"), (cli, "run_variance_experiment"),
-                         (cli, "run_slln_experiment"), (cli, "proposition_grid_check")]:
+    for module, name in [(cli, "simulate"), (markov, "certify_rho"), (cli, "evaluate_bounds"),
+                         (cli, "run_variance_experiment"), (cli, "run_slln_experiment"),
+                         (cli, "proposition_grid_check")]:
         monkeypatch.setattr(module, name, no_work)
     doc = {**_variance_doc(), "slln": {"n_max": 100}, "propositions": {"chains": 1, "i_max": 3}}
     cfg = _write(tmp_path, "c.json", doc)

@@ -56,7 +56,7 @@ def test_exact_l2_single_combination(two_state_kernel, canonical_product_h):
     mu = Distribution.dirac(0, 2)
     got = exact_l2(mu, two_state_kernel, canonical_product_h, 2, 2)
     law = joint_law(mu, two_state_kernel, (0, 1))
-    expected = math.sqrt(law.expect(canonical_product_h.table**2))
+    expected = math.sqrt(float(np.tensordot(law, canonical_product_h.table**2, law.ndim)))
     assert got == pytest.approx(expected, rel=1e-12)
 
 

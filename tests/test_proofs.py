@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_joint_law
 from ustatmc import (
+    BudgetExceeded,
     Distribution,
     FiniteKernel,
     NotCanonical,
@@ -15,7 +17,6 @@ from ustatmc import (
     PNotPositive,
     SymmetricKernelFn,
     certify_rho,
-    count_tuples,
     counting_bound,
     evolve,
     f_sigma_expectation,
@@ -53,7 +54,7 @@ def test_joint_law_matches_naive_oracle(two_state_kernel):
     rng = np.random.default_rng(3)
     mu = Distribution.normalized(rng.random(2) + 0.1)
     for ks in [(0,), (2,), (0, 1, 4), (1, 1, 3, 3), (2, 5, 6, 9)]:
-        got = joint_law(mu, two_state_kernel, ks).tensor
+        got = joint_law(mu, two_state_kernel, ks)
         expected = naive_joint_law(mu.weights, two_state_kernel.matrix, ks)
         assert np.abs(got - expected).max() <= 1e-13
 
@@ -62,7 +63,7 @@ def test_joint_law_arity_one_is_evolve(two_state_kernel):
     mu = Distribution.normalized([0.3, 0.7])
     for k in (0, 1, 6):
         assert np.allclose(
-            joint_law(mu, two_state_kernel, (k,)).tensor,
+            joint_law(mu, two_state_kernel, (k,)),
             evolve(mu, two_state_kernel, k).weights,
             atol=1e-14,
         )
@@ -70,7 +71,7 @@ def test_joint_law_arity_one_is_evolve(two_state_kernel):
 
 def test_joint_law_repeated_index_fully_correlated(two_state_kernel):
     mu = Distribution.dirac(0, 2)
-    law = joint_law(mu, two_state_kernel, (3, 3)).tensor
+    law = joint_law(mu, two_state_kernel, (3, 3))
     assert np.abs(law - np.diag(np.diag(law))).max() == 0.0
     assert np.allclose(np.diag(law), evolve(mu, two_state_kernel, 3).weights)
 
@@ -81,7 +82,7 @@ def test_joint_law_marginalization_consistency():
     mu = Distribution.normalized(rng.random(3) + 0.1)
     full = joint_law(mu, kernel, (1, 2, 5, 7))
     prefix = joint_law(mu, kernel, (1, 2, 5))
-    assert np.abs(full.tensor.sum(axis=-1) - prefix.tensor).max() <= 1e-12
+    assert np.abs(full.sum(axis=-1) - prefix).max() <= 1e-12
 
 
 def test_joint_law_monte_carlo_cross_check(two_state_kernel):
@@ -89,7 +90,7 @@ def test_joint_law_monte_carlo_cross_check(two_state_kernel):
     ks = (1, 3, 6)
     law = joint_law(mu, two_state_kernel, ks)
     f = np.cos(np.arange(8, dtype=float)).reshape(2, 2, 2)
-    exact = law.expect(f)
+    exact = float(np.tensordot(law, f, law.ndim))
     paths = sample_paths(two_state_kernel, mu, 7, [7000 + r for r in range(40_000)])
     sample = f[paths[:, ks[0]], paths[:, ks[1]], paths[:, ks[2]]]
     se = float(sample.std(ddof=1)) / math.sqrt(sample.size)
@@ -100,34 +101,62 @@ def test_tilde_law_first_branch_marginal_is_pi(two_state_kernel):
     mu = Distribution.dirac(0, 2)
     pi = two_state_kernel.stationary()
     tup = OrderedTuple((2, 5, 6, 9))  # ell* = 1
-    tilted = tilde_law(mu, two_state_kernel, pi, tup)
-    first = tilted.tensor.sum(axis=(1, 2, 3))
+    tilted = tilde_law(mu, two_state_kernel, tup)
+    first = tilted.sum(axis=(1, 2, 3))
     assert np.abs(first - pi.weights).max() <= 1e-13
     # the replaced coordinate is independent of the rest: exact product form
-    rest = tilted.tensor.sum(axis=0)
-    assert np.abs(tilted.tensor - np.multiply.outer(pi.weights, rest)).max() <= 1e-14
+    rest = tilted.sum(axis=0)
+    assert np.abs(tilted - np.multiply.outer(pi.weights, rest)).max() <= 1e-14
 
 
 def test_tilde_law_second_branch_structure(two_state_kernel):
     mu = Distribution.dirac(0, 2)
     pi = two_state_kernel.stationary()
     tup = OrderedTuple((1, 2, 8, 9))  # ell* = 2: replace coordinate 3
-    tilted = tilde_law(mu, two_state_kernel, pi, tup)
-    third = tilted.tensor.sum(axis=(0, 1, 3))
+    tilted = tilde_law(mu, two_state_kernel, tup)
+    third = tilted.sum(axis=(0, 1, 3))
     assert np.abs(third - pi.weights).max() <= 1e-13
-    left = joint_law(mu, two_state_kernel, (1, 2)).tensor
-    right = joint_law(mu, two_state_kernel, (9,)).tensor
+    left = joint_law(mu, two_state_kernel, (1, 2))
+    right = joint_law(mu, two_state_kernel, (9,))
     expected = np.multiply.outer(np.multiply.outer(left, pi.weights), right)
-    assert np.abs(tilted.tensor - expected).max() <= 1e-14
+    assert np.abs(tilted - expected).max() <= 1e-14
 
 
 def test_tilde_law_m1_hand_tensor(two_state_kernel):
     mu = Distribution.normalized([0.25, 0.75])
     pi = two_state_kernel.stationary()
     tup = OrderedTuple((2, 7))
-    tilted = tilde_law(mu, two_state_kernel, pi, tup)
+    tilted = tilde_law(mu, two_state_kernel, tup)
     hand = np.multiply.outer(pi.weights, evolve(mu, two_state_kernel, 7).weights)
-    assert np.abs(tilted.tensor - hand).max() <= 1e-14
+    assert np.abs(tilted - hand).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       times=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+def test_laws_are_probability_tensors_with_the_tilted_structure(size, seed, times):
+    rng = np.random.default_rng(seed)
+    kernel = random_ergodic_kernel(size, rng)
+    mu = Distribution.normalized(rng.random(size) + 0.01)
+    ks = tuple(sorted(times))
+    law = joint_law(mu, kernel, ks)
+    assert np.abs(law - naive_joint_law(mu.weights, kernel.matrix, ks)).max() <= 1e-13
+    assert law.min() >= 0.0 and abs(float(law.sum()) - 1.0) <= 1e-12
+    if len(ks) > 1:
+        assert np.abs(law.sum(axis=-1) - joint_law(mu, kernel, ks[:-1])).max() <= 1e-12
+
+    tup = OrderedTuple(ks + ks[-1:] * (len(ks) % 2))
+    tilted = tilde_law(mu, kernel, tup)
+    assert tilted.min() >= 0.0 and abs(float(tilted.sum()) - 1.0) <= 1e-12
+    q = 2 * j_indices(tup)[2] - 2  # the coordinate i_{2l*-1} drawn from pi
+    pi = kernel.stationary().weights
+    assert np.abs(tilted.sum(axis=tuple(a for a in range(tilted.ndim) if a != q)) - pi).max() <= 1e-13
+    left = tilted.sum(axis=tuple(range(q, tilted.ndim)))
+    right = tilted.sum(axis=tuple(range(q + 1)))
+    assert np.abs(tilted - np.multiply.outer(np.multiply.outer(left, pi), right)).max() <= 1e-14
+    assert np.abs(right - joint_law(mu, kernel, tup.indices[q + 1 :])).max() <= 1e-13
+    if q > 0:
+        assert np.abs(left - joint_law(mu, kernel, tup.indices[:q])).max() <= 1e-13
 
 
 def test_f_sigma_identity_constant_kernel(two_state_kernel):
@@ -140,11 +169,10 @@ def test_f_sigma_identity_constant_kernel(two_state_kernel):
 def test_f_sigma_vanishes_under_tilde_for_canonical():
     rng = np.random.default_rng(10)
     kernel = random_ergodic_kernel(3, rng)
-    pi = kernel.stationary()
     mu = Distribution.normalized(rng.random(3) + 0.1)
     h = random_canonical_kernel(kernel, 2, rng)
     for tup in [OrderedTuple(t) for t in [(1, 1, 2, 2), (1, 3, 3, 7), (2, 4, 6, 8)]]:
-        tilted = tilde_law(mu, kernel, pi, tup)
+        tilted = tilde_law(mu, kernel, tup)
         for sigma in itertools.permutations(range(4)):
             assert abs(f_sigma_expectation(tilted, h, sigma)) <= 1e-12
 
@@ -267,8 +295,8 @@ def test_prop7_rejects_non_canonical(two_state_kernel, two_state_profile):
 
 def test_count_tuples_examples():
     # gaps cannot exceed n
-    assert count_tuples(4, 1, k=5) == 0
     hist = jstar_histogram(4, 1)
+    assert 5 not in hist
     assert sum(hist.values()) == math.comb(4 + 1, 2)  # 10 ordered pairs
     for k, cnt in hist.items():
         assert cnt <= counting_bound(4, 1, k)
@@ -293,6 +321,18 @@ def test_proposition_grid_check_degree_three():
     report = proposition_grid_check(num_chains=1, size=2, m=3, i_max=5, seed=3, lemma6_trials=20, counting_n_max=3)
     assert report["pass"]
     assert report["eq19"]["instances"] == report["prop7_bound1"]["instances"] == math.comb(5 + 5, 6) * 720
+
+
+@pytest.mark.parametrize("grid", [{"m": 6}, {"i_max": 10_000}, {"size": 60}], ids=["m6", "i_max", "size"])
+def test_oversized_proposition_grid_is_refused_before_allocating(grid):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            proposition_grid_check(num_chains=1, **grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -320,7 +360,7 @@ def test_split_contraction_matches_every_f_sigma(size, m, seed, data):
     mu = Distribution.normalized(rng.random(size) + 0.05)
     raw = rng.standard_normal((size,) * m)
     h = SymmetricKernelFn(sum(np.transpose(raw, perm) for perm in itertools.permutations(range(m))) / math.factorial(m))
-    laws = (joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, kernel.stationary(), tup))
+    laws = (joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, tup))
     sigmas, representatives, index = _pair_partitions(m)
     values = _f_sigma_values(laws, np.multiply.outer(h.table, h.table).ravel(), representatives, index)
     assert values.shape == (2, math.factorial(2 * m))
