@@ -8,22 +8,27 @@ Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
 1 on a violation (worst instance is reported), 2 on a configuration error,
 3 when a check could not run (a budget refusal, a chain that is not
-ergodic, or an M(mu, V) that cannot be bounded).  A proposition grid whose
-law tensors (S^(2m) cells) or instances (tuples times (2m)! permutations)
-exceed the fixed tensor budget is refused with status 3 before any work.
-A command returns a violation and never raises it, so any other package
-error means the check did not run.  Statuses 2 and 3 print one line.
-A configuration error is found before any work starts; it includes a bad
-bound request (an unknown name, corollary3 without p, or a p that is not a
-finite number > 0, a boolean included), an experiment.bounds that is not a
-list, initial weights that do not list one value per state, a declared
+ergodic, an M(mu, V) that cannot be bounded, or an artifact that cannot
+be written).  A proposition grid whose law tensors (S^(2m) cells) or
+instances (tuples times (2m)! permutations) exceed the fixed tensor budget
+is refused with status 3 before any work.  A command returns a violation
+and never raises it, so any other package error means the check did not
+run.  Statuses 2 and 3 print one line.
+A configuration error is found before any work starts; it includes an
+--out that names an existing file, a number that is not finite (NaN or
+Infinity) in the chain, the initial weights, a kernel table or a profile,
+a bad bound request (an unknown name, corollary3 without p, or a p that is
+not a finite number > 0, a boolean included), an experiment.bounds that is
+not a list, initial weights that do not list one value per state, a declared
 profile whose v does not list one value per state, a count that is not an
 integer (a fraction, a string or a boolean), an initial.dirac that is not a
 state index, an slln.checkpoints with no entry in [m, n_max], an
 slln.threshold that is not a finite number > 0, a seed (a config seed or
 --seed) outside [0, 2^64), a --budget or --jobs below 1, and a bad
 propositions section (a count below its least value, or a p_values entry
-that is not a finite number > 0).
+that is not a finite number > 0).  bound and verify-variance also refuse
+an empty experiment.n_grid or experiment.bounds with status 2, once the
+experiment is built and before any artifact is written.
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
 and seeds yield byte-identical files at any --jobs value.
 """
@@ -39,7 +44,7 @@ from . import config as cfg
 from .bounds import evaluate_bounds
 from .errors import ConfigError, UstatmcError
 from .markov import simulate
-from .montecarlo import VARIANCE_COLUMNS, run_slln_experiment, run_variance_experiment
+from .montecarlo import VARIANCE_COLUMNS, ExperimentConfig, run_slln_experiment, run_variance_experiment
 from .proofs import proposition_grid_check
 from .reporting import write_csv, write_json
 
@@ -110,9 +115,19 @@ def cmd_certify_profile(args) -> int:
     return 0
 
 
+def _bound_experiment(args) -> ExperimentConfig:
+    """The experiment of ``bound`` and ``verify-variance``, which check
+    nothing unless both the n grid and the bound requests are non-empty."""
+    config = cfg.build_experiment(cfg.load_document(args.config), args.seed, args.budget, args.jobs)
+    if not config.n_grid:
+        raise ConfigError(f"{args.command} needs a non-empty experiment.n_grid")
+    if not config.bounds:
+        raise ConfigError(f"{args.command} needs experiment.bounds")
+    return config
+
+
 def cmd_bound(args) -> int:
-    doc = cfg.load_document(args.config)
-    config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
+    config = _bound_experiment(args)
     d, entries = evaluate_bounds(config.bounds, config.n_grid, config.h, config.profile, config.mu0, config.kernel)
     rows = [
         {"n": n, "m": config.m, "bound_name": label, "bound": value, "degeneracy": d, "inputs_hash": digest}
@@ -126,10 +141,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify_variance(args) -> int:
-    doc = cfg.load_document(args.config)
-    config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
-    if not config.bounds:
-        raise ConfigError("verify-variance needs experiment.bounds")
+    config = _bound_experiment(args)
     rows = run_variance_experiment(config)
     out = _out_dir(args)
     write_csv(out / "variance.csv", VARIANCE_COLUMNS, rows)
@@ -208,12 +220,17 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--budget must be >= 1, got {args.budget}")
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if Path(args.out).exists() and not Path(args.out).is_dir():
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UstatmcError as exc:
         print(f"could not check: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"could not write: {exc}", file=sys.stderr)
         return 3
 
 

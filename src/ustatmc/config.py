@@ -26,6 +26,7 @@ from .ustats import (
 )
 
 SCHEMA: dict = {
+    "numbers": "every number must be finite: JSON NaN and Infinity are refused",
     "chain": {
         "states": "list[float] — state embedding values (required)",
         "matrix": "list[list[float]] — row-stochastic transition matrix (required)",
@@ -55,11 +56,12 @@ SCHEMA: dict = {
         },
     },
     "experiment": {
-        "n_grid": "strictly increasing list[int]",
+        "n_grid": "strictly increasing list[int]; non-empty for bound and verify-variance",
         "replicates": "int >= 2",
         "master_seed": "uint64, an integer in [0, 2^64)",
-        "bounds": "list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, required by "
-                  "corollary3}; theorem1/corollary3 run as corollary2 unless h is completely degenerate",
+        "bounds": "non-empty list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, "
+                  "required by corollary3}, needed by bound and verify-variance; theorem1/corollary3 run as "
+                  "corollary2 unless h is completely degenerate",
         "budget": "int >= 1 — the counting engine's cap: S^m level cells per row, and n*S^(m-1) for one "
                   "counted path; the exact oracle, B_q and the proposition grid keep fixed caps (default 1e8)",
     },
@@ -159,8 +161,8 @@ def build_chain(doc: dict) -> tuple[FiniteKernel, np.ndarray]:
         v = np.asarray(entries.get("v", np.ones(kernel.size)), dtype=float)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid chain: {exc}") from exc
-    if v.shape != (kernel.size,) or np.any(v < 1.0):
-        raise ConfigError("'v' must list one value >= 1 per state")
+    if v.shape != (kernel.size,) or not (np.isfinite(v).all() and np.all(v >= 1.0)):
+        raise ConfigError("'v' must list one finite value >= 1 per state")
     return kernel, v
 
 

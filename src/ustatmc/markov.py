@@ -49,6 +49,8 @@ class Distribution:
         w = _freeze(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > _ATOL:
@@ -99,6 +101,8 @@ class FiniteKernel:
         s = states.size
         if matrix.shape != (s, s):
             raise ValueError(f"matrix shape {matrix.shape} does not match {s} states")
+        if not (np.isfinite(states).all() and np.isfinite(matrix).all()):
+            raise ValueError("states and matrix entries must be finite")
         if np.any(matrix < 0):
             raise ValueError("matrix entries must be nonnegative")
         rowsum = matrix.sum(axis=1)
@@ -228,6 +232,8 @@ class ExplicitRho:
         v = _freeze(self.values)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("values must be a nonempty vector")
+        if not np.isfinite(v).all():
+            raise ValueError("rho values must be finite")
         if np.any(v < 0):
             raise ValueError("rho values must be nonnegative")
         if np.any(np.diff(v) > 0):
@@ -272,8 +278,8 @@ class ErgodicityProfile:
 
     def __post_init__(self):
         v = _freeze(self.v_values)
-        if np.any(v < 1.0):
-            raise ValueError("V must be >= 1 everywhere")
+        if not (np.isfinite(v).all() and np.all(v >= 1.0)):
+            raise ValueError("V must be finite and >= 1 everywhere")
         if self.provenance not in ("certified", "declared"):
             raise ValueError("provenance must be 'certified' or 'declared'")
         object.__setattr__(self, "v_values", v)

@@ -23,14 +23,14 @@ passes it (:func:`replicate_u_grid`, which calls ``tuple_sums`` once per
 jobs block).  The strong-law run reads its single path at every checkpoint
 with one ``tuple_sums`` call on that path.
 
-The exact oracle expands E[U^2] over all pairs of index m-tuples and
-contracts each term against the exact joint law of the merged time set; it
-shares no code path with the simulation estimate it cross-checks.
+The exact oracle :func:`exact_l2` runs the same counting recursion in
+expectation: one forward pass over time carries the second moments of the
+tuple counts, split by the current state, so it draws no path and counts
+none.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -41,7 +41,7 @@ import numpy as np
 from .bounds import evaluate_bounds
 from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, sample_paths, simulate
-from .proofs import TENSOR_BUDGET, joint_law
+from .proofs import TENSOR_BUDGET
 from .ustats import (
     DEFAULT_BUDGET, SymmetricKernelFn, check_path_cost, hoeffding_project, tuple_sums,
 )
@@ -180,39 +180,47 @@ def exact_l2(
     m: int,
     pairs_budget: int = EXACT_PAIRS_BUDGET,
 ) -> float:
-    """||U_{n,m}(h)||_2 exactly: binom(n,m)^{-2} sum over tuple pairs (A, B)
-    of E[h(Y_A) h(Y_B)], each term an exact joint-law contraction over the
-    merged time set (times 0..n-1, values[0] ~ mu)."""
+    """||U_{n,m}(h)||_2 exactly (times 0..n-1, Y_0 ~ mu), by the counting
+    recursion of :func:`tuple_sums` taken in expectation.
+
+    A path's count vector l = (L_0, ..., L_m), with L_0 = 1 and L_c the
+    c-tuples by state (S^c cells, newest index first), gains L_{c-1} in the
+    slice L_c[x] when the path sees state x.  The pass carries
+    second[x] = E[l l^T ; Y_t = x], an (S, K, K) array with K = sum_c S^c:
+    seeing applies that update to both axes of every second[x] at once, and
+    a step moves the mass through P.  After n steps the block m x m of
+    sum_x second[x] is E[L_m L_m^T], and sum_A h(Y_A) = <w, L_m> with w the
+    flat table (h is symmetric, so the layout's index order does not
+    matter).
+
+    binom(n, m)^2 must fit ``pairs_budget`` (checked first) and the S*K^2
+    cells of second must fit ``TENSOR_BUDGET``, both before anything is
+    allocated.
+    """
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
     pairs = math.comb(n, m) ** 2
     if pairs > pairs_budget:
         raise BudgetExceeded(f"binom(n,m)^2 = {pairs} exceeds exact-oracle budget {pairs_budget}")
-    if kernel.size ** (2 * m) > TENSOR_BUDGET:
-        raise BudgetExceeded("joint-law tensors exceed budget")
-    combos = list(itertools.combinations(range(n), m))
-    law_cache: dict[tuple[int, ...], np.ndarray] = {}
-    table = h.table
-    total = 0.0
-    for a in combos:
-        for b in combos:
-            merged = tuple(sorted(set(a) | set(b)))
-            tensor = law_cache.get(merged)
-            if tensor is None:
-                tensor = joint_law(mu, kernel, merged)
-                law_cache[merged] = tensor
-            pos = {t: i for i, t in enumerate(merged)}
-            term = np.einsum(
-                tensor,
-                list(range(len(merged))),
-                table,
-                [pos[t] for t in a],
-                table,
-                [pos[t] for t in b],
-                [],
-            )
-            total += float(term)
-    mean_sq = total / math.comb(n, m) ** 2
+    s = kernel.size
+    # block c of l is l[offsets[c] : offsets[c + 1]]
+    offsets = [sum(s**j for j in range(c)) for c in range(m + 2)]
+    k = offsets[-1]
+    if s * k * k > TENSOR_BUDGET:
+        raise BudgetExceeded(f"second-moment cells S*K^2 = {s * k * k} exceed tensor budget {TENSOR_BUDGET}")
+    # lines[c][x] = the lines of block c that hold the slice L_c[x]
+    lines = [None] + [offsets[c] + np.arange(s**c).reshape(s, -1) for c in range(1, m + 1)]
+    seen = np.arange(s)[:, None]
+    second = np.zeros((s, k, k))
+    second[:, 0, 0] = mu.weights
+    for t in range(n):
+        if t:
+            second = np.tensordot(kernel.matrix, second, axes=(0, 0))
+        for moments in (second, second.swapaxes(1, 2)):
+            for c in range(m, 0, -1):
+                moments[seen, lines[c]] += moments[:, offsets[c - 1] : offsets[c]]
+    w = h.table.ravel()
+    mean_sq = float(w @ second[:, offsets[m] :, offsets[m] :].sum(axis=0) @ w) / math.comb(n, m) ** 2
     return math.sqrt(max(mean_sq, 0.0))
 
 

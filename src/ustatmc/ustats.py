@@ -67,6 +67,8 @@ class SymmetricKernelFn:
         t = np.array(self.table, dtype=float)
         if len(set(t.shape)) > 1:
             raise ValueError("table must be a hypercube with one axis per argument")
+        if not np.isfinite(t).all():
+            raise ValueError("kernel table entries must be finite")
         _check_table_symmetry(t)
         t.setflags(write=False)
         self.table = t
@@ -124,8 +126,8 @@ def indicator_diag_kernel(m: int, atol: float = 0.0) -> KernelFamily:
 
 def gaussian_rbf_kernel(m: int, bandwidth: float = 1.0) -> KernelFamily:
     """exp(-sum_{i<j} (y_i - y_j)^2 / (2 * bandwidth^2)); symmetric for any m."""
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be > 0")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError("bandwidth must be a finite number > 0")
     inv = 1.0 / (2.0 * bandwidth * bandwidth)
 
     def fn(*ys: float) -> float:

@@ -141,3 +141,17 @@ def pair_loop_rho_table(matrix: np.ndarray, v: np.ndarray, k_max: int) -> np.nda
             float(np.abs(norm[x] - norm[y]).sum()) / (v[x] + v[y]) for x in range(s) for y in range(x + 1, s)
         ))
     return np.maximum.accumulate(np.array(measured)[::-1])[::-1]
+
+
+def l2_enum(mu: np.ndarray, p: np.ndarray, table: np.ndarray, n: int) -> float:
+    """||U_{n,m}(h)||_2 for Y_0 ~ mu by listing all S^n paths: each path's
+    probability times the square of its U-statistic, summed with fsum."""
+    s, m = len(mu), table.ndim
+    terms = []
+    for path in itertools.product(range(s), repeat=n):
+        prob = mu[path[0]]
+        for a, b in zip(path, path[1:]):
+            prob *= p[a, b]
+        u = math.fsum(table[combo] for combo in itertools.combinations(path, m)) / math.comb(n, m)
+        terms.append(prob * u * u)
+    return math.sqrt(math.fsum(terms))

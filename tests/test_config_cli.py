@@ -327,6 +327,8 @@ BAD_SECTIONS = {
     "degree-text": {"kernel_fn": {"name": "product", "degree": "x"}},
     "degree-zero": {"kernel_fn": {"name": "product", "degree": 0}},
     "rbf-bandwidth-zero": {"kernel_fn": {"name": "gaussian-rbf", "degree": 2, "params": {"bandwidth": 0}}},
+    "rbf-bandwidth-infinite": {"kernel_fn": {"name": "gaussian-rbf", "degree": 2,
+                                             "params": {"bandwidth": float("inf")}}},
     "table-size": {"kernel_fn": {"name": "table", "degree": 1, "params": {"values": [1.0, 2.0, 3.0]}}},
     "n-grid-text": {"experiment": {"n_grid": ["a"], "bounds": [{"name": "theorem1"}]}},
     "n-below-degree": {"experiment": {"n_grid": [1, 20], "bounds": [{"name": "theorem1"}]}},
@@ -359,6 +361,20 @@ BAD_SECTIONS = {
     "m-value-bool": {"profile": {"kind": "geometric", "c": 1.0, "varrho": 0.5, "m_value": True}},
     "declared-m-below-one": {"profile": {"kind": "declared", "declared_m": 0.5,
                                          "rho": {"values": [1.0, 0.5], "tail_rate": 0.5}}},
+    "n-grid-empty": {"experiment": {"n_grid": [], "bounds": [{"name": "theorem1"}]}},
+    "bounds-empty": {"experiment": {"n_grid": [10], "bounds": []}},
+    "initial-nan": {"initial": [float("nan"), 1.0]},
+    "states-nan": {"chain": {**TWO_STATE, "states": [float("nan"), 1.0]}},
+    "matrix-nan": {"chain": {**TWO_STATE, "matrix": [[float("nan"), 0.3], [0.2, 0.8]]}},
+    "v-nan": {"chain": {**TWO_STATE, "v": [float("nan"), 1.0]}},
+    "v-infinite": {"chain": {**TWO_STATE, "v": [float("inf"), 1.0]}},
+    "table-nan": {"kernel_fn": {"name": "table", "degree": 2, "params": {"values": [[float("nan"), 0.0],
+                                                                                   [0.0, 1.0]]}}},
+    "table-infinite": {"kernel_fn": {"name": "table", "degree": 2, "params": {"values": [[float("inf"), 0.0],
+                                                                                        [0.0, 1.0]]}}},
+    "explicit-rho-nan": {"profile": {"kind": "explicit", "values": [1.0, float("nan")], "m_value": 1.0}},
+    "declared-v-nan": {"profile": {"kind": "declared", "v": [float("nan"), 1.0], "m_value": 1.0,
+                                   "rho": {"values": [1.0, 0.5], "tail_rate": 0.5}}},
 }
 
 
@@ -468,6 +484,51 @@ def test_cli_bad_seed_or_budget_override_is_config_error(tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+COMMANDS = ["simulate", "certify-profile", "bound", "verify-variance", "verify-slln", "check-propositions"]
+
+
+def _every_command_doc():
+    return {**_variance_doc(), "simulate": {"n": 10}, "profile": {"k_max": 16}, "slln": {"n_max": 100},
+            "propositions": {"chains": 1, "i_max": 3}}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_out_naming_a_file_is_config_error(tmp_path, monkeypatch, capsys, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for module, name in [(cli, "simulate"), (markov, "certify_rho"), (config, "certify_rho"),
+                         (cli, "run_variance_experiment"), (cli, "run_slln_experiment"),
+                         (cli, "proposition_grid_check")]:
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "out"
+    out.write_text("keep")
+    cfg = _write(tmp_path, "c.json", _every_command_doc())
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("failure", ["disk-full", "parent-is-a-file"])
+def test_cli_unwritable_out_exits_3(tmp_path, monkeypatch, capsys, command, failure):
+    out = tmp_path / "out"
+    if failure == "disk-full":
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        for name in ("write_csv", "write_json"):
+            monkeypatch.setattr(cli, name, full)
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    cfg = _write(tmp_path, "c.json", _every_command_doc())
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("could not write:") and err.count("\n") == 1
 
 
 SEED_ENTRY_POINTS = {

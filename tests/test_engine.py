@@ -160,6 +160,33 @@ def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):
     assert peak < 2**20
 
 
+def test_exact_l2_refuses_its_second_moments_before_allocating():
+    # S = 25, m = 2: K = 1 + 25 + 625 and S*K^2 > 10^7, while one tuple pair passes the pair cap
+    s = 25
+    kernel = FiniteKernel(np.arange(s, dtype=float), np.full((s, s), 1.0 / s))
+    h = SymmetricKernelFn(np.ones((s, s)))
+    assert _peak_bytes(exact_l2, Distribution.uniform(s), kernel, h, 2, 2) < 2**20
+    # the pair cap is checked first
+    with pytest.raises(BudgetExceeded, match="binom"):
+        exact_l2(Distribution.uniform(s), kernel, h, 400, 2)
+
+
+def test_exact_l2_memory_stays_at_its_second_moments():
+    # S = 10, m = 2, n = 17: 18,496 tuple pairs; the second moments hold 10 * 111^2 cells
+    rng = np.random.default_rng(4)
+    matrix = rng.random((10, 10))
+    kernel = FiniteKernel(np.arange(10.0), matrix / matrix.sum(axis=1, keepdims=True))
+    raw = rng.normal(size=(10, 10))
+    h = SymmetricKernelFn(raw + raw.T)
+    tracemalloc.start()
+    try:
+        exact_l2(Distribution.uniform(10), kernel, h, 17, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_engine_rejects_bad_checkpoints():
     path = np.zeros(10, dtype=np.int64)
     table = np.zeros((1, 1))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import l2_enum
 from ustatmc import (
     BudgetExceeded,
     Distribution,
@@ -58,6 +61,29 @@ def test_exact_l2_single_combination(two_state_kernel, canonical_product_h):
     law = joint_law(mu, two_state_kernel, (0, 1))
     expected = math.sqrt(float(np.tensordot(law, canonical_product_h.table**2, law.ndim)))
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def oracle_cases(draw):
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # some transitions impossible, every row still a law
+    matrix = rng.random((s, s)) * (rng.random((s, s)) > 0.3) + 0.01 * np.eye(s)
+    mu = rng.random(s)
+    # every entry takes the value at its sorted index: exactly symmetric
+    table = rng.normal(size=(s,) * m)[tuple(np.sort(np.indices((s,) * m), axis=0))]
+    return mu / mu.sum(), matrix / matrix.sum(axis=1, keepdims=True), table, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_exact_l2_matches_path_enumeration(case):
+    mu, matrix, table, n = case
+    kernel = FiniteKernel(np.arange(len(mu), dtype=float), matrix)
+    got = exact_l2(Distribution(mu), kernel, SymmetricKernelFn(table), n, table.ndim)
+    assert got == pytest.approx(l2_enum(mu, matrix, table, n), rel=1e-12)
 
 
 def test_exact_l2_budget(two_state_kernel, canonical_product_h):

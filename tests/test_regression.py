@@ -136,18 +136,18 @@ DIGESTS = {
     ("two_state_variance", "variance.csv"): "e85662a12fc3b5e42695ed169e7a2542d7318a28d8ba6322f2cb9b847efcc524",
     ("two_state_variance", "bounds.csv"): "a8e48827a58f73429ec41e276a794d2e493f002eb97cfcc8c8c8cae5c87ec555",
     ("slln", "slln.csv"): "7824f92884b6a0c44f286966bcfc50f10c165e9615a3af2c1e3f99b2b526cf69",
-    ("degree_three", "variance.csv"): "44505e283c8547a37ff7a1be0967166ffb4f6531f0e3c9463a3dca46e35d92de",
-    ("additive_centered", "variance.csv"): "412db08c11748e18209d5b8ccae357859cde37dc825a53f4ef32be2aa243d8c6",
-    ("both_statistics", "variance.csv"): "f8974f6fea1c8352927e08e066ec652b726b6a02c0c92b2a85acec1bc38d8ec8",
-    ("gaussian_rbf", "variance.csv"): "5f492db4655be5da2277035b6edff1d045c753fd4ecc663c49289c75b0afb140",
-    ("indicator_diag", "variance.csv"): "41879149b2195c4d0a2d68ddeb8bb6aca15eadc316ae527fa3984777125fdcf8",
+    ("degree_three", "variance.csv"): "df322f5d20795afaaf009d31a5044217c1c5cebbcda91db89484b7220023bcfc",
+    ("additive_centered", "variance.csv"): "4bcd21b9af245e45d0b0afdb6c401cedd54b497724dca176bc3abca93ddd091d",
+    ("both_statistics", "variance.csv"): "27dea415925c9f6fc380aaa5294fb148f24e10d7064aecc319cc30e7e235153a",
+    ("gaussian_rbf", "variance.csv"): "4aef472c0955eb48666ca30610492a1197bbdf337d8d976f822580489907f56b",
+    ("indicator_diag", "variance.csv"): "eb25c68cb87bbb737569277774f8cc24dfe5c2da82f77df7df6075fe2d6a4c56",
     ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
     ("propositions", "propositions.json"): "207833bb083659c93193d0398b367b675108be3ef92947b1b517a26ca3b4a304",
     ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
     ("routed_to_corollary2", "bounds.csv"): "60baf58058f6d4ea0f22a757d1a1d32bfdd776f07618e327fbf608a577494d11",
     ("canonical_p_as_written", "bounds.csv"): "c94640713e49d88fabc46387a286e2a59212c492aeefaa1f58f12635cf1020a0",
-    ("failing_bounds", "variance.csv"): "6ecc14b39146cdc237e61084f048e6020b62a8f5858ed2cf6bd1aa9c5806b379",
-    ("failing_bounds", "variance_summary.json"): "2205c8e5a41e6030b5ed0cd6542c849286350062bd13b809aba0512bd4803855",
+    ("failing_bounds", "variance.csv"): "6546f55e73bb96f02b532f9702b01cfd1c1dc462b261a48770b334c23f99ecc6",
+    ("failing_bounds", "variance_summary.json"): "2900c0a9d0170c9cfb67fd466713e5e3d1c254cd1b63583f8769db05f0a0a04c",
 }
 
 
