@@ -41,8 +41,8 @@ print("  constant kernel        d =", degeneracy_order(SymmetricKernelFn(np.full
 print("  centered additive      d =", degeneracy_order(additive_kernel(2, center=center).tabulated(kernel.states), pi))
 print("  centered product       d =", degeneracy_order(product_kernel(2, center=center).tabulated(kernel.states), pi))
 
-traj = simulate(kernel, Distribution.uniform(4), 25, seed=11)
-u = u_statistic(traj, h)
-residual = verify_hoeffding(traj, h, pi)
+path = simulate(kernel, Distribution.uniform(4), 25, seed=11)
+u = u_statistic(path, h)
+residual = verify_hoeffding(path, h, pi)
 print(f"\npath of length 25: U = {u:.6f}")
 print(f"decomposition residual |U - sum_c binom(m,c) U_c(pi_c h)| = {residual:.3e}")

@@ -30,7 +30,6 @@ from .markov import (
     ErgodicityProfile,
     ExplicitRho,
     FiniteKernel,
-    Trajectory,
     certify_rho,
     evolve,
     sample_paths,

@@ -32,13 +32,12 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, NotCanonical, PNotPositive, Unbounded
+from .errors import TENSOR_BUDGET, BudgetExceeded, DomainError, NotCanonical, PNotPositive, Unbounded
 from .markov import Distribution, ErgodicityProfile, FiniteKernel
 from .ustats import SymmetricKernelFn, degeneracy_order
 
 M_SUP_TOL = 1e-9
 _M_SUP_MAX_ITER = 1_000_000
-ENUM_BUDGET = 10**7
 
 
 def m_sup(mu: Distribution, profile: ErgodicityProfile, kernel: FiniteKernel | None) -> float:
@@ -147,13 +146,13 @@ def corollary2_bound(n: int, m: int, profile: ErgodicityProfile, m_value: float,
 def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float) -> float:
     """B_q(h) = sup over m-tuples of |h| / sum_j V(y_j)^{1/q}.
 
-    Exact maximization over the dense table when S^m fits ``ENUM_BUDGET``.
+    Exact maximization over the dense table when S^m fits ``TENSOR_BUDGET``.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     s = h.table.shape[0]
-    if s**h.degree > ENUM_BUDGET:
-        raise BudgetExceeded(f"S^m = {s**h.degree} exceeds enumeration budget {ENUM_BUDGET}")
+    if s**h.degree > TENSOR_BUDGET:
+        raise BudgetExceeded(f"S^m = {s**h.degree} exceeds enumeration budget {TENSOR_BUDGET}")
     vq = profile.v_values ** (1.0 / q)
     denom = np.zeros((s,) * h.degree)
     for axis in range(h.degree):

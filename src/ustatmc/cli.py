@@ -8,12 +8,13 @@ Commands: simulate, certify-profile, bound, verify-variance, verify-slln,
 check-propositions.  Exit status: 0 when every asserted inequality holds,
 1 on a violation (worst instance is reported), 2 on a configuration error,
 3 when a check could not run (a budget refusal, a chain that is not
-ergodic, an M(mu, V) that cannot be bounded, or an artifact that cannot
-be written).  A proposition grid whose law tensors (S^(2m) cells) or
-instances (tuples times (2m)! permutations) exceed the fixed tensor budget
-is refused with status 3 before any work.  A command returns a violation
-and never raises it, so any other package error means the check did not
-run.  Statuses 2 and 3 print one line.
+ergodic, an M(mu, V) that cannot be bounded, an artifact that cannot be
+written, or memory that runs out).  A rho table or builtin kernel table
+over 10^7 cells, and a proposition grid whose law tensors (S^(2m) cells)
+or instances (tuples times (2m)! permutations) exceed that fixed tensor
+budget, are refused with status 3 before any work.  A command returns a
+violation and never raises it, so any other package error means the check
+did not run.  Statuses 2 and 3 print one line.
 A configuration error is found before any work starts; it includes an
 --out that names an existing file, a number that is not finite (NaN or
 Infinity) in the chain, the initial weights, a kernel table or a profile,
@@ -69,8 +70,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
         p.add_argument("--budget", type=int, default=None,
-                       help="override the counting engine's cap: S^m level cells per row, and "
-                            "n*S^(m-1) for one counted path (the exact oracle, B_q and the "
+                       help="override the counting engine's cap: the int64 path and level cells "
+                            "of one replicate block, the rows*S^m level cells of a counted batch, "
+                            "and n*S^(m-1) for one counted path (the exact oracle, B_q and the "
                             "proposition grid keep fixed caps)")
         p.add_argument("--jobs", type=int, default=1,
                        help="threads for Monte Carlo replicate blocks (never changes results)")
@@ -90,10 +92,9 @@ def cmd_simulate(args) -> int:
     section = cfg.section(doc, "simulate", {})
     n = cfg.integer(section, "n", 1000, "simulate", 1)
     seed = args.seed if args.seed is not None else cfg.seed(section, "seed", 0, "simulate")
-    traj = simulate(kernel, mu0, n, seed)
     rows = [
         {"step": t, "state_index": int(i), "state_value": float(kernel.states[i])}
-        for t, i in enumerate(traj.values)
+        for t, i in enumerate(simulate(kernel, mu0, n, seed))
     ]
     path = _out_dir(args) / "trajectory.csv"
     write_csv(path, ["step", "state_index", "state_value"], rows)
@@ -231,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"could not write: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("could not check: out of memory", file=sys.stderr)
         return 3
 
 

@@ -62,8 +62,10 @@ SCHEMA: dict = {
         "bounds": "non-empty list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, "
                   "required by corollary3}, needed by bound and verify-variance; theorem1/corollary3 run as "
                   "corollary2 unless h is completely degenerate",
-        "budget": "int >= 1 — the counting engine's cap: S^m level cells per row, and n*S^(m-1) for one "
-                  "counted path; the exact oracle, B_q and the proposition grid keep fixed caps (default 1e8)",
+        "budget": "int >= 1 — the counting engine's cap: the int64 path and level cells of one replicate "
+                  "block (max n + sum_{c<=m} S^c per replicate), the rows*S^m level cells of a counted batch, "
+                  "and n*S^(m-1) for one counted path; the exact oracle, B_q and the proposition grid keep "
+                  "fixed caps (default 1e8)",
     },
     "slln": {
         "n_max": "int",

@@ -20,6 +20,10 @@ class BudgetExceeded(UstatmcError):
     work budget."""
 
 
+# cells of any array sized by the config rather than by --budget, checked before allocating
+TENSOR_BUDGET = 10**7
+
+
 class DegreeTooLarge(UstatmcError):
     """The trajectory is shorter than the kernel degree (n < m)."""
 

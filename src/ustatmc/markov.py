@@ -12,8 +12,9 @@ for all probability vectors mu, mu'.  Total variation is the unnormalized
 L1 convention, sup_{|f|<=1} |mu(f) - mu'(f)|, with range [0, 2]; every bound
 in :mod:`ustatmc.bounds` and :mod:`ustatmc.proofs` assumes it.
 
-Paths come from one sampler, :func:`sample_paths` (a batch of seeds, one
-PCG64 stream each); :func:`simulate` is its one-seed case.
+A path is a 1-D int64 array of state indices.  Paths come from one
+sampler, :func:`sample_paths` (a batch of seeds, one PCG64 stream each);
+:func:`simulate` is its one-seed case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotErgodic
+from .errors import TENSOR_BUDGET, BudgetExceeded, NotErgodic
 
 _ATOL = 1e-12
 # rows * states below which the sampler walks blocks of time side by side:
@@ -252,6 +253,8 @@ class ExplicitRho:
         return float(self.values[-1]) * self.tail_rate ** (k - self.k_max)
 
     def table(self, n: int) -> np.ndarray:
+        if n + 1 > TENSOR_BUDGET:
+            raise BudgetExceeded(f"rho(0..n) = {n + 1} cells exceed tensor budget {TENSOR_BUDGET}")
         if n <= self.k_max:
             return self.values[: n + 1].copy()
         tail = self.values[-1] * self.tail_rate ** np.arange(1, n - self.k_max + 1)
@@ -301,28 +304,6 @@ class ErgodicityProfile:
         return out
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A simulated path; slot t holds the state index of the chain at time t,
-    so values[0] is distributed as the initial law."""
-
-    values: np.ndarray
-    seed: int
-    initial: Distribution
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        v.setflags(write=False)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("values must be a nonempty index vector")
-        if v.min() < 0 or v.max() >= self.initial.size:
-            raise ValueError("state indices out of range")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> ErgodicityProfile:
     """Tabulate the minimal certified mixing sequence of a finite chain.
 
@@ -340,10 +321,12 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     The tail rate is 1, so rho(k) = rho(k_max) for every k > k_max.  That
     is proven, not fitted: P contracts total variation, so each Dirac
     pair's tv(delta_x P^k, delta_x' P^k), and with it the pair's ratio,
-    cannot grow with k (Dobrushin 1956).
+    cannot grow with k (Dobrushin 1956).  k_max must lie below ``TENSOR_BUDGET``.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if k_max + 1 > TENSOR_BUDGET:
+        raise BudgetExceeded(f"rho(0..k_max) = {k_max + 1} cells exceed tensor budget {TENSOR_BUDGET}")
     v = np.asarray(v_values, dtype=float)
     if v.shape != (kernel.size,):
         raise ValueError("V must assign one value per state")
@@ -376,13 +359,14 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     return ErgodicityProfile(v, ExplicitRho(rho_vals, 1.0), provenance="certified")
 
 
-def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> Trajectory:
-    """Sample a length-n path; values[t] is the chain at time t, values[0] ~ mu0.
+def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> np.ndarray:
+    """Sample a length-n path: a 1-D int64 array of state indices whose
+    slot t is the chain at time t, with path[0] ~ mu0.
 
     The one-seed case of :func:`sample_paths`, so a path never depends on
-    whether it was drawn alone or in a batch.
+    whether it was drawn alone or in a batch.  No budget bounds n.
     """
-    return Trajectory(sample_paths(kernel, mu0, n, [seed])[0], seed, mu0)
+    return sample_paths(kernel, mu0, n, [seed])[0]
 
 
 def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequence[int]) -> np.ndarray:

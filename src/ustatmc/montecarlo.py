@@ -19,9 +19,9 @@ Since ``Generator.random(n)`` is a prefix of ``Generator.random(n_max)`` for
 the same stream, replicate r's path at n is the first n steps of its path at
 n_max.  So one path of length max n per replicate serves every Monte Carlo
 n of the grid, and both statistics: the count reads each n off as it
-passes it (:func:`replicate_u_grid`, which calls ``tuple_sums`` once per
-jobs block).  The strong-law run reads its single path at every checkpoint
-with one ``tuple_sums`` call on that path.
+passes it (:func:`replicate_u_grid`, which alone splits the replicates
+into blocks and calls ``tuple_sums`` once per block).  The strong-law run
+reads its single path at every checkpoint with one ``tuple_sums`` call.
 
 The exact oracle :func:`exact_l2` runs the same counting recursion in
 expectation: one forward pass over time carries the second moments of the
@@ -39,9 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import evaluate_bounds
-from .errors import BudgetExceeded, ConfigError, DegreeTooLarge
+from .errors import TENSOR_BUDGET, BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, sample_paths, simulate
-from .proofs import TENSOR_BUDGET
 from .ustats import (
     DEFAULT_BUDGET, SymmetricKernelFn, check_path_cost, hoeffding_project, tuple_sums,
 )
@@ -243,25 +242,31 @@ def replicate_u_grid(
     Replicate r's path at n is the first n steps of its path at max(ns):
     its PCG64 stream's first n uniforms do not depend on how many are
     drawn.  So each replicate is sampled once, to max(ns), and counted
-    once.  Replicates are split into ``jobs`` contiguous blocks, each
-    sampled as one batch in its own thread (numpy releases the interpreter
-    lock inside the array work) and counted by one :func:`tuple_sums`
-    call, which reads every n of the grid as the count loop passes it and
-    keeps the level tensors of each sub-batch within ``budget`` (one
-    sub-batch per thread at a time).  Every row is computed on its own, so
-    each value is bit-identical to ``u_statistic`` on that replicate's
-    first n steps at any ``jobs`` and any ``budget``.
+    once.  This is the one place that splits replicates: one replicate
+    holds cells = max(ns) + sum_{c=0..m} S^c int64 cells (its path and
+    level tensors), refused before sampling when over ``budget``, and the
+    replicates are cut in order into blocks of min(ceil(replicates / jobs),
+    budget // cells) rows, so refusal never depends on ``jobs``.  Each
+    block is one :func:`sample_paths` and one :func:`tuple_sums` call,
+    which reads every n as the count passes it; ``jobs`` threads take the
+    blocks in order (numpy releases the interpreter lock inside the array
+    work).  Every row is computed on its own, so each value is
+    bit-identical to ``u_statistic`` on that replicate's first n steps at
+    any ``jobs`` and any ``budget``.
     """
     tables = [h.table for h in hs]
-    m = hs[0].degree
+    m, s, n_max = hs[0].degree, kernel.size, max(ns)
     if min(ns) < m:
         raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
+    cells = n_max + sum(s**c for c in range(m + 1))
+    if cells > budget:
+        raise BudgetExceeded(f"one replicate's path and level cells, {cells}, exceed budget {budget}")
     seeds = [mix64(master_seed, r) for r in range(replicates)]
-    chunk = max(1, math.ceil(replicates / max(jobs, 1)))
-    blocks = [seeds[i : i + chunk] for i in range(0, replicates, chunk)]
+    rows = min(math.ceil(replicates / max(jobs, 1)), budget // cells)
+    blocks = [seeds[i : i + rows] for i in range(0, replicates, rows)]
 
     def work(block: list[int]) -> np.ndarray:
-        return tuple_sums(sample_paths(kernel, mu0, max(ns), block), tables, ns, budget)
+        return tuple_sums(sample_paths(kernel, mu0, n_max, block), tables, ns, budget)
 
     if jobs <= 1 or len(blocks) == 1:
         parts = [work(b) for b in blocks]
@@ -339,8 +344,8 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     check_path_cost(n_max, config.kernel.size, m, config.budget)
     pi = config.kernel.stationary()
     target = float(hoeffding_project(config.h, pi, 0).table)
-    traj = simulate(config.kernel, config.mu0, n_max, config.master_seed)
-    numerators = tuple_sums(traj.values, [config.h.table], checkpoints, config.budget)[0]
+    path = simulate(config.kernel, config.mu0, n_max, config.master_seed)
+    numerators = tuple_sums(path, [config.h.table], checkpoints, config.budget)[0]
     rows = []
     for c, numerator in zip(checkpoints, numerators):
         u_n = float(numerator) / math.comb(c, m)

@@ -33,11 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import b_q, d_constant, lemma6_constant, m_sup
-from .errors import BudgetExceeded, NotCanonical, PNotPositive
+from .errors import TENSOR_BUDGET, BudgetExceeded, NotCanonical, PNotPositive
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
 from .ustats import SymmetricKernelFn, canonicalize, degeneracy_order
-
-TENSOR_BUDGET = 10**7
 
 
 @dataclass(frozen=True)

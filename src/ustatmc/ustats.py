@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegreeTooLarge
-from .markov import Distribution, Trajectory
+from .errors import TENSOR_BUDGET, BudgetExceeded, DegreeTooLarge
+from .markov import Distribution
 
 DEFAULT_BUDGET = 10**8
 DEGENERACY_EPS = 1e-10
@@ -103,8 +103,10 @@ class KernelFamily:
             raise ValueError("degree must be >= 1")
 
     def tabulated(self, states: Sequence[float]) -> SymmetricKernelFn:
-        """fn evaluated on every m-tuple of state values."""
+        """fn evaluated on every m-tuple of state values, once S^m fits ``TENSOR_BUDGET``."""
         states = np.asarray(states, dtype=float)
+        if states.size**self.degree > TENSOR_BUDGET:
+            raise BudgetExceeded(f"kernel table S^m = {states.size**self.degree} exceeds tensor budget {TENSOR_BUDGET}")
         grids = np.meshgrid(*([states] * self.degree), indexing="ij")
         return SymmetricKernelFn(np.vectorize(self.fn, otypes=[float])(*grids))
 
@@ -155,24 +157,24 @@ def tuple_sums(
     for tables of one shape (S,) * m.  The engine keeps int64 level tensors
     L_c (count of c-tuples by state, newest index first) for c = 1..m and,
     at each time step, adds L_{c-1} into the slice L_c[x_t] of every row at
-    once.  A batch is counted in sub-batches of budget // S^m rows.  One
-    path is first cut into about sqrt(n) equal pieces and at every
-    checkpoint, the pieces are counted as rows in sub-batches of the same
-    size, and they are joined in order by Chen's identity
+    once.  A batch is counted whole, so its rows * S^m level cells must
+    fit the budget.  One path is first cut into about sqrt(n) equal pieces
+    and at every checkpoint, the pieces are counted as rows in sub-batches
+    of budget // S^m rows, and they are joined in order by Chen's identity
     L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A).  Either way, as the count
     passes a checkpoint the live counts are contracted with every table by
     :func:`_contract`, so no count tensor outlives its checkpoint.
 
     Counts are exact while binom(n, m) < 2^63 (checked), so a sum does not
     depend on the budget, on how a path is cut or on the batch it is
-    counted in; the S^m level cells of one row must fit the budget.  State
-    indices must lie in [0, S).
+    counted in; one path counts as one row.  State indices must lie in
+    [0, S).
     """
     paths = np.asarray(paths)
     s, m = tables[0].shape[0], tables[0].ndim
     _check_counting(paths, s, m, budget)
     marks = _checkpoints(checkpoints, m, paths.shape[-1])
-    top, batch = max(marks), budget // s**m
+    top = max(marks)
 
     def read(levels: list) -> list:
         counts = _oldest_first(levels[m], s, m)
@@ -182,13 +184,9 @@ def tuple_sums(
         return np.array([[sums[c][k] for c in marks] for k in range(len(tables))])
 
     if paths.ndim == 2:
-        reads = dict.fromkeys(marks, read)
-        return np.concatenate([
-            stack(_count_rows(rows, np.full(len(rows), top), s, m, reads)[1])
-            for rows in (paths[i : i + batch, :top] for i in range(0, len(paths), batch))
-        ], axis=-1)
+        return stack(_count_rows(paths[:, :top], np.full(len(paths), top), s, m, dict.fromkeys(marks, read))[1])
     # about sqrt(n) equal pieces, also cut at every checkpoint
-    pieces, wanted = math.isqrt(top), set(marks)
+    pieces, wanted, batch = math.isqrt(top), set(marks), budget // s**m
     cuts = sorted({top * i // pieces for i in range(pieces + 1)} | wanted)
     acc = _empty_levels(1, s, m)
     sums = {}
@@ -218,8 +216,9 @@ def _check_counting(paths: np.ndarray, s: int, m: int, budget: int) -> None:
     # the largest cell of any level L_c, c <= m, is at most binom(n, min(m, n // 2))
     if math.comb(n, min(m, n // 2)) >= 2**63:
         raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
-    if s**m > budget:
-        raise BudgetExceeded(f"level tensors of one row S^m = {s**m} exceed budget {budget}")
+    rows = len(paths) if paths.ndim == 2 else 1
+    if rows * s**m > budget:
+        raise BudgetExceeded(f"level tensors of {rows} row(s), rows * S^m = {rows * s**m}, exceed budget {budget}")
     # an index >= S would be counted in the next row's slice of the level tensors
     if paths.size and (paths.min() < 0 or paths.max() >= s):
         raise ValueError(f"state indices must lie in [0, {s})")
@@ -292,19 +291,22 @@ def _contract(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.array([np.dot(c.astype(np.float64, order="C").ravel(), t) for c in counts])
 
 
-def u_statistic(traj: Trajectory, h: SymmetricKernelFn, budget: int = DEFAULT_BUDGET) -> float:
-    """Average of h over all strictly increasing index m-tuples of the path.
+def u_statistic(path: np.ndarray, h: SymmetricKernelFn, budget: int = DEFAULT_BUDGET) -> float:
+    """Average of h over all strictly increasing index m-tuples of a 1-D path.
 
     A degree-0 kernel (such as the projection pi_{0,m}h) evaluates to its
     constant.  Otherwise the path's kernel sum comes from the exact engine
     :func:`tuple_sums`, whose n * S^(m-1) cost must fit the budget.
     """
+    path = np.asarray(path)
+    if path.ndim != 1:
+        raise ValueError(f"a path is a 1-D array of state indices, got shape {path.shape}")
     m = h.degree
     if m == 0:
         return float(h.table)
-    n = len(traj)
+    n = path.size
     check_path_cost(n, h.table.shape[0], m, budget)
-    return float(tuple_sums(traj.values, [h.table], [n], budget)[0, 0]) / math.comb(n, m)
+    return float(tuple_sums(path, [h.table], [n], budget)[0, 0]) / math.comb(n, m)
 
 
 def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> SymmetricKernelFn:
@@ -356,7 +358,7 @@ def degeneracy_order(h: SymmetricKernelFn, pi: Distribution, eps: float = DEGENE
 
 
 def verify_hoeffding(
-    traj: Trajectory, h: SymmetricKernelFn, pi: Distribution, budget: int = DEFAULT_BUDGET
+    path: np.ndarray, h: SymmetricKernelFn, pi: Distribution, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Residual of the decomposition of U_{n,m}(h) into canonical parts:
 
@@ -364,10 +366,10 @@ def verify_hoeffding(
 
     which is zero up to float roundoff for every path.
     """
-    lhs = u_statistic(traj, h, budget)
+    lhs = u_statistic(path, h, budget)
     rhs = 0.0
     for c in range(h.degree + 1):
-        rhs += math.comb(h.degree, c) * u_statistic(traj, hoeffding_project(h, pi, c), budget)
+        rhs += math.comb(h.degree, c) * u_statistic(path, hoeffding_project(h, pi, c), budget)
     return abs(lhs - rhs)
 
 

@@ -70,17 +70,17 @@ def _hoeffding_grid():
         m = 2 if i % 2 == 0 else 3
         n = int(rng.integers(10, 31))
         h = SymmetricKernelFn(_symmetric_table(rng, 5, m))
-        traj = simulate(kernel, Distribution.uniform(5), n, seed=int(rng.integers(1 << 32)))
-        yield kernel, h, traj
+        path = simulate(kernel, Distribution.uniform(5), n, seed=int(rng.integers(1 << 32)))
+        yield kernel, h, path
 
 
 def test_criterion_01_hoeffding_identity():
     start = time.perf_counter()
     worst = 0.0
-    for kernel, h, traj in _hoeffding_grid():
+    for kernel, h, path in _hoeffding_grid():
         pi = kernel.stationary()
-        u = u_statistic(traj, h)
-        residual = verify_hoeffding(traj, h, pi)
+        u = u_statistic(path, h)
+        residual = verify_hoeffding(path, h, pi)
         worst = max(worst, residual / (1.0 + abs(u)))
         assert residual <= 1e-10 * (1.0 + abs(u))
     elapsed = time.perf_counter() - start

@@ -438,7 +438,7 @@ def test_cli_could_not_check_exits_3(tmp_path, capsys):
     assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("could not check:") and err.count("\n") == 1
-    # the exact oracle refuses n = 50, and the counting engine refuses S^m = 4 > 3
+    # the exact oracle refuses n = 50, and one replicate's 50 path and 7 level cells exceed --budget 3
     demo = str(CONFIGS / "two_state_variance.json")
     assert main(["verify-variance", "--config", demo, "--out", str(tmp_path / "v"), "--budget", "3"]) == 3
     err = capsys.readouterr().err
@@ -450,6 +450,43 @@ def test_cli_could_not_check_exits_3(tmp_path, capsys):
     for command in ("bound", "verify-variance"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 3
         assert capsys.readouterr().err.startswith("could not check:")
+
+
+TWENTY_STATES = {"states": [float(x) for x in range(20)], "matrix": [[0.05] * 20] * 20}
+OVERSIZED_ARRAYS = {
+    # certify_rho would tabulate rho(0..10^9)
+    "certified-n-1e9": {"experiment": {"n_grid": [10**9]}},
+    # the bounds would read a declared rho(0..10^9)
+    "declared-n-1e9": {"experiment": {"n_grid": [10**9]},
+                       "profile": {"kind": "geometric", "c": 1.0, "varrho": 0.5, "m_value": 1.0}},
+    # the product kernel would be tabulated over 20^7 cells
+    "degree-7-on-20-states": {"chain": TWENTY_STATES, "kernel_fn": {"name": "product", "degree": 7}},
+}
+
+
+@pytest.mark.parametrize("command", ["bound", "verify-variance"])
+@pytest.mark.parametrize("big", OVERSIZED_ARRAYS.values(), ids=OVERSIZED_ARRAYS.keys())
+def test_cli_config_sized_array_exits_3_before_allocating(tmp_path, capsys, command, big):
+    doc = _variance_doc()
+    doc.update({key: value for key, value in big.items() if key != "experiment"})
+    doc["experiment"].update(big.get("experiment", {}))
+    cfg = _write(tmp_path, "big.json", doc)
+    start = time.perf_counter()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("could not check:") and "tensor budget" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_variance_experiment", exhausted)
+    cfg = _write(tmp_path, "v.json", _variance_doc())
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+    assert capsys.readouterr().err == "could not check: out of memory\n"
 
 
 def test_budget_does_not_cap_the_exact_oracle(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import replay_path, tuple_counts_enum
 from ustatmc import (
-    BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, Trajectory, exact_l2, mix64, replicate_u_grid,
+    BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, exact_l2, mix64, replicate_u_grid,
     sample_paths, simulate, tuple_sums, u_statistic,
 )
 from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
@@ -82,12 +82,13 @@ def test_batch_counts_match_enumeration(case, rows):
 
 
 def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
-    # 7 replicates of 2^3 level cells do not fit a budget of 20: sub-batches of 2 rows
+    # one replicate holds 30 path cells and 1 + 2 + 4 + 8 level cells, so 7 replicates
+    # do not fit a budget of 90: blocks of 2 rows
     h = SymmetricKernelFn(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
     mu0 = Distribution.uniform(2)
     whole = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11)[0, 0]
     for jobs in (1, 2, 3):
-        got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, jobs, budget=20)[0, 0]
+        got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, jobs, budget=90)[0, 0]
         assert got.tobytes() == whole.tobytes()
 
 
@@ -114,7 +115,7 @@ def test_sampler_matches_per_step_replay(chain, n, seeds):
     paths = sample_paths(kernel, mu0, n, seeds)
     assert paths.shape == (len(seeds), n)
     for row, seed in zip(paths, seeds):
-        assert np.array_equal(simulate(kernel, mu0, n, seed).values, row)
+        assert np.array_equal(simulate(kernel, mu0, n, seed), row)
         assert row.tolist() == replay_path(kernel.matrix, mu0.weights, n, seed)
 
 
@@ -146,6 +147,36 @@ def test_level_tensors_refused_before_allocation():
     table = np.broadcast_to(0.0, (100,) * 3)
     assert _peak_bytes(tuple_sums, batch, [table], [50], budget=10**5) < 2**20
     assert _peak_bytes(tuple_sums, batch[0], [table], [50], budget=10**5) < 2**20
+
+
+def test_batch_level_tensors_refused_before_allocation():
+    # 1000 rows of 10^2 level cells exceed the budget though one row fits: a batch is counted whole
+    batch = np.broadcast_to(np.int64(0), (1000, 50))
+    table = np.broadcast_to(0.0, (10, 10))
+    assert _peak_bytes(tuple_sums, batch, [table], [50], budget=10**4) < 2**20
+    assert tuple_sums(batch[:100], [table], [50], budget=10**4).shape == (1, 1, 100)
+
+
+def test_replicate_blocks_hold_their_paths_within_the_budget(two_state_kernel):
+    # 300 paths of 2000 steps are 4.8 MB; the budget holds blocks of 49 replicates (0.8 MB)
+    h = SymmetricKernelFn(np.array([[1.0, -0.5], [-0.5, 2.0]]))
+    mu0 = Distribution.uniform(2)
+    tracemalloc.start()
+    try:
+        got = replicate_u_grid(two_state_kernel, mu0, [h], [100, 2000], 300, 21, budget=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 10**5
+    whole = replicate_u_grid(two_state_kernel, mu0, [h], [100, 2000], 300, 21)
+    assert got.tobytes() == whole.tobytes()
+
+
+def test_replicate_over_budget_refused_before_sampling(two_state_kernel):
+    # one replicate's 10^5 path cells and 1 + 2 + 4 level cells exceed the budget
+    h = SymmetricKernelFn(np.ones((2, 2)))
+    args = (two_state_kernel, Distribution.uniform(2), [h], [10**5], 2, 3)
+    assert _peak_bytes(replicate_u_grid, *args, budget=10**5) < 2**20
 
 
 def test_int64_overflow_refused():
@@ -214,8 +245,10 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
     idx = np.indices((s,) * m)
     h = SymmetricKernelFn(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
     hs = [h, h.shifted(0.375)]
-    # sub-batches of `rows` replicates, fewer than a jobs block holds when rows < replicates / jobs
-    got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=rows * s**m)
+    # blocks of `rows` replicates, fewer than ceil(replicates / jobs) when rows is smaller:
+    # one replicate holds max(ns) path cells and sum_c S^c level cells
+    budget = rows * (max(ns) + sum(s**c for c in range(m + 1)))
+    got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=budget)
     assert got.shape == (2, len(ns), replicates)
     for k, hk in enumerate(hs):
         for j, n in enumerate(ns):
@@ -228,9 +261,9 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
 
 def test_engine_refuses_states_outside_the_table():
     # a path over 3 states counted against a 2-state table
-    traj = Trajectory([0, 2, 1, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 1, 1, 0], 0, Distribution.uniform(3))
+    path = np.array([0, 2, 1, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 1, 1, 0])
     with pytest.raises(ValueError, match="state indices"):
-        u_statistic(traj, SymmetricKernelFn(np.array([[1.0, 2.0], [2.0, 3.0]])))
+        u_statistic(path, SymmetricKernelFn(np.array([[1.0, 2.0], [2.0, 3.0]])))
     # the last piece of the path, where the overflow used to hit past the array
     with pytest.raises(ValueError, match="state indices"):
         tuple_sums([0, 2, 1, 0, 1, 1, 0, 2, 0], [np.ones((2, 2))], [9])

@@ -240,21 +240,21 @@ def test_certified_tail_dominates_a_longer_table(chain, k_max):
 def test_simulate_deterministic_and_seeded(two_state_kernel, mu_dirac0):
     a = simulate(two_state_kernel, mu_dirac0, 500, seed=123)
     b = simulate(two_state_kernel, mu_dirac0, 500, seed=123)
-    assert np.array_equal(a.values, b.values)
-    assert a.values[0] == 0  # dirac start
+    assert np.array_equal(a, b)
+    assert a[0] == 0  # dirac start
     c = simulate(two_state_kernel, mu_dirac0, 500, seed=124)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_simulate_permutation_kernel_is_deterministic():
     perm = FiniteKernel([0.0, 1.0, 2.0], [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    traj = simulate(perm, Distribution.dirac(0, 3), 7, seed=9)
-    assert traj.values.tolist() == [0, 1, 2, 0, 1, 2, 0]
+    path = simulate(perm, Distribution.dirac(0, 3), 7, seed=9)
+    assert path.tolist() == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_simulate_occupation_matches_stationary(two_state_kernel, mu_dirac0):
-    traj = simulate(two_state_kernel, mu_dirac0, 100_000, seed=31)
-    occupation = float(np.mean(traj.values == 0))
+    path = simulate(two_state_kernel, mu_dirac0, 100_000, seed=31)
+    occupation = float(np.mean(path == 0))
     assert occupation == pytest.approx(0.4, abs=0.01)
 
 
@@ -262,7 +262,7 @@ def test_sample_paths_rows_match_simulate(two_state_kernel, mu_dirac0):
     seeds = [11, 99, 12345]
     paths = sample_paths(two_state_kernel, mu_dirac0, 64, seeds)
     for row, seed in zip(paths, seeds):
-        assert np.array_equal(row, simulate(two_state_kernel, mu_dirac0, 64, seed).values)
+        assert np.array_equal(row, simulate(two_state_kernel, mu_dirac0, 64, seed))
 
 
 def test_kernel_validation():

@@ -128,8 +128,8 @@ def test_replicate_u_matches_per_path_dp(two_state_kernel, canonical_product_h):
     mu = Distribution.dirac(0, 2)
     u = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [19], 7, 4242)[0, 0]
     for r in range(7):
-        traj = simulate(two_state_kernel, mu, 19, mix64(4242, r))
-        assert u[r] == u_statistic(traj, canonical_product_h)
+        path = simulate(two_state_kernel, mu, 19, mix64(4242, r))
+        assert u[r] == u_statistic(path, canonical_product_h)
 
 
 def test_replicate_u_degree_three(two_state_kernel):
@@ -139,8 +139,8 @@ def test_replicate_u_degree_three(two_state_kernel):
     h3 = product_kernel(3).tabulated(two_state_kernel.states)
     u = replicate_u_grid(two_state_kernel, mu, [h3], [11], 5, 77)[0, 0]
     for r in range(5):
-        traj = simulate(two_state_kernel, mu, 11, mix64(77, r))
-        assert u[r] == u_statistic(traj, h3)
+        path = simulate(two_state_kernel, mu, 11, mix64(77, r))
+        assert u[r] == u_statistic(path, h3)
 
 
 def test_variance_experiment_exact_and_mc_regimes(two_state_kernel, two_state_profile, canonical_product_h):
@@ -211,11 +211,10 @@ def test_slln_incremental_matches_direct(two_state_kernel, two_state_profile):
         slln=SllnConfig(n_max=600, checkpoints=[8, 64, 600]), replicates=2, master_seed=31,
     )
     result = run_slln_experiment(config)
-    traj = simulate(two_state_kernel, Distribution.dirac(0, 2), 600, 31)
+    path = simulate(two_state_kernel, Distribution.dirac(0, 2), 600, 31)
     for row in result["rows"]:
         n = row["n"]
-        sub = type(traj)(traj.values[:n], traj.seed, traj.initial)
-        assert row["u_n"] == pytest.approx(u_statistic(sub, h), rel=1e-12, abs=1e-15)
+        assert row["u_n"] == pytest.approx(u_statistic(path[:n], h), rel=1e-12, abs=1e-15)
 
 
 def test_slln_degree_three_incremental(two_state_kernel, two_state_profile):
@@ -227,10 +226,9 @@ def test_slln_degree_three_incremental(two_state_kernel, two_state_profile):
         slln=SllnConfig(n_max=300, checkpoints=[16, 300]), replicates=2, master_seed=5,
     )
     result = run_slln_experiment(config)
-    traj = simulate(two_state_kernel, Distribution.dirac(0, 2), 300, 5)
+    path = simulate(two_state_kernel, Distribution.dirac(0, 2), 300, 5)
     for row in result["rows"]:
-        sub = type(traj)(traj.values[: row["n"]], traj.seed, traj.initial)
-        assert row["u_n"] == pytest.approx(u_statistic(sub, h3), rel=1e-12, abs=1e-15)
+        assert row["u_n"] == pytest.approx(u_statistic(path[: row["n"]], h3), rel=1e-12, abs=1e-15)
 
 
 def test_both_bounds_reported_when_both_apply(two_state_kernel, two_state_profile, canonical_product_h):

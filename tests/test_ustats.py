@@ -10,7 +10,6 @@ from ustatmc import (
     DegreeTooLarge,
     Distribution,
     SymmetricKernelFn,
-    Trajectory,
     additive_kernel,
     canonicalize,
     degeneracy_order,
@@ -25,10 +24,6 @@ from ustatmc import (
 )
 
 
-def _traj(indices, size):
-    return Trajectory(np.asarray(indices), seed=0, initial=Distribution.uniform(size))
-
-
 def _random_symmetric_table(rng, s, m):
     raw = rng.standard_normal((s,) * m)
     out = np.zeros_like(raw)
@@ -40,14 +35,14 @@ def _random_symmetric_table(rng, s, m):
 def test_u_statistic_worked_example():
     states = np.array([1.0, 2.0, 3.0])
     h = product_kernel(2).tabulated(states)
-    assert u_statistic(_traj([0, 1, 2], 3), h) == pytest.approx(11 / 3, abs=1e-14)
+    assert u_statistic(np.array([0, 1, 2]), h) == pytest.approx(11 / 3, abs=1e-14)
 
 
 def test_u_statistic_constant_kernel_is_one():
     h = SymmetricKernelFn(np.ones((4, 4, 4)))
     for n in (3, 5, 9):
-        traj = _traj(np.arange(n) % 4, 4)
-        assert u_statistic(traj, h) == pytest.approx(1.0, abs=1e-13)
+        path = np.arange(n) % 4
+        assert u_statistic(path, h) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_u_statistic_m1_is_sample_mean():
@@ -55,7 +50,7 @@ def test_u_statistic_m1_is_sample_mean():
     vals = rng.standard_normal(5)
     h = SymmetricKernelFn(vals)
     idx = rng.integers(0, 5, size=40)
-    assert u_statistic(_traj(idx, 5), h) == pytest.approx(float(vals[idx].mean()), abs=1e-13)
+    assert u_statistic(idx, h) == pytest.approx(float(vals[idx].mean()), abs=1e-13)
 
 
 def test_u_statistic_counting_matches_enumeration_oracle():
@@ -66,7 +61,7 @@ def test_u_statistic_counting_matches_enumeration_oracle():
         h = SymmetricKernelFn(table)
         idx = rng.integers(0, s, size=14)
         expected = u_stat_enum(idx.tolist(), m, lambda *ix: float(table[tuple(ix)]))
-        assert u_statistic(_traj(idx, s), h) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert u_statistic(idx, h) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_u_statistic_linearity():
@@ -74,27 +69,32 @@ def test_u_statistic_linearity():
     s = 3
     t1 = _random_symmetric_table(rng, s, 2)
     t2 = _random_symmetric_table(rng, s, 2)
-    idx = rng.integers(0, s, size=15)
-    traj = _traj(idx, s)
+    path = rng.integers(0, s, size=15)
     a, b = 0.7, -2.5
-    lhs = u_statistic(traj, SymmetricKernelFn(a * t1 + b * t2))
-    rhs = a * u_statistic(traj, SymmetricKernelFn(t1)) + b * u_statistic(traj, SymmetricKernelFn(t2))
+    lhs = u_statistic(path, SymmetricKernelFn(a * t1 + b * t2))
+    rhs = a * u_statistic(path, SymmetricKernelFn(t1)) + b * u_statistic(path, SymmetricKernelFn(t2))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_u_statistic_errors():
     h = SymmetricKernelFn(np.zeros((2, 2)))
     with pytest.raises(DegreeTooLarge):
-        u_statistic(_traj([0], 2), h)
+        u_statistic(np.array([0]), h)
     # counting costs n * S^(m-1) = 300 * 2 cells, refused before any count
     with pytest.raises(BudgetExceeded):
-        u_statistic(_traj(np.zeros(300, dtype=int), 2), h, budget=10)
+        u_statistic(np.zeros(300, dtype=int), h, budget=10)
+
+
+def test_u_statistic_refuses_a_batch_of_paths():
+    # a path is one 1-D index array; a (rows, n) batch belongs to tuple_sums
+    with pytest.raises(ValueError, match="1-D"):
+        u_statistic(np.zeros((2, 5), dtype=np.int64), SymmetricKernelFn(np.ones((2, 2))))
 
 
 def test_degree_zero_kernel_is_its_constant():
     h = SymmetricKernelFn(np.array(2.5))
     assert h.degree == 0 and h.sup_norm() == 2.5
-    assert u_statistic(_traj([0, 1, 1], 2), h) == 2.5
+    assert u_statistic(np.array([0, 1, 1]), h) == 2.5
     assert hoeffding_project(h, Distribution.uniform(2), 0).table == 2.5
 
 
@@ -174,9 +174,9 @@ def test_hoeffding_identity_small_grid():
         kernel = random_ergodic_kernel(s, rng)
         pi = kernel.stationary()
         h = SymmetricKernelFn(_random_symmetric_table(rng, s, m))
-        traj = simulate(kernel, Distribution.uniform(s), n, seed=int(rng.integers(1 << 30)))
-        u = u_statistic(traj, h)
-        assert verify_hoeffding(traj, h, pi) <= 1e-10 * (1.0 + abs(u))
+        path = simulate(kernel, Distribution.uniform(s), n, seed=int(rng.integers(1 << 30)))
+        u = u_statistic(path, h)
+        assert verify_hoeffding(path, h, pi) <= 1e-10 * (1.0 + abs(u))
 
 
 def test_hoeffding_identity_large_mean_kernel():
@@ -192,23 +192,23 @@ def test_hoeffding_identity_large_mean_kernel():
             proj = hoeffding_project(h, pi, c)
             for axes in itertools.permutations(range(c)):
                 assert np.array_equal(proj.table, np.transpose(proj.table, axes))
-        traj = simulate(kernel, Distribution.uniform(5), 15, seed=seed)
-        u = u_statistic(traj, h)
-        assert verify_hoeffding(traj, h, pi) <= 1e-10 * (1.0 + abs(u))
+        path = simulate(kernel, Distribution.uniform(5), 15, seed=seed)
+        u = u_statistic(path, h)
+        assert verify_hoeffding(path, h, pi) <= 1e-10 * (1.0 + abs(u))
 
 
 def test_hoeffding_identity_constant_kernel(two_state_kernel):
     pi = two_state_kernel.stationary()
     h = SymmetricKernelFn(np.full((2, 2), 3.25))
-    traj = simulate(two_state_kernel, pi, 18, seed=6)
-    assert verify_hoeffding(traj, h, pi) <= 1e-12
+    path = simulate(two_state_kernel, pi, 18, seed=6)
+    assert verify_hoeffding(path, h, pi) <= 1e-12
 
 
 def test_hoeffding_identity_m1(two_state_kernel):
     pi = two_state_kernel.stationary()
     h = SymmetricKernelFn(np.array([2.0, -1.0]))
-    traj = simulate(two_state_kernel, Distribution.dirac(1, 2), 40, seed=77)
-    assert verify_hoeffding(traj, h, pi) <= 1e-12
+    path = simulate(two_state_kernel, Distribution.dirac(1, 2), 40, seed=77)
+    assert verify_hoeffding(path, h, pi) <= 1e-12
 
 
 def test_canonicalize_produces_canonical(two_state_kernel):
