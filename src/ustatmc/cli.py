@@ -43,7 +43,7 @@ from pathlib import Path
 
 from . import config as cfg
 from .bounds import evaluate_bounds
-from .errors import ConfigError, UstatmcError
+from .errors import BudgetExceeded, ConfigError, UstatmcError
 from .markov import simulate
 from .montecarlo import VARIANCE_COLUMNS, ExperimentConfig, run_slln_experiment, run_variance_experiment
 from .proofs import proposition_grid_check
@@ -70,10 +70,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
         p.add_argument("--budget", type=int, default=None,
-                       help="override the counting engine's cap: the int64 path and level cells "
-                            "of one replicate block, the rows*S^m level cells of a counted batch, "
-                            "and n*S^(m-1) for one counted path (the exact oracle, B_q and the "
-                            "proposition grid keep fixed caps)")
+                       help="override the counting engine's cap, in cells whatever their width: the "
+                            "path and level cells of one replicate block, the rows*S^m level cells of a "
+                            "counted batch, n*S^(m-1) for one counted path, and simulate.n (the exact "
+                            "oracle, B_q and the proposition grid keep fixed caps)")
         p.add_argument("--jobs", type=int, default=1,
                        help="threads for Monte Carlo replicate blocks (never changes results)")
     return parser
@@ -92,10 +92,11 @@ def cmd_simulate(args) -> int:
     section = cfg.section(doc, "simulate", {})
     n = cfg.integer(section, "n", 1000, "simulate", 1)
     seed = args.seed if args.seed is not None else cfg.seed(section, "seed", 0, "simulate")
-    rows = [
-        {"step": t, "state_index": int(i), "state_value": float(kernel.states[i])}
-        for t, i in enumerate(simulate(kernel, mu0, n, seed))
-    ]
+    budget = cfg.budget(doc, args.budget)
+    if n > budget:
+        raise BudgetExceeded(f"simulate.n = {n} path cells exceed budget {budget}")
+    values = [float(x) for x in kernel.states]
+    rows = ((t, i, values[i]) for t, i in enumerate(simulate(kernel, mu0, n, seed).tolist()))
     path = _out_dir(args) / "trajectory.csv"
     write_csv(path, ["step", "state_index", "state_value"], rows)
     print(f"simulate: n={n} seed={seed} -> {path}")
@@ -131,7 +132,7 @@ def cmd_bound(args) -> int:
     config = _bound_experiment(args)
     d, entries = evaluate_bounds(config.bounds, config.n_grid, config.h, config.profile, config.mu0, config.kernel)
     rows = [
-        {"n": n, "m": config.m, "bound_name": label, "bound": value, "degeneracy": d, "inputs_hash": digest}
+        (n, config.m, label, value, d, digest)
         for n, values in entries.items()
         for _, label, value, digest in values
     ]
@@ -145,7 +146,7 @@ def cmd_verify_variance(args) -> int:
     config = _bound_experiment(args)
     rows = run_variance_experiment(config)
     out = _out_dir(args)
-    write_csv(out / "variance.csv", VARIANCE_COLUMNS, rows)
+    write_csv(out / "variance.csv", VARIANCE_COLUMNS, ([row[c] for c in VARIANCE_COLUMNS] for row in rows))
     failures = [row for row in rows if not row["pass"]]
     summary = {
         "reports": len({(row["n"], row["statistic"]) for row in rows}),
@@ -171,7 +172,7 @@ def cmd_verify_slln(args) -> int:
     config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
     result = run_slln_experiment(config)
     out = _out_dir(args)
-    write_csv(out / "slln.csv", SLLN_COLUMNS, result["rows"])
+    write_csv(out / "slln.csv", SLLN_COLUMNS, ([row[c] for c in SLLN_COLUMNS] for row in result["rows"]))
     meta = {k: v for k, v in result.items() if k != "rows"}
     final = result["rows"][-1]
     meta["final_abs_error"] = final["abs_error"]

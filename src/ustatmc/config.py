@@ -62,10 +62,11 @@ SCHEMA: dict = {
         "bounds": "non-empty list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, "
                   "required by corollary3}, needed by bound and verify-variance; theorem1/corollary3 run as "
                   "corollary2 unless h is completely degenerate",
-        "budget": "int >= 1 — the counting engine's cap: the int64 path and level cells of one replicate "
-                  "block (max n + sum_{c<=m} S^c per replicate), the rows*S^m level cells of a counted batch, "
-                  "and n*S^(m-1) for one counted path; the exact oracle, B_q and the proposition grid keep "
-                  "fixed caps (default 1e8)",
+        "budget": "int >= 1 — the counting engine's cap, in cells whatever their width (int32 counts "
+                  "while binom(n, min(m, n // 2)) < 2^31, else int64): the path and level cells of one "
+                  "replicate block (max n + sum_{c<=m} S^c per replicate), the rows*S^m level cells of a "
+                  "counted batch, n*S^(m-1) for one counted path, and the simulate.n path cells; the exact "
+                  "oracle, B_q and the proposition grid keep fixed caps (default 1e8)",
     },
     "slln": {
         "n_max": "int",
@@ -152,6 +153,14 @@ def seed(entries: dict, key: str, default: int, where: str) -> int:
     if value >= SEED_LIMIT:
         raise ConfigError(f"{where}.{key} must be < 2^64, got {value}")
     return value
+
+
+def budget(doc: dict, override: int | None = None) -> int:
+    """The counting engine's cap: ``override`` (``--budget``) when given,
+    else experiment.budget (default 1e8)."""
+    if override is not None:
+        return override
+    return integer(section(doc, "experiment", {}), "budget", DEFAULT_BUDGET, "experiment", 1)
 
 
 def build_chain(doc: dict) -> tuple[FiniteKernel, np.ndarray]:
@@ -284,7 +293,7 @@ def build_experiment(
     profile = build_profile(doc, kernel, v, k_max_default=max(k_needed, 16))
     h = build_kernel_fn(doc, kernel)
     master_seed = seed(entries, "master_seed", 0, "experiment") if seed_override is None else seed_override
-    budget = integer(entries, "budget", DEFAULT_BUDGET, "experiment", 1) if budget_override is None else budget_override
+    cap = budget(doc, budget_override)
     try:
         return ExperimentConfig(
             kernel=kernel,
@@ -296,7 +305,7 @@ def build_experiment(
             master_seed=master_seed,
             bounds=entries.get("bounds", []),
             slln=slln,
-            budget=budget,
+            budget=cap,
             jobs=jobs,
         )
     except (ValueError, TypeError) as exc:

@@ -364,7 +364,8 @@ def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> np.n
     slot t is the chain at time t, with path[0] ~ mu0.
 
     The one-seed case of :func:`sample_paths`, so a path never depends on
-    whether it was drawn alone or in a batch.  No budget bounds n.
+    whether it was drawn alone or in a batch.  No budget bounds n here;
+    the ``simulate`` command refuses an n above its budget.
     """
     return sample_paths(kernel, mu0, n, [seed])[0]
 

@@ -243,8 +243,9 @@ def replicate_u_grid(
     its PCG64 stream's first n uniforms do not depend on how many are
     drawn.  So each replicate is sampled once, to max(ns), and counted
     once.  This is the one place that splits replicates: one replicate
-    holds cells = max(ns) + sum_{c=0..m} S^c int64 cells (its path and
-    level tensors), refused before sampling when over ``budget``, and the
+    holds cells = max(ns) + sum_{c=0..m} S^c cells (its path and level
+    tensors, counted as cells whatever their width), refused before
+    sampling when over ``budget``, and the
     replicates are cut in order into blocks of min(ceil(replicates / jobs),
     budget // cells) rows, so refusal never depends on ``jobs``.  Each
     block is one :func:`sample_paths` and one :func:`tuple_sums` call,

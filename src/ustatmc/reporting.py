@@ -21,11 +21,12 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(fmt(row[name]) for name in fieldnames))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row of values in ``fieldnames``
+    order, written as the rows come, so a long table is never held whole."""
+    with Path(path).open("w") as out:
+        out.write(",".join(fieldnames) + "\n")
+        out.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def write_json(path: str | Path, obj) -> None:

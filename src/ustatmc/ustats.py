@@ -17,10 +17,11 @@ here is checkable to float precision.
 Every path is evaluated by one counting call, :func:`tuple_sums` (cost
 n * S^{m-1} per path instead of binom(n, m) kernel calls), which takes one
 path or a batch and serves :func:`u_statistic`, the replicate estimator and
-the strong-law run.  It counts increasing index tuples by state in int64,
-so the counts are exact and do not depend on how a path is cut or
-batched; at each checkpoint the counts are contracted with the kernel
-tables in one fixed float order.
+the strong-law run.  It counts increasing index tuples by state in
+integers of the narrowest exact width (int32 when no count can reach
+2^31, else int64), so the counts are exact and do not depend on how a
+path is cut or batched; at each checkpoint the counts are contracted
+with the kernel tables in one fixed float order.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def tuple_sums(
 
         out[k, j, i] = sum_{t_1 < ... < t_m < checkpoints[j]} tables[k][paths[i, t_1], ..., paths[i, t_m]]
 
-    for tables of one shape (S,) * m.  The engine keeps int64 level tensors
+    for tables of one shape (S,) * m.  The engine keeps integer level tensors
     L_c (count of c-tuples by state, newest index first) for c = 1..m and,
     at each time step, adds L_{c-1} into the slice L_c[x_t] of every row at
     once.  A batch is counted whole, so its rows * S^m level cells must
@@ -165,10 +166,14 @@ def tuple_sums(
     passes a checkpoint the live counts are contracted with every table by
     :func:`_contract`, so no count tensor outlives its checkpoint.
 
-    Counts are exact while binom(n, m) < 2^63 (checked), so a sum does not
-    depend on the budget, on how a path is cut or on the batch it is
-    counted in; one path counts as one row.  State indices must lie in
-    [0, S).
+    No cell of any level of rows of at most n steps exceeds
+    binom(n, min(m, n // 2)), so the levels of a count are int32 when that
+    bound is below 2^31 (n = ``max(checkpoints)`` for a batch, the longest
+    piece for one path) and int64 otherwise; the joined levels of one path
+    are int64.  Counts are exact while the bound is below 2^63 (checked),
+    so a sum does not depend on the budget, on how a path is cut or on the
+    batch it is counted in; one path counts as one row.  The budget counts
+    level cells whatever their width.  State indices must lie in [0, S).
     """
     paths = np.asarray(paths)
     s, m = tables[0].shape[0], tables[0].ndim
@@ -196,7 +201,7 @@ def tuple_sums(
         # rows longest first, as _count_rows needs: piece p is row rank[p]
         order = np.argsort(-lengths, kind="stable")
         rank = np.argsort(order)
-        grid = np.zeros((lengths.size, int(lengths.max())), dtype=np.int64)
+        grid = np.zeros((lengths.size, int(lengths.max())), dtype=np.int32)
         for p, (a, b) in enumerate(zip(ends, ends[1:])):
             grid[rank[p], : b - a] = paths[a:b]
         levels = _count_rows(grid, lengths[order], s, m, {})[0]
@@ -238,8 +243,8 @@ def _checkpoints(checkpoints: Sequence[int], m: int, n: int) -> list[int]:
     return marks
 
 
-def _empty_levels(rows: int, s: int, m: int) -> list:
-    return [np.ones((rows, 1), dtype=np.int64)] + [np.zeros((rows, s**c), dtype=np.int64) for c in range(1, m + 1)]
+def _empty_levels(rows: int, s: int, m: int, dtype: type = np.int64) -> list:
+    return [np.ones((rows, 1), dtype=dtype)] + [np.zeros((rows, s**c), dtype=dtype) for c in range(1, m + 1)]
 
 
 def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, reads: dict) -> tuple[list, dict]:
@@ -248,14 +253,17 @@ def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, reads: di
     the value reads[t](levels) of the live levels after t steps.  Rows come
     longest first (``lengths`` non-increasing), so the rows still live at
     any step are a prefix, updated through views."""
-    levels = _empty_levels(grid.shape[0], s, m)
+    # the narrowest exact width: no cell of any L_c, c <= m, over rows of at
+    # most n steps exceeds binom(n, min(m, n // 2))
+    n = grid.shape[1]
+    levels = _empty_levels(grid.shape[0], s, m, np.int32 if math.comb(n, min(m, n // 2)) < 2**31 else np.int64)
     # L_c viewed as (rows * S, S^(c-1)): row i, newest state x is line i * S + x
     lines = [None] + [lv.reshape(-1, s ** (c - 1)) for c, lv in enumerate(levels) if c]
     base = np.arange(grid.shape[0]) * s
     # rows live at step t: the first alive[t], those with lengths > t
-    alive = np.searchsorted(-lengths, -np.arange(grid.shape[1]), side="left")
+    alive = np.searchsorted(-lengths, -np.arange(n), side="left")
     read_out = {}
-    for t in range(grid.shape[1]):
+    for t in range(n):
         live = slice(alive[t])
         idx = (base + grid[:, t])[live]
         for c in range(m, 0, -1):
@@ -267,7 +275,9 @@ def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, reads: di
 
 def _join(a: list, b: list, m: int) -> list:
     """Levels of the concatenation A B (A first) by Chen's identity; the
-    newest-first layout puts B's indices before A's."""
+    newest-first layout puts B's indices before A's.  The result has A's
+    width (B may be narrower)."""
+    b = [lv.astype(a[0].dtype, copy=False) for lv in b]
     return [a[0]] + [
         sum(np.einsum("ri,rj->rij", b[j], a[c - j]).reshape(len(a[0]), -1) for j in range(c + 1))
         for c in range(1, m + 1)

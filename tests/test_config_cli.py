@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,34 @@ def test_cli_simulate_and_certify(tmp_path, capsys):
     profile = json.loads((tmp_path / "b" / "profile.json").read_text())
     assert profile["provenance"] == "certified"
     assert profile["rho"]["values"][1] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_cli_simulate_writes_a_long_path_without_holding_its_rows(tmp_path):
+    # 10^5 steps: rows held as one dict each would trace about 35 MB
+    cfg = _write(tmp_path, "c.json", {"chain": TWO_STATE, "simulate": {"n": 10**5, "seed": 5}})
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    lines = (tmp_path / "a" / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 10**5 + 1 and lines[-1].startswith("99999,")
+
+
+@pytest.mark.parametrize("flag, experiment", [(["--budget", "999"], {}), ([], {"budget": 999})])
+def test_cli_simulate_over_budget_exits_3_before_sampling(tmp_path, monkeypatch, capsys, flag, experiment):
+    cfg = _write(tmp_path, "c.json", {"chain": TWO_STATE, "simulate": {"n": 1000}, "experiment": experiment})
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("sampling started over the budget"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("could not check:") and "budget 999" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    # a path of exactly the budget's cells is sampled
+    cfg = _write(tmp_path, "c.json", {"chain": TWO_STATE, "simulate": {"n": 999}, "experiment": experiment})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 0
 
 
 def test_cli_bound_zero_mixing(tmp_path):

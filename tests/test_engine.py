@@ -1,6 +1,7 @@
 """The one sampler and the one counting engine against naive oracles, and
 the budget checks that refuse before anything large is allocated."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from ustatmc import (
     BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, exact_l2, mix64, replicate_u_grid,
     sample_paths, simulate, tuple_sums, u_statistic,
 )
+from ustatmc import ustats
 from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
 
 
@@ -183,6 +185,53 @@ def test_int64_overflow_refused():
     # binom(300000, 4) > 2^63: int64 counts could wrap
     path = np.broadcast_to(np.int64(0), (300_000,))
     assert _peak_bytes(tuple_sums, path, [np.zeros((1,) * 4)], [300_000]) < 2**20
+
+
+@pytest.mark.parametrize("n, width", [(65_536, np.int32), (65_537, np.int64)])
+def test_level_width_at_the_int32_edge(monkeypatch, n, width):
+    # S = 1, m = 2: the one cell of L_2 ends at binom(n, 2), which is 2^31 - 32768 at
+    # n = 65536 (int32 holds it) and 2^31 + 32768 at n = 65537 (int32 would wrap)
+    widths = []
+    contract = ustats._contract
+    monkeypatch.setattr(ustats, "_contract", lambda counts, table: widths.append(counts.dtype) or contract(counts, table))
+    path = np.zeros(n, dtype=np.int64)
+    table = np.ones((1, 1))
+    assert tuple_sums(path, [table], [n])[0, 0] == math.comb(n, 2)
+    # one path joins its pieces in int64, whatever their width
+    assert widths == [np.int64]
+    assert tuple_sums(path[None, :], [table], [n])[0, 0, 0] == math.comb(n, 2)
+    assert widths[1:] == [width]
+
+
+def test_every_level_of_a_piece_is_exact():
+    # S = 1, m = 20, 34 steps: L_20 ends at binom(34, 20) < 2^31 but L_17 passes
+    # binom(34, 17) > 2^31, and Chen's identity multiplies every level of a piece
+    levels = _count_rows(np.zeros((1, 34), dtype=np.int64), np.array([34]), 1, 20, {})[0]
+    assert [int(lv[0, 0]) for lv in levels] == [math.comb(34, c) for c in range(21)]
+
+
+def _counting_peak(paths, tables, checkpoints):
+    tracemalloc.start()
+    try:
+        tuple_sums(paths, tables, checkpoints)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_levels_count_in_int32():
+    # 500 rows at S = 20, m = 3: L_3 holds 500 * 20^3 cells, 16 MB in int32 and 32 MB in int64
+    rng = np.random.default_rng(5)
+    paths = rng.integers(0, 20, (500, 400))
+    assert _counting_peak(paths, [rng.normal(size=(20,) * 3)], [50, 100, 200, 400]) < 24 * 2**20
+
+
+def test_one_long_path_counts_its_pieces_in_int32():
+    # about 1000 pieces of about 1000 steps, padded into one grid of state indices:
+    # 4 MB in int32, 8 MB in int64
+    rng = np.random.default_rng(6)
+    path = rng.integers(0, 8, 10**6)
+    assert _counting_peak(path, [rng.normal(size=(8, 8))], [10**3, 10**4, 10**5, 10**6]) < 5 * 10**6
 
 
 def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):

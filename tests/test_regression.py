@@ -122,11 +122,19 @@ FAILING_BOUNDS = {
     },
 }
 
+# the sampler's path as simulate writes it, with state values that take all
+# 17 significant digits
+TRAJECTORY = {
+    "chain": {"states": [-1.0, 0.1, 2.0 / 3.0], "matrix": DEGREE_THREE["chain"]["matrix"]},
+    "initial": {"dirac": 1},
+    "simulate": {"n": 2000, "seed": 84},
+}
+
 INLINE = {
     "degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS,
     "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG, "declared_geometric": DECLARED_GEOMETRIC,
     "slln_degree_three": SLLN_DEGREE_THREE, "routed_to_corollary2": ROUTED_TO_COROLLARY2,
-    "canonical_p_as_written": CANONICAL_P_AS_WRITTEN, "failing_bounds": FAILING_BOUNDS,
+    "canonical_p_as_written": CANONICAL_P_AS_WRITTEN, "failing_bounds": FAILING_BOUNDS, "trajectory": TRAJECTORY,
 }
 
 # the exit status of every run not listed here is 0
@@ -148,6 +156,7 @@ DIGESTS = {
     ("canonical_p_as_written", "bounds.csv"): "c94640713e49d88fabc46387a286e2a59212c492aeefaa1f58f12635cf1020a0",
     ("failing_bounds", "variance.csv"): "6546f55e73bb96f02b532f9702b01cfd1c1dc462b261a48770b334c23f99ecc6",
     ("failing_bounds", "variance_summary.json"): "2900c0a9d0170c9cfb67fd466713e5e3d1c254cd1b63583f8769db05f0a0a04c",
+    ("trajectory", "trajectory.csv"): "fc7b69c9b7ecda86e67083d2b9d492d6c0b8a74331c01b5c05f6f3aabf21d77c",
 }
 
 
@@ -173,6 +182,7 @@ def _digest(path: Path) -> str:
         ("canonical_p_as_written", "bound", "bounds.csv"),
         ("failing_bounds", "verify-variance", "variance.csv"),
         ("failing_bounds", "verify-variance", "variance_summary.json"),
+        ("trajectory", "simulate", "trajectory.csv"),
     ],
 )
 def test_artifact_digest(tmp_path, name, command, artifact):
