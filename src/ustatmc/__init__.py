@@ -50,7 +50,7 @@ from .montecarlo import (
 from .proofs import (
     OrderedTuple,
     counting_bound,
-    f_sigma_expectation,
+    f_sigma_values,
     j_indices,
     joint_law,
     jstar_histogram,
@@ -58,7 +58,6 @@ from .proofs import (
     random_canonical_kernel,
     random_ergodic_kernel,
     tilde_law,
-    tv_between,
     verify_lemma6,
     verify_prop5,
     verify_prop7,

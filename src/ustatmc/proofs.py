@@ -16,7 +16,11 @@ moment bound needs.
 
 Every law is a plain float array, a dense probability tensor over S^l
 whose axis i is the state at the i-th time, so every inequality in this
-module is checked by exact contraction rather than sampling.  The module
+module is checked by exact contraction rather than sampling.
+:func:`f_sigma_values` is the one evaluator of E[f_sigma], and
+``_prop5_step`` the one Proposition 5 step; :func:`verify_prop5` and
+:func:`verify_prop7` run them for one tuple exactly as
+:func:`proposition_grid_check` does for each.  The module
 builds its laws only from a validated ``Distribution`` and
 ``FiniteKernel``, so they are non-negative and sum to 1 by construction.
 Every tensor and every enumeration is checked against ``TENSOR_BUDGET``
@@ -25,6 +29,7 @@ before it is allocated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +39,7 @@ import numpy as np
 
 from .bounds import b_q, d_constant, lemma6_constant, m_sup
 from .errors import TENSOR_BUDGET, BudgetExceeded, NotCanonical, PNotPositive
-from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
+from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho, tv_distance
 from .ustats import SymmetricKernelFn, canonicalize, degeneracy_order
 
 
@@ -108,31 +113,55 @@ def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.n
     return np.multiply.outer(np.multiply.outer(left, pi), right)
 
 
-def f_sigma_expectation(law: np.ndarray, h: SymmetricKernelFn, sigma: Sequence[int]) -> float:
-    """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact tensor
-    contraction.  ``sigma`` is a 0-based permutation of range(2m)."""
+@functools.cache
+def _pair_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], np.ndarray]:
+    """The permutations sigma of range(2m) in itertools order, the first
+    sigma of each unordered split {sigma(1..m)}, {sigma(m+1..2m)}, and the
+    split of every sigma as an index into those representatives.
+
+    h is symmetric, so f_sigma depends on sigma only through its split:
+    binom(2m, m) / 2 distinct values among the (2m)!.  The cached result is
+    shared by every caller, so it is built from tuples and a read-only array."""
+    sigmas = tuple(itertools.permutations(range(2 * m)))
+    splits: dict[frozenset, int] = {}
+    representatives, index = [], []
+    for sigma in sigmas:
+        split = frozenset((frozenset(sigma[:m]), frozenset(sigma[m:])))
+        if split not in splits:
+            splits[split] = len(representatives)
+            representatives.append(sigma)
+        index.append(splits[split])
+    index = np.array(index)
+    index.setflags(write=False)
+    return sigmas, tuple(representatives), index
+
+
+def f_sigma_values(laws: Sequence[np.ndarray], h: SymmetricKernelFn) -> np.ndarray:
+    """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact
+    contraction, for each law (rows) and each permutation sigma of range(2m)
+    in itertools order (columns).
+
+    f_sigma = <T transposed by sigma, h (x) h>, so one matrix product with
+    a row per (law, split) of :func:`_pair_partitions` gives every distinct
+    value."""
     m = h.degree
-    if law.ndim != 2 * m:
-        raise ValueError(f"law arity {law.ndim} does not match 2m = {2 * m}")
-    if sorted(sigma) != list(range(2 * m)):
-        raise ValueError("sigma must be a permutation of range(2m)")
-    out = np.einsum(
-        law,
-        list(range(2 * m)),
-        h.table,
-        [sigma[j] for j in range(m)],
-        h.table,
-        [sigma[m + j] for j in range(m)],
-        [],
-    )
-    return float(out)
+    for law in laws:
+        if law.ndim != 2 * m:
+            raise ValueError(f"law arity {law.ndim} does not match 2m = {2 * m}")
+    _, representatives, index = _pair_partitions(m)
+    rows = [law.transpose(rep).ravel() for law in laws for rep in representatives]
+    return (np.array(rows) @ np.multiply.outer(h.table, h.table).ravel()).reshape(len(laws), -1)[:, index]
 
 
-def tv_between(law_a: np.ndarray, law_b: np.ndarray) -> float:
-    """Total variation (unnormalized L1, range [0, 2]) between two tensors."""
-    if law_a.shape != law_b.shape:
-        raise ValueError("law shapes differ")
-    return float(np.abs(law_a - law_b).sum())
+def _prop5_step(
+    mu: Distribution, kernel: FiniteKernel, profile: ErgodicityProfile, m_value: float, tup: OrderedTuple
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Proposition 5 for one tuple: the true and tilted laws, the exact TV
+    between them, its certificate 4 rho(j*) M(mu, V) given ``m_value`` =
+    M(mu, V), and rho(j*)."""
+    law, tilted = joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, tup)
+    rho_j = profile.rho_at(j_indices(tup)[1])
+    return law, tilted, float(np.abs(law - tilted).sum()), 4.0 * rho_j * m_value, rho_j
 
 
 def verify_prop5(
@@ -143,14 +172,8 @@ def verify_prop5(
 ) -> tuple[float, float]:
     """Exact TV between the true and tilted laws of (Y_{i_1}, ..., Y_{i_2m})
     against its certificate 4 rho(j*) M(mu, V)."""
-    _, j_star, _ = j_indices(tup)
-    tv = tv_between(joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, tup))
-    return tv, _prop5_bound(m_sup(mu, profile, kernel), profile.rho_at(j_star))
-
-
-def _prop5_bound(m_value: float, rho_j: float) -> float:
-    """Proposition 5 certificate 4 rho(j*) M(mu, V) on TV(true, tilted)."""
-    return 4.0 * rho_j * m_value
+    _, _, tv, bound, _ = _prop5_step(mu, kernel, profile, m_sup(mu, profile, kernel), tup)
+    return tv, bound
 
 
 def verify_lemma6(
@@ -166,7 +189,7 @@ def verify_lemma6(
     f = np.asarray(f, dtype=float)
     lhs = abs(xi.expect(f) - xi_prime.expect(f))
     moment = xi.expect(np.abs(f) ** (1 + p)) + xi_prime.expect(np.abs(f) ** (1 + p))
-    tv = float(np.abs(xi.weights - xi_prime.weights).sum())
+    tv = tv_distance(xi, xi_prime)
     rhs = lemma6_constant(p) * moment ** (1.0 / (p + 1.0)) * tv ** (p / (p + 1.0))
     return lhs, rhs
 
@@ -187,15 +210,18 @@ def verify_prop7(
 
     Requires a completely degenerate kernel.
     """
-    pi = kernel.stationary()
-    if degeneracy_order(h, pi) < h.degree:
+    if degeneracy_order(h, kernel.stationary()) < h.degree:
         raise NotCanonical("f_sigma certificates require a completely degenerate kernel")
     if tup.m != h.degree:
         raise ValueError("tuple length 2m does not match the kernel degree")
-    _, j_star, _ = j_indices(tup)
-    lhs = abs(f_sigma_expectation(joint_law(mu, kernel, tup.indices), h, sigma))
-    bounds = _prop7_bounds(h, profile, m_sup(mu, profile, kernel), () if p is None else (p,))
-    bound1, bound2 = bounds(profile.rho_at(j_star))
+    if sorted(sigma) != list(range(2 * h.degree)):
+        raise ValueError("sigma must be a permutation of range(2m)")
+    m_value = m_sup(mu, profile, kernel)
+    law, tilted, _, _, rho_j = _prop5_step(mu, kernel, profile, m_value, tup)
+    # the grid's product, tilted row included: numpy sums a one-row product in another order
+    values = f_sigma_values((tilted, law), h)[1]
+    lhs = abs(float(values[_pair_partitions(h.degree)[0].index(tuple(sigma))]))
+    bound1, bound2 = _prop7_bounds(h, profile, m_value, () if p is None else (p,))(rho_j)
     return lhs, bound1, bound2.get(p)
 
 
@@ -254,38 +280,6 @@ def random_canonical_kernel(
         if np.abs(h.table).max() > 1e-8:
             return h
     raise RuntimeError("could not draw a nonvanishing canonical kernel")
-
-
-def _pair_partitions(m: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray]:
-    """The permutations sigma of range(2m) in itertools order, the first
-    sigma of each unordered split {sigma(1..m)}, {sigma(m+1..2m)}, and the
-    split of every sigma as an index into those representatives.
-
-    h is symmetric, so f_sigma depends on sigma only through its split:
-    binom(2m, m) / 2 distinct values among the (2m)!."""
-    sigmas = list(itertools.permutations(range(2 * m)))
-    splits: dict[frozenset, int] = {}
-    representatives, index = [], []
-    for sigma in sigmas:
-        split = frozenset((frozenset(sigma[:m]), frozenset(sigma[m:])))
-        if split not in splits:
-            splits[split] = len(representatives)
-            representatives.append(sigma)
-        index.append(splits[split])
-    return sigmas, representatives, np.array(index)
-
-
-def _f_sigma_values(
-    laws: Sequence[np.ndarray], hh: np.ndarray, representatives: Sequence, index: np.ndarray
-) -> np.ndarray:
-    """E_law[f_sigma] for each law (rows) and each sigma (columns, in the
-    order of ``index``), from the split representatives and index of
-    :func:`_pair_partitions` and ``hh`` = vec(h (x) h).
-
-    f_sigma = <T transposed by sigma, h (x) h>, so one matrix product with
-    a row per (law, split) gives every distinct value."""
-    rows = [law.transpose(rep).ravel() for law in laws for rep in representatives]
-    return (np.stack(rows) @ hh).reshape(len(laws), -1)[:, index]
 
 
 class _Record:
@@ -351,7 +345,8 @@ def proposition_grid_check(
         raise BudgetExceeded(f"proposition grid of S^(2m) = {cells} law cells and {instances} "
                              f"(tuple, sigma) instances exceeds budget {TENSOR_BUDGET}")
     rng = np.random.default_rng(seed)
-    sigmas, representatives, index = _pair_partitions(m)
+    sigmas = _pair_partitions(m)[0]
+    p_values = tuple(dict.fromkeys(float(p) for p in p_values))
     tuples = [OrderedTuple(c) for c in itertools.combinations_with_replacement(range(1, i_max + 1), 2 * m)]
     eq19 = _Record(tolerance=1e-11)
     prop5 = _Record("tv")
@@ -364,14 +359,11 @@ def proposition_grid_check(
         h = random_canonical_kernel(kernel, m, rng)
         m_value = m_sup(mu, profile, kernel)
         prop7_bounds = _prop7_bounds(h, profile, m_value, p_values)
-        hh = np.multiply.outer(h.table, h.table).ravel()
         for tup in tuples:
-            law = joint_law(mu, kernel, tup.indices)
-            tilted = tilde_law(mu, kernel, tup)
-            rho_j = profile.rho_at(j_indices(tup)[1])
+            law, tilted, tv, bound, rho_j = _prop5_step(mu, kernel, profile, m_value, tup)
             case = {"chain": chain_idx, "tuple": list(tup.indices)}
-            prop5.update(case, np.array([tv_between(law, tilted)]), _prop5_bound(m_value, rho_j))
-            resid, lhs = np.abs(_f_sigma_values((tilted, law), hh, representatives, index))
+            prop5.update(case, np.array([tv]), bound)
+            resid, lhs = np.abs(f_sigma_values((tilted, law), h))
             eq19.update(case, resid, 0.0, sigmas)
             bound1, bound2 = prop7_bounds(rho_j)
             for p, bound in {None: bound1, **bound2}.items():

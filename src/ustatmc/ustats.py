@@ -279,7 +279,7 @@ def _join(a: list, b: list, m: int) -> list:
     width (B may be narrower)."""
     b = [lv.astype(a[0].dtype, copy=False) for lv in b]
     return [a[0]] + [
-        sum(np.einsum("ri,rj->rij", b[j], a[c - j]).reshape(len(a[0]), -1) for j in range(c + 1))
+        sum((b[j][:, :, None] * a[c - j][:, None, :]).reshape(len(a[0]), -1) for j in range(c + 1))
         for c in range(1, m + 1)
     ]
 

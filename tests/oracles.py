@@ -1,7 +1,8 @@
 """Independent brute-force oracles the tests freeze expected values from.
 
 Everything here is deliberately naive (explicit loops, fsum, Fractions,
-np.linalg.matrix_power) and shares no code path with the package.
+np.linalg.matrix_power, one einsum per permutation) and shares no code
+path with the package.
 """
 
 from __future__ import annotations
@@ -9,8 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ustatmc import SymmetricKernelFn
 
 
 def u_stat_enum(values, m, fn) -> float:
@@ -155,3 +160,23 @@ def l2_enum(mu: np.ndarray, p: np.ndarray, table: np.ndarray, n: int) -> float:
         u = math.fsum(table[combo] for combo in itertools.combinations(path, m)) / math.comb(n, m)
         terms.append(prob * u * u)
     return math.sqrt(math.fsum(terms))
+
+
+def f_sigma_expectation(law: np.ndarray, h: SymmetricKernelFn, sigma: Sequence[int]) -> float:
+    """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact tensor
+    contraction.  ``sigma`` is a 0-based permutation of range(2m)."""
+    m = h.degree
+    if law.ndim != 2 * m:
+        raise ValueError(f"law arity {law.ndim} does not match 2m = {2 * m}")
+    if sorted(sigma) != list(range(2 * m)):
+        raise ValueError("sigma must be a permutation of range(2m)")
+    out = np.einsum(
+        law,
+        list(range(2 * m)),
+        h.table,
+        [sigma[j] for j in range(m)],
+        h.table,
+        [sigma[m + j] for j in range(m)],
+        [],
+    )
+    return float(out)

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 STDOUT_SHA256 = {
     # joint and tilted laws, the f_sigma identity, Propositions 5 and 7, the j* histogram
-    "04_proof_apparatus": "6d9e72e384e8a85ccfe55439b4744917318c8f33aee3be9a90c78d9d493d6190",
+    "04_proof_apparatus": "d918f17acaf593e6722ac2fee4425b2fee6b0a4a3755a4e041601ee5087fa2e7",
 }
 
 

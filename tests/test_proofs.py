@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_joint_law
+from oracles import f_sigma_expectation, naive_joint_law
 from ustatmc import (
     BudgetExceeded,
     Distribution,
@@ -19,7 +19,7 @@ from ustatmc import (
     certify_rho,
     counting_bound,
     evolve,
-    f_sigma_expectation,
+    f_sigma_values,
     j_indices,
     joint_law,
     jstar_histogram,
@@ -32,7 +32,7 @@ from ustatmc import (
     verify_prop5,
     verify_prop7,
 )
-from ustatmc.proofs import _f_sigma_values, _pair_partitions
+from ustatmc.proofs import _pair_partitions
 
 
 def test_j_indices_worked_examples():
@@ -163,7 +163,7 @@ def test_f_sigma_identity_constant_kernel(two_state_kernel):
     mu = Distribution.dirac(0, 2)
     law = joint_law(mu, two_state_kernel, (1, 2, 3, 4))
     ones = SymmetricKernelFn(np.ones((2, 2)))
-    assert f_sigma_expectation(law, ones, (0, 1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
+    assert f_sigma_values([law], ones) == pytest.approx(np.ones((1, 24)), abs=1e-12)
 
 
 def test_f_sigma_vanishes_under_tilde_for_canonical():
@@ -172,9 +172,9 @@ def test_f_sigma_vanishes_under_tilde_for_canonical():
     mu = Distribution.normalized(rng.random(3) + 0.1)
     h = random_canonical_kernel(kernel, 2, rng)
     for tup in [OrderedTuple(t) for t in [(1, 1, 2, 2), (1, 3, 3, 7), (2, 4, 6, 8)]]:
-        tilted = tilde_law(mu, kernel, tup)
-        for sigma in itertools.permutations(range(4)):
-            assert abs(f_sigma_expectation(tilted, h, sigma)) <= 1e-12
+        values = f_sigma_values([tilde_law(mu, kernel, tup)], h)
+        assert values.shape == (1, 24)
+        assert np.abs(values).max() <= 1e-12
 
 
 def test_f_sigma_monte_carlo_cross_check(two_state_kernel):
@@ -184,7 +184,8 @@ def test_f_sigma_monte_carlo_cross_check(two_state_kernel):
     h = SymmetricKernelFn((raw + raw.T) / 2)
     tup = OrderedTuple((1, 2, 4, 6))
     sigma = (2, 0, 3, 1)
-    exact = f_sigma_expectation(joint_law(mu, two_state_kernel, tup.indices), h, sigma)
+    column = list(itertools.permutations(range(4))).index(sigma)
+    exact = f_sigma_values([joint_law(mu, two_state_kernel, tup.indices)], h)[0, column]
     paths = sample_paths(two_state_kernel, mu, 7, [31_000 + r for r in range(40_000)])
     y = paths[:, list(tup.indices)]
     vals = h.table[y[:, sigma[0]], y[:, sigma[1]]] * h.table[y[:, sigma[2]], y[:, sigma[3]]]
@@ -338,7 +339,7 @@ def test_oversized_proposition_grid_is_refused_before_allocating(grid):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_pair_partitions_group_permutations_by_split(m):
     sigmas, representatives, index = _pair_partitions(m)
-    assert sigmas == list(itertools.permutations(range(2 * m)))
+    assert sigmas == tuple(itertools.permutations(range(2 * m)))
     assert len(representatives) == math.comb(2 * m, m) // 2 == {1: 1, 2: 3, 3: 10}[m]
     # sigma and sigma' share a class exactly when they split range(2m) into the same two halves
     split_of_class, first_of_class = {}, {}
@@ -361,13 +362,54 @@ def test_split_contraction_matches_every_f_sigma(size, m, seed, data):
     raw = rng.standard_normal((size,) * m)
     h = SymmetricKernelFn(sum(np.transpose(raw, perm) for perm in itertools.permutations(range(m))) / math.factorial(m))
     laws = (joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, tup))
-    sigmas, representatives, index = _pair_partitions(m)
-    values = _f_sigma_values(laws, np.multiply.outer(h.table, h.table).ravel(), representatives, index)
+    values = f_sigma_values(laws, h)
     assert values.shape == (2, math.factorial(2 * m))
     tol = 1e-12 * h.sup_norm() ** 2
     for law, row in zip(laws, values):
-        for sigma, value in zip(sigmas, row):
+        for sigma, value in zip(itertools.permutations(range(2 * m)), row):
             assert abs(value - f_sigma_expectation(law, h, sigma)) <= tol
+
+
+@pytest.mark.parametrize("size, m, i_max, seed", [(3, 2, 6, 5), (2, 3, 4, 11), (4, 1, 9, 23)])
+def test_verifiers_replay_the_grid_worst_cases_bit_for_bit(size, m, i_max, seed):
+    report = proposition_grid_check(
+        num_chains=1, size=size, m=m, i_max=i_max, seed=seed, p_values=(1.0,), lemma6_trials=0, counting_n_max=0
+    )
+    # the grid's draws for its one chain, in its order
+    rng = np.random.default_rng(seed)
+    kernel = random_ergodic_kernel(size, rng)
+    mu = Distribution.normalized(rng.random(size) + 0.05)
+    profile = certify_rho(kernel, np.ones(size), k_max=i_max + 1)
+    h = random_canonical_kernel(kernel, m, rng)
+    worst = report["prop5"]["worst_case"]
+    assert verify_prop5(mu, kernel, profile, OrderedTuple(worst["tuple"])) == (worst["tv"], worst["bound"])
+    worst = report["prop7_bound1"]["worst_case"]
+    lhs, bound1, _ = verify_prop7(mu, kernel, profile, h, OrderedTuple(worst["tuple"]), worst["sigma"])
+    assert (lhs, bound1) == (worst["lhs"], worst["bound"])
+    worst = report["prop7_bound2_p1.0"]["worst_case"]
+    lhs, _, bound2 = verify_prop7(mu, kernel, profile, h, OrderedTuple(worst["tuple"]), worst["sigma"], p=1.0)
+    assert (lhs, bound2) == (worst["lhs"], worst["bound"])
+
+
+def test_f_sigma_values_rejects_a_law_of_the_wrong_arity(two_state_kernel):
+    law = joint_law(Distribution.dirac(0, 2), two_state_kernel, (1, 2, 3))
+    with pytest.raises(ValueError, match="law arity 3"):
+        f_sigma_values([law], SymmetricKernelFn(np.ones((2, 2))))
+
+
+@pytest.mark.parametrize("sigma", [(0, 1, 2, 2), (0, 1, 2), (1, 2, 3, 4)])
+def test_prop7_rejects_a_sigma_that_is_not_a_permutation(two_state_kernel, two_state_profile, canonical_product_h, sigma):
+    mu = Distribution.dirac(0, 2)
+    with pytest.raises(ValueError, match="permutation"):
+        verify_prop7(mu, two_state_kernel, two_state_profile, canonical_product_h, OrderedTuple((1, 3, 5, 7)), sigma)
+
+
+def test_grid_reads_p_values_as_distinct_floats():
+    grid = {"num_chains": 1, "size": 2, "m": 1, "i_max": 3, "lemma6_trials": 0, "counting_n_max": 0}
+    report = proposition_grid_check(p_values=(1, 1.0), **grid)
+    assert [key for key in report if key.startswith("prop7_bound2")] == ["prop7_bound2_p1.0"]
+    assert report["prop7_bound2_p1.0"]["instances"] == math.comb(3 + 1, 2) * 2
+    assert report == proposition_grid_check(p_values=(1.0,), **grid)
 
 
 def test_grid_record_keeps_first_worst_case_and_zero_identity():
