@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -101,26 +102,24 @@ def c_nm(n: int, m: int, profile: ErgodicityProfile) -> float:
     return math.exp(log_c)
 
 
-def _inputs_hash(n: int, m: int, profile: ErgodicityProfile, mu: Distribution, sup_h: float,
-                 p: float | None, d: int) -> str:
-    """First 16 hex digits of the sha256 of a bound's inputs as sorted JSON.
+def _inputs_hasher(m: int, profile: ErgodicityProfile, mu: Distribution, sup_h: float,
+                   d: int) -> Callable[[int, float | None], str]:
+    """The inputs hash of a bound as a function of (n, p): the first 16 hex
+    digits of the sha256 of the bound's inputs as sorted JSON.
 
     ``bq`` and ``bq_q`` are always null: B_q is computed from the kernel
     table, never declared, and the keys stay so every hash keeps its bytes.
+    Sorted, the keys read bq, bq_q, d, m, mu, n, p, profile, sup_h, so the
+    inputs other than n and p are encoded once, as the text around them.
     """
-    payload = {
-        "n": n,
-        "m": m,
-        "profile": profile.to_dict(),
-        "mu": mu.weights.tolist(),
-        "sup_h": sup_h,
-        "bq": None,
-        "bq_q": None,
-        "p": p,
-        "d": d,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    head = json.dumps({"bq": None, "bq_q": None, "d": d, "m": m, "mu": mu.weights.tolist()}, sort_keys=True)[:-1]
+    tail = json.dumps({"profile": profile.to_dict(), "sup_h": sup_h}, sort_keys=True)[1:]
+
+    def inputs_hash(n: int, p: float | None) -> str:
+        blob = f'{head}, "n": {json.dumps(n)}, "p": {json.dumps(p)}, {tail}'.encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+    return inputs_hash
 
 
 def theorem1_bound(n: int, m: int, profile: ErgodicityProfile, m_value: float, sup_h: float, d: int) -> float:
@@ -235,11 +234,12 @@ def evaluate_bounds(
     ``requests`` over ``n_grid``.
 
     The degeneracy order d of h under pi, the routing of
-    :func:`bound_requests`, M(mu, V), |h|_inf and each B_{2(p+1)} are
-    computed once; then every n is evaluated.  ``statistic`` is what the
-    bound dominates: "u" for ||U_{n,m}(h)|| (theorem1, corollary3) and
-    "u_centered" for ||U_{n,m}(h) - pi^{(m)}h|| (corollary2).  A negative
-    value would be a defect of the formulas and raises ``ValueError``.
+    :func:`bound_requests`, M(mu, V), |h|_inf, each B_{2(p+1)} and the
+    JSON text that every inputs hash shares are computed once; then every
+    n is evaluated.  ``statistic`` is what the bound dominates: "u" for
+    ||U_{n,m}(h)|| (theorem1, corollary3) and "u_centered" for
+    ||U_{n,m}(h) - pi^{(m)}h|| (corollary2).  A negative value would be a
+    defect of the formulas and raises ``ValueError``.
     """
     m = h.degree
     d = degeneracy_order(h, kernel.stationary())
@@ -247,6 +247,7 @@ def evaluate_bounds(
     m_value = m_sup(mu, profile, kernel)
     sup_h = h.sup_norm()
     bqs = {p: b_q(h, profile, 2.0 * (p + 1.0)) for name, p in routed if name == "corollary3"}
+    inputs_hash = _inputs_hasher(m, profile, mu, sup_h, d)
     out = {}
     for n in n_grid:
         out[n] = []
@@ -260,7 +261,7 @@ def evaluate_bounds(
                 value = corollary3_bound(n, m, profile, m_value, bqs[p], p, d)
             if value < 0:
                 raise ValueError("bounds are nonnegative by construction")
-            out[n].append((statistic, label, value, _inputs_hash(n, m, profile, mu, sup_h, p, d)))
+            out[n].append((statistic, label, value, inputs_hash(n, p)))
     return d, out
 
 

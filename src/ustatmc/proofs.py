@@ -17,14 +17,23 @@ moment bound needs.
 Every law is a plain float array, a dense probability tensor over S^l
 whose axis i is the state at the i-th time, so every inequality in this
 module is checked by exact contraction rather than sampling.
-:func:`f_sigma_values` is the one evaluator of E[f_sigma], and
-``_prop5_step`` the one Proposition 5 step; :func:`verify_prop5` and
-:func:`verify_prop7` run them for one tuple exactly as
-:func:`proposition_grid_check` does for each.  The module
+
+The code works on blocks of tuples, one row each.  ``_gaps`` gives the
+gaps of every row, ``_law_block`` and ``_tilted_block`` build the true and
+tilted laws with the elementwise products of a one-tuple build,
+``_prop5_step`` is the one Proposition 5 step and :func:`f_sigma_values`
+the one evaluator of E[f_sigma], whose rows of all tuples form one
+C-contiguous stack so that each tuple gets the matrix-vector product it
+would get alone.  :func:`proposition_grid_check` runs them on blocks of at
+most ``_BLOCK_CELLS`` law cells, with no loop over tuples, and takes each
+rho(j*) certificate once per distinct j*.  :func:`j_indices`,
+:func:`joint_law`, :func:`tilde_law`, :func:`verify_prop5`,
+:func:`verify_prop7` and :func:`verify_lemma6` are one-row calls of the
+same code, so they return the grid's numbers bit for bit.  The module
 builds its laws only from a validated ``Distribution`` and
 ``FiniteKernel``, so they are non-negative and sum to 1 by construction.
-Every tensor and every enumeration is checked against ``TENSOR_BUDGET``
-before it is allocated.
+Every law tensor and every enumeration is checked against
+``TENSOR_BUDGET`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -32,15 +41,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import b_q, d_constant, lemma6_constant, m_sup
 from .errors import TENSOR_BUDGET, BudgetExceeded, NotCanonical, PNotPositive
-from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho, tv_distance
+from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
 from .ustats import SymmetricKernelFn, canonicalize, degeneracy_order
+
+# Law cells (tuples x S^(2m)) of one block of the grid, 32 KiB of float64 per
+# law array; the f_sigma row stack holds binom(2m, m) times as many.  A block
+# has at least one tuple, so a grid with S^(2m) >= _BLOCK_CELLS runs one
+# tuple per block.
+_BLOCK_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -62,14 +78,66 @@ class OrderedTuple:
         return len(self.indices) // 2
 
 
+def _ordered_tuples(n: int, width: int) -> np.ndarray:
+    """Every non-decreasing tuple of ``width`` times in 1..n, one row each,
+    in ``itertools.combinations_with_replacement`` order."""
+    combos = itertools.combinations_with_replacement(range(1, n + 1), width)
+    return np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64).reshape(-1, width)
+
+
+def _gaps(tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair minimal gaps j_l of each row of ``tuples`` (rows of 2m
+    times), their maximum j* and its first maximizer l* (1-based)."""
+    steps = np.diff(tuples, axis=1, prepend=1)  # steps[:, q] = i_{q+1} - i_q with i_0 = 1
+    js = np.minimum(steps[:, 0::2], steps[:, 1::2])
+    return js, js.max(axis=1), js.argmax(axis=1) + 1
+
+
 def j_indices(tup: OrderedTuple) -> tuple[list[int], int, int]:
     """Per-pair minimal gaps, their maximum j*, and the first maximizer l*
     (1-based)."""
-    idx = (1,) + tup.indices
-    js = [min(idx[2 * l - 1] - idx[2 * l - 2], idx[2 * l] - idx[2 * l - 1]) for l in range(1, tup.m + 1)]
-    j_star = max(js)
-    ell_star = js.index(j_star) + 1
-    return js, j_star, ell_star
+    js, j_star, ell_star = _gaps(np.array([tup.indices]))
+    return js[0].tolist(), int(j_star[0]), int(ell_star[0])
+
+
+class _ChainTables:
+    """mu P^k and P^k for every k <= k_max, the tables the block law
+    builders read, and the kernel they came from."""
+
+    def __init__(self, mu: Distribution, kernel: FiniteKernel, k_max: int):
+        self.kernel = kernel
+        self.starts = np.array([mu.weights @ kernel.power(k) for k in range(k_max + 1)])
+        self.powers = np.array([kernel.power(k) for k in range(k_max + 1)])
+
+
+def _law_block(tables: _ChainTables, ks: np.ndarray) -> np.ndarray:
+    """Law of (Y_{k_1}, ..., Y_{k_l}) for each row of ``ks`` (B, l), as an
+    array (B, S, ..., S), built coordinate by coordinate:
+    T_l(..., a, b) = T_{l-1}(..., a) * P^{k_l - k_{l-1}}(a, b)."""
+    law = tables.starts[ks[:, 0]]
+    for c in range(1, ks.shape[1]):
+        step = tables.powers[ks[:, c] - ks[:, c - 1]]
+        law = law[..., None] * step.reshape((len(ks),) + (1,) * (c - 1) + step.shape[1:])
+    return law
+
+
+def _tilted_block(tables: _ChainTables, tuples: np.ndarray, ell_star: np.ndarray) -> np.ndarray:
+    """Tilted law of each row of ``tuples`` given its l*: per l* group,
+    pi (x) P_mu^{i_2..i_2m} for l* = 1 and otherwise
+    (P_mu^{i_1..i_{2l*-2}} (x) pi) (x) P_mu^{i_{2l*}..i_2m}."""
+    pi = tables.kernel.stationary().weights
+    width = tuples.shape[1]
+    tilted = np.empty((len(tuples),) + pi.shape * width)
+    for ell in sorted(set(ell_star.tolist())):
+        rows = ell_star == ell
+        right = _law_block(tables, tuples[rows, 2 * ell - 1 :])
+        right = right.reshape((len(right),) + (1,) * (2 * ell - 1) + right.shape[1:])
+        if ell == 1:
+            tilted[rows] = pi.reshape((1, -1) + (1,) * (width - 1)) * right
+        else:
+            left = _law_block(tables, tuples[rows, : 2 * ell - 2])[..., None] * pi
+            tilted[rows] = left.reshape(left.shape + (1,) * (width - 2 * ell + 1)) * right
+    return tilted
 
 
 def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.ndarray:
@@ -87,10 +155,7 @@ def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.n
     s = kernel.size
     if s ** len(ks) > TENSOR_BUDGET:
         raise BudgetExceeded(f"S^l = {s ** len(ks)} exceeds tensor budget {TENSOR_BUDGET}")
-    t = mu.weights @ kernel.power(ks[0])
-    for prev, cur in zip(ks, ks[1:]):
-        t = t[..., :, None] * kernel.power(cur - prev)
-    return t
+    return _law_block(_ChainTables(mu, kernel, ks[-1]), np.array([ks]))[0]
 
 
 def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.ndarray:
@@ -101,16 +166,10 @@ def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.n
     P_mu^{i_1..i_{2l*-2}} (x) pi (x) P_mu^{i_{2l*}..i_2m}, the blocks being
     independent (the right block restarts from mu at time 0).
     """
-    _, _, ell_star = j_indices(tup)
-    idx = tup.indices
     if kernel.size ** (2 * tup.m) > TENSOR_BUDGET:
         raise BudgetExceeded("tilted-law tensor exceeds budget")
-    pi = kernel.stationary().weights
-    if ell_star == 1:
-        return np.multiply.outer(pi, joint_law(mu, kernel, idx[1:]))
-    left = joint_law(mu, kernel, idx[: 2 * ell_star - 2])
-    right = joint_law(mu, kernel, idx[2 * ell_star - 1 :])
-    return np.multiply.outer(np.multiply.outer(left, pi), right)
+    tuples = np.array([tup.indices])
+    return _tilted_block(_ChainTables(mu, kernel, tup.indices[-1]), tuples, _gaps(tuples)[2])[0]
 
 
 @functools.cache
@@ -136,32 +195,60 @@ def _pair_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[i
     return sigmas, tuple(representatives), index
 
 
-def f_sigma_values(laws: Sequence[np.ndarray], h: SymmetricKernelFn) -> np.ndarray:
+def f_sigma_values(laws: Sequence[np.ndarray] | np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
     """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact
-    contraction, for each law (rows) and each permutation sigma of range(2m)
-    in itertools order (columns).
+    contraction, for each law and each permutation sigma of range(2m) in
+    itertools order (the last axis of the result).
 
-    f_sigma = <T transposed by sigma, h (x) h>, so one matrix product with
-    a row per (law, split) of :func:`_pair_partitions` gives every distinct
-    value."""
-    m = h.degree
-    for law in laws:
-        if law.ndim != 2 * m:
-            raise ValueError(f"law arity {law.ndim} does not match 2m = {2 * m}")
+    ``laws`` is a sequence of law tensors over S^(2m), giving a result of
+    shape (len(laws), (2m)!), or an array (..., L, S, ..., S) of such
+    sequences, giving (..., L, (2m)!).  f_sigma = <T transposed by sigma,
+    h (x) h>, so one matrix-vector product per sequence, with a row per
+    (law, split) of :func:`_pair_partitions`, gives every distinct value.
+    The rows of all sequences are one C-contiguous stack, so each sequence
+    gets the product it would get alone: numpy rounds a product by its
+    shape (a one-row product is a dot product), so a law's values depend
+    on the sequence it sits in, never on the others."""
+    m, s = h.degree, h.table.shape[0]
+    if not isinstance(laws, np.ndarray):
+        for law in laws:
+            if law.ndim != 2 * m:
+                raise ValueError(f"law arity {law.ndim} does not match 2m = {2 * m}")
+        laws = np.array(laws)
+    lead = laws.shape[: max(laws.ndim - 2 * m, 0)]
+    if not lead or laws.shape[len(lead) :] != (s,) * (2 * m):
+        raise ValueError(f"laws of shape {laws.shape} are not tensors over S^(2m), S = {s}, 2m = {2 * m}")
     _, representatives, index = _pair_partitions(m)
-    rows = [law.transpose(rep).ravel() for law in laws for rep in representatives]
-    return (np.array(rows) @ np.multiply.outer(h.table, h.table).ravel()).reshape(len(laws), -1)[:, index]
+    rows = np.empty(lead + (len(representatives),) + (s,) * (2 * m))
+    for row, rep in zip(np.moveaxis(rows, len(lead), 0), representatives):
+        row[...] = laws.transpose(tuple(range(len(lead))) + tuple(len(lead) + a for a in rep))
+    values = rows.reshape(lead[:-1] + (-1, s ** (2 * m))) @ np.multiply.outer(h.table, h.table).ravel()
+    return values.reshape(lead + (len(representatives),))[..., index]
 
 
 def _prop5_step(
+    tables: _ChainTables, tuples: np.ndarray, ell_star: np.ndarray, rho_j: np.ndarray, m_value: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Proposition 5 for a block of tuples (rows) with their l* and
+    rho(j*): the laws (B, 2, S, ..., S), the tilted and the true law of
+    each tuple as :func:`f_sigma_values` contracts them together, the exact
+    TV between the two, and its certificate 4 rho(j*) M(mu, V) given
+    ``m_value`` = M(mu, V)."""
+    laws = np.stack((_tilted_block(tables, tuples, ell_star), _law_block(tables, tuples)), axis=1)
+    tv = np.abs(laws[:, 1] - laws[:, 0]).reshape(len(tuples), -1).sum(axis=1)
+    return laws, tv, 4.0 * rho_j * m_value
+
+
+def _tuple_step(
     mu: Distribution, kernel: FiniteKernel, profile: ErgodicityProfile, m_value: float, tup: OrderedTuple
-) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Proposition 5 for one tuple: the true and tilted laws, the exact TV
-    between them, its certificate 4 rho(j*) M(mu, V) given ``m_value`` =
-    M(mu, V), and rho(j*)."""
-    law, tilted = joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, tup)
-    rho_j = profile.rho_at(j_indices(tup)[1])
-    return law, tilted, float(np.abs(law - tilted).sum()), 4.0 * rho_j * m_value, rho_j
+) -> tuple[np.ndarray, float, float, float]:
+    """:func:`_prop5_step` on the one-row block of ``tup``, with rho(j*)."""
+    tuples = np.array([tup.indices])
+    _, j_star, ell_star = _gaps(tuples)
+    rho_j = profile.rho_at(int(j_star[0]))
+    tables = _ChainTables(mu, kernel, tup.indices[-1])
+    laws, tv, bound = _prop5_step(tables, tuples, ell_star, np.array([rho_j]), m_value)
+    return laws, float(tv[0]), float(bound[0]), rho_j
 
 
 def verify_prop5(
@@ -172,8 +259,31 @@ def verify_prop5(
 ) -> tuple[float, float]:
     """Exact TV between the true and tilted laws of (Y_{i_1}, ..., Y_{i_2m})
     against its certificate 4 rho(j*) M(mu, V)."""
-    _, _, tv, bound, _ = _prop5_step(mu, kernel, profile, m_sup(mu, profile, kernel), tup)
+    _, tv, bound, _ = _tuple_step(mu, kernel, profile, m_sup(mu, profile, kernel), tup)
     return tv, bound
+
+
+def _lemma6_block(xi: np.ndarray, xi_prime: np.ndarray, f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of Lemma 6 for each row: probability vectors ``xi`` and
+    ``xi_prime`` (T, n), values ``f`` (T, n) and exponents ``p`` (T,) > 0.
+
+    Each expectation is its own dot product and each |f|^{1+p} takes a
+    scalar exponent, as for one pair of ``Distribution``s.  The right side
+    is taken in Python floats, because numpy's power does not round like
+    Python's pow."""
+    def expect(w, v):
+        return (w[:, None] @ v[:, :, None])[:, 0, 0]
+
+    constant = {q: lemma6_constant(q) for q in set(p.tolist())}
+    moment = np.empty(len(p))
+    for q in constant:
+        rows = p == q
+        g = np.abs(f[rows]) ** (1 + q)
+        moment[rows] = expect(xi[rows], g) + expect(xi_prime[rows], g)
+    tv = np.abs(xi - xi_prime).sum(axis=1)
+    rhs = [constant[q] * mo ** (1.0 / (q + 1.0)) * t ** (q / (q + 1.0))
+           for q, mo, t in zip(p.tolist(), moment.tolist(), tv.tolist())]
+    return np.abs(expect(xi, f) - expect(xi_prime, f)), np.array(rhs)
 
 
 def verify_lemma6(
@@ -187,11 +297,10 @@ def verify_lemma6(
     if not p > 0:
         raise PNotPositive("p must be > 0")
     f = np.asarray(f, dtype=float)
-    lhs = abs(xi.expect(f) - xi_prime.expect(f))
-    moment = xi.expect(np.abs(f) ** (1 + p)) + xi_prime.expect(np.abs(f) ** (1 + p))
-    tv = tv_distance(xi, xi_prime)
-    rhs = lemma6_constant(p) * moment ** (1.0 / (p + 1.0)) * tv ** (p / (p + 1.0))
-    return lhs, rhs
+    if not xi.size == xi_prime.size == f.size:
+        raise ValueError("dimension mismatch")
+    lhs, rhs = _lemma6_block(xi.weights[None], xi_prime.weights[None], f[None], np.array([float(p)]))
+    return float(lhs[0]), float(rhs[0])
 
 
 def verify_prop7(
@@ -217,9 +326,9 @@ def verify_prop7(
     if sorted(sigma) != list(range(2 * h.degree)):
         raise ValueError("sigma must be a permutation of range(2m)")
     m_value = m_sup(mu, profile, kernel)
-    law, tilted, _, _, rho_j = _prop5_step(mu, kernel, profile, m_value, tup)
-    # the grid's product, tilted row included: numpy sums a one-row product in another order
-    values = f_sigma_values((tilted, law), h)[1]
+    laws, _, _, rho_j = _tuple_step(mu, kernel, profile, m_value, tup)
+    # the grid's product, tilted law included: numpy rounds a product by its shape
+    values = f_sigma_values(laws, h)[0, 1]
     lhs = abs(float(values[_pair_partitions(h.degree)[0].index(tuple(sigma))]))
     bound1, bound2 = _prop7_bounds(h, profile, m_value, () if p is None else (p,))(rho_j)
     return lhs, bound1, bound2.get(p)
@@ -235,15 +344,12 @@ def _prop7_bounds(h: SymmetricKernelFn, profile: ErgodicityProfile, m_value: flo
 
 
 def jstar_histogram(n: int, m: int) -> dict[int, int]:
-    """Bucket all binom(n + 2m - 1, 2m) ordered 2m-tuples by j*."""
+    """Bucket all binom(n + 2m - 1, 2m) ordered 2m-tuples by j*, keyed in
+    order of first appearance."""
     total = math.comb(n + 2 * m - 1, 2 * m)
-    if total > TENSOR_BUDGET:
-        raise BudgetExceeded(f"{total} tuples exceed enumeration budget {TENSOR_BUDGET}")
-    hist: dict[int, int] = {}
-    for combo in itertools.combinations_with_replacement(range(1, n + 1), 2 * m):
-        _, j_star, _ = j_indices(OrderedTuple(combo))
-        hist[j_star] = hist.get(j_star, 0) + 1
-    return hist
+    if total * 2 * m > TENSOR_BUDGET:
+        raise BudgetExceeded(f"{total} tuples of {2 * m} times exceed enumeration budget {TENSOR_BUDGET}")
+    return dict(Counter(_gaps(_ordered_tuples(n, 2 * m))[1].tolist()))
 
 
 def counting_bound(n: int, m: int, k: int) -> int:
@@ -253,6 +359,11 @@ def counting_bound(n: int, m: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # grid driver (exhaustive checks behind the `check-propositions` command)
+
+def _case(chain_idx: int, tuples: np.ndarray, t: int) -> dict:
+    """The name of row t of a block of ``tuples`` in a grid report."""
+    return {"chain": chain_idx, "tuple": tuples[t].tolist()}
+
 
 def random_ergodic_kernel(size: int, rng: np.random.Generator, states: Sequence[float] | None = None) -> FiniteKernel:
     """Strictly positive random row-stochastic matrix (hence ergodic)."""
@@ -295,22 +406,25 @@ class _Record:
         self.instances, self.max_ratio, self.worst = 0, 0.0, None
         self.max_excess = -math.inf if tolerance is None else 0.0
 
-    def update(self, case: dict, lhs: np.ndarray, bound: float, sigmas: Sequence | None = None) -> None:
-        """Record lhs[i] <= bound for every instance i of one tuple, named
-        by ``case`` and, when given, the permutation sigmas[i]."""
+    def update(
+        self, lhs: np.ndarray, bound: np.ndarray, case: Callable[[int], dict], sigmas: Sequence | None = None
+    ) -> None:
+        """Record lhs[t, i] <= bound[t] for every instance i of every tuple t
+        of a block, in order; ``case(t)`` names tuple t and, when given,
+        sigmas[i] is the permutation of instance i."""
         self.instances += lhs.size
-        if bound > 0:
-            self.max_ratio = max(self.max_ratio, float((lhs / bound).max()))
-        excess = lhs - bound
+        positive = bound > 0
+        self.max_ratio = float(np.max(lhs[positive] / bound[positive, None], initial=self.max_ratio))
+        excess = lhs - bound[:, None]
         # first maximum of the rounded excesses: what a sequential scan with a strict > keeps
-        i = int(excess.argmax())
-        if excess[i] > self.max_excess:
-            self.max_excess = float(excess[i])
-            self.worst = dict(case)
+        t, i = np.unravel_index(excess.argmax(), excess.shape)
+        if excess[t, i] > self.max_excess:
+            self.max_excess = float(excess[t, i])
+            self.worst = case(t)
             if sigmas is not None:
                 self.worst["sigma"] = list(sigmas[i])
             if self.lhs_key is not None:
-                self.worst.update({self.lhs_key: float(lhs[i]), "bound": bound})
+                self.worst.update({self.lhs_key: float(lhs[t, i]), "bound": float(bound[t])})
 
     def report(self) -> dict:
         if self.tolerance is None:
@@ -339,6 +453,10 @@ def proposition_grid_check(
     held to 1e-11 absolute).  A grid whose law tensors (S^(2m) cells) or
     instances (binom(i_max + 2m - 1, 2m) tuples times (2m)! permutations)
     exceed ``TENSOR_BUDGET`` raises :class:`BudgetExceeded` before any work.
+
+    Each chain's tuples go in blocks of rows, in enumeration order, and the
+    rho(j*) certificates are taken once per distinct j*; the report is the
+    one a tuple-by-tuple scan gives, bit for bit.
     """
     cells, instances = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.factorial(2 * m)
     if max(cells, instances) > TENSOR_BUDGET:
@@ -347,7 +465,9 @@ def proposition_grid_check(
     rng = np.random.default_rng(seed)
     sigmas = _pair_partitions(m)[0]
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
-    tuples = [OrderedTuple(c) for c in itertools.combinations_with_replacement(range(1, i_max + 1), 2 * m)]
+    tuples = _ordered_tuples(i_max, 2 * m)
+    _, j_star, ell_star = _gaps(tuples)
+    block = max(1, _BLOCK_CELLS // cells)
     eq19 = _Record(tolerance=1e-11)
     prop5 = _Record("tv")
     prop7 = {p: _Record("lhs") for p in (None, *p_values)}
@@ -358,29 +478,34 @@ def proposition_grid_check(
         profile = certify_rho(kernel, np.ones(size), k_max=i_max + 1)
         h = random_canonical_kernel(kernel, m, rng)
         m_value = m_sup(mu, profile, kernel)
-        prop7_bounds = _prop7_bounds(h, profile, m_value, p_values)
-        for tup in tuples:
-            law, tilted, tv, bound, rho_j = _prop5_step(mu, kernel, profile, m_value, tup)
-            case = {"chain": chain_idx, "tuple": list(tup.indices)}
-            prop5.update(case, np.array([tv]), bound)
-            resid, lhs = np.abs(f_sigma_values((tilted, law), h))
-            eq19.update(case, resid, 0.0, sigmas)
-            bound1, bound2 = prop7_bounds(rho_j)
-            for p, bound in {None: bound1, **bound2}.items():
-                prop7[p].update(case, lhs, bound, sigmas)
+        tables = _ChainTables(mu, kernel, i_max)
+        # j* takes every value in 0..max(j*): each certificate once per value, read by each row's j*
+        rho = [profile.rho_at(j) for j in range(int(j_star.max()) + 1)]
+        prop7_bounds = list(map(_prop7_bounds(h, profile, m_value, p_values), rho))
+        bound7 = {p: np.array([b1 if p is None else b2[p] for b1, b2 in prop7_bounds])[j_star] for p in prop7}
+        rho = np.array(rho)[j_star]
+        for start in range(0, len(tuples), block):
+            rows = slice(start, start + block)
+            laws, tv, bound5 = _prop5_step(tables, tuples[rows], ell_star[rows], rho[rows], m_value)
+            case = functools.partial(_case, chain_idx, tuples[rows])
+            prop5.update(tv[:, None], bound5, case)
+            resid, lhs = np.abs(f_sigma_values(laws, h)).transpose(1, 0, 2)
+            eq19.update(resid, np.zeros(len(tv)), case, sigmas)
+            for p, record in prop7.items():
+                record.update(lhs, bound7[p][rows], case, sigmas)
 
-    lemma6_viol = 0
-    lemma6_max_ratio = 0.0
-    for _ in range(lemma6_trials):
-        xi = Distribution.normalized(rng.random(lemma6_points) + 1e-3)
-        xi_p = Distribution.normalized(rng.random(lemma6_points) + 1e-3)
-        f = rng.standard_normal(lemma6_points) * 10.0
-        p = float(rng.choice([0.5, 1.0, 2.0]))
-        lhs, rhs = verify_lemma6(xi, xi_p, f, p)
-        if rhs > 0:
-            lemma6_max_ratio = max(lemma6_max_ratio, lhs / rhs)
-        if lhs > rhs * (1 + 1e-12):
-            lemma6_viol += 1
+    xi, xi_p, f = (np.empty((lemma6_trials, lemma6_points)) for _ in range(3))
+    exponents = np.empty(lemma6_trials)
+    for trial in range(lemma6_trials):  # the draws of one trial, in order, from the one stream
+        xi[trial], xi_p[trial] = rng.random(lemma6_points), rng.random(lemma6_points)
+        f[trial], exponents[trial] = rng.standard_normal(lemma6_points), rng.choice([0.5, 1.0, 2.0])
+    for weights in (xi, xi_p):
+        weights += 1e-3
+        weights /= weights.sum(axis=1, keepdims=True)
+    f *= 10.0
+    lhs, rhs = _lemma6_block(xi, xi_p, f, exponents)
+    lemma6_viol = int(np.count_nonzero(lhs > rhs * (1 + 1e-12)))
+    lemma6_max_ratio = float(np.max(lhs[rhs > 0] / rhs[rhs > 0], initial=0.0))
 
     counting_viol = 0
     counting_total_ok = True

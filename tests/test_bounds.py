@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from ustatmc import (
     m_sup,
     theorem1_bound,
 )
-from ustatmc.bounds import _inputs_hash
+from ustatmc.bounds import _inputs_hasher
 
 GEO_HALF = ErgodicityProfile(np.ones(2), ExplicitRho(np.array([1.0]), 0.5))
 ZERO_RHO = ErgodicityProfile(np.ones(2), ExplicitRho(np.zeros(8), 0.0), provenance="declared", declared_m=1.0)
@@ -274,12 +276,25 @@ def test_hand_value_geometric_sum_m1():
 def test_bound_inputs_digest_stability(two_state_profile, mu_dirac0):
     # pinned hashes: a bound's inputs hash keeps its bytes across refactors,
     # p is hashed as written (1 and 1.0 differ), and bq/bq_q stay null keys
-    args = (100, 2, two_state_profile, mu_dirac0)
-    assert _inputs_hash(*args, 1.44, None, 2) == _inputs_hash(*args, 1.44, None, 2) == "853037f6a613e08d"
-    assert _inputs_hash(*args, 2.0, None, 2) == "13f2ae5bca2243ac"
-    assert _inputs_hash(*args, 1.44, 1.0, 2) == "2b6f67e13dcd6981"
-    assert _inputs_hash(*args, 1.44, 1, 2) == "ed0075054cfaf7a9"
-    assert _inputs_hash(*args, 1.44, None, 1) == "4f153686153f543a"
+    hasher = _inputs_hasher(2, two_state_profile, mu_dirac0, 1.44, 2)
+    assert hasher(100, None) == hasher(100, None) == "853037f6a613e08d"
+    assert _inputs_hasher(2, two_state_profile, mu_dirac0, 2.0, 2)(100, None) == "13f2ae5bca2243ac"
+    assert hasher(100, 1.0) == "2b6f67e13dcd6981"
+    assert hasher(100, 1) == "ed0075054cfaf7a9"
+    assert _inputs_hasher(2, two_state_profile, mu_dirac0, 1.44, 1)(100, None) == "4f153686153f543a"
+
+
+def test_bound_inputs_hash_is_the_sorted_json_of_every_input(two_state_kernel):
+    # the hash of the whole payload encoded at once, on a certified table with many entries
+    profile = certify_rho(two_state_kernel, [1.0, 2.5], k_max=300)
+    mu = Distribution.normalized([0.3, 0.7])
+    for m, sup_h, d in [(2, 1.44, 2), (3, 0.1 + 0.2, 1)]:
+        hasher = _inputs_hasher(m, profile, mu, sup_h, d)
+        for n, p in [(10, None), (1600, 0.5), (7, 1), (400, 2.0)]:
+            payload = {"n": n, "m": m, "profile": profile.to_dict(), "mu": mu.weights.tolist(), "sup_h": sup_h,
+                       "bq": None, "bq_q": None, "p": p, "d": d}
+            blob = json.dumps(payload, sort_keys=True).encode()
+            assert hasher(n, p) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _parsed(bounds, two_state_kernel, two_state_profile, mu_dirac0, canonical_product_h):
@@ -323,14 +338,12 @@ def test_evaluate_bounds_matches_the_bound_functions(two_state_kernel, two_state
     sup_h = canonical_product_h.sup_norm()
     bq = b_q(canonical_product_h, two_state_profile, 4.0)
     args = (2, two_state_profile, m_val)
+    inputs_hash = _inputs_hasher(2, two_state_profile, mu_dirac0, sup_h, 2)
     assert got == {
         n: [
-            ("u", "theorem1", theorem1_bound(n, *args, sup_h, 2),
-             _inputs_hash(n, 2, two_state_profile, mu_dirac0, sup_h, None, 2)),
-            ("u_centered", "corollary2", corollary2_bound(n, *args, sup_h, 2),
-             _inputs_hash(n, 2, two_state_profile, mu_dirac0, sup_h, None, 2)),
-            ("u", "corollary3[p=1]", corollary3_bound(n, *args, bq, 1.0, 2),
-             _inputs_hash(n, 2, two_state_profile, mu_dirac0, sup_h, 1.0, 2)),
+            ("u", "theorem1", theorem1_bound(n, *args, sup_h, 2), inputs_hash(n, None)),
+            ("u_centered", "corollary2", corollary2_bound(n, *args, sup_h, 2), inputs_hash(n, None)),
+            ("u", "corollary3[p=1]", corollary3_bound(n, *args, bq, 1.0, 2), inputs_hash(n, 1.0)),
         ]
         for n in (30, 60)
     }

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from ustatmc import (
     verify_prop5,
     verify_prop7,
 )
-from ustatmc.proofs import _pair_partitions
+from ustatmc import proofs, tv_distance
+from ustatmc.bounds import lemma6_constant
+from ustatmc.proofs import _ChainTables, _gaps, _ordered_tuples, _pair_partitions, _prop5_step
 
 
 def test_j_indices_worked_examples():
@@ -417,14 +421,118 @@ def test_grid_record_keeps_first_worst_case_and_zero_identity():
 
     record = _Record("lhs")
     sigmas = [(0, 1), (1, 0), (0, 1)]
-    record.update({"tuple": [1]}, np.array([0.5, 0.75, 0.75]), 1.0, sigmas)
-    record.update({"tuple": [2]}, np.array([0.25]), 0.5, sigmas)  # same excess -0.25: not kept
+    names = lambda t: {"tuple": [t + 1]}  # noqa: E731
+    # one block of two tuples, both with excess -0.25: the first maximum in scan order is kept
+    record.update(np.array([[0.5, 0.75, 0.75], [0.25, 0.5, 0.5]]), np.array([1.0, 0.75]), names, sigmas)
+    record.update(np.array([[0.25, 0.0, 0.0]]), np.array([0.5]), names, sigmas)  # same excess -0.25: not kept
     assert record.report() == {
-        "instances": 4, "max_ratio": 0.75, "max_violation": -0.25, "pass": True,
+        "instances": 9, "max_ratio": 0.75, "max_violation": -0.25, "pass": True,
         "worst_case": {"tuple": [1], "sigma": [1, 0], "lhs": 0.75, "bound": 1.0},
     }
     identity = _Record(tolerance=1e-11)
-    identity.update({"tuple": [1]}, np.zeros(3), 0.0, sigmas)
+    identity.update(np.zeros((2, 3)), np.zeros(2), names, sigmas)
     assert identity.report() == {
-        "instances": 3, "max_abs_residual": 0.0, "worst_case": None, "tolerance": 1e-11, "pass": True,
+        "instances": 6, "max_abs_residual": 0.0, "worst_case": None, "tolerance": 1e-11, "pass": True,
     }
+    # a tuple with a zero bound counts as instances and may be the worst case, but takes no ratio
+    zero_bound = _Record("tv")
+    with np.errstate(all="raise"):
+        zero_bound.update(np.array([[0.5], [0.0]]), np.array([1.0, 0.0]), names)
+    assert zero_bound.report() == {
+        "instances": 2, "max_ratio": 0.5, "max_violation": 0.0, "pass": True,
+        "worst_case": {"tuple": [2], "tv": 0.0, "bound": 0.0},
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(2, 4), m=st.integers(1, 3), i_max=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max, seed, data):
+    rng = np.random.default_rng(seed)
+    kernel = random_ergodic_kernel(size, rng)
+    mu = Distribution.normalized(rng.random(size) + 0.05)
+    h = random_canonical_kernel(kernel, m, rng)
+    tuples = _ordered_tuples(i_max, 2 * m)
+    js, j_star, ell_star = _gaps(tuples)
+    laws, tv, _ = _prop5_step(_ChainTables(mu, kernel, i_max), tuples, ell_star, np.zeros(len(tuples)), 1.0)
+    values = f_sigma_values(laws, h)
+    assert laws.shape == (len(tuples), 2) + (size,) * (2 * m) and values.shape == (len(tuples), 2, math.factorial(2 * m))
+    for row, times in enumerate(tuples.tolist()):
+        tup = OrderedTuple(times)
+        assert j_indices(tup) == (js[row].tolist(), j_star[row], ell_star[row])
+        law, tilted = joint_law(mu, kernel, times), tilde_law(mu, kernel, tup)
+        assert laws[row, 1].tobytes() == law.tobytes() and laws[row, 0].tobytes() == tilted.tobytes()
+        assert tv[row] == np.abs(law - tilted).sum()
+        assert values[row].tobytes() == f_sigma_values([tilted, law], h).tobytes()
+
+    # one drawn row against the independent oracles
+    row = data.draw(st.integers(0, len(tuples) - 1))
+    times, q = tuples[row].tolist(), 2 * int(ell_star[row]) - 2
+    naive = lambda ks: naive_joint_law(mu.weights, kernel.matrix, ks) if ks else np.ones(())  # noqa: E731
+    naive_tilted = np.multiply.outer(np.multiply.outer(naive(times[:q]), kernel.stationary().weights),
+                                     naive(times[q + 1 :]))
+    assert np.abs(laws[row, 1] - naive(times)).max() <= 1e-12
+    assert np.abs(laws[row, 0] - naive_tilted).max() <= 1e-12
+    tol = 1e-12 * h.sup_norm() ** 2
+    for law, law_values in zip(laws[row], values[row]):
+        for sigma, value in zip(itertools.permutations(range(2 * m)), law_values):
+            assert abs(value - f_sigma_expectation(law, h, sigma)) <= tol
+
+    # one tuple per block gives the same report, byte for byte
+    grid = {"num_chains": 2, "size": size, "m": m, "i_max": i_max, "seed": seed, "lemma6_trials": 0,
+            "counting_n_max": 0}
+    report = json.dumps(proposition_grid_check(**grid))
+    with mock.patch.object(proofs, "_BLOCK_CELLS", 1):
+        assert json.dumps(proposition_grid_check(**grid)) == report
+
+
+def test_batched_lemma6_matches_the_trial_by_trial_check(monkeypatch):
+    generators = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: generators.append(default_rng(seed)) or generators[-1])
+    report = proposition_grid_check(num_chains=1, size=2, m=1, i_max=2, seed=17, lemma6_trials=400,
+                                    counting_n_max=0)["lemma6"]
+    # the grid's draws, in its order: one chain, then the trials
+    rng = default_rng(17)
+    kernel = random_ergodic_kernel(2, rng)
+    rng.random(2)
+    random_canonical_kernel(kernel, 1, rng)
+    violations, max_ratio = 0, 0.0
+    for _ in range(400):
+        xi = Distribution.normalized(rng.random(10) + 1e-3)
+        xi_p = Distribution.normalized(rng.random(10) + 1e-3)
+        f = rng.standard_normal(10) * 10.0
+        p = float(rng.choice([0.5, 1.0, 2.0]))
+        lhs, rhs = verify_lemma6(xi, xi_p, f, p)
+        # the scalar formula, one Distribution at a time
+        moment = xi.expect(np.abs(f) ** (1 + p)) + xi_p.expect(np.abs(f) ** (1 + p))
+        assert lhs == abs(xi.expect(f) - xi_p.expect(f))
+        assert rhs == lemma6_constant(p) * moment ** (1.0 / (p + 1.0)) * tv_distance(xi, xi_p) ** (p / (p + 1.0))
+        if rhs > 0:
+            max_ratio = max(max_ratio, lhs / rhs)
+        violations += lhs > rhs * (1 + 1e-12)
+    assert report == {"instances": 400, "violations": violations, "max_ratio": max_ratio, "pass": violations == 0}
+    assert generators[0].bit_generator.state == rng.bit_generator.state
+
+
+def test_proposition_grid_peak_memory_on_the_benchmark_shape():
+    # the shape of the benchmark's propositions workload; a first small grid loads what numpy loads once
+    proposition_grid_check(num_chains=1, size=4, m=2, i_max=2, seed=1, lemma6_trials=2, counting_n_max=2)
+    tracemalloc.start()
+    try:
+        report = proposition_grid_check(num_chains=3, size=4, m=2, i_max=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] and report["prop5"]["instances"] == 3 * math.comb(13, 4)
+    assert peak <= 2**20
+
+
+def test_a_grid_with_s_to_the_2m_over_the_block_cap_runs_one_tuple_per_block(monkeypatch):
+    blocks = []
+    step = proofs._prop5_step
+    monkeypatch.setattr(proofs, "_prop5_step", lambda tables, tuples, *rest: blocks.append(len(tuples)) or step(
+        tables, tuples, *rest))
+    assert 5**6 > proofs._BLOCK_CELLS
+    report = proposition_grid_check(num_chains=1, size=5, m=3, i_max=2, seed=9, lemma6_trials=0, counting_n_max=0)
+    assert report["pass"] and blocks == [1] * math.comb(7, 6)

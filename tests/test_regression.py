@@ -130,11 +130,17 @@ TRAJECTORY = {
     "simulate": {"n": 2000, "seed": 84},
 }
 
+# the proposition grid at degree 1 and at degree 3, so its bytes are pinned
+# beyond the m = 2 of the propositions demo
+PROPOSITIONS_DEGREE_ONE = {"propositions": {"chains": 4, "size": 2, "m": 1, "i_max": 12, "seed": 85}}
+PROPOSITIONS_DEGREE_THREE = {"propositions": {"chains": 2, "size": 3, "m": 3, "i_max": 6, "seed": 86}}
+
 INLINE = {
     "degree_three": DEGREE_THREE, "additive_centered": ADDITIVE_CENTERED, "both_statistics": BOTH_STATISTICS,
     "gaussian_rbf": GAUSSIAN_RBF, "indicator_diag": INDICATOR_DIAG, "declared_geometric": DECLARED_GEOMETRIC,
     "slln_degree_three": SLLN_DEGREE_THREE, "routed_to_corollary2": ROUTED_TO_COROLLARY2,
     "canonical_p_as_written": CANONICAL_P_AS_WRITTEN, "failing_bounds": FAILING_BOUNDS, "trajectory": TRAJECTORY,
+    "propositions_degree_one": PROPOSITIONS_DEGREE_ONE, "propositions_degree_three": PROPOSITIONS_DEGREE_THREE,
 }
 
 # the exit status of every run not listed here is 0
@@ -157,6 +163,10 @@ DIGESTS = {
     ("failing_bounds", "variance.csv"): "6546f55e73bb96f02b532f9702b01cfd1c1dc462b261a48770b334c23f99ecc6",
     ("failing_bounds", "variance_summary.json"): "2900c0a9d0170c9cfb67fd466713e5e3d1c254cd1b63583f8769db05f0a0a04c",
     ("trajectory", "trajectory.csv"): "fc7b69c9b7ecda86e67083d2b9d492d6c0b8a74331c01b5c05f6f3aabf21d77c",
+    ("propositions_degree_one", "propositions.json"):
+        "2693a6a3b6b892fa97e84d90fa504fa9fc29be452c5ce885503ed253b251cb2e",
+    ("propositions_degree_three", "propositions.json"):
+        "927ed76cd2da6e23ee5ec8e58174c7cb2345ac321981646df8591f5dad42d7bd",
 }
 
 
@@ -183,6 +193,8 @@ def _digest(path: Path) -> str:
         ("failing_bounds", "verify-variance", "variance.csv"),
         ("failing_bounds", "verify-variance", "variance_summary.json"),
         ("trajectory", "simulate", "trajectory.csv"),
+        ("propositions_degree_one", "check-propositions", "propositions.json"),
+        ("propositions_degree_three", "check-propositions", "propositions.json"),
     ],
 )
 def test_artifact_digest(tmp_path, name, command, artifact):
