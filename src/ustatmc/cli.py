@@ -10,9 +10,10 @@ check-propositions.  Exit status: 0 when every asserted inequality holds,
 3 when a check could not run (a budget refusal, a chain that is not
 ergodic, an M(mu, V) that cannot be bounded, an artifact that cannot be
 written, or memory that runs out).  A rho table or builtin kernel table
-over 10^7 cells, and a proposition grid whose law tensors (S^(2m) cells)
-or instances (tuples times (2m)! permutations) exceed that fixed tensor
-budget, are refused with status 3 before any work.  A command returns a
+over 10^7 cells, and a proposition grid whose f_sigma rows of one tuple
+(binom(2m, m) * S^(2m) cells) or instances (tuples times (2m)!
+permutations) exceed that fixed tensor budget, are refused with status 3
+before any work.  A command returns a
 violation and never raises it, so any other package error means the check
 did not run.  Statuses 2 and 3 print one line.
 A configuration error is found before any work starts; it includes an

@@ -28,10 +28,14 @@ import numpy as np
 from .errors import TENSOR_BUDGET, BudgetExceeded, NotErgodic
 
 _ATOL = 1e-12
-# rows * states below which the sampler walks blocks of time side by side:
+# rows * states below which the sampler walks blocks of time side by side,
+# and at or above which it walks time-major, one contiguous lookup per step:
 # below it a step's Python overhead outweighs the S-fold block composition
-# (timed crossover between r*S = 256 and 640 on a 2-core x86 VM, numpy 2.4)
+# (timed crossover between r*S = 256 and 640 at S = 2, 8 and 20 and
+# n = 400..10^4, on a 2-core x86 VM, numpy 2.4)
 _WIDTH = 512
+# uniforms coded at a time: the coding temporaries stay a few tens of KiB
+_SLICE = 4096
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -380,51 +384,110 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     seed, so any partition of the seed list yields identical rows.
 
     A uniform is first coded by how many distinct CDF values lie at or
-    below it; that code fixes the inversion from every state at once, so
-    the walk runs through one next-state table with S rows and one column
-    per code: at most S * (S^2 + 1) cells, whatever n and the seed count.
+    below it (:func:`_guide_coder`, in slices of at most ``_SLICE`` cells,
+    so no temporary grows with n); that code fixes the inversion from every
+    state at once, so the walk runs through one next-state table with S
+    rows and one column per code: at most S * (S^2 + 1) cells, whatever n
+    and the seed count.  With rows * S >= ``_WIDTH`` the paths are held
+    time-major, (n, rows), and the result is that array's transpose: the
+    same rows, with each time step contiguous across them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mu0.size != kernel.size:
         raise ValueError("dimension mismatch")
-    s = kernel.size
+    s, r = kernel.size, len(seeds)
     cdf = np.cumsum(kernel.matrix, axis=1)
-    cuts = np.concatenate(([-np.inf], np.unique(cdf)))
+    cuts = np.unique(cdf)
     cdf0 = np.cumsum(mu0.weights)
-    # column t holds the code of the step into time t until the walk
+    code = _guide_coder(cuts)
+    time_major = r * s >= _WIDTH
+    # slot t of a row holds the code of the step into time t until the walk
     # replaces it by the state at time t
-    paths = np.empty((len(seeds), n), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        u = np.random.Generator(np.random.PCG64(int(seed))).random(n)
-        paths[i, 0] = min(int(np.searchsorted(cdf0, u[0], side="right")), s - 1)
-        paths[i, 1:] = np.searchsorted(cuts, u[1:], side="right") - 1
-    _walk(paths, cdf, cuts)
+    store = np.empty((n, r) if time_major else (r, n), dtype=np.int64)
+    paths = store.T if time_major else store
+    # a slice codes `group` seeds side by side, `span` steps each
+    span = min(n, _SLICE)
+    group = max(1, _SLICE // span)
+    u = np.empty((group, span))
+    for i in range(0, r, group):
+        streams = [np.random.Generator(np.random.PCG64(int(seed))) for seed in seeds[i : i + group]]
+        rows = slice(i, i + len(streams))
+        for a in range(0, n, span):
+            block = u[: len(streams), : min(span, n - a)]
+            for stream, line in zip(streams, block):
+                stream.random(out=line)
+            if a == 0:
+                first = np.minimum(np.searchsorted(cdf0, block[:, 0], side="right"), s - 1)
+            paths[rows, a : a + block.shape[1]] = code(block)
+        paths[rows, 0] = first
+    _walk(store, cdf, cuts, time_major)
     return paths
 
 
-def _walk(paths: np.ndarray, cdf: np.ndarray, cuts: np.ndarray) -> None:
-    """Replace the codes in paths[:, 1:] by states, in place, stepping from
-    the states in paths[:, 0].
+def _guide_coder(cuts: np.ndarray):
+    """The function u -> number of entries of the sorted array ``cuts`` at
+    or below u, for arrays of uniforms in [0, 1): ``np.searchsorted(cuts,
+    u, "right")``, bit for bit, by comparisons only.
 
-    With few rows, time is cut into blocks of about sqrt(steps): the end
-    state of every block is found for every start state at once, the block
-    start states are chained in order, and each block is replayed from its
-    start, so the Python loop runs about 3 sqrt(steps) times instead of
-    steps.
+    u * G is exact for the power of two G >= 4 * len(cuts), so floor(u * G)
+    picks u's bucket [b / G, (b + 1) / G), and lo[b] = #cuts <= b / G
+    counts every cut below the bucket.  The at most k cuts inside any
+    bucket are then bisected branch-free: ceil(log2(k + 1)) passes over
+    all of u, each adding its step where the cut it reads is <= u.  So a
+    guide with no cut inside a bucket needs no pass, and no guide needs
+    more passes than a binary search takes steps.
     """
-    r, steps = paths.shape[0], paths.shape[1] - 1
-    s = cdf.shape[0]
-    w = cuts.size
-    # nxt[x * w + k] = w * (next state from x under code k)
-    table = np.empty((s, w), dtype=np.int64)
+    size = 1 << (4 * cuts.size - 1).bit_length()
+    edges = np.arange(size + 1) / size
+    lo = np.searchsorted(cuts, edges[:-1], side="right")
+    inside = int((np.searchsorted(cuts, edges[1:], side="left") - lo).max())
+    steps = [1 << j for j in reversed(range(inside.bit_length()))]
+    # the bisection reads up to lo + 2 * steps[0] - 2: pad with cuts no u reaches
+    padded = np.concatenate((cuts, np.full(2 * steps[0] - 1 if steps else 0, np.inf)))
+    # a pass of step q reads padded[code + q - 1], the entry `code` of its own view
+    reads = [(q, padded[q - 1 :]) for q in steps]
+
+    def code(u: np.ndarray) -> np.ndarray:
+        out = lo.take((u * size).astype(np.intp))
+        for q, view in reads:
+            np.add(out, q, out=out, where=view.take(out) <= u)
+        return out
+
+    return code
+
+
+def _walk(paths: np.ndarray, cdf: np.ndarray, cuts: np.ndarray, time_major: bool) -> None:
+    """Replace the codes after time 0 by states, in place, stepping from
+    the states at time 0: each row of ``paths`` is a path, or with
+    ``time_major`` each column.
+
+    A time-major walk takes one contiguous lookup per step across all
+    paths.  A row-major one cuts time into blocks of about sqrt(steps):
+    the end state of every block is found for every start state at once,
+    the block start states are chained in order, and each block is
+    replayed from its start, so the Python loop runs about 3 sqrt(steps)
+    times instead of steps.
+    """
+    s, w = cdf.shape[0], cuts.size + 1
+    # nxt[x * w + k] = w * (next state from x under code k); code 0 has no cut at or below u
+    table = np.zeros((s, w), dtype=np.int64)
     for x in range(s):
-        table[x] = np.searchsorted(cdf[x], cuts, side="right")
+        table[x, 1:] = np.searchsorted(cdf[x], cuts, side="right")
     np.minimum(table, s - 1, out=table)
     nxt = (table * w).ravel()
     # states are stored as x * w, so a step is one lookup nxt[state + code]
+    if time_major:
+        paths[0] *= w
+        for t in range(1, paths.shape[0]):
+            line = paths[t]
+            line += paths[t - 1]
+            nxt.take(line, out=line)
+        paths //= w
+        return
+    r, steps = paths.shape[0], paths.shape[1] - 1
     paths[:, 0] *= w
-    block = math.isqrt(steps) if r * s < _WIDTH else 1
+    block = math.isqrt(steps)
     done = 0
     if block > 1:
         nb = steps // block

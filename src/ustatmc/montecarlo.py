@@ -32,7 +32,6 @@ none.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -272,6 +271,9 @@ def replicate_u_grid(
     if jobs <= 1 or len(blocks) == 1:
         parts = [work(b) for b in blocks]
     else:
+        # imported here: the pool (and the logging it imports) serves jobs > 1 only
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(work, blocks))
     sums = np.concatenate(parts, axis=-1)

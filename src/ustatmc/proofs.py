@@ -450,18 +450,21 @@ def proposition_grid_check(
     Returns a JSON-ready summary per inequality: number of instances, the
     worst lhs/bound ratio, and the tuple attaining it.  ``"pass"`` is True
     iff no instance violates its certificate (the tilted-moment identity is
-    held to 1e-11 absolute).  A grid whose law tensors (S^(2m) cells) or
-    instances (binom(i_max + 2m - 1, 2m) tuples times (2m)! permutations)
-    exceed ``TENSOR_BUDGET`` raises :class:`BudgetExceeded` before any work.
+    held to 1e-11 absolute).  A grid whose f_sigma row stack of one tuple
+    (2 laws times binom(2m, m) / 2 splits times S^(2m) cells, which
+    :func:`f_sigma_values` allocates) or whose instances (binom(i_max + 2m
+    - 1, 2m) tuples times (2m)! permutations) exceed ``TENSOR_BUDGET``
+    raises :class:`BudgetExceeded` before any work.
 
     Each chain's tuples go in blocks of rows, in enumeration order, and the
     rho(j*) certificates are taken once per distinct j*; the report is the
     one a tuple-by-tuple scan gives, bit for bit.
     """
     cells, instances = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.factorial(2 * m)
-    if max(cells, instances) > TENSOR_BUDGET:
-        raise BudgetExceeded(f"proposition grid of S^(2m) = {cells} law cells and {instances} "
-                             f"(tuple, sigma) instances exceeds budget {TENSOR_BUDGET}")
+    stack = math.comb(2 * m, m) * cells
+    if max(stack, instances) > TENSOR_BUDGET:
+        raise BudgetExceeded(f"proposition grid of binom(2m, m) * S^(2m) = {stack} f_sigma row cells per tuple "
+                             f"and {instances} (tuple, sigma) instances exceeds budget {TENSOR_BUDGET}")
     rng = np.random.default_rng(seed)
     sigmas = _pair_partitions(m)[0]
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
@@ -498,7 +501,7 @@ def proposition_grid_check(
     exponents = np.empty(lemma6_trials)
     for trial in range(lemma6_trials):  # the draws of one trial, in order, from the one stream
         xi[trial], xi_p[trial] = rng.random(lemma6_points), rng.random(lemma6_points)
-        f[trial], exponents[trial] = rng.standard_normal(lemma6_points), rng.choice([0.5, 1.0, 2.0])
+        f[trial], exponents[trial] = rng.standard_normal(lemma6_points), (0.5, 1.0, 2.0)[rng.integers(3)]
     for weights in (xi, xi_p):
         weights += 1e-3
         weights /= weights.sum(axis=1, keepdims=True)

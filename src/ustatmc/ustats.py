@@ -161,16 +161,20 @@ def tuple_sums(
     once.  A batch is counted whole, so its rows * S^m level cells must
     fit the budget.  One path is first cut into about sqrt(n) equal pieces
     and at every checkpoint, the pieces are counted as rows in sub-batches
-    of budget // S^m rows, and they are joined in order by Chen's identity
-    L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A).  Either way, as the count
-    passes a checkpoint the live counts are contracted with every table by
+    of budget // S^m rows, and they are joined by Chen's identity
+    L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A): the pieces of each run that
+    ends at a checkpoint (or at its sub-batch's end) are joined as a tree,
+    adjacent pairs in one batched call per level (:func:`_join_run`), and
+    the run is then joined onto the prefix before it.  The padded grid of a
+    sub-batch is freed before its joins.  Either way, as the count passes a
+    checkpoint the live counts are contracted with every table by
     :func:`_contract`, so no count tensor outlives its checkpoint.
 
     No cell of any level of rows of at most n steps exceeds
     binom(n, min(m, n // 2)), so the levels of a count are int32 when that
     bound is below 2^31 (n = ``max(checkpoints)`` for a batch, the longest
-    piece for one path) and int64 otherwise; the joined levels of one path
-    are int64.  Counts are exact while the bound is below 2^63 (checked),
+    piece for one path) and int64 otherwise; the pieces of one path are
+    joined in int64.  Counts are exact while the bound is below 2^63 (checked),
     so a sum does not depend on the budget, on how a path is cut or on the
     batch it is counted in; one path counts as one row.  The budget counts
     level cells whatever their width.  State indices must lie in [0, S).
@@ -205,10 +209,15 @@ def tuple_sums(
         for p, (a, b) in enumerate(zip(ends, ends[1:])):
             grid[rank[p], : b - a] = paths[a:b]
         levels = _count_rows(grid, lengths[order], s, m, {})[0]
-        for p, end in enumerate(ends[1:]):
-            acc = _join(acc, [lv[rank[p] : rank[p] + 1] for lv in levels], m)
-            if end in wanted:
-                sums[end] = read(acc)
+        del grid
+        # the pieces in path order, in int64: a join of pieces counts more than any piece
+        levels = [lv.astype(np.int64).take(rank, axis=0) for lv in levels]
+        # runs of pieces that end at a checkpoint, and the sub-batch's last run
+        stops = sorted({p for p, end in enumerate(ends) if p and end in wanted} | {len(ends) - 1})
+        for a, b in zip([0] + stops, stops):
+            acc = _join(acc, _join_run([lv[a:b] for lv in levels], m), m)
+            if ends[b] in wanted:
+                sums[ends[b]] = read(acc)
     return stack(sums)[..., 0]
 
 
@@ -282,6 +291,18 @@ def _join(a: list, b: list, m: int) -> list:
         sum((b[j][:, :, None] * a[c - j][:, None, :]).reshape(len(a[0]), -1) for j in range(c + 1))
         for c in range(1, m + 1)
     ]
+
+
+def _join_run(levels: list, m: int) -> list:
+    """Levels of the concatenation of the rows of ``levels``, in order:
+    adjacent pairs are joined in one batched :func:`_join` per round, so a
+    run of k rows takes about log2(k) calls.  The counts are integers, so
+    the grouping does not change them."""
+    while len(levels[0]) > 1:
+        pairs = len(levels[0]) // 2
+        joined = _join([lv[: 2 * pairs : 2] for lv in levels], [lv[1 : 2 * pairs : 2] for lv in levels], m)
+        levels = [np.concatenate((j, lv[2 * pairs :])) for j, lv in zip(joined, levels)]
+    return levels
 
 
 def _oldest_first(level: np.ndarray, s: int, m: int) -> np.ndarray:

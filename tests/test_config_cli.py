@@ -333,7 +333,12 @@ def test_cli_bad_propositions_section_is_config_error(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out").exists()
 
 
-OVERSIZED_GRIDS = {"degree-six": {"m": 6}, "i-max-10000": {"i_max": 10_000}}
+OVERSIZED_GRIDS = {
+    "degree-six": {"m": 6},
+    "i-max-10000": {"i_max": 10_000},
+    # the law cells and instances fit, but one tuple's f_sigma rows do not
+    "f-sigma-rows": {"size": 4, "m": 5, "i_max": 1},
+}
 
 
 @pytest.mark.parametrize("big", OVERSIZED_GRIDS.values(), ids=OVERSIZED_GRIDS.keys())

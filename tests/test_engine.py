@@ -14,7 +14,8 @@ from ustatmc import (
     BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, exact_l2, mix64, replicate_u_grid,
     sample_paths, simulate, tuple_sums, u_statistic,
 )
-from ustatmc import ustats
+from ustatmc import markov, ustats
+from ustatmc.markov import _guide_coder
 from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
 
 
@@ -58,6 +59,31 @@ def test_one_path_sums_match_a_one_row_batch(case, data):
     batch = tuple_sums(path[None, :], tables, checkpoints, budget)
     assert one.shape == (2, len(checkpoints)) and batch.shape == (2, len(checkpoints), 1)
     assert one.tobytes() == batch[..., 0].tobytes()
+
+
+@st.composite
+def checkpoint_runs(draw):
+    """A path, checkpoints with adjacent pairs among them, and a budget of
+    1 to 3 pieces, so runs of pieces between checkpoints have one, an odd
+    or an even number of pieces and straddle sub-batches."""
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 120 if m < 3 else 40))
+    path = np.array(draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)))
+    marks = draw(st.sets(st.integers(m, n - 1), max_size=6))
+    checkpoints = sorted(marks | {c + 1 for c in marks if draw(st.booleans())} | {n})
+    return s, m, path, checkpoints, draw(st.integers(1, 3)) * s**m
+
+
+@settings(max_examples=150, deadline=None)
+@given(checkpoint_runs())
+def test_tree_joined_pieces_match_batch_and_enumeration(case):
+    s, m, path, checkpoints, budget = case
+    tables = _one_hot_tables(s, m)
+    one = tuple_sums(path, tables, checkpoints, budget)
+    assert one.tobytes() == tuple_sums(path[None, :], tables, checkpoints)[..., 0].tobytes()
+    for c, counts in zip(checkpoints, one.T):
+        assert np.array_equal(counts.reshape((s,) * m), tuple_counts_enum(path[:c], s, m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,6 +157,68 @@ def test_sampler_many_rows_match_replay():
     paths = sample_paths(kernel, mu0, 37, seeds)
     for row, seed in zip(paths, seeds):
         assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 37, seed)
+
+
+@st.composite
+def clustered_chains(draw):
+    """Rows whose entries are 0, small integers or tiny weights, so CDF
+    values tie or crowd into one bucket of the guide table."""
+    s = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(0, 3).map(float), st.floats(1e-12, 1e-3))
+    matrix = np.array([draw(st.lists(entry, min_size=s, max_size=s).filter(any)) for _ in range(s)])
+    return matrix / matrix.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(clustered_chains(), chains_with_ties().map(lambda chain: chain[0].matrix)), st.data())
+def test_guide_coder_matches_binary_search(matrix, data):
+    cuts = np.unique(np.cumsum(matrix, axis=1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    edges = np.concatenate((cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)))
+    u = np.concatenate((rng.random(500), edges, [0.0, np.nextafter(1.0, 0.0)]))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    code = _guide_coder(cuts)
+    assert np.array_equal(code(u), np.searchsorted(cuts, u, "right"))
+    # a 2-D block codes as its cells do
+    block = rng.random((3, 7))
+    assert np.array_equal(code(block), np.searchsorted(cuts, block.ravel(), "right").reshape(3, 7))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 200])
+@pytest.mark.parametrize("width, cells", [(512, 7), (512, 200), (1, 7), (1, 200), (10**9, 7)])
+def test_sampler_slices_and_layouts_match_replay(monkeypatch, rows, width, cells):
+    # slices of 7 cells cut each path at odd places, and slices of 200 cells code
+    # groups of 3 paths side by side, the last group short; the width
+    # sends any row count to the time-major walk (1), to the blocked walk (10^9)
+    # or to the choice rows * S >= 512
+    monkeypatch.setattr(markov, "_SLICE", cells)
+    monkeypatch.setattr(markov, "_WIDTH", width)
+    rng = np.random.default_rng(rows)
+    matrix = rng.random((4, 4)) * (rng.random((4, 4)) > 0.3) + np.eye(4) * 0.01
+    kernel = FiniteKernel(np.arange(4.0), matrix / matrix.sum(axis=1, keepdims=True))
+    mu0 = Distribution.normalized([0.0, 1.0, 2.0, 1.0])
+    seeds = [int(x) for x in rng.integers(0, 2**63, rows)]
+    paths = sample_paths(kernel, mu0, 61, seeds)
+    assert paths.shape == (rows, 61) and paths.dtype == np.int64
+    for row, seed in zip(paths, seeds):
+        assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 61, seed)
+
+
+def test_simulate_draws_a_long_path_in_slices():
+    # 10^6 steps over 8 states: the int64 path is 7.6 MiB; the uniforms and
+    # their codes are drawn and coded a slice at a time, so no other array
+    # of 10^6 cells exists
+    rng = np.random.default_rng(8)
+    matrix = rng.random((8, 8)) + 0.05
+    kernel = FiniteKernel(np.linspace(0.5, 1.5, 8), matrix / matrix.sum(axis=1, keepdims=True))
+    tracemalloc.start()
+    try:
+        path = simulate(kernel, Distribution.dirac(0, 8), 10**6, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert path[:3000].tolist() == replay_path(kernel.matrix, np.eye(8)[0], 3000, 12)
 
 
 def _peak_bytes(fn, *args, **kwargs):

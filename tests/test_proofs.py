@@ -340,6 +340,23 @@ def test_oversized_proposition_grid_is_refused_before_allocating(grid):
     assert peak < 2**16
 
 
+def test_f_sigma_row_stack_is_refused_before_listing_permutations(monkeypatch):
+    # S = 4, m = 5, i_max = 1: the 4^10 law cells and the 10! instances fit the
+    # budget, but one tuple's f_sigma rows, 2 laws x 126 splits x 4^10 cells, are 2.1 GB
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid listed permutations before its size was checked")
+
+    monkeypatch.setattr(proofs, "_pair_partitions", no_work)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="f_sigma"):
+            proposition_grid_check(num_chains=1, size=4, m=5, i_max=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_pair_partitions_group_permutations_by_split(m):
     sigmas, representatives, index = _pair_partitions(m)
