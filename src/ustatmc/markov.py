@@ -12,9 +12,10 @@ for all probability vectors mu, mu'.  Total variation is the unnormalized
 L1 convention, sup_{|f|<=1} |mu(f) - mu'(f)|, with range [0, 2]; every bound
 in :mod:`ustatmc.bounds` and :mod:`ustatmc.proofs` assumes it.
 
-A path is a 1-D int64 array of state indices.  Paths come from one
-sampler, :func:`sample_paths` (a batch of seeds, one PCG64 stream each);
-:func:`simulate` is its one-seed case.
+A path is a 1-D array of state indices in the narrowest signed integer
+type that holds S^2 (:func:`index_dtype`: int8 up to 11 states).  Paths
+come from one sampler, :func:`sample_paths` (a batch of seeds, one PCG64
+stream each); :func:`simulate` is its one-seed case.
 """
 
 from __future__ import annotations
@@ -36,6 +37,20 @@ _ATOL = 1e-12
 _WIDTH = 512
 # uniforms coded at a time: the coding temporaries stay a few tens of KiB
 _SLICE = 4096
+
+
+def index_dtype(s: int) -> np.dtype:
+    """The narrowest signed integer type that holds S^2 for S states:
+    int8 up to S = 11, int16 up to S = 181, then int32 (int64 past 46340).
+
+    The sampler stores each uniform as its code, the number of distinct
+    CDF values at or below it, and an S-state chain has at most S^2 of
+    them; every state index is below S.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if s * s <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -344,9 +359,11 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
         raw = [np.eye(s)[x] for x in range(s)]
 
         def ratio_max() -> float:
-            # every pair's |norm[x] - norm[y]| summed along its own row: the
-            # float order of summing each pair's vector on its own
-            norm = np.array([w / w.sum() for w in raw])
+            # every Dirac normalized by its own sum at once, and every pair's
+            # |norm[x] - norm[y]| summed along its own row: the float order
+            # of normalizing and summing each vector on its own
+            w = np.array(raw)
+            norm = w / w.sum(axis=1, keepdims=True)
             gaps = norm[xs] - norm[ys]
             return float((np.abs(gaps, out=gaps).sum(axis=-1) / denom).max())
 
@@ -364,8 +381,9 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
 
 
 def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> np.ndarray:
-    """Sample a length-n path: a 1-D int64 array of state indices whose
-    slot t is the chain at time t, with path[0] ~ mu0.
+    """Sample a length-n path: a 1-D array of state indices of type
+    ``index_dtype(S)`` whose slot t is the chain at time t, with
+    path[0] ~ mu0.
 
     The one-seed case of :func:`sample_paths`, so a path never depends on
     whether it was drawn alone or in a batch.  No budget bounds n here;
@@ -388,9 +406,12 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     so no temporary grows with n); that code fixes the inversion from every
     state at once, so the walk runs through one next-state table with S
     rows and one column per code: at most S * (S^2 + 1) cells, whatever n
-    and the seed count.  With rows * S >= ``_WIDTH`` the paths are held
-    time-major, (n, rows), and the result is that array's transpose: the
-    same rows, with each time step contiguous across them.
+    and the seed count.  The codes, the states that replace them and the
+    table are all held in ``index_dtype(S)``, which holds any code (at
+    most S^2), so the rows * n store takes one byte a cell up to 11
+    states.  With rows * S >= ``_WIDTH`` the paths are held time-major,
+    (n, rows), and the result is that array's transpose: the same rows,
+    with each time step contiguous across them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -404,7 +425,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     time_major = r * s >= _WIDTH
     # slot t of a row holds the code of the step into time t until the walk
     # replaces it by the state at time t
-    store = np.empty((n, r) if time_major else (r, n), dtype=np.int64)
+    store = np.empty((n, r) if time_major else (r, n), dtype=index_dtype(s))
     paths = store.T if time_major else store
     # a slice codes `group` seeds side by side, `span` steps each
     span = min(n, _SLICE)
@@ -462,51 +483,47 @@ def _walk(paths: np.ndarray, cdf: np.ndarray, cuts: np.ndarray, time_major: bool
     the states at time 0: each row of ``paths`` is a path, or with
     ``time_major`` each column.
 
-    A time-major walk takes one contiguous lookup per step across all
-    paths.  A row-major one cuts time into blocks of about sqrt(steps):
-    the end state of every block is found for every start state at once,
-    the block start states are chained in order, and each block is
-    replayed from its start, so the Python loop runs about 3 sqrt(steps)
-    times instead of steps.
+    A step from state x under code k reads nxt[x * w + k], with x * w + k
+    formed in an intp temporary one step (or one block) wide, so the store
+    keeps its narrow type.  A time-major walk takes one contiguous lookup
+    per step across all paths.  A row-major one cuts time into blocks of
+    about sqrt(steps): the end state of every block is found for every
+    start state at once, the block start states are chained in order, and
+    each block is replayed from its start, so the Python loop runs about
+    3 sqrt(steps) times instead of steps.
     """
-    s, w = cdf.shape[0], cuts.size + 1
-    # nxt[x * w + k] = w * (next state from x under code k); code 0 has no cut at or below u
-    table = np.zeros((s, w), dtype=np.int64)
+    # w as an intp: a Python int above 127 times an int8 array raises OverflowError
+    s, w = cdf.shape[0], np.intp(cuts.size + 1)
+    # nxt[x * w + k] = next state from x under code k; code 0 has no cut at or below u
+    table = np.zeros((s, w), dtype=paths.dtype)
     for x in range(s):
         table[x, 1:] = np.searchsorted(cdf[x], cuts, side="right")
     np.minimum(table, s - 1, out=table)
-    nxt = (table * w).ravel()
-    # states are stored as x * w, so a step is one lookup nxt[state + code]
+    nxt = table.ravel()
     if time_major:
-        paths[0] *= w
         for t in range(1, paths.shape[0]):
-            line = paths[t]
-            line += paths[t - 1]
-            nxt.take(line, out=line)
-        paths //= w
+            nxt.take(paths[t - 1] * w + paths[t], out=paths[t])
         return
     r, steps = paths.shape[0], paths.shape[1] - 1
-    paths[:, 0] *= w
     block = math.isqrt(steps)
     done = 0
     if block > 1:
         nb = steps // block
         codes = paths[:, 1 : 1 + nb * block].reshape(r, nb, block)
         # end state of every block but the last, for every start state
-        ends = np.broadcast_to(np.arange(s) * w, (r, nb - 1, s))
+        ends = np.broadcast_to(np.arange(s), (r, nb - 1, s))
         for j in range(block):
-            ends = nxt[ends + codes[:, :-1, j, None]]
+            ends = nxt[ends * w + codes[:, :-1, j, None]]
         ends = ends.reshape(r, -1)
-        starts = np.empty((r, nb), dtype=np.int64)
+        starts = np.empty((r, nb), dtype=np.intp)
         starts[:, 0] = paths[:, 0]
         rows = np.arange(r)
         for b in range(1, nb):
-            starts[:, b] = ends[rows, (b - 1) * s + starts[:, b - 1] // w]
+            starts[:, b] = ends[rows, (b - 1) * s + starts[:, b - 1]]
         for j in range(block):
-            starts = nxt[starts + codes[:, :, j]]
+            starts = nxt[starts * w + codes[:, :, j]]
             codes[:, :, j] = starts
         done = nb * block
     # the steps after the last whole block: all of them when block == 1
     for t in range(done + 1, steps + 1):
-        paths[:, t] = nxt[paths[:, t - 1] + paths[:, t]]
-    paths //= w
+        paths[:, t] = nxt[paths[:, t - 1] * w + paths[:, t]]

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TENSOR_BUDGET, BudgetExceeded, DegreeTooLarge
-from .markov import Distribution
+from .markov import Distribution, index_dtype
 
 DEFAULT_BUDGET = 10**8
 DEGENERACY_EPS = 1e-10
@@ -177,7 +177,9 @@ def tuple_sums(
     joined in int64.  Counts are exact while the bound is below 2^63 (checked),
     so a sum does not depend on the budget, on how a path is cut or on the
     batch it is counted in; one path counts as one row.  The budget counts
-    level cells whatever their width.  State indices must lie in [0, S).
+    level cells whatever their width.  State indices must lie in [0, S),
+    in any integer type; the padded piece grid of one path holds them in
+    the sampler's type, ``index_dtype(S)`` (int8 up to 11 states).
     """
     paths = np.asarray(paths)
     s, m = tables[0].shape[0], tables[0].ndim
@@ -205,7 +207,7 @@ def tuple_sums(
         # rows longest first, as _count_rows needs: piece p is row rank[p]
         order = np.argsort(-lengths, kind="stable")
         rank = np.argsort(order)
-        grid = np.zeros((lengths.size, int(lengths.max())), dtype=np.int32)
+        grid = np.zeros((lengths.size, int(lengths.max())), dtype=index_dtype(s))
         for p, (a, b) in enumerate(zip(ends, ends[1:])):
             grid[rank[p], : b - a] = paths[a:b]
         levels = _count_rows(grid, lengths[order], s, m, {})[0]

@@ -15,7 +15,7 @@ from ustatmc import (
     sample_paths, simulate, tuple_sums, u_statistic,
 )
 from ustatmc import markov, ustats
-from ustatmc.markov import _guide_coder
+from ustatmc.markov import _guide_coder, index_dtype
 from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
 
 
@@ -199,13 +199,61 @@ def test_sampler_slices_and_layouts_match_replay(monkeypatch, rows, width, cells
     mu0 = Distribution.normalized([0.0, 1.0, 2.0, 1.0])
     seeds = [int(x) for x in rng.integers(0, 2**63, rows)]
     paths = sample_paths(kernel, mu0, 61, seeds)
-    assert paths.shape == (rows, 61) and paths.dtype == np.int64
+    # 4 states: codes reach at most 4^2 = 16, so the store is int8
+    assert paths.shape == (rows, 61) and paths.dtype == np.int8
     for row, seed in zip(paths, seeds):
         assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 61, seed)
 
 
+@pytest.mark.parametrize("s, width", [
+    (1, np.int8), (11, np.int8), (12, np.int16), (181, np.int16), (182, np.int32), (46_340, np.int32),
+    (46_341, np.int64),
+])
+def test_index_width_holds_every_code(s, width):
+    # a code counts distinct CDF values, at most S^2: 121 fits int8 and 144 does not,
+    # 32761 fits int16 and 33124 does not
+    assert index_dtype(s) == width
+
+
+@pytest.mark.parametrize("s", [11, 12])
+@pytest.mark.parametrize("rows", [2, 60])
+def test_sampler_stores_codes_up_to_s_squared(s, rows):
+    # a dense random chain has nearly S^2 distinct CDF values: more than int8
+    # holds at S = 12.  rows * S is 22 or 24 (the few-row walk) and 660 or 720
+    # (the time-major walk), against a width of 512
+    rng = np.random.default_rng(s)
+    matrix = rng.random((s, s)) + 0.01
+    kernel = FiniteKernel(np.arange(float(s)), matrix / matrix.sum(axis=1, keepdims=True))
+    assert (np.unique(np.cumsum(kernel.matrix, axis=1)).size > 127) == (s == 12)
+    mu0 = Distribution.uniform(s)
+    seeds = [int(x) for x in rng.integers(0, 2**63, rows)]
+    paths = sample_paths(kernel, mu0, 300, seeds)
+    assert paths.dtype == index_dtype(s)
+    for row, seed in zip(paths, seeds):
+        assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 300, seed)
+
+
+def test_replicate_block_holds_its_paths_in_one_byte_a_cell(two_state_kernel):
+    # a variance-m2 block, 2000 paths of 1600 steps over 2 states: 3.05 MiB in
+    # int8 (24.4 MiB in int64); the walk's temporaries are one step wide
+    mu0 = Distribution.uniform(2)
+    seeds = [mix64(1, r) for r in range(2000)]
+    # np.unique imports numpy.ma on its first call: keep that out of the trace
+    sample_paths(two_state_kernel, mu0, 2, seeds[:1])
+    tracemalloc.start()
+    try:
+        paths = sample_paths(two_state_kernel, mu0, 1600, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert paths.dtype == np.int8
+    for r in (0, 1999):
+        assert paths[r].tolist() == replay_path(two_state_kernel.matrix, mu0.weights, 1600, seeds[r])
+
+
 def test_simulate_draws_a_long_path_in_slices():
-    # 10^6 steps over 8 states: the int64 path is 7.6 MiB; the uniforms and
+    # 10^6 steps over 8 states: the int8 path is 0.95 MiB; the uniforms and
     # their codes are drawn and coded a slice at a time, so no other array
     # of 10^6 cells exists
     rng = np.random.default_rng(8)
@@ -217,7 +265,7 @@ def test_simulate_draws_a_long_path_in_slices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 3 * 2**20
     assert path[:3000].tolist() == replay_path(kernel.matrix, np.eye(8)[0], 3000, 12)
 
 
@@ -248,16 +296,18 @@ def test_batch_level_tensors_refused_before_allocation():
 
 
 def test_replicate_blocks_hold_their_paths_within_the_budget(two_state_kernel):
-    # 300 paths of 2000 steps are 4.8 MB; the budget holds blocks of 49 replicates (0.8 MB)
+    # 300 int8 paths of 2000 steps are 0.6 MB; the budget holds blocks of 49 replicates (0.1 MB)
     h = SymmetricKernelFn(np.array([[1.0, -0.5], [-0.5, 2.0]]))
     mu0 = Distribution.uniform(2)
+    # np.unique imports numpy.ma on its first call: keep that out of the trace
+    replicate_u_grid(two_state_kernel, mu0, [h], [2], 1, 21)
     tracemalloc.start()
     try:
         got = replicate_u_grid(two_state_kernel, mu0, [h], [100, 2000], 300, 21, budget=10**5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * 10**5
+    assert peak < 4 * 10**5
     whole = replicate_u_grid(two_state_kernel, mu0, [h], [100, 2000], 300, 21)
     assert got.tobytes() == whole.tobytes()
 
@@ -316,10 +366,22 @@ def test_batch_levels_count_in_int32():
 
 def test_one_long_path_counts_its_pieces_in_int32():
     # about 1000 pieces of about 1000 steps, padded into one grid of state indices:
-    # 4 MB in int32, 8 MB in int64
+    # 1 MB in int8 (4 MB in int32); the piece levels are int32
     rng = np.random.default_rng(6)
     path = rng.integers(0, 8, 10**6)
-    assert _counting_peak(path, [rng.normal(size=(8, 8))], [10**3, 10**4, 10**5, 10**6]) < 5 * 10**6
+    assert _counting_peak(path, [rng.normal(size=(8, 8))], [10**3, 10**4, 10**5, 10**6]) < 2 * 10**6
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_counts_do_not_depend_on_the_path_type(m):
+    # the sampler's int8 paths and their int64 copies, on the batch route and the one-path route
+    rng = np.random.default_rng(m)
+    paths = rng.integers(0, 5, (6, 900)).astype(np.int8)
+    tables = [rng.normal(size=(5,) * m), rng.normal(size=(5,) * m)]
+    for narrow in (paths, paths[0]):
+        wide = narrow.astype(np.int64)
+        got = tuple_sums(narrow, tables, [m, 100, 900])
+        assert got.tobytes() == tuple_sums(wide, tables, [m, 100, 900]).tobytes()
 
 
 def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):
