@@ -76,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
                             "counted batch, n*S^(m-1) for one counted path, and simulate.n (the exact "
                             "oracle, B_q and the proposition grid keep fixed caps)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="threads for Monte Carlo replicate blocks (never changes results)")
+                       help="Monte Carlo replicate blocks, run on at most the CPU count of threads (never changes results)")
     return parser
 
 

@@ -30,7 +30,7 @@ from .errors import TENSOR_BUDGET, BudgetExceeded, NotErgodic
 
 _ATOL = 1e-12
 # rows * states below which the sampler walks blocks of time side by side,
-# and at or above which it walks time-major, one contiguous lookup per step:
+# and at or above which it walks one contiguous lookup per step:
 # below it a step's Python overhead outweighs the S-fold block composition
 # (timed crossover between r*S = 256 and 640 at S = 2, 8 and 20 and
 # n = 400..10^4, on a 2-core x86 VM, numpy 2.4)
@@ -408,10 +408,9 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     rows and one column per code: at most S * (S^2 + 1) cells, whatever n
     and the seed count.  The codes, the states that replace them and the
     table are all held in ``index_dtype(S)``, which holds any code (at
-    most S^2), so the rows * n store takes one byte a cell up to 11
-    states.  With rows * S >= ``_WIDTH`` the paths are held time-major,
-    (n, rows), and the result is that array's transpose: the same rows,
-    with each time step contiguous across them.
+    most S^2), so the store takes one byte a cell up to 11 states.  The
+    store is time-major, (n, rows), each time step contiguous across the
+    paths, and the result is its transpose.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -419,14 +418,15 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
         raise ValueError("dimension mismatch")
     s, r = kernel.size, len(seeds)
     cdf = np.cumsum(kernel.matrix, axis=1)
-    cuts = np.unique(cdf)
+    # the distinct CDF values in order: np.unique(cdf), without its first-call numpy.ma import
+    cuts = np.sort(cdf, axis=None)
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     cdf0 = np.cumsum(mu0.weights)
     code = _guide_coder(cuts)
-    time_major = r * s >= _WIDTH
-    # slot t of a row holds the code of the step into time t until the walk
+    # slot t of a path holds the code of the step into time t until the walk
     # replaces it by the state at time t
-    store = np.empty((n, r) if time_major else (r, n), dtype=index_dtype(s))
-    paths = store.T if time_major else store
+    store = np.empty((n, r), dtype=index_dtype(s))
+    paths = store.T
     # a slice codes `group` seeds side by side, `span` steps each
     span = min(n, _SLICE)
     group = max(1, _SLICE // span)
@@ -442,7 +442,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
                 first = np.minimum(np.searchsorted(cdf0, block[:, 0], side="right"), s - 1)
             paths[rows, a : a + block.shape[1]] = code(block)
         paths[rows, 0] = first
-    _walk(store, cdf, cuts, time_major)
+    _walk(store, cdf, cuts)
     return paths
 
 
@@ -478,16 +478,16 @@ def _guide_coder(cuts: np.ndarray):
     return code
 
 
-def _walk(paths: np.ndarray, cdf: np.ndarray, cuts: np.ndarray, time_major: bool) -> None:
+def _walk(store: np.ndarray, cdf: np.ndarray, cuts: np.ndarray) -> None:
     """Replace the codes after time 0 by states, in place, stepping from
-    the states at time 0: each row of ``paths`` is a path, or with
-    ``time_major`` each column.
+    the states at time 0: column r of the time-major ``store`` (n, rows)
+    is a path.
 
     A step from state x under code k reads nxt[x * w + k], with x * w + k
     formed in an intp temporary one step (or one block) wide, so the store
-    keeps its narrow type.  A time-major walk takes one contiguous lookup
-    per step across all paths.  A row-major one cuts time into blocks of
-    about sqrt(steps): the end state of every block is found for every
+    keeps its narrow type.  With rows * S >= ``_WIDTH`` each step is one
+    contiguous lookup across all paths.  Below it time is cut into blocks
+    of about sqrt(steps): the end state of every block is found for every
     start state at once, the block start states are chained in order, and
     each block is replayed from its start, so the Python loop runs about
     3 sqrt(steps) times instead of steps.
@@ -495,28 +495,25 @@ def _walk(paths: np.ndarray, cdf: np.ndarray, cuts: np.ndarray, time_major: bool
     # w as an intp: a Python int above 127 times an int8 array raises OverflowError
     s, w = cdf.shape[0], np.intp(cuts.size + 1)
     # nxt[x * w + k] = next state from x under code k; code 0 has no cut at or below u
-    table = np.zeros((s, w), dtype=paths.dtype)
+    table = np.zeros((s, w), dtype=store.dtype)
     for x in range(s):
         table[x, 1:] = np.searchsorted(cdf[x], cuts, side="right")
     np.minimum(table, s - 1, out=table)
     nxt = table.ravel()
-    if time_major:
-        for t in range(1, paths.shape[0]):
-            nxt.take(paths[t - 1] * w + paths[t], out=paths[t])
-        return
-    r, steps = paths.shape[0], paths.shape[1] - 1
-    block = math.isqrt(steps)
+    steps, r = store.shape[0] - 1, store.shape[1]
+    block = math.isqrt(steps) if r * s < _WIDTH else 1
     done = 0
     if block > 1:
         nb = steps // block
-        codes = paths[:, 1 : 1 + nb * block].reshape(r, nb, block)
+        # codes[p, b, j] is the code of path p at step 1 + b * block + j: a view of the store
+        codes = store[1 : 1 + nb * block].reshape(nb, block, r).transpose(2, 0, 1)
         # end state of every block but the last, for every start state
         ends = np.broadcast_to(np.arange(s), (r, nb - 1, s))
         for j in range(block):
             ends = nxt[ends * w + codes[:, :-1, j, None]]
-        ends = ends.reshape(r, -1)
+        ends = ends.reshape(r, (nb - 1) * s)
         starts = np.empty((r, nb), dtype=np.intp)
-        starts[:, 0] = paths[:, 0]
+        starts[:, 0] = store[0]
         rows = np.arange(r)
         for b in range(1, nb):
             starts[:, b] = ends[rows, (b - 1) * s + starts[:, b - 1]]
@@ -526,4 +523,4 @@ def _walk(paths: np.ndarray, cdf: np.ndarray, cuts: np.ndarray, time_major: bool
         done = nb * block
     # the steps after the last whole block: all of them when block == 1
     for t in range(done + 1, steps + 1):
-        paths[:, t] = nxt[paths[:, t - 1] * w + paths[:, t]]
+        nxt.take(store[t - 1] * w + store[t], out=store[t])

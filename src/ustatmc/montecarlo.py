@@ -32,6 +32,7 @@ none.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -248,11 +249,11 @@ def replicate_u_grid(
     replicates are cut in order into blocks of min(ceil(replicates / jobs),
     budget // cells) rows, so refusal never depends on ``jobs``.  Each
     block is one :func:`sample_paths` and one :func:`tuple_sums` call,
-    which reads every n as the count passes it; ``jobs`` threads take the
-    blocks in order (numpy releases the interpreter lock inside the array
-    work).  Every row is computed on its own, so each value is
-    bit-identical to ``u_statistic`` on that replicate's first n steps at
-    any ``jobs`` and any ``budget``.
+    which reads every n as the count passes it; min(``jobs``, CPU count)
+    threads take the blocks in order (numpy releases the interpreter lock
+    inside the array work).  Every row is computed on its own, so each
+    value is bit-identical to ``u_statistic`` on that replicate's first n
+    steps at any ``jobs`` and any ``budget``.
     """
     tables = [h.table for h in hs]
     m, s, n_max = hs[0].degree, kernel.size, max(ns)
@@ -268,13 +269,14 @@ def replicate_u_grid(
     def work(block: list[int]) -> np.ndarray:
         return tuple_sums(sample_paths(kernel, mu0, n_max, block), tables, ns, budget)
 
-    if jobs <= 1 or len(blocks) == 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(blocks) == 1:
         parts = [work(b) for b in blocks]
     else:
         # imported here: the pool (and the logging it imports) serves jobs > 1 only
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, blocks))
     sums = np.concatenate(parts, axis=-1)
     return np.stack([sums[:, j] / math.comb(n, m) for j, n in enumerate(ns)], axis=1)

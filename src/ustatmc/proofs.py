@@ -22,7 +22,8 @@ The code works on blocks of tuples, one row each.  ``_gaps`` gives the
 gaps of every row, ``_law_block`` and ``_tilted_block`` build the true and
 tilted laws with the elementwise products of a one-tuple build,
 ``_prop5_step`` is the one Proposition 5 step and :func:`f_sigma_values`
-the one evaluator of E[f_sigma], whose rows of all tuples form one
+the one evaluator of E[f_sigma], one value per split of the 2m positions
+into two halves (3 at m = 2, not 24), whose rows of all tuples form one
 C-contiguous stack so that each tuple gets the matrix-vector product it
 would get alone.  :func:`proposition_grid_check` runs them on blocks of at
 most ``_BLOCK_CELLS`` law cells, with no loop over tuples, and takes each
@@ -173,42 +174,37 @@ def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.n
 
 
 @functools.cache
-def _pair_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], np.ndarray]:
-    """The permutations sigma of range(2m) in itertools order, the first
-    sigma of each unordered split {sigma(1..m)}, {sigma(m+1..2m)}, and the
-    split of every sigma as an index into those representatives.
+def _splits(m: int) -> tuple[tuple[int, ...], ...]:
+    """One permutation per unordered split {sigma(1..m)}, {sigma(m+1..2m)}
+    of range(2m): (0, *c, the rest of 1..2m-1) for each (m - 1)-subset c
+    of 1..2m-1.  h is symmetric, so f_sigma depends on sigma only through
+    its split: binom(2m, m) / 2 values among the (2m)!.  Each is its
+    split's first permutation in itertools order, in order of first
+    appearance."""
+    rest = range(1, 2 * m)
+    return tuple((0, *c, *(a for a in rest if a not in c)) for c in itertools.combinations(rest, m - 1))
 
-    h is symmetric, so f_sigma depends on sigma only through its split:
-    binom(2m, m) / 2 distinct values among the (2m)!.  The cached result is
-    shared by every caller, so it is built from tuples and a read-only array."""
-    sigmas = tuple(itertools.permutations(range(2 * m)))
-    splits: dict[frozenset, int] = {}
-    representatives, index = [], []
-    for sigma in sigmas:
-        split = frozenset((frozenset(sigma[:m]), frozenset(sigma[m:])))
-        if split not in splits:
-            splits[split] = len(representatives)
-            representatives.append(sigma)
-        index.append(splits[split])
-    index = np.array(index)
-    index.setflags(write=False)
-    return sigmas, tuple(representatives), index
+
+def _split_column(m: int, sigma: Sequence[int]) -> int:
+    """The index in :func:`_splits` of the split of the permutation sigma."""
+    low = sorted(sigma[:m] if 0 in sigma[:m] else sigma[m:])
+    return _splits(m).index((*low, *(a for a in range(2 * m) if a not in low)))
 
 
 def f_sigma_values(laws: Sequence[np.ndarray] | np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
     """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact
-    contraction, for each law and each permutation sigma of range(2m) in
-    itertools order (the last axis of the result).
+    contraction, for each law and each split of :func:`_splits` in order
+    (the last axis of the result), the value of every sigma of that split.
 
     ``laws`` is a sequence of law tensors over S^(2m), giving a result of
-    shape (len(laws), (2m)!), or an array (..., L, S, ..., S) of such
-    sequences, giving (..., L, (2m)!).  f_sigma = <T transposed by sigma,
-    h (x) h>, so one matrix-vector product per sequence, with a row per
-    (law, split) of :func:`_pair_partitions`, gives every distinct value.
-    The rows of all sequences are one C-contiguous stack, so each sequence
-    gets the product it would get alone: numpy rounds a product by its
-    shape (a one-row product is a dot product), so a law's values depend
-    on the sequence it sits in, never on the others."""
+    shape (len(laws), binom(2m, m) / 2), or an array (..., L, S, ..., S)
+    of such sequences, giving (..., L, binom(2m, m) / 2).  f_sigma = <T
+    transposed by sigma, h (x) h>, so one matrix-vector product per
+    sequence, with a row per (law, split), gives every value.  The rows of
+    all sequences are one C-contiguous stack, so each sequence gets the
+    product it would get alone: numpy rounds a product by its shape (a
+    one-row product is a dot product), so a law's values depend on the
+    sequence it sits in, never on the others."""
     m, s = h.degree, h.table.shape[0]
     if not isinstance(laws, np.ndarray):
         for law in laws:
@@ -218,12 +214,12 @@ def f_sigma_values(laws: Sequence[np.ndarray] | np.ndarray, h: SymmetricKernelFn
     lead = laws.shape[: max(laws.ndim - 2 * m, 0)]
     if not lead or laws.shape[len(lead) :] != (s,) * (2 * m):
         raise ValueError(f"laws of shape {laws.shape} are not tensors over S^(2m), S = {s}, 2m = {2 * m}")
-    _, representatives, index = _pair_partitions(m)
-    rows = np.empty(lead + (len(representatives),) + (s,) * (2 * m))
-    for row, rep in zip(np.moveaxis(rows, len(lead), 0), representatives):
+    splits = _splits(m)
+    rows = np.empty(lead + (len(splits),) + (s,) * (2 * m))
+    for row, rep in zip(np.moveaxis(rows, len(lead), 0), splits):
         row[...] = laws.transpose(tuple(range(len(lead))) + tuple(len(lead) + a for a in rep))
     values = rows.reshape(lead[:-1] + (-1, s ** (2 * m))) @ np.multiply.outer(h.table, h.table).ravel()
-    return values.reshape(lead + (len(representatives),))[..., index]
+    return values.reshape(lead + (len(splits),))
 
 
 def _prop5_step(
@@ -329,7 +325,7 @@ def verify_prop7(
     laws, _, _, rho_j = _tuple_step(mu, kernel, profile, m_value, tup)
     # the grid's product, tilted law included: numpy rounds a product by its shape
     values = f_sigma_values(laws, h)[0, 1]
-    lhs = abs(float(values[_pair_partitions(h.degree)[0].index(tuple(sigma))]))
+    lhs = abs(float(values[_split_column(h.degree, sigma)]))
     bound1, bound2 = _prop7_bounds(h, profile, m_value, () if p is None else (p,))(rho_j)
     return lhs, bound1, bound2.get(p)
 
@@ -399,10 +395,11 @@ class _Record:
     excess lhs - bound and the first instance attaining it (its lhs stored
     under ``lhs_key``).  With ``tolerance`` it records an identity instead:
     lhs is an absolute residual held to that tolerance, and its excess
-    starts at 0, so a grid of exact zeros keeps no worst case."""
+    starts at 0, so a grid of exact zeros keeps no worst case.  Each lhs
+    entry counts as ``weight`` instances."""
 
-    def __init__(self, lhs_key: str | None = None, tolerance: float | None = None):
-        self.lhs_key, self.tolerance = lhs_key, tolerance
+    def __init__(self, lhs_key: str | None = None, tolerance: float | None = None, weight: int = 1):
+        self.lhs_key, self.tolerance, self.weight = lhs_key, tolerance, weight
         self.instances, self.max_ratio, self.worst = 0, 0.0, None
         self.max_excess = -math.inf if tolerance is None else 0.0
 
@@ -411,8 +408,8 @@ class _Record:
     ) -> None:
         """Record lhs[t, i] <= bound[t] for every instance i of every tuple t
         of a block, in order; ``case(t)`` names tuple t and, when given,
-        sigmas[i] is the permutation of instance i."""
-        self.instances += lhs.size
+        sigmas[i] is the permutation that names instance i."""
+        self.instances += lhs.size * self.weight
         positive = bound > 0
         self.max_ratio = float(np.max(lhs[positive] / bound[positive, None], initial=self.max_ratio))
         excess = lhs - bound[:, None]
@@ -466,14 +463,15 @@ def proposition_grid_check(
         raise BudgetExceeded(f"proposition grid of binom(2m, m) * S^(2m) = {stack} f_sigma row cells per tuple "
                              f"and {instances} (tuple, sigma) instances exceeds budget {TENSOR_BUDGET}")
     rng = np.random.default_rng(seed)
-    sigmas = _pair_partitions(m)[0]
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
     tuples = _ordered_tuples(i_max, 2 * m)
     _, j_star, ell_star = _gaps(tuples)
     block = max(1, _BLOCK_CELLS // cells)
-    eq19 = _Record(tolerance=1e-11)
+    # a split column stands for the 2 (m!)^2 permutations that share its value
+    splits, weight = _splits(m), 2 * math.factorial(m) ** 2
+    eq19 = _Record(tolerance=1e-11, weight=weight)
     prop5 = _Record("tv")
-    prop7 = {p: _Record("lhs") for p in (None, *p_values)}
+    prop7 = {p: _Record("lhs", weight=weight) for p in (None, *p_values)}
 
     for chain_idx in range(num_chains):
         kernel = random_ergodic_kernel(size, rng)
@@ -493,9 +491,9 @@ def proposition_grid_check(
             case = functools.partial(_case, chain_idx, tuples[rows])
             prop5.update(tv[:, None], bound5, case)
             resid, lhs = np.abs(f_sigma_values(laws, h)).transpose(1, 0, 2)
-            eq19.update(resid, np.zeros(len(tv)), case, sigmas)
+            eq19.update(resid, np.zeros(len(tv)), case, splits)
             for p, record in prop7.items():
-                record.update(lhs, bound7[p][rows], case, sigmas)
+                record.update(lhs, bound7[p][rows], case, splits)
 
     xi, xi_p, f = (np.empty((lemma6_trials, lemma6_points)) for _ in range(3))
     exponents = np.empty(lemma6_trials)

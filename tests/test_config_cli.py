@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -270,6 +273,21 @@ def test_cli_verify_variance_jobs_byte_identical(tmp_path):
     assert (tmp_path / "j1" / "variance.csv").read_bytes() == (tmp_path / "j4" / "variance.csv").read_bytes()
 
 
+def test_cli_verify_variance_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call; a sampling run has no use for it
+    doc = _variance_doc()
+    doc["experiment"].update(n_grid=[30, 3000], replicates=20, bounds=[{"name": "theorem1"}])
+    cfg = _write(tmp_path, "v.json", doc)
+    script = ("import sys; from ustatmc.cli import main; "
+              f"status = main(['verify-variance', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+              "print(status, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
+    rows = list(csv.DictReader((tmp_path / "out" / "variance.csv").open()))
+    assert [row["l2_kind"] for row in rows] == ["monte-carlo"] * 2
+
+
 def test_cli_verify_slln_threshold_and_exit(tmp_path):
     doc = {
         "chain": TWO_STATE,
@@ -346,7 +364,7 @@ def test_cli_oversized_proposition_grid_exits_3_before_any_work(tmp_path, monkey
     def no_work(*args, **kwargs):
         raise AssertionError("the proposition grid started work before its size was checked")
 
-    for name in ("_pair_partitions", "random_ergodic_kernel"):
+    for name in ("_splits", "random_ergodic_kernel"):
         monkeypatch.setattr(proofs, name, no_work)
     cfg = _write(tmp_path, "big.json", {"propositions": {"chains": 1, **big}})
     start = time.perf_counter()

@@ -3,6 +3,7 @@ the budget checks that refuse before anything large is allocated."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,13 +185,26 @@ def test_guide_coder_matches_binary_search(matrix, data):
     assert np.array_equal(code(block), np.searchsorted(cuts, block.ravel(), "right").reshape(3, 7))
 
 
-@pytest.mark.parametrize("rows", [1, 3, 200])
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(clustered_chains(), chains_with_ties().map(lambda chain: chain[0].matrix)))
+def test_sampler_cut_list_is_np_unique(matrix):
+    # zero entries repeat CDF values within a row, and rows share values (1.0 ends every row);
+    # the sampler hands its cut list to the guide coder
+    cut_lists = []
+    kernel = FiniteKernel(np.arange(float(len(matrix))), matrix)
+    with mock.patch.object(markov, "_guide_coder", lambda cuts: cut_lists.append(cuts) or _guide_coder(cuts)):
+        sample_paths(kernel, Distribution.uniform(len(matrix)), 2, [5])
+    [cuts] = cut_lists
+    assert cuts.dtype == np.float64 and cuts.tobytes() == np.unique(np.cumsum(kernel.matrix, axis=1)).tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 200])
 @pytest.mark.parametrize("width, cells", [(512, 7), (512, 200), (1, 7), (1, 200), (10**9, 7)])
 def test_sampler_slices_and_layouts_match_replay(monkeypatch, rows, width, cells):
     # slices of 7 cells cut each path at odd places, and slices of 200 cells code
     # groups of 3 paths side by side, the last group short; the width
-    # sends any row count to the time-major walk (1), to the blocked walk (10^9)
-    # or to the choice rows * S >= 512
+    # sends any row count to the one-lookup-per-step walk (1), to the blocked
+    # walk (10^9) or to the choice rows * S >= 512
     monkeypatch.setattr(markov, "_SLICE", cells)
     monkeypatch.setattr(markov, "_WIDTH", width)
     rng = np.random.default_rng(rows)
@@ -203,6 +217,23 @@ def test_sampler_slices_and_layouts_match_replay(monkeypatch, rows, width, cells
     assert paths.shape == (rows, 61) and paths.dtype == np.int8
     for row, seed in zip(paths, seeds):
         assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 61, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 300), st.integers(1, 80), st.integers(1, 1000), st.data())
+def test_sampler_rows_match_replay_at_any_width(s, n, rows, width, data):
+    # the width picks the blocked walk (rows * S below it) or one lookup per step;
+    # zero entries give rows with repeated CDF values
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.random((s, s)) * (rng.random((s, s)) > 0.4) + np.eye(s) * 1e-3
+    kernel = FiniteKernel(np.arange(float(s)), matrix / matrix.sum(axis=1, keepdims=True))
+    mu0 = Distribution.normalized(rng.random(s) + 0.01)
+    seeds = [int(x) for x in rng.integers(0, 2**63, rows)]
+    with mock.patch.object(markov, "_WIDTH", width):
+        paths = sample_paths(kernel, mu0, n, seeds)
+    assert paths.shape == (rows, n) and paths.dtype == index_dtype(s)
+    for row, seed in zip(paths, seeds):
+        assert row.tolist() == replay_path(kernel.matrix, mu0.weights, n, seed)
 
 
 @pytest.mark.parametrize("s, width", [
@@ -219,8 +250,8 @@ def test_index_width_holds_every_code(s, width):
 @pytest.mark.parametrize("rows", [2, 60])
 def test_sampler_stores_codes_up_to_s_squared(s, rows):
     # a dense random chain has nearly S^2 distinct CDF values: more than int8
-    # holds at S = 12.  rows * S is 22 or 24 (the few-row walk) and 660 or 720
-    # (the time-major walk), against a width of 512
+    # holds at S = 12.  rows * S is 22 or 24 (the blocked walk) and 660 or 720
+    # (the one-lookup-per-step walk), against a width of 512
     rng = np.random.default_rng(s)
     matrix = rng.random((s, s)) + 0.01
     kernel = FiniteKernel(np.arange(float(s)), matrix / matrix.sum(axis=1, keepdims=True))
@@ -238,7 +269,7 @@ def test_replicate_block_holds_its_paths_in_one_byte_a_cell(two_state_kernel):
     # int8 (24.4 MiB in int64); the walk's temporaries are one step wide
     mu0 = Distribution.uniform(2)
     seeds = [mix64(1, r) for r in range(2000)]
-    # np.unique imports numpy.ma on its first call: keep that out of the trace
+    # a first call loads what numpy loads once: keep that out of the trace
     sample_paths(two_state_kernel, mu0, 2, seeds[:1])
     tracemalloc.start()
     try:
@@ -299,7 +330,7 @@ def test_replicate_blocks_hold_their_paths_within_the_budget(two_state_kernel):
     # 300 int8 paths of 2000 steps are 0.6 MB; the budget holds blocks of 49 replicates (0.1 MB)
     h = SymmetricKernelFn(np.array([[1.0, -0.5], [-0.5, 2.0]]))
     mu0 = Distribution.uniform(2)
-    # np.unique imports numpy.ma on its first call: keep that out of the trace
+    # a first call loads what numpy loads once: keep that out of the trace
     replicate_u_grid(two_state_kernel, mu0, [h], [2], 1, 21)
     tracemalloc.start()
     try:

@@ -115,6 +115,38 @@ def test_estimate_l2_deterministic_across_jobs(two_state_kernel, canonical_produ
     assert np.array_equal(u1, u3) and np.array_equal(u1, u8)
 
 
+def test_jobs_threads_are_bounded_by_the_cpu_count(monkeypatch, two_state_kernel, canonical_product_h):
+    # --jobs 100 cuts 10 replicates into 10 one-row blocks; a pool of 100 threads
+    # would run them, but 2 cores take only 2.  The fake pool runs the blocks in turn.
+    import concurrent.futures
+    import os
+
+    pools, blocks = [], []
+
+    class InTurnPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            blocks.extend(len(item) for item in items)
+            return map(fn, items)
+
+    mu = Distribution.dirac(0, 2)
+    alone = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [15], 10, 42, 1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InTurnPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    got = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [15], 10, 42, 100)
+    assert pools == [2] and blocks == [1] * 10
+    assert got.tobytes() == alone.tobytes()
+
+
 def test_estimate_l2_same_seed_identical(two_state_kernel, canonical_product_h):
     a, b = (l2_estimate(
         replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [canonical_product_h], [12], 128, 5150)[0, 0]

@@ -36,7 +36,7 @@ from ustatmc import (
 )
 from ustatmc import proofs, tv_distance
 from ustatmc.bounds import lemma6_constant
-from ustatmc.proofs import _ChainTables, _gaps, _ordered_tuples, _pair_partitions, _prop5_step
+from ustatmc.proofs import _ChainTables, _gaps, _ordered_tuples, _prop5_step, _split_column, _splits
 
 
 def test_j_indices_worked_examples():
@@ -167,7 +167,7 @@ def test_f_sigma_identity_constant_kernel(two_state_kernel):
     mu = Distribution.dirac(0, 2)
     law = joint_law(mu, two_state_kernel, (1, 2, 3, 4))
     ones = SymmetricKernelFn(np.ones((2, 2)))
-    assert f_sigma_values([law], ones) == pytest.approx(np.ones((1, 24)), abs=1e-12)
+    assert f_sigma_values([law], ones) == pytest.approx(np.ones((1, 3)), abs=1e-12)
 
 
 def test_f_sigma_vanishes_under_tilde_for_canonical():
@@ -177,7 +177,7 @@ def test_f_sigma_vanishes_under_tilde_for_canonical():
     h = random_canonical_kernel(kernel, 2, rng)
     for tup in [OrderedTuple(t) for t in [(1, 1, 2, 2), (1, 3, 3, 7), (2, 4, 6, 8)]]:
         values = f_sigma_values([tilde_law(mu, kernel, tup)], h)
-        assert values.shape == (1, 24)
+        assert values.shape == (1, 3)
         assert np.abs(values).max() <= 1e-12
 
 
@@ -188,7 +188,7 @@ def test_f_sigma_monte_carlo_cross_check(two_state_kernel):
     h = SymmetricKernelFn((raw + raw.T) / 2)
     tup = OrderedTuple((1, 2, 4, 6))
     sigma = (2, 0, 3, 1)
-    column = list(itertools.permutations(range(4))).index(sigma)
+    column = _splits(2).index((0, 2, 1, 3))  # sigma splits the positions into {0, 2} and {1, 3}
     exact = f_sigma_values([joint_law(mu, two_state_kernel, tup.indices)], h)[0, column]
     paths = sample_paths(two_state_kernel, mu, 7, [31_000 + r for r in range(40_000)])
     y = paths[:, list(tup.indices)]
@@ -282,6 +282,19 @@ def test_prop7_bounds_hold_on_ladder(two_state_kernel, two_state_profile, canoni
     assert prev <= 1e-6  # large gaps drive the cross moment to zero
 
 
+def test_prop7_takes_every_permutation_through_its_split(two_state_kernel, two_state_profile, canonical_product_h):
+    mu = Distribution.normalized([0.6, 0.4])
+    tup = OrderedTuple((1, 2, 4, 6))
+    law = joint_law(mu, two_state_kernel, tup.indices)
+    lhs_of_split = {}
+    for sigma in itertools.permutations(range(4)):
+        lhs, _, _ = verify_prop7(mu, two_state_kernel, two_state_profile, canonical_product_h, tup, list(sigma))
+        split = frozenset((frozenset(sigma[:2]), frozenset(sigma[2:])))
+        assert lhs_of_split.setdefault(split, lhs) == lhs
+        assert abs(lhs - abs(f_sigma_expectation(law, canonical_product_h, sigma))) <= 1e-12
+    assert len(lhs_of_split) == 3
+
+
 def test_prop7_zero_kernel(two_state_kernel, two_state_profile):
     mu = Distribution.dirac(0, 2)
     zero = SymmetricKernelFn(np.zeros((2, 2)))
@@ -344,9 +357,9 @@ def test_f_sigma_row_stack_is_refused_before_listing_permutations(monkeypatch):
     # S = 4, m = 5, i_max = 1: the 4^10 law cells and the 10! instances fit the
     # budget, but one tuple's f_sigma rows, 2 laws x 126 splits x 4^10 cells, are 2.1 GB
     def no_work(*args, **kwargs):
-        raise AssertionError("the grid listed permutations before its size was checked")
+        raise AssertionError("the grid listed its splits before its size was checked")
 
-    monkeypatch.setattr(proofs, "_pair_partitions", no_work)
+    monkeypatch.setattr(proofs, "_splits", no_work)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="f_sigma"):
@@ -357,19 +370,19 @@ def test_f_sigma_row_stack_is_refused_before_listing_permutations(monkeypatch):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_pair_partitions_group_permutations_by_split(m):
-    sigmas, representatives, index = _pair_partitions(m)
-    assert sigmas == tuple(itertools.permutations(range(2 * m)))
-    assert len(representatives) == math.comb(2 * m, m) // 2 == {1: 1, 2: 3, 3: 10}[m]
-    # sigma and sigma' share a class exactly when they split range(2m) into the same two halves
-    split_of_class, first_of_class = {}, {}
-    for sigma, c in zip(sigmas, index.tolist()):
-        split = min(tuple(sorted(sigma[:m])), tuple(sorted(sigma[m:])))
-        assert split_of_class.setdefault(c, split) == split
-        first_of_class.setdefault(c, sigma)
-    assert len(set(split_of_class.values())) == len(split_of_class)
-    assert first_of_class == dict(enumerate(representatives))
+    splits = _splits(m)
+    assert len(splits) == math.comb(2 * m, m) // 2 == {1: 1, 2: 3, 3: 10, 4: 35}[m]
+    # brute force: the permutations grouped by the two halves they split range(2m) into,
+    # each group named by its first permutation in itertools order
+    first_of_split = {}
+    for sigma in itertools.permutations(range(2 * m)):
+        split = frozenset((frozenset(sigma[:m]), frozenset(sigma[m:])))
+        first = first_of_split.setdefault(split, sigma)
+        assert splits[_split_column(m, sigma)] == first
+        assert _split_column(m, list(sigma)) == _split_column(m, sigma)
+    assert splits == tuple(first_of_split.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,11 +397,11 @@ def test_split_contraction_matches_every_f_sigma(size, m, seed, data):
     h = SymmetricKernelFn(sum(np.transpose(raw, perm) for perm in itertools.permutations(range(m))) / math.factorial(m))
     laws = (joint_law(mu, kernel, tup.indices), tilde_law(mu, kernel, tup))
     values = f_sigma_values(laws, h)
-    assert values.shape == (2, math.factorial(2 * m))
+    assert values.shape == (2, math.comb(2 * m, m) // 2)
     tol = 1e-12 * h.sup_norm() ** 2
     for law, row in zip(laws, values):
-        for sigma, value in zip(itertools.permutations(range(2 * m)), row):
-            assert abs(value - f_sigma_expectation(law, h, sigma)) <= tol
+        for sigma in itertools.permutations(range(2 * m)):
+            assert abs(row[_split_column(m, sigma)] - f_sigma_expectation(law, h, sigma)) <= tol
 
 
 @pytest.mark.parametrize("size, m, i_max, seed", [(3, 2, 6, 5), (2, 3, 4, 11), (4, 1, 9, 23)])
@@ -473,7 +486,8 @@ def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max
     js, j_star, ell_star = _gaps(tuples)
     laws, tv, _ = _prop5_step(_ChainTables(mu, kernel, i_max), tuples, ell_star, np.zeros(len(tuples)), 1.0)
     values = f_sigma_values(laws, h)
-    assert laws.shape == (len(tuples), 2) + (size,) * (2 * m) and values.shape == (len(tuples), 2, math.factorial(2 * m))
+    assert laws.shape == (len(tuples), 2) + (size,) * (2 * m)
+    assert values.shape == (len(tuples), 2, math.comb(2 * m, m) // 2)
     for row, times in enumerate(tuples.tolist()):
         tup = OrderedTuple(times)
         assert j_indices(tup) == (js[row].tolist(), j_star[row], ell_star[row])
@@ -492,8 +506,8 @@ def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max
     assert np.abs(laws[row, 0] - naive_tilted).max() <= 1e-12
     tol = 1e-12 * h.sup_norm() ** 2
     for law, law_values in zip(laws[row], values[row]):
-        for sigma, value in zip(itertools.permutations(range(2 * m)), law_values):
-            assert abs(value - f_sigma_expectation(law, h, sigma)) <= tol
+        for sigma in itertools.permutations(range(2 * m)):
+            assert abs(law_values[_split_column(m, sigma)] - f_sigma_expectation(law, h, sigma)) <= tol
 
     # one tuple per block gives the same report, byte for byte
     grid = {"num_chains": 2, "size": size, "m": m, "i_max": i_max, "seed": seed, "lemma6_trials": 0,
