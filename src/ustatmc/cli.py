@@ -72,9 +72,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
         p.add_argument("--budget", type=int, default=None,
                        help="override the counting engine's cap, in cells whatever their width: the "
-                            "path and level cells of one replicate block, the rows*S^m level cells of a "
-                            "counted batch, n*S^(m-1) for one counted path, and simulate.n (the exact "
-                            "oracle, B_q and the proposition grid keep fixed caps)")
+                            "path and count cells of one replicate block, rows*S^m for a counted batch, "
+                            "n*S^(m-1) for one counted path, and simulate.n (the exact oracle, B_q and "
+                            "the proposition grid keep fixed caps)")
         p.add_argument("--jobs", type=int, default=1,
                        help="Monte Carlo replicate blocks, run on at most the CPU count of threads (never changes results)")
     return parser

@@ -62,11 +62,11 @@ SCHEMA: dict = {
         "bounds": "non-empty list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, "
                   "required by corollary3}, needed by bound and verify-variance; theorem1/corollary3 run as "
                   "corollary2 unless h is completely degenerate",
-        "budget": "int >= 1 — the counting engine's cap, in cells whatever their width (int32 counts "
-                  "while binom(n, min(m, n // 2)) < 2^31, else int64): the path and level cells of one "
-                  "replicate block (max n + sum_{c<=m} S^c per replicate), the rows*S^m level cells of a "
-                  "counted batch, n*S^(m-1) for one counted path, and the simulate.n path cells; the exact "
-                  "oracle, B_q and the proposition grid keep fixed caps (default 1e8)",
+        "budget": "int >= 1 — the counting engine's cap, in cells whatever their width: the path and "
+                  "count cells of one replicate block (max n + sum_{c<=m} S^c per replicate), rows*S^m for a "
+                  "counted batch (at least its rows*binom(S+m-1, m) multiset counts), n*S^(m-1) for one "
+                  "counted path, and the simulate.n path cells; the exact oracle, B_q and the proposition "
+                  "grid keep fixed caps (default 1e8)",
     },
     "slln": {
         "n_max": "int",
@@ -81,8 +81,9 @@ SCHEMA: dict = {
         "i_max": "int largest time index >= 1 (default 8)",
         "seed": "uint64, an integer in [0, 2^64) (default 7)",
         "p_values": "list[float] > 0 (default [0.5, 1.0])",
-        "cap": "size^(2m) law cells and binom(i_max + 2m - 1, 2m) * (2m)! (tuple, sigma) instances must each "
-               "be <= 1e7, or the command exits 3 before any work",
+        "cap": "binom(2m, m) * size^(2m) f_sigma row cells per tuple and binom(i_max + 2m - 1, 2m) * "
+               "binom(2m, m) / 2 (tuple, split) values must each be <= 1e7, or the command exits 3 before "
+               "any work",
     },
 }
 

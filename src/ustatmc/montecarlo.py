@@ -23,10 +23,10 @@ passes it (:func:`replicate_u_grid`, which alone splits the replicates
 into blocks and calls ``tuple_sums`` once per block).  The strong-law run
 reads its single path at every checkpoint with one ``tuple_sums`` call.
 
-The exact oracle :func:`exact_l2` runs the same counting recursion in
+The exact oracle :func:`exact_l2` takes a counting recursion in
 expectation: one forward pass over time carries the second moments of the
-tuple counts, split by the current state, so it draws no path and counts
-none.
+ordered tuple counts, split by the current state, so it draws no path and
+counts none.  It shares no code with ``tuple_sums``.
 """
 
 from __future__ import annotations
@@ -179,15 +179,15 @@ def exact_l2(
     m: int,
     pairs_budget: int = EXACT_PAIRS_BUDGET,
 ) -> float:
-    """||U_{n,m}(h)||_2 exactly (times 0..n-1, Y_0 ~ mu), by the counting
-    recursion of :func:`tuple_sums` taken in expectation.
+    """||U_{n,m}(h)||_2 exactly (times 0..n-1, Y_0 ~ mu), by a recursion
+    over ordered tuple counts taken in expectation.
 
     A path's count vector l = (L_0, ..., L_m), with L_0 = 1 and L_c the
-    c-tuples by state (S^c cells, newest index first), gains L_{c-1} in the
-    slice L_c[x] when the path sees state x.  The pass carries
-    second[x] = E[l l^T ; Y_t = x], an (S, K, K) array with K = sum_c S^c:
-    seeing applies that update to both axes of every second[x] at once, and
-    a step moves the mass through P.  After n steps the block m x m of
+    increasing c-tuples of times by their states (S^c cells, newest index
+    first), gains L_{c-1} in the slice L_c[x] when the path sees state x.
+    The pass carries second[x] = E[l l^T ; Y_t = x], an (S, K, K) array
+    with K = sum_c S^c: seeing applies that update to both axes of every
+    second[x] at once, and a step moves the mass through P.  After n steps the block m x m of
     sum_x second[x] is E[L_m L_m^T], and sum_A h(Y_A) = <w, L_m> with w the
     flat table (h is symmetric, so the layout's index order does not
     matter).
@@ -243,9 +243,10 @@ def replicate_u_grid(
     its PCG64 stream's first n uniforms do not depend on how many are
     drawn.  So each replicate is sampled once, to max(ns), and counted
     once.  This is the one place that splits replicates: one replicate
-    holds cells = max(ns) + sum_{c=0..m} S^c cells (its path and level
-    tensors, counted as cells whatever their width), refused before
-    sampling when over ``budget``, and the
+    is charged cells = max(ns) + sum_{c=0..m} S^c cells (its path, and a
+    bound on its S occupation counts and binom(S + m - 1, m) multiset
+    counts, whatever their width), refused before sampling when over
+    ``budget``, and the
     replicates are cut in order into blocks of min(ceil(replicates / jobs),
     budget // cells) rows, so refusal never depends on ``jobs``.  Each
     block is one :func:`sample_paths` and one :func:`tuple_sums` call,
@@ -261,7 +262,7 @@ def replicate_u_grid(
         raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
     cells = n_max + sum(s**c for c in range(m + 1))
     if cells > budget:
-        raise BudgetExceeded(f"one replicate's path and level cells, {cells}, exceed budget {budget}")
+        raise BudgetExceeded(f"one replicate's path and count cells, {cells}, exceed budget {budget}")
     seeds = [mix64(master_seed, r) for r in range(replicates)]
     rows = min(math.ceil(replicates / max(jobs, 1)), budget // cells)
     blocks = [seeds[i : i + rows] for i in range(0, replicates, rows)]

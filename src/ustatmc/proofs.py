@@ -449,19 +449,19 @@ def proposition_grid_check(
     iff no instance violates its certificate (the tilted-moment identity is
     held to 1e-11 absolute).  A grid whose f_sigma row stack of one tuple
     (2 laws times binom(2m, m) / 2 splits times S^(2m) cells, which
-    :func:`f_sigma_values` allocates) or whose instances (binom(i_max + 2m
-    - 1, 2m) tuples times (2m)! permutations) exceed ``TENSOR_BUDGET``
+    :func:`f_sigma_values` allocates) or whose work (binom(i_max + 2m - 1,
+    2m) tuples times binom(2m, m) / 2 splits) exceeds ``TENSOR_BUDGET``
     raises :class:`BudgetExceeded` before any work.
 
     Each chain's tuples go in blocks of rows, in enumeration order, and the
     rho(j*) certificates are taken once per distinct j*; the report is the
     one a tuple-by-tuple scan gives, bit for bit.
     """
-    cells, instances = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.factorial(2 * m)
+    cells, work = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.comb(2 * m, m) // 2
     stack = math.comb(2 * m, m) * cells
-    if max(stack, instances) > TENSOR_BUDGET:
+    if max(stack, work) > TENSOR_BUDGET:
         raise BudgetExceeded(f"proposition grid of binom(2m, m) * S^(2m) = {stack} f_sigma row cells per tuple "
-                             f"and {instances} (tuple, sigma) instances exceeds budget {TENSOR_BUDGET}")
+                             f"and {work} (tuple, split) values exceeds budget {TENSOR_BUDGET}")
     rng = np.random.default_rng(seed)
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
     tuples = _ordered_tuples(i_max, 2 * m)

@@ -14,14 +14,15 @@ pi^{(m-c)} to h and is again a kernel, of degree c; the signed product is
 expanded exactly over the 2^c subsets of fixed arguments, so every identity
 here is checkable to float precision.
 
-Every path is evaluated by one counting call, :func:`tuple_sums` (cost
-n * S^{m-1} per path instead of binom(n, m) kernel calls), which takes one
-path or a batch and serves :func:`u_statistic`, the replicate estimator and
-the strong-law run.  It counts increasing index tuples by state in
-integers of the narrowest exact width (int32 when no count can reach
-2^31, else int64), so the counts are exact and do not depend on how a
-path is cut or batched; at each checkpoint the counts are contracted
-with the kernel tables in one fixed float order.
+Every path is evaluated by one counting call, :func:`tuple_sums`, which
+takes one path or a batch and serves :func:`u_statistic`, the replicate
+estimator and the strong-law run.  A symmetric kernel sees a tuple only
+through the multiset of its states, so a prefix's kernel sum is a function
+of its state occupation counts c_x (Hoeffding 1948): the sum over the
+binom(S + m - 1, m) multisets A of h(A) * prod_x binom(c_x, k_x(A)).  The
+engine keeps the occupation counts, forms the multiset counts exactly in
+int64 at each checkpoint and contracts them with the kernel tables row by
+row, so a value does not depend on the batch it is counted in.
 """
 
 from __future__ import annotations
@@ -34,10 +35,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TENSOR_BUDGET, BudgetExceeded, DegreeTooLarge
-from .markov import Distribution, index_dtype
+from .markov import Distribution
 
 DEFAULT_BUDGET = 10**8
 DEGENERACY_EPS = 1e-10
+# path cells counted per slice (8 bytes a cell as bin indices), and multiset
+# counts formed per chunk of rows (three arrays of 8 bytes a cell)
+_SLICE = 2**13
+_CHUNK = 2**14
 
 
 def _check_table_symmetry(table: np.ndarray) -> None:
@@ -155,72 +160,51 @@ def tuple_sums(
 
         out[k, j, i] = sum_{t_1 < ... < t_m < checkpoints[j]} tables[k][paths[i, t_1], ..., paths[i, t_m]]
 
-    for tables of one shape (S,) * m.  The engine keeps integer level tensors
-    L_c (count of c-tuples by state, newest index first) for c = 1..m and,
-    at each time step, adds L_{c-1} into the slice L_c[x_t] of every row at
-    once.  A batch is counted whole, so its rows * S^m level cells must
-    fit the budget.  One path is first cut into about sqrt(n) equal pieces
-    and at every checkpoint, the pieces are counted as rows in sub-batches
-    of budget // S^m rows, and they are joined by Chen's identity
-    L_c(A B) = sum_j L_j(B) (x) L_{c-j}(A): the pieces of each run that
-    ends at a checkpoint (or at its sub-batch's end) are joined as a tree,
-    adjacent pairs in one batched call per level (:func:`_join_run`), and
-    the run is then joined onto the prefix before it.  The padded grid of a
-    sub-batch is freed before its joins.  Either way, as the count passes a
-    checkpoint the live counts are contracted with every table by
-    :func:`_contract`, so no count tensor outlives its checkpoint.
+    for symmetric tables of one shape (S,) * m (any other raises
+    ValueError).  A symmetric h sees a tuple only through the multiset A
+    of its states, and a prefix whose state x occurs c_x times holds
+    N_A = prod_x binom(c_x, k_x(A)) increasing tuples of multiset A, so
 
-    No cell of any level of rows of at most n steps exceeds
-    binom(n, min(m, n // 2)), so the levels of a count are int32 when that
-    bound is below 2^31 (n = ``max(checkpoints)`` for a batch, the longest
-    piece for one path) and int64 otherwise; the pieces of one path are
-    joined in int64.  Counts are exact while the bound is below 2^63 (checked),
-    so a sum does not depend on the budget, on how a path is cut or on the
-    batch it is counted in; one path counts as one row.  The budget counts
-    level cells whatever their width.  State indices must lie in [0, S),
-    in any integer type; the padded piece grid of one path holds them in
-    the sampler's type, ``index_dtype(S)`` (int8 up to 11 states).
+        out[k, j, i] = sum_A N_A * tables[k][A],   A over the binom(S + m - 1, m) multisets,
+
+    with A read as its non-decreasing index.  The engine keeps the
+    occupation counts c (rows, S) and adds each stretch of the time-major
+    store ``paths.T`` between checkpoints in slices of ``_SLICE`` cells;
+    at each checkpoint :func:`_contract` forms N_A exactly in int64 and
+    contracts it with every table.  One path counts as a one-row batch,
+    and every row is counted and contracted on its own, so a sum does not
+    depend on the batch it is counted in, on how a batch is split, or on
+    the budget.  Every integer stays below 2^63 (checked: see
+    :func:`_check_counting`).  The budget counts rows * S^m cells, which
+    bounds the rows * binom(S + m - 1, m) multiset counts.  State indices
+    must lie in [0, S), in any integer type.
     """
     paths = np.asarray(paths)
     s, m = tables[0].shape[0], tables[0].ndim
     _check_counting(paths, s, m, budget)
+    for table in tables:
+        if table.shape != (s,) * m:
+            raise ValueError(f"kernel tables must share one shape (S,) * m = {(s,) * m}, got {table.shape}")
+        _check_table_symmetry(table)
     marks = _checkpoints(checkpoints, m, paths.shape[-1])
-    top = max(marks)
-
-    def read(levels: list) -> list:
-        counts = _oldest_first(levels[m], s, m)
-        return [_contract(counts, table) for table in tables]
-
-    def stack(sums: dict) -> np.ndarray:
-        return np.array([[sums[c][k] for c in marks] for k in range(len(tables))])
-
-    if paths.ndim == 2:
-        return stack(_count_rows(paths[:, :top], np.full(len(paths), top), s, m, dict.fromkeys(marks, read))[1])
-    # about sqrt(n) equal pieces, also cut at every checkpoint
-    pieces, wanted, batch = math.isqrt(top), set(marks), budget // s**m
-    cuts = sorted({top * i // pieces for i in range(pieces + 1)} | wanted)
-    acc = _empty_levels(1, s, m)
-    sums = {}
-    for lo in range(0, len(cuts) - 1, batch):
-        ends = cuts[lo : lo + batch + 1]
-        lengths = np.diff(ends)
-        # rows longest first, as _count_rows needs: piece p is row rank[p]
-        order = np.argsort(-lengths, kind="stable")
-        rank = np.argsort(order)
-        grid = np.zeros((lengths.size, int(lengths.max())), dtype=index_dtype(s))
-        for p, (a, b) in enumerate(zip(ends, ends[1:])):
-            grid[rank[p], : b - a] = paths[a:b]
-        levels = _count_rows(grid, lengths[order], s, m, {})[0]
-        del grid
-        # the pieces in path order, in int64: a join of pieces counts more than any piece
-        levels = [lv.astype(np.int64).take(rank, axis=0) for lv in levels]
-        # runs of pieces that end at a checkpoint, and the sub-batch's last run
-        stops = sorted({p for p, end in enumerate(ends) if p and end in wanted} | {len(ends) - 1})
-        for a, b in zip([0] + stops, stops):
-            acc = _join(acc, _join_run([lv[a:b] for lv in levels], m), m)
-            if ends[b] in wanted:
-                sums[ends[b]] = read(acc)
-    return stack(sums)[..., 0]
+    store = np.atleast_2d(paths).T
+    rows = store.shape[1]
+    multisets, factors = _multisets(s, m)
+    weights = [np.asarray(table, dtype=float)[tuple(multisets.T)] for table in tables]
+    counts = np.zeros((rows, s), dtype=np.int64)
+    # cell (t, i) of a slice is counted in bin i * S + its state
+    base = np.arange(rows) * s
+    step = max(1, _SLICE // max(rows, 1))
+    sums, done = {}, 0
+    for mark in sorted(set(marks)):
+        for t in range(done, mark, step):
+            cells = store[t : min(t + step, mark)].astype(np.intp)
+            cells += base
+            counts += np.bincount(cells.ravel(order="K"), minlength=rows * s).reshape(rows, s)
+        done = mark
+        sums[mark] = _contract(counts, factors, weights)
+    out = np.stack([sums[c] for c in marks], axis=1)
+    return out if paths.ndim == 2 else out[..., 0]
 
 
 def _check_counting(paths: np.ndarray, s: int, m: int, budget: int) -> None:
@@ -229,13 +213,15 @@ def _check_counting(paths: np.ndarray, s: int, m: int, budget: int) -> None:
     n = paths.shape[-1]
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
-    # the largest cell of any level L_c, c <= m, is at most binom(n, min(m, n // 2))
-    if math.comb(n, min(m, n // 2)) >= 2**63:
+    # every binom(c, k), k <= m, c <= n, passes through k * binom(c, k) before its // k, and
+    # every partial product of N_A is at most binom(n, sum of its k), so all stay below
+    # m * binom(n, min(m, n // 2))
+    if m * math.comb(n, min(m, n // 2)) >= 2**63:
         raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
     rows = len(paths) if paths.ndim == 2 else 1
     if rows * s**m > budget:
-        raise BudgetExceeded(f"level tensors of {rows} row(s), rows * S^m = {rows * s**m}, exceed budget {budget}")
-    # an index >= S would be counted in the next row's slice of the level tensors
+        raise BudgetExceeded(f"multiset counts of {rows} row(s), rows * S^m = {rows * s**m}, exceed budget {budget}")
+    # an index >= S would be counted in the next row's bins
     if paths.size and (paths.min() < 0 or paths.max() >= s):
         raise ValueError(f"state indices must lie in [0, {s})")
 
@@ -254,74 +240,56 @@ def _checkpoints(checkpoints: Sequence[int], m: int, n: int) -> list[int]:
     return marks
 
 
-def _empty_levels(rows: int, s: int, m: int, dtype: type = np.int64) -> list:
-    return [np.ones((rows, 1), dtype=dtype)] + [np.zeros((rows, s**c), dtype=dtype) for c in range(1, m + 1)]
+def _multisets(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multisets of m states as their non-decreasing index tuples, a
+    (K, m) array in lexicographic order, K = binom(S + m - 1, m), and the m
+    factors of each N_A: for each distinct state x of A, at its last
+    position, the flat index x * (m + 1) + k_x of binom(c_x, k_x) in an
+    (S, m + 1) table, and index 0 (binom(c_0, 0) = 1) elsewhere."""
+    tuples = np.arange(s)[:, None]
+    for _ in range(m - 1):
+        # each tuple extends by every state from its last one up
+        ways = s - tuples[:, -1]
+        prefix = np.repeat(tuples, ways, axis=0)
+        rank = np.arange(len(prefix)) - np.repeat(np.cumsum(ways) - ways, ways)
+        tuples = np.column_stack((prefix, prefix[:, -1] + rank))
+    factors = np.zeros((m, len(tuples)), dtype=np.intp)
+    run = np.zeros(len(tuples), dtype=np.intp)
+    for j in range(m):
+        x = tuples[:, j]
+        run = np.where((x == tuples[:, j - 1]) if j else False, run + 1, 1)
+        last = (x != tuples[:, j + 1]) if j + 1 < m else True
+        factors[j] = np.where(last, x * (m + 1) + run, 0)
+    return tuples, factors
 
 
-def _count_rows(grid: np.ndarray, lengths: np.ndarray, s: int, m: int, reads: dict) -> tuple[list, dict]:
-    """Level tensors of each row grid[i, :lengths[i]], in one pass over
-    time vectorized across rows, and for each step count t in ``reads``
-    the value reads[t](levels) of the live levels after t steps.  Rows come
-    longest first (``lengths`` non-increasing), so the rows still live at
-    any step are a prefix, updated through views."""
-    # the narrowest exact width: no cell of any L_c, c <= m, over rows of at
-    # most n steps exceeds binom(n, min(m, n // 2))
-    n = grid.shape[1]
-    levels = _empty_levels(grid.shape[0], s, m, np.int32 if math.comb(n, min(m, n // 2)) < 2**31 else np.int64)
-    # L_c viewed as (rows * S, S^(c-1)): row i, newest state x is line i * S + x
-    lines = [None] + [lv.reshape(-1, s ** (c - 1)) for c, lv in enumerate(levels) if c]
-    base = np.arange(grid.shape[0]) * s
-    # rows live at step t: the first alive[t], those with lengths > t
-    alive = np.searchsorted(-lengths, -np.arange(n), side="left")
-    read_out = {}
-    for t in range(n):
-        live = slice(alive[t])
-        idx = (base + grid[:, t])[live]
-        for c in range(m, 0, -1):
-            lines[c][idx] += levels[c - 1][live]
-        if t + 1 in reads:
-            read_out[t + 1] = reads[t + 1](levels)
-    return levels, read_out
+def _contract(counts: np.ndarray, factors: np.ndarray, weights: list) -> np.ndarray:
+    """sum_A N_A * w[A] for each row of the occupation counts ``counts``
+    (rows, S) and each weight vector w of ``weights``, as out[k, i].
 
-
-def _join(a: list, b: list, m: int) -> list:
-    """Levels of the concatenation A B (A first) by Chen's identity; the
-    newest-first layout puts B's indices before A's.  The result has A's
-    width (B may be narrower)."""
-    b = [lv.astype(a[0].dtype, copy=False) for lv in b]
-    return [a[0]] + [
-        sum((b[j][:, :, None] * a[c - j][:, None, :]).reshape(len(a[0]), -1) for j in range(c + 1))
-        for c in range(1, m + 1)
-    ]
-
-
-def _join_run(levels: list, m: int) -> list:
-    """Levels of the concatenation of the rows of ``levels``, in order:
-    adjacent pairs are joined in one batched :func:`_join` per round, so a
-    run of k rows takes about log2(k) calls.  The counts are integers, so
-    the grouping does not change them."""
-    while len(levels[0]) > 1:
-        pairs = len(levels[0]) // 2
-        joined = _join([lv[: 2 * pairs : 2] for lv in levels], [lv[1 : 2 * pairs : 2] for lv in levels], m)
-        levels = [np.concatenate((j, lv[2 * pairs :])) for j, lv in zip(joined, levels)]
-    return levels
-
-
-def _oldest_first(level: np.ndarray, s: int, m: int) -> np.ndarray:
-    """(rows, S^m) newest-first counts as a (rows, S, ..., S) oldest-first view."""
-    return level.reshape((level.shape[0],) + (s,) * m).transpose(0, *range(m, 0, -1))
-
-
-def _contract(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_v counts[i, v] * table[v] for each row i of ``counts``.
-
-    One BLAS dot product per count tensor over its oldest-first C order:
-    the float order of ``np.tensordot(counts_i, table, axes=m)``, so a value
-    never depends on the batch it was counted in.  Counts convert to
-    float64 exactly below 2^53.
+    N_A is exact in int64: binom(c, k) = binom(c, k - 1) * (c - k + 1) // k
+    for k = 1..m, then the product of the m factors of :func:`_multisets`.
+    The rows go in chunks of ``_CHUNK`` multiset counts, and each row is
+    one BLAS dot product over its C-contiguous float64 counts, so a value
+    never depends on the rows counted with it.  Counts convert to float64
+    exactly below 2^53.
     """
-    t = table.ravel()
-    return np.array([np.dot(c.astype(np.float64, order="C").ravel(), t) for c in counts])
+    m = len(factors)
+    out = np.empty((len(weights), len(counts)))
+    chunk = max(1, _CHUNK // factors.shape[1])
+    for lo in range(0, len(counts), chunk):
+        c = counts[lo : lo + chunk]
+        binoms = np.ones(c.shape + (m + 1,), dtype=np.int64)
+        for k in range(1, m + 1):
+            binoms[..., k] = binoms[..., k - 1] * (c - k + 1) // k
+        binoms = binoms.reshape(len(c), -1)
+        n_a = binoms.take(factors[0], axis=1)
+        for f in factors[1:]:
+            n_a *= binoms.take(f, axis=1)
+        n_a = np.ascontiguousarray(n_a, dtype=np.float64)
+        for k, w in enumerate(weights):
+            out[k, lo : lo + len(n_a)] = [np.dot(row, w) for row in n_a]
+    return out
 
 
 def u_statistic(path: np.ndarray, h: SymmetricKernelFn, budget: int = DEFAULT_BUDGET) -> float:

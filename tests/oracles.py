@@ -109,13 +109,15 @@ def dirac_pair_rho(p: np.ndarray, v: np.ndarray, k: int) -> float:
     return best
 
 
-def tuple_counts_enum(path, s: int, m: int) -> np.ndarray:
-    """counts[v_1..v_m] = #{t_1 < ... < t_m : path[t_i] = v_i}, by listing
-    every index combination."""
-    counts = np.zeros((s,) * m, dtype=np.int64)
+def multiset_counts_enum(path, s: int, m: int) -> np.ndarray:
+    """counts[a] = #{t_1 < ... < t_m : the states path[t_i] form multiset a},
+    for the multisets a of m states in itertools.combinations_with_replacement
+    order, by listing every increasing index tuple."""
+    multisets = list(itertools.combinations_with_replacement(range(s), m))
+    counts = dict.fromkeys(multisets, 0)
     for combo in itertools.combinations(path, m):
-        counts[tuple(combo)] += 1
-    return counts
+        counts[tuple(sorted(combo))] += 1
+    return np.array([counts[a] for a in multisets], dtype=np.int64)
 
 
 def replay_path(matrix: np.ndarray, mu0: np.ndarray, n: int, seed: int) -> list[int]:

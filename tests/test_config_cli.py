@@ -354,7 +354,7 @@ def test_cli_bad_propositions_section_is_config_error(tmp_path, monkeypatch, cap
 OVERSIZED_GRIDS = {
     "degree-six": {"m": 6},
     "i-max-10000": {"i_max": 10_000},
-    # the law cells and instances fit, but one tuple's f_sigma rows do not
+    # the law cells and the (tuple, split) work fit, but one tuple's f_sigma rows do not
     "f-sigma-rows": {"size": 4, "m": 5, "i_max": 1},
 }
 

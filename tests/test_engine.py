@@ -1,8 +1,10 @@
 """The one sampler and the one counting engine against naive oracles, and
 the budget checks that refuse before anything large is allocated."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,14 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import replay_path, tuple_counts_enum
+from oracles import multiset_counts_enum, replay_path
 from ustatmc import (
     BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, exact_l2, mix64, replicate_u_grid,
     sample_paths, simulate, tuple_sums, u_statistic,
 )
-from ustatmc import markov, ustats
+from ustatmc import markov
 from ustatmc.markov import _guide_coder, index_dtype
-from ustatmc.ustats import _count_rows, _empty_levels, _join, _oldest_first
 
 
 @st.composite
@@ -27,27 +28,40 @@ def counting_cases(draw):
     n = draw(st.integers(m, 40))
     path = np.array(draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)))
     checkpoints = sorted(draw(st.sets(st.integers(m, n), min_size=1, max_size=5)))
-    # the budget holds the levels of this many pieces of the path
+    # the budget holds this many rows of S^m cells
     rows = draw(st.integers(1, 8))
     return s, m, path, checkpoints, rows * s**m
 
 
-def _one_hot_tables(s, m):
-    """One table per cell of (S,) * m, so that the kernel sums are the counts."""
-    return list(np.eye(s**m).reshape((s**m,) + (s,) * m))
+def _multiset_tables(s, m):
+    """One symmetric table per multiset of m states, in
+    combinations_with_replacement order, holding 1 at every ordering of
+    that multiset, so that the kernel sums are the multiset counts."""
+    tables = []
+    for multiset in itertools.combinations_with_replacement(range(s), m):
+        table = np.zeros((s,) * m)
+        for index in itertools.permutations(multiset):
+            table[index] = 1.0
+        tables.append(table)
+    return tables
+
+
+def _symmetric(raw):
+    """The table that holds raw at the sorted index of every cell."""
+    return raw[tuple(np.sort(np.indices(raw.shape), axis=0))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(counting_cases())
 def test_counts_match_enumeration_at_checkpoints(case):
     s, m, path, checkpoints, budget = case
-    got = tuple_sums(path, _one_hot_tables(s, m), checkpoints, budget)
-    assert got.shape == (s**m, len(checkpoints))
+    tables = _multiset_tables(s, m)
+    got = tuple_sums(path, tables, checkpoints, budget)
+    assert got.shape == (len(tables), len(checkpoints))
     for c, counts in zip(checkpoints, got.T):
-        assert np.array_equal(counts.reshape((s,) * m), tuple_counts_enum(path[:c], s, m))
-    # the whole path, cut into about sqrt(n) pieces
-    whole = tuple_sums(path, _one_hot_tables(s, m), [path.size])[:, 0]
-    assert np.array_equal(whole.reshape((s,) * m), tuple_counts_enum(path, s, m))
+        assert np.array_equal(counts, multiset_counts_enum(path[:c], s, m))
+    whole = tuple_sums(path, tables, [path.size])[:, 0]
+    assert np.array_equal(whole, multiset_counts_enum(path, s, m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -55,7 +69,7 @@ def test_counts_match_enumeration_at_checkpoints(case):
 def test_one_path_sums_match_a_one_row_batch(case, data):
     s, m, path, checkpoints, budget = case
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    tables = [rng.normal(size=(s,) * m), rng.normal(size=(s,) * m)]
+    tables = [_symmetric(rng.normal(size=(s,) * m)), _symmetric(rng.normal(size=(s,) * m))]
     one = tuple_sums(path, tables, checkpoints, budget)
     batch = tuple_sums(path[None, :], tables, checkpoints, budget)
     assert one.shape == (2, len(checkpoints)) and batch.shape == (2, len(checkpoints), 1)
@@ -64,9 +78,8 @@ def test_one_path_sums_match_a_one_row_batch(case, data):
 
 @st.composite
 def checkpoint_runs(draw):
-    """A path, checkpoints with adjacent pairs among them, and a budget of
-    1 to 3 pieces, so runs of pieces between checkpoints have one, an odd
-    or an even number of pieces and straddle sub-batches."""
+    """A path, checkpoints with adjacent pairs among them (so a stretch
+    between two checkpoints may be one step), and a budget of 1 to 3 rows."""
     s = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     n = draw(st.integers(m + 1, 120 if m < 3 else 40))
@@ -79,25 +92,38 @@ def checkpoint_runs(draw):
 @settings(max_examples=150, deadline=None)
 @given(checkpoint_runs())
 def test_tree_joined_pieces_match_batch_and_enumeration(case):
+    # the stretches of the path between adjacent checkpoints, one path against its one-row batch
     s, m, path, checkpoints, budget = case
-    tables = _one_hot_tables(s, m)
+    tables = _multiset_tables(s, m)
     one = tuple_sums(path, tables, checkpoints, budget)
     assert one.tobytes() == tuple_sums(path[None, :], tables, checkpoints)[..., 0].tobytes()
     for c, counts in zip(checkpoints, one.T):
-        assert np.array_equal(counts.reshape((s,) * m), tuple_counts_enum(path[:c], s, m))
+        assert np.array_equal(counts, multiset_counts_enum(path[:c], s, m))
 
 
 @settings(max_examples=100, deadline=None)
 @given(counting_cases(), st.data())
 def test_chen_identity_on_random_splits(case, data):
+    # Chen's identity for multiset counts: an increasing tuple of a concatenation P Q is a
+    # tuple of P followed by one of Q, so N_A(P Q) = sum_{B + C = A} N_B(P) N_C(Q), over
+    # multisets B and C of every size; each piece is counted by the engine at every degree
     s, m, path, _, _ = case
     n = path.size
     bounds = [0, *sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))), n] if n > 1 else [0, 1]
-    acc = _empty_levels(1, s, m)
+    acc = {(): 1}
     for a, b in zip(bounds, bounds[1:]):
-        piece = _count_rows(path[None, a:b], np.array([b - a]), s, m, {})[0]
-        acc = _join(acc, piece, m)
-    assert np.array_equal(_oldest_first(acc[m], s, m)[0], tuple_counts_enum(path, s, m))
+        piece = {(): 1}
+        for degree in range(1, min(m, b - a) + 1):
+            sums = tuple_sums(path[a:b], _multiset_tables(s, degree), [b - a])[:, 0]
+            piece.update(zip(itertools.combinations_with_replacement(range(s), degree), sums))
+        joined = {}
+        for (left, x), (right, y) in itertools.product(acc.items(), piece.items()):
+            if len(left) + len(right) <= m:
+                key = tuple(sorted(left + right))
+                joined[key] = joined.get(key, 0) + x * y
+        acc = joined
+    multisets = itertools.combinations_with_replacement(range(s), m)
+    assert np.array_equal([acc.get(a, 0) for a in multisets], multiset_counts_enum(path, s, m))
 
 
 @settings(max_examples=50, deadline=None)
@@ -105,13 +131,53 @@ def test_chen_identity_on_random_splits(case, data):
 def test_batch_counts_match_enumeration(case, rows):
     s, m, path, _, _ = case
     batch = np.array([np.roll(path, k) for k in range(rows)])
-    got = tuple_sums(batch, _one_hot_tables(s, m), [path.size])
+    got = tuple_sums(batch, _multiset_tables(s, m), [path.size])
     for row, counts in zip(batch, got[:, 0].T):
-        assert np.array_equal(counts.reshape((s,) * m), tuple_counts_enum(row, s, m))
+        assert np.array_equal(counts, multiset_counts_enum(row, s, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counting_cases(), st.integers(1, 4), st.data())
+def test_sums_within_the_float_bound_of_exact(case, rows, data):
+    # a sum of K = binom(S + m - 1, m) products N_A h(A), in any order and with or without
+    # fused multiply-adds, is within gamma_K * sum_A |N_A h(A)| of the exact sum
+    # (N_A < 2^53 converts exactly), gamma_K = K u / (1 - K u)
+    s, m, path, checkpoints, budget = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tables = [_symmetric(rng.normal(size=(s,) * m) * 10.0 ** rng.integers(-3, 4)) for _ in range(2)]
+    batch = np.array([np.roll(path, 3 * k) for k in range(rows)])
+    got = tuple_sums(batch, tables, checkpoints)
+    k = math.comb(s + m - 1, m)
+    u = Fraction(1, 2**53)
+    gamma = k * u / (1 - k * u)
+    multisets = list(itertools.combinations_with_replacement(range(s), m))
+    for i, row in enumerate(batch):
+        for j, c in enumerate(checkpoints):
+            counts = multiset_counts_enum(row[:c], s, m)
+            for t, table in enumerate(tables):
+                terms = [int(n_a) * Fraction(float(table[a])) for n_a, a in zip(counts, multisets)]
+                assert abs(Fraction(float(got[t, j, i])) - sum(terms)) <= gamma * sum(map(abs, terms))
+    # the one-path route and any split of the rows give the same bytes
+    assert tuple_sums(path, tables, checkpoints, budget).tobytes() == got[..., 0].tobytes()
+    cut = data.draw(st.integers(0, rows))
+    parts = [tuple_sums(part, tables, checkpoints) for part in (batch[:cut], batch[cut:]) if len(part)]
+    assert np.concatenate(parts, axis=-1).tobytes() == got.tobytes()
+
+
+def test_engine_refuses_tables_it_cannot_read_by_multiset():
+    path = np.array([0, 1, 1, 0, 2])
+    asymmetric = np.arange(9.0).reshape(3, 3)
+    for tables in ([asymmetric], [np.ones((3, 3)), asymmetric]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            tuple_sums(path, tables, [5])
+        with pytest.raises(ValueError, match="not symmetric"):
+            tuple_sums(path[None, :], tables, [5])
+    with pytest.raises(ValueError, match="one shape"):
+        tuple_sums(path, [np.ones((3, 3)), np.ones((4, 4))], [5])
 
 
 def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
-    # one replicate holds 30 path cells and 1 + 2 + 4 + 8 level cells, so 7 replicates
+    # one replicate is charged 30 path cells and 1 + 2 + 4 + 8 count cells, so 7 replicates
     # do not fit a budget of 90: blocks of 2 rows
     h = SymmetricKernelFn(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
     mu0 = Distribution.uniform(2)
@@ -311,7 +377,7 @@ def _peak_bytes(fn, *args, **kwargs):
 
 
 def test_level_tensors_refused_before_allocation():
-    # one row's levels, 100^3 cells, exceed the budget
+    # one row's 100^3 cells exceed the budget
     batch = np.broadcast_to(np.int64(0), (1000, 50))
     table = np.broadcast_to(0.0, (100,) * 3)
     assert _peak_bytes(tuple_sums, batch, [table], [50], budget=10**5) < 2**20
@@ -319,7 +385,7 @@ def test_level_tensors_refused_before_allocation():
 
 
 def test_batch_level_tensors_refused_before_allocation():
-    # 1000 rows of 10^2 level cells exceed the budget though one row fits: a batch is counted whole
+    # 1000 rows of 10^2 cells exceed the budget though one row fits: a batch is charged whole
     batch = np.broadcast_to(np.int64(0), (1000, 50))
     table = np.broadcast_to(0.0, (10, 10))
     assert _peak_bytes(tuple_sums, batch, [table], [50], budget=10**4) < 2**20
@@ -344,7 +410,7 @@ def test_replicate_blocks_hold_their_paths_within_the_budget(two_state_kernel):
 
 
 def test_replicate_over_budget_refused_before_sampling(two_state_kernel):
-    # one replicate's 10^5 path cells and 1 + 2 + 4 level cells exceed the budget
+    # one replicate's 10^5 path cells and 1 + 2 + 4 count cells exceed the budget
     h = SymmetricKernelFn(np.ones((2, 2)))
     args = (two_state_kernel, Distribution.uniform(2), [h], [10**5], 2, 3)
     assert _peak_bytes(replicate_u_grid, *args, budget=10**5) < 2**20
@@ -356,27 +422,38 @@ def test_int64_overflow_refused():
     assert _peak_bytes(tuple_sums, path, [np.zeros((1,) * 4)], [300_000]) < 2**20
 
 
-@pytest.mark.parametrize("n, width", [(65_536, np.int32), (65_537, np.int64)])
-def test_level_width_at_the_int32_edge(monkeypatch, n, width):
-    # S = 1, m = 2: the one cell of L_2 ends at binom(n, 2), which is 2^31 - 32768 at
-    # n = 65536 (int32 holds it) and 2^31 + 32768 at n = 65537 (int32 would wrap)
-    widths = []
-    contract = ustats._contract
-    monkeypatch.setattr(ustats, "_contract", lambda counts, table: widths.append(counts.dtype) or contract(counts, table))
+def test_int64_refusal_covers_every_intermediate():
+    # S = 1, m = 4: binom(c, 4) passes through 4 * binom(c, 4) before its // 4, which first
+    # reaches 2^63 at n = 86252 while binom(86252, 4) is about 2^61
+    n = 86_252
+    assert 4 * math.comb(n, 4) >= 2**63 > 4 * math.comb(n - 1, 4) and math.comb(n, 4) < 2**63
+    table = np.ones((1,) * 4)
+    assert _peak_bytes(tuple_sums, np.broadcast_to(np.int8(0), (n,)), [table], [n]) < 2**20
+    path = np.zeros(n - 1, dtype=np.int8)
+    assert tuple_sums(path, [table], [n - 1])[0, 0] == float(math.comb(n - 1, 4))
+    assert tuple_sums(path[None, :], [table], [n - 1])[0, 0, 0] == float(math.comb(n - 1, 4))
+
+
+@pytest.mark.parametrize("n", [65_536, 65_537])
+def test_pair_counts_are_exact_at_the_int32_edge(n):
+    # S = 1, m = 2: the one count is binom(n, 2), 2^31 - 32768 at n = 65536 and
+    # 2^31 + 32768 at n = 65537 (past int32), on the one-path and the batch route
     path = np.zeros(n, dtype=np.int64)
     table = np.ones((1, 1))
     assert tuple_sums(path, [table], [n])[0, 0] == math.comb(n, 2)
-    # one path joins its pieces in int64, whatever their width
-    assert widths == [np.int64]
     assert tuple_sums(path[None, :], [table], [n])[0, 0, 0] == math.comb(n, 2)
-    assert widths[1:] == [width]
 
 
-def test_every_level_of_a_piece_is_exact():
-    # S = 1, m = 20, 34 steps: L_20 ends at binom(34, 20) < 2^31 but L_17 passes
-    # binom(34, 17) > 2^31, and Chen's identity multiplies every level of a piece
-    levels = _count_rows(np.zeros((1, 34), dtype=np.int64), np.array([34]), 1, 20, {})[0]
-    assert [int(lv[0, 0]) for lv in levels] == [math.comb(34, c) for c in range(21)]
+def test_binomials_are_exact_past_int32():
+    # S = 1, m = 20, 34 steps: binom(c, k) for k <= 20 passes binom(34, 17) > 2^31 on its
+    # way to binom(34, 20) < 2^31; every checkpoint and every degree up to 20 is exact
+    path = np.zeros(34, dtype=np.int8)
+    assert tuple_sums(path, [np.ones((1,) * 20)], range(20, 35))[0].tolist() == [
+        math.comb(c, 20) for c in range(20, 35)
+    ]
+    assert [tuple_sums(path, [np.ones((1,) * m)], [34])[0, 0] for m in range(1, 21)] == [
+        math.comb(34, m) for m in range(1, 21)
+    ]
 
 
 def _counting_peak(paths, tables, checkpoints):
@@ -388,19 +465,21 @@ def _counting_peak(paths, tables, checkpoints):
         tracemalloc.stop()
 
 
-def test_batch_levels_count_in_int32():
-    # 500 rows at S = 20, m = 3: L_3 holds 500 * 20^3 cells, 16 MB in int32 and 32 MB in int64
+def test_batch_counts_in_fixed_chunks():
+    # 500 rows at S = 20, m = 3: the occupation counts are 500 * 20 cells, and the
+    # 500 * 1540 multiset counts are formed a chunk of rows at a time
     rng = np.random.default_rng(5)
     paths = rng.integers(0, 20, (500, 400))
-    assert _counting_peak(paths, [rng.normal(size=(20,) * 3)], [50, 100, 200, 400]) < 24 * 2**20
+    table = _symmetric(rng.normal(size=(20,) * 3))
+    assert _counting_peak(paths, [table], [50, 100, 200, 400]) < 2**20
 
 
-def test_one_long_path_counts_its_pieces_in_int32():
-    # about 1000 pieces of about 1000 steps, padded into one grid of state indices:
-    # 1 MB in int8 (4 MB in int32); the piece levels are int32
+def test_one_long_path_counts_in_fixed_slices():
+    # 10^6 steps: the path is counted a slice at a time, so no temporary grows with n
     rng = np.random.default_rng(6)
     path = rng.integers(0, 8, 10**6)
-    assert _counting_peak(path, [rng.normal(size=(8, 8))], [10**3, 10**4, 10**5, 10**6]) < 2 * 10**6
+    table = _symmetric(rng.normal(size=(8, 8)))
+    assert _counting_peak(path, [table], [10**3, 10**4, 10**5, 10**6]) < 2**19
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -408,7 +487,7 @@ def test_counts_do_not_depend_on_the_path_type(m):
     # the sampler's int8 paths and their int64 copies, on the batch route and the one-path route
     rng = np.random.default_rng(m)
     paths = rng.integers(0, 5, (6, 900)).astype(np.int8)
-    tables = [rng.normal(size=(5,) * m), rng.normal(size=(5,) * m)]
+    tables = [_symmetric(rng.normal(size=(5,) * m)), _symmetric(rng.normal(size=(5,) * m))]
     for narrow in (paths, paths[0]):
         wide = narrow.astype(np.int64)
         got = tuple_sums(narrow, tables, [m, 100, 900])
@@ -476,7 +555,7 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
     h = SymmetricKernelFn(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
     hs = [h, h.shifted(0.375)]
     # blocks of `rows` replicates, fewer than ceil(replicates / jobs) when rows is smaller:
-    # one replicate holds max(ns) path cells and sum_c S^c level cells
+    # one replicate is charged max(ns) path cells and sum_c S^c count cells
     budget = rows * (max(ns) + sum(s**c for c in range(m + 1)))
     got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=budget)
     assert got.shape == (2, len(ns), replicates)

@@ -341,6 +341,15 @@ def test_proposition_grid_check_degree_three():
     assert report["eq19"]["instances"] == report["prop7_bound1"]["instances"] == math.comb(5 + 5, 6) * 720
 
 
+def test_degree_five_grid_runs_within_its_work_cap():
+    # m = 5, S = 2, i_max = 2: 11 tuples x 126 splits of work and 2 x 126 x 2^10 f_sigma row
+    # cells per tuple; the 11 x 10! (tuple, sigma) instances are counted, never listed
+    report = proposition_grid_check(num_chains=1, size=2, m=5, i_max=2, seed=3, lemma6_trials=20, counting_n_max=3)
+    assert report["pass"]
+    assert report["prop5"]["instances"] == math.comb(2 + 9, 10) == 11
+    assert report["eq19"]["instances"] == report["prop7_bound1"]["instances"] == 11 * math.factorial(10)
+
+
 @pytest.mark.parametrize("grid", [{"m": 6}, {"i_max": 10_000}, {"size": 60}], ids=["m6", "i_max", "size"])
 def test_oversized_proposition_grid_is_refused_before_allocating(grid):
     tracemalloc.start()
@@ -354,7 +363,7 @@ def test_oversized_proposition_grid_is_refused_before_allocating(grid):
 
 
 def test_f_sigma_row_stack_is_refused_before_listing_permutations(monkeypatch):
-    # S = 4, m = 5, i_max = 1: the 4^10 law cells and the 10! instances fit the
+    # S = 4, m = 5, i_max = 1: the 4^10 law cells and the 126 splits of work fit the
     # budget, but one tuple's f_sigma rows, 2 laws x 126 splits x 4^10 cells, are 2.1 GB
     def no_work(*args, **kwargs):
         raise AssertionError("the grid listed its splits before its size was checked")

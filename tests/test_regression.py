@@ -73,8 +73,8 @@ DECLARED_GEOMETRIC = {
     "experiment": {"n_grid": [50, 100, 200, 400], "bounds": [{"name": "theorem1"}, {"name": "corollary3", "p": 1.0}]},
 }
 
-# the three-state chain on one path, degree 3: the single-path counting
-# route, which joins the cut pieces and reads the sums at every checkpoint
+# the three-state chain on one path, degree 3: the one-path counting route,
+# which reads the sums at every checkpoint
 SLLN_DEGREE_THREE = {
     "chain": DEGREE_THREE["chain"],
     "initial": {"dirac": 0},
@@ -147,14 +147,14 @@ INLINE = {
 EXIT = {"failing_bounds": 1}
 
 DIGESTS = {
-    ("two_state_variance", "variance.csv"): "e85662a12fc3b5e42695ed169e7a2542d7318a28d8ba6322f2cb9b847efcc524",
+    ("two_state_variance", "variance.csv"): "f0888e64f31a3da195bfca8ea73fd3fc49eea8ed40719821bf103b37b2dae84d",
     ("two_state_variance", "bounds.csv"): "a8e48827a58f73429ec41e276a794d2e493f002eb97cfcc8c8c8cae5c87ec555",
     ("slln", "slln.csv"): "7824f92884b6a0c44f286966bcfc50f10c165e9615a3af2c1e3f99b2b526cf69",
     ("degree_three", "variance.csv"): "df322f5d20795afaaf009d31a5044217c1c5cebbcda91db89484b7220023bcfc",
     ("additive_centered", "variance.csv"): "4bcd21b9af245e45d0b0afdb6c401cedd54b497724dca176bc3abca93ddd091d",
-    ("both_statistics", "variance.csv"): "27dea415925c9f6fc380aaa5294fb148f24e10d7064aecc319cc30e7e235153a",
-    ("gaussian_rbf", "variance.csv"): "4aef472c0955eb48666ca30610492a1197bbdf337d8d976f822580489907f56b",
-    ("indicator_diag", "variance.csv"): "eb25c68cb87bbb737569277774f8cc24dfe5c2da82f77df7df6075fe2d6a4c56",
+    ("both_statistics", "variance.csv"): "eb648baff1be739cd17a3401d86b05b6b621ed16208b52bcd724ec1b3babfb9b",
+    ("gaussian_rbf", "variance.csv"): "e0b3c1303e3004c5a1fbdec12d04d71255df220c93a342a3bf264431b26d7f01",
+    ("indicator_diag", "variance.csv"): "deb0f6eb15e3841a4deab6da401cd49d116f6ce7384d6f8d609cf688d34c76b1",
     ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
     ("propositions", "propositions.json"): "207833bb083659c93193d0398b367b675108be3ef92947b1b517a26ca3b4a304",
     ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
