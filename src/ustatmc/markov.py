@@ -37,6 +37,10 @@ _ATOL = 1e-12
 _WIDTH = 512
 # uniforms coded at a time: the coding temporaries stay a few tens of KiB
 _SLICE = 4096
+# cells of one block of Dirac steps in certify_rho (256 KiB; a block holds
+# at least one step of S^2 cells): larger blocks took no less time at
+# S = 2, 8 and 20 on a 2-core x86 VM, numpy 2.4
+_RHO_CELLS = 2**15
 
 
 def index_dtype(s: int) -> np.dtype:
@@ -333,9 +337,16 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     which extends to arbitrary (mu, mu') pairs by joint convexity of the
     ratio over Dirac extremes.  Each Dirac is evolved along the exact float
     path :func:`evolve` takes, so the tabulated inequality against
-    :func:`tv_distance` holds bit for bit; a reversed running maximum makes
-    the stored table exactly non-increasing while still dominating every
-    measured ratio.
+    :func:`tv_distance` holds bit for bit: one stacked product per step
+    moves every Dirac at once, and numpy runs it as one vector-matrix
+    product per Dirac, the float path of ``w @ P``.  The steps fill a block
+    of at most ``_RHO_CELLS`` cells (at least one step, S^2 cells), and
+    each block is normalized and reduced in array passes, one per first
+    state x of a pair, each summing |norm(x') - norm(x)| along the state
+    axis as :func:`tv_distance` does; so memory stays within a few blocks
+    of max(``_RHO_CELLS``, S^2) cells whatever S and k_max are.  A reversed
+    running maximum makes the stored table exactly non-increasing while
+    still dominating every measured ratio.
 
     The tail rate is 1, so rho(k) = rho(k_max) for every k > k_max.  That
     is proven, not fitted: P contracts total variation, so each Dirac
@@ -354,23 +365,21 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     s = kernel.size
     measured = np.zeros(k_max + 1)
     if s > 1:
-        xs, ys = np.triu_indices(s, 1)
-        denom = v[xs] + v[ys]
-        raw = [np.eye(s)[x] for x in range(s)]
-
-        def ratio_max() -> float:
-            # every Dirac normalized by its own sum at once, and every pair's
-            # |norm[x] - norm[y]| summed along its own row: the float order
-            # of normalizing and summing each vector on its own
-            w = np.array(raw)
-            norm = w / w.sum(axis=1, keepdims=True)
-            gaps = norm[xs] - norm[ys]
-            return float((np.abs(gaps, out=gaps).sum(axis=-1) / denom).max())
-
-        measured[0] = ratio_max()
-        for k in range(1, k_max + 1):
-            raw = [w @ kernel.matrix for w in raw]
-            measured[k] = ratio_max()
+        block = np.empty((min(k_max + 1, max(1, _RHO_CELLS // (s * s))), s, s))
+        raw = np.eye(s)
+        for k0 in range(0, k_max + 1, block.shape[0]):
+            steps = block[: k_max + 1 - k0]
+            for j in range(steps.shape[0]):
+                if k0 + j:
+                    raw = (raw[:, None, :] @ kernel.matrix)[:, 0]
+                steps[j] = raw
+            # every Dirac of every step normalized by its own sum at once
+            norm = steps / steps.sum(axis=-1, keepdims=True)
+            best = measured[k0 : k0 + steps.shape[0]]
+            for x in range(s - 1):
+                gaps = norm[:, x + 1 :] - norm[:, x : x + 1]
+                ratios = np.abs(gaps, out=gaps).sum(axis=-1) / (v[x] + v[x + 1 :])
+                np.maximum(best, ratios.max(axis=-1), out=best)
     rho_vals = np.maximum.accumulate(measured[::-1])[::-1]
     if s > 1 and rho_vals[0] > 0 and not rho_vals[k_max] < rho_vals[0] * (1.0 - 1e-9):
         raise NotErgodic(
@@ -408,7 +417,9 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     rows and one column per code: at most S * (S^2 + 1) cells, whatever n
     and the seed count.  The codes, the states that replace them and the
     table are all held in ``index_dtype(S)``, which holds any code (at
-    most S^2), so the store takes one byte a cell up to 11 states.  The
+    most S^2), so the store takes one byte a cell up to 11 states.  A
+    table of more than ``TENSOR_BUDGET`` cells raises
+    :class:`BudgetExceeded` before any stream is seeded.  The
     store is time-major, (n, rows), each time step contiguous across the
     paths, and the result is its transpose.
     """
@@ -421,6 +432,11 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     # the distinct CDF values in order: np.unique(cdf), without its first-call numpy.ma import
     cuts = np.sort(cdf, axis=None)
     cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    if s * (cuts.size + 1) > TENSOR_BUDGET:
+        raise BudgetExceeded(
+            f"next-state table S * (distinct CDF values + 1) = {s * (cuts.size + 1)} cells "
+            f"exceeds tensor budget {TENSOR_BUDGET}"
+        )
     cdf0 = np.cumsum(mu0.weights)
     code = _guide_coder(cuts)
     # slot t of a path holds the code of the step into time t until the walk

@@ -27,6 +27,7 @@ row, so a value does not depend on the batch it is counted in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -99,22 +100,26 @@ class SymmetricKernelFn:
 class KernelFamily:
     """A builtin kernel recipe: a symmetric function ``fn`` of ``degree``
     raw state values, which only becomes a kernel once tabulated over a
-    finite state embedding."""
+    finite state embedding.  ``fn`` broadcasts: given ``degree`` arrays of
+    state values it returns their values cell by cell, rounded as the
+    scalar formula rounds each cell."""
 
     degree: int
-    fn: Callable[..., float]
+    fn: Callable[..., np.ndarray]
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
     def tabulated(self, states: Sequence[float]) -> SymmetricKernelFn:
-        """fn evaluated on every m-tuple of state values, once S^m fits ``TENSOR_BUDGET``."""
+        """fn evaluated on every m-tuple of state values, once S^m fits
+        ``TENSOR_BUDGET``: one call on the sparse (S, 1, ...), (1, S, ...),
+        ... grids of the state values, broadcast to (S,) * m."""
         states = np.asarray(states, dtype=float)
         if states.size**self.degree > TENSOR_BUDGET:
             raise BudgetExceeded(f"kernel table S^m = {states.size**self.degree} exceeds tensor budget {TENSOR_BUDGET}")
-        grids = np.meshgrid(*([states] * self.degree), indexing="ij")
-        return SymmetricKernelFn(np.vectorize(self.fn, otypes=[float])(*grids))
+        grids = np.meshgrid(*([states] * self.degree), indexing="ij", sparse=True)
+        return SymmetricKernelFn(np.broadcast_to(self.fn(*grids), (states.size,) * self.degree))
 
 
 def product_kernel(m: int, center: float = 0.0) -> KernelFamily:
@@ -129,18 +134,29 @@ def additive_kernel(m: int, center: float = 0.0) -> KernelFamily:
 
 def indicator_diag_kernel(m: int, atol: float = 0.0) -> KernelFamily:
     """1 if all arguments coincide (within atol), else 0."""
-    return KernelFamily(m, lambda *ys: 1.0 if max(ys) - min(ys) <= atol else 0.0)
+    return KernelFamily(
+        m, lambda *ys: np.where(functools.reduce(np.maximum, ys) - functools.reduce(np.minimum, ys) <= atol, 1.0, 0.0)
+    )
 
 
 def gaussian_rbf_kernel(m: int, bandwidth: float = 1.0) -> KernelFamily:
-    """exp(-sum_{i<j} (y_i - y_j)^2 / (2 * bandwidth^2)); symmetric for any m."""
+    """exp(-sum_{i<j} (y_i - y_j)^2 / (2 * bandwidth^2)); symmetric for any m.
+
+    Each square is ``np.float_power``, the C ``pow`` of Python's ``**``,
+    and each exponential is ``math.exp`` cell by cell, so every cell rounds
+    as the scalar formula does: ``**`` on arrays squares by x * x and
+    numpy's exp may be a SIMD routine, and both differ from the C library
+    in the last bit on some arguments (x * x on about 0.1 % of random
+    ones, against glibc's pow).
+    """
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError("bandwidth must be a finite number > 0")
     inv = 1.0 / (2.0 * bandwidth * bandwidth)
+    exp = np.vectorize(math.exp, otypes=[float])
 
-    def fn(*ys: float) -> float:
-        sq = sum((a - b) ** 2 for a, b in itertools.combinations(ys, 2))
-        return math.exp(-sq * inv)
+    def fn(*ys: np.ndarray) -> np.ndarray:
+        sq = sum(np.float_power(a - b, 2) for a, b in itertools.combinations(ys, 2))
+        return exp(-sq * inv)
 
     return KernelFamily(m, fn)
 

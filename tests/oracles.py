@@ -150,6 +150,28 @@ def pair_loop_rho_table(matrix: np.ndarray, v: np.ndarray, k_max: int) -> np.nda
     return np.maximum.accumulate(np.array(measured)[::-1])[::-1]
 
 
+def scalar_family_fn(name: str, param: float):
+    """The builtin kernel families as scalar formulas of m Python floats:
+    ``param`` is the center (product, additive), atol (indicator_diag) or
+    bandwidth (gaussian_rbf)."""
+    if name == "product":
+        return lambda *ys: math.prod(y - param for y in ys)
+    if name == "additive":
+        return lambda *ys: sum(y - param for y in ys)
+    if name == "indicator_diag":
+        return lambda *ys: 1.0 if max(ys) - min(ys) <= param else 0.0
+    if name == "gaussian_rbf":
+        inv = 1.0 / (2.0 * param * param)
+        return lambda *ys: math.exp(-sum((a - b) ** 2 for a, b in itertools.combinations(ys, 2)) * inv)
+    raise ValueError(f"unknown family {name!r}")
+
+
+def per_cell_table(fn, m: int, states: np.ndarray) -> np.ndarray:
+    """fn called once per cell of the (S,) * m grid of state values."""
+    grids = np.meshgrid(*([np.asarray(states, dtype=float)] * m), indexing="ij")
+    return np.vectorize(fn, otypes=[float])(*grids)
+
+
 def l2_enum(mu: np.ndarray, p: np.ndarray, table: np.ndarray, n: int) -> float:
     """||U_{n,m}(h)||_2 for Y_0 ~ mu by listing all S^n paths: each path's
     probability times the square of its U-statistic, summed with fsum."""

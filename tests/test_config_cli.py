@@ -184,6 +184,19 @@ def test_cli_simulate_over_budget_exits_3_before_sampling(tmp_path, monkeypatch,
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 0
 
 
+def test_cli_simulate_refuses_an_oversized_next_state_table(tmp_path, capsys):
+    # a dense 250-state chain: about 250 * 62 501 next-state cells
+    rng = np.random.default_rng(3)
+    matrix = rng.random((250, 250))
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    chain = {"states": list(range(250)), "matrix": matrix.tolist()}
+    cfg = _write(tmp_path, "c.json", {"chain": chain, "simulate": {"n": 10}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("could not check:") and "next-state table" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bound_zero_mixing(tmp_path):
     doc = _variance_doc()
     doc["profile"] = {"kind": "explicit", "values": [0.0] * 41, "tail_rate": 0.0, "m_value": 1.0}

@@ -1,10 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dirac_pair_rho, pair_loop_rho_table
+from ustatmc import markov
 from ustatmc import (
+    BudgetExceeded,
     Distribution,
     ErgodicityProfile,
     ExplicitRho,
@@ -143,23 +148,56 @@ def test_certify_rho_refuses_no_decay():
 
 
 @st.composite
-def positive_chains_with_weights(draw):
-    """Strictly positive rows (ergodic, and mixing within one step) and V = 1
-    or a random V >= 1."""
-    s = draw(st.integers(2, 12))
-    entries = st.lists(st.floats(0.01, 1.0), min_size=s, max_size=s)
-    matrix = np.array([draw(entries) for _ in range(s)])
+def cycle_chains_with_weights(draw):
+    """2 to 40 states: a positive cycle x -> x + 1 and a positive diagonal
+    (so the chain is ergodic), plus random extra entries at a drawn density
+    (below 1, rows keep zero entries); V = 1 or a random V >= 1.
+    numpy draws the entries from a hypothesis-drawn seed."""
+    s = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    matrix = rng.random((s, s)) * (rng.random((s, s)) < density)
+    states = np.arange(s)
+    matrix[states, (states + 1) % s] += 0.1 + rng.random(s)
+    matrix[states, states] += 0.1 + rng.random(s)
     matrix /= matrix.sum(axis=1, keepdims=True)
-    v = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=s, max_size=s))) if draw(st.booleans()) else np.ones(s)
+    v = 1.0 + 9.0 * rng.random(s) if draw(st.booleans()) else np.ones(s)
     return matrix, v
 
 
 @settings(max_examples=100, deadline=None)
-@given(positive_chains_with_weights(), st.integers(1, 40))
-def test_certify_rho_equals_pair_loop(chain, k_max):
+@given(cycle_chains_with_weights(), st.integers(0, 80), st.integers(2, 7))
+def test_certify_rho_equals_pair_loop(chain, k_max, steps):
+    # bit for bit against the per-Dirac pair loop, with block edges after
+    # every step (caps 1 and S^2), after every `steps` steps, and nowhere
+    # (10^9); a table that shows no decay by k_max is refused on every cap
     matrix, v = chain
-    profile = certify_rho(FiniteKernel(np.arange(float(len(v))), matrix), v, k_max)
-    assert np.array_equal(profile.rho.values, pair_loop_rho_table(matrix, v, k_max))
+    s = len(v)
+    kernel = FiniteKernel(np.arange(float(s)), matrix)
+    expected = pair_loop_rho_table(matrix, v, k_max)
+    for cap in (1, s * s, steps * s * s + s, 10**9):
+        with mock.patch.object(markov, "_RHO_CELLS", cap):
+            if expected[k_max] < expected[0] * (1.0 - 1e-9):
+                assert np.array_equal(certify_rho(kernel, v, k_max).rho.values, expected)
+            else:
+                with pytest.raises(NotErgodic):
+                    certify_rho(kernel, v, k_max)
+
+
+def test_certify_rho_memory_does_not_grow_with_pairs():
+    # S = 200, k_max = 2: gaps of all 19 900 Dirac pairs at once traced 123 MiB
+    rng = np.random.default_rng(7)
+    matrix = rng.random((200, 200))
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    kernel = FiniteKernel(np.arange(200.0), matrix)
+    tracemalloc.start()
+    try:
+        profile = certify_rho(kernel, np.ones(200), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(profile.rho.values, pair_loop_rho_table(matrix, np.ones(200), 2))
 
 
 def test_profile_serialization_round_trip(two_state_kernel, two_state_profile):
@@ -282,3 +320,21 @@ def test_stationary_bounds_m_by_pi_v(two_state_kernel, two_state_profile):
     pi_v = stationary(two_state_kernel).expect(v)
     for w in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.9, 0.1]):
         assert m_sup(Distribution(np.array(w)), profile, two_state_kernel) >= pi_v - 1e-12
+
+
+def test_sample_paths_refuses_an_oversized_next_state_table(monkeypatch):
+    # a dense 250-state chain has about 62 500 distinct CDF values: its
+    # next-state table would hold 250 * 62 501 cells, over TENSOR_BUDGET
+    rng = np.random.default_rng(3)
+    matrix = rng.random((250, 250))
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    kernel = FiniteKernel(np.arange(250.0), matrix)
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: pytest.fail("a stream was seeded"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="next-state table"):
+            sample_paths(kernel, Distribution.uniform(250), 10, [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

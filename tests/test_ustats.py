@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_projection, u_stat_enum
+from oracles import naive_projection, per_cell_table, scalar_family_fn, u_stat_enum
 from ustatmc import (
     BudgetExceeded,
     DegreeTooLarge,
@@ -230,3 +232,36 @@ def test_builtin_families_need_degree_one():
     for family in (product_kernel, additive_kernel, indicator_diag_kernel, gaussian_rbf_kernel):
         with pytest.raises(ValueError):
             family(0)
+
+
+# each family's second argument is its center, atol or bandwidth
+FAMILIES = {
+    "product": product_kernel,
+    "additive": additive_kernel,
+    "indicator_diag": indicator_diag_kernel,
+    "gaussian_rbf": gaussian_rbf_kernel,
+}
+
+
+@st.composite
+def family_cases(draw):
+    """A family, a degree 1 to 4, up to 8 state values with duplicates,
+    negatives and a wide range, and a random center, atol or bandwidth on
+    the scale of the states."""
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    values = draw(st.lists(st.floats(-4.0, 4.0).map(lambda y: y * scale), min_size=1, max_size=6))
+    states = np.array(draw(st.permutations(values + draw(st.lists(st.sampled_from(values), max_size=2)))))
+    low = {"product": -4.0, "additive": -4.0, "indicator_diag": 0.0, "gaussian_rbf": 0.01}[name]
+    return name, draw(st.integers(1, 4)), states, draw(st.floats(low, 4.0)) * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_cases())
+# (a - b)^2 by Python's ** rounds differently from (a - b) * (a - b) here
+@example(("gaussian_rbf", 2, np.array([-1.565451, -0.033631]), 1.0))
+def test_builtin_tables_match_the_scalar_formula_per_cell(case):
+    # one broadcast call per table holds every cell to the scalar formula bit for bit
+    name, m, states, param = case
+    table = FAMILIES[name](m, param).tabulated(states).table
+    assert np.array_equal(table, per_cell_table(scalar_family_fn(name, param), m, states))
