@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -404,11 +404,21 @@ def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> np.n
 def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequence[int]) -> np.ndarray:
     """Simulate one length-n path per seed; row r is the path of seeds[r].
 
-    Seed s draws n uniforms u from its own PCG64 stream; values[0] inverts
-    the CDF of mu0 at u[0] and values[t] inverts the CDF of row values[t-1]
-    at u[t]: the number of CDF entries <= u, capped at S-1 against
-    cumulative rounding overshoot at u ~ 1.  Rows depend only on their own
-    seed, so any partition of the seed list yields identical rows.
+    Seed s draws n uniforms u from its own PCG64 stream, the stream of
+    ``np.random.PCG64(s)``; values[0] inverts the CDF of mu0 at u[0] and
+    values[t] inverts the CDF of row values[t-1] at u[t]: the number of
+    CDF entries <= u, capped at S-1 against cumulative rounding overshoot
+    at u ~ 1.  Rows depend only on their own seed, so any partition of the
+    seed list yields identical rows.  A seed must be an integer in
+    [0, 2^64) (Python or numpy, not bool); any other raises ValueError
+    before anything is allocated.
+
+    The streams of a call are seeded in one array pass: numpy's
+    SeedSequence hash of every seed at once (:func:`_seed_sequence_words`),
+    then PCG64's seeding of each hashed seed (:func:`_stream_states`).
+    One ``PCG64`` and one ``Generator`` per call are re-stated to each
+    seed's stream in turn, so every stream is bit for bit numpy's, and no
+    generator is shared between calls (threads may call this at once).
 
     A uniform is first coded by how many distinct CDF values lie at or
     below it (:func:`_guide_coder`, in slices of at most ``_SLICE`` cells,
@@ -419,7 +429,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     table are all held in ``index_dtype(S)``, which holds any code (at
     most S^2), so the store takes one byte a cell up to 11 states.  A
     table of more than ``TENSOR_BUDGET`` cells raises
-    :class:`BudgetExceeded` before any stream is seeded.  The
+    :class:`BudgetExceeded` before any seed is hashed.  The
     store is time-major, (n, rows), each time step contiguous across the
     paths, and the result is its transpose.
     """
@@ -427,6 +437,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
         raise ValueError("n must be >= 1")
     if mu0.size != kernel.size:
         raise ValueError("dimension mismatch")
+    seeds = _seed_array(seeds)
     s, r = kernel.size, len(seeds)
     cdf = np.cumsum(kernel.matrix, axis=1)
     # the distinct CDF values in order: np.unique(cdf), without its first-call numpy.ma import
@@ -437,22 +448,28 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
             f"next-state table S * (distinct CDF values + 1) = {s * (cuts.size + 1)} cells "
             f"exceeds tensor budget {TENSOR_BUDGET}"
         )
+    states = _stream_states(_seed_sequence_words(seeds))
+    bits = np.random.PCG64(0)
+    stream = np.random.Generator(bits)
     cdf0 = np.cumsum(mu0.weights)
     code = _guide_coder(cuts)
     # slot t of a path holds the code of the step into time t until the walk
     # replaces it by the state at time t
     store = np.empty((n, r), dtype=index_dtype(s))
     paths = store.T
-    # a slice codes `group` seeds side by side, `span` steps each
+    # a slice codes `group` seeds side by side, `span` steps each: either
+    # one seed over several slices or several seeds within one slice, so
+    # each stream draws its uniforms without another stream in between
     span = min(n, _SLICE)
     group = max(1, _SLICE // span)
     u = np.empty((group, span))
     for i in range(0, r, group):
-        streams = [np.random.Generator(np.random.PCG64(int(seed))) for seed in seeds[i : i + group]]
-        rows = slice(i, i + len(streams))
+        rows = slice(i, min(i + group, r))
         for a in range(0, n, span):
-            block = u[: len(streams), : min(span, n - a)]
-            for stream, line in zip(streams, block):
+            block = u[: rows.stop - i, : min(span, n - a)]
+            for line in block:
+                if a == 0:
+                    bits.state = next(states)
                 stream.random(out=line)
             if a == 0:
                 first = np.minimum(np.searchsorted(cdf0, block[:, 0], side="right"), s - 1)
@@ -460,6 +477,80 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
         paths[rows, 0] = first
     _walk(store, cdf, cuts)
     return paths
+
+
+def _seed_array(seeds: Sequence[int]) -> np.ndarray:
+    """The seeds as a uint64 array; a seed that is not an integer in
+    [0, 2^64) raises ValueError (a bool or a float with an integer value
+    is not an integer)."""
+    for seed in seeds:
+        if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed!r} is not an integer in [0, 2^64)")
+    return np.array([int(seed) for seed in seeds], dtype=np.uint64)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0..count, as a (count + 1, 1) uint32
+    column: hash k of a SeedSequence pass xors constant k and multiplies
+    by constant k + 1."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence constants: 16 hashes mix a pool of 4 words, 8 more read it out
+_MIX_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each row of uint32 ``values`` under its own
+    pair of successive ``constants``, wrapping mod 2^32."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> 16)
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` for
+    every seed of a uint64 array at once, as rows of a (seeds, 4) array.
+
+    The same hash in wrapping uint32 array arithmetic: a seed is its two
+    32-bit words, zero-padded to the pool size 4 (SeedSequence hashes a
+    missing entropy word as 0).  Each pool word is hashed; then each
+    source word, hashed once per other word, is mixed into those three at
+    once (they do not read each other); then the pool is read out as
+    eight hashed 32-bit words, paired little-endian into four uint64
+    words.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & 0xFFFFFFFF
+    pool[1] = seeds >> 32
+    pool = _hash(pool, _MIX_HASHES[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], _MIX_HASHES[4 + 3 * src : 8 + 3 * src])
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASHES).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _stream_states(words: np.ndarray) -> Iterator[dict]:
+    """The state of ``np.random.PCG64(seed)`` for each row of hashed
+    words ``_seed_sequence_words(seeds)`` in turn, as a
+    ``bit_generator.state`` dict: PCG64 seeds itself from words 0-1
+    (initstate) and 2-3 (initseq), with inc = 2 * initseq + 1 and
+    state = (inc + initstate) * MULT + inc, mod 2^128.  Each dict is built
+    as it is read, so the words are all that is held per seed."""
+    for row in words:
+        w0, w1, w2, w3 = row.tolist()
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def _guide_coder(cuts: np.ndarray):

@@ -22,7 +22,8 @@ of its state occupation counts c_x (Hoeffding 1948): the sum over the
 binom(S + m - 1, m) multisets A of h(A) * prod_x binom(c_x, k_x(A)).  The
 engine keeps the occupation counts, forms the multiset counts exactly in
 int64 at each checkpoint and contracts them with the kernel tables row by
-row, so a value does not depend on the batch it is counted in.
+row, once per distinct occupation vector, so a value does not depend on
+the batch it is counted in.
 """
 
 from __future__ import annotations
@@ -187,9 +188,13 @@ def tuple_sums(
     occupation counts c (rows, S) and adds each stretch of the time-major
     store ``paths.T`` between checkpoints in slices of ``_SLICE`` cells;
     at each checkpoint :func:`_contract` forms N_A exactly in int64 and
-    contracts it with every table.  One path counts as a one-row batch,
-    and every row is counted and contracted on its own, so a sum does not
-    depend on the batch it is counted in, on how a batch is split, or on
+    contracts it with every table, once for each distinct row of c
+    (:func:`_distinct_rows`), and every row with that occupation vector
+    reads the same values: at S = 2 a checkpoint n has at most n + 1
+    distinct rows, whatever the batch.  One path counts as a one-row
+    batch, and every distinct row is contracted on its own by the same
+    arithmetic, so a sum does not depend on the batch it is counted in, on
+    how a batch is split, on which rows it shares its counts with, or on
     the budget.  Every integer stays below 2^63 (checked: see
     :func:`_check_counting`).  The budget counts rows * S^m cells, which
     bounds the rows * binom(S + m - 1, m) multiset counts.  State indices
@@ -218,7 +223,9 @@ def tuple_sums(
             cells += base
             counts += np.bincount(cells.ravel(order="K"), minlength=rows * s).reshape(rows, s)
         done = mark
-        sums[mark] = _contract(counts, factors, weights)
+        # rows with one occupation vector share every value: contract each distinct row once
+        first, rank = _distinct_rows(counts, mark)
+        sums[mark] = _contract(counts[first], factors, weights)[:, rank]
     out = np.stack([sums[c] for c in marks], axis=1)
     return out if paths.ndim == 2 else out[..., 0]
 
@@ -279,9 +286,27 @@ def _multisets(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return tuples, factors
 
 
+def _distinct_rows(counts: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, rank) for the rows of an integer array ``counts`` (rows, S)
+    with entries in [0, top]: ``first`` indexes one row of each distinct
+    row, and ``rank`` gives each row's place in ``first``, so
+    counts[first][rank] equals counts.  The rows are ranked by a lexsort
+    on keys no wider than ``top`` needs, which numpy radix-sorts up to 16
+    bits (np.unique would import numpy.ma on its first call)."""
+    keys = counts.astype(np.min_scalar_type(top))
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return order[new], rank
+
+
 def _contract(counts: np.ndarray, factors: np.ndarray, weights: list) -> np.ndarray:
     """sum_A N_A * w[A] for each row of the occupation counts ``counts``
     (rows, S) and each weight vector w of ``weights``, as out[k, i].
+    :func:`tuple_sums` passes each distinct row once.
 
     N_A is exact in int64: binom(c, k) = binom(c, k - 1) * (c - k + 1) // k
     for k = 1..m, then the product of the m factors of :func:`_multisets`.

@@ -3,7 +3,10 @@ the budget checks that refuse before anything large is allocated."""
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +20,7 @@ from ustatmc import (
     BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, exact_l2, mix64, replicate_u_grid,
     sample_paths, simulate, tuple_sums, u_statistic,
 )
-from ustatmc import markov
+from ustatmc import markov, ustats
 from ustatmc.markov import _guide_coder, index_dtype
 
 
@@ -162,6 +165,30 @@ def test_sums_within_the_float_bound_of_exact(case, rows, data):
     cut = data.draw(st.integers(0, rows))
     parts = [tuple_sums(part, tables, checkpoints) for part in (batch[:cut], batch[cut:]) if len(part)]
     assert np.concatenate(parts, axis=-1).tobytes() == got.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(3, 12), st.integers(1, 40), st.data())
+def test_duplicate_rows_contract_once_with_the_bytes_of_each_row_alone(s, m, n, rows, data):
+    # short paths over a few states repeat occupation vectors: most rows copy one of a few
+    # paths, and the rest are random
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    few = rng.integers(0, s, size=(data.draw(st.integers(1, 4)), n))
+    batch = np.concatenate((few[rng.integers(0, len(few), rows)], rng.integers(0, s, size=(rows // 8, n))))
+    tables = [_symmetric(rng.normal(size=(s,) * m)) for _ in range(2)]
+    checkpoints = sorted(data.draw(st.sets(st.integers(m, n), min_size=1, max_size=4)))
+    contract, contracted = ustats._contract, []
+
+    def spy(counts, *args):
+        contracted.append(len(counts))
+        return contract(counts, *args)
+
+    with mock.patch.object(ustats, "_contract", spy):
+        got = tuple_sums(batch, tables, checkpoints)
+    # one call per checkpoint, on each distinct occupation vector once
+    assert contracted == [len({tuple(np.bincount(row[:c], minlength=s)) for row in batch}) for c in checkpoints]
+    for i, row in enumerate(batch):
+        assert tuple_sums(row, tables, checkpoints).tobytes() == got[..., i].tobytes()
 
 
 def test_engine_refuses_tables_it_cannot_read_by_multiset():
@@ -328,6 +355,33 @@ def test_sampler_stores_codes_up_to_s_squared(s, rows):
     assert paths.dtype == index_dtype(s)
     for row, seed in zip(paths, seeds):
         assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 300, seed)
+
+
+def test_concurrent_calls_keep_their_own_streams():
+    # --jobs threads sample their blocks at once (more threads than cores, switching
+    # often): each call re-states its own generator, so no stream sees another call's draws
+    rng = np.random.default_rng(5)
+    matrix = rng.random((3, 3)) + 0.1
+    kernel = FiniteKernel(np.arange(3.0), matrix / matrix.sum(axis=1, keepdims=True))
+    mu0 = Distribution.uniform(3)
+    blocks = [[mix64(k, r) for r in range(300)] for k in (1, 2, 3)]
+    start = threading.Barrier(len(blocks))
+
+    def work(seeds):
+        start.wait(timeout=30)
+        return [sample_paths(kernel, mu0, 200, seeds) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            results = list(pool.map(work, blocks, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for seeds, runs in zip(blocks, results):
+        expected = [replay_path(kernel.matrix, mu0.weights, 200, seed) for seed in seeds]
+        for paths in runs:
+            assert paths.tolist() == expected
 
 
 def test_replicate_block_holds_its_paths_in_one_byte_a_cell(two_state_kernel):

@@ -330,6 +330,7 @@ def test_sample_paths_refuses_an_oversized_next_state_table(monkeypatch):
     matrix /= matrix.sum(axis=1, keepdims=True)
     kernel = FiniteKernel(np.arange(250.0), matrix)
     monkeypatch.setattr(np.random, "PCG64", lambda *a: pytest.fail("a stream was seeded"))
+    monkeypatch.setattr(markov, "_seed_sequence_words", lambda *a: pytest.fail("a seed was hashed"))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="next-state table"):
@@ -338,3 +339,43 @@ def test_sample_paths_refuses_an_oversized_next_state_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+def test_stream_replica_is_numpys_pcg64(seeds):
+    # the array hash and PCG64 seeding re-state one bit generator to each seed's own stream
+    seeds = seeds + _SEED_EDGES
+    words = markov._seed_sequence_words(np.array(seeds, dtype=np.uint64))
+    bits = np.random.PCG64(0)
+    stream = np.random.Generator(bits)
+    for seed, row, state in zip(seeds, words, markov._stream_states(words)):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        bits.state = state
+        assert bits.state == np.random.PCG64(seed).state
+        assert np.array_equal(stream.random(5), np.random.Generator(np.random.PCG64(seed)).random(5))
+
+
+def test_sample_paths_takes_numpy_integer_seeds(two_state_kernel, mu_dirac0):
+    seeds = [np.uint64(2**64 - 1), np.int64(5), np.int8(3), 2**63]
+    paths = sample_paths(two_state_kernel, mu_dirac0, 40, seeds)
+    for row, seed in zip(paths, seeds):
+        assert np.array_equal(row, simulate(two_state_kernel, mu_dirac0, 40, int(seed)))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, np.True_, 2**64, 2**64 + 1, -1, np.int64(-1), "1", None])
+def test_sample_paths_refuses_a_seed_outside_uint64_before_any_work(monkeypatch, two_state_kernel, mu_dirac0, bad):
+    # a float, a bool or an out-of-range integer would alias some other seed's stream;
+    # refused before the hash and before the (n, rows) store of 10 MB exists
+    monkeypatch.setattr(markov, "_seed_sequence_words", lambda *a: pytest.fail("a seed was hashed"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="seed .* is not an integer in"):
+            sample_paths(two_state_kernel, mu_dirac0, 5 * 10**6, [7, bad])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
