@@ -30,10 +30,23 @@ from .errors import TENSOR_BUDGET, BudgetExceeded, NotErgodic
 
 _ATOL = 1e-12
 # rows * states below which the sampler walks blocks of time side by side,
-# and at or above which it walks one contiguous lookup per step:
-# below it a step's Python overhead outweighs the S-fold block composition
-# (timed crossover between r*S = 256 and 640 at S = 2, 8 and 20 and
-# n = 400..10^4, on a 2-core x86 VM, numpy 2.4)
+# and at or above which it walks one contiguous lookup per step.  The two
+# routes of the walk took equal time at these rows * S (interpolated from
+# r * S = 256..4096, medians of 3 to 7, 2-core x86 VM, numpy 2.4), on a
+# dense chain, whose block copies meet within a few steps, and on a
+# 0.999-cycle, whose copies rarely all meet:
+#
+#              dense              0.999-cycle
+#   n       400  1600  10^4     400  1600  10^4
+#   S = 2   490  1200  1900     260   380   500
+#   S = 8   420   940  2100     400   570   690
+#   S = 20  550  1100  2400     540   700   810
+#
+# 512 lies inside both ranges of ties.  A higher constant would gain on
+# longer dense paths (S = 8, n = 10^4, r * S = 512: 4.6 against 16.8 ms
+# blocked) but lose up to 2.1x where copies rarely meet (S = 2, n = 400,
+# r * S = 768: 1.85 against 0.87 ms), and no measured workload has r * S
+# in that range to say which chains occur there
 _WIDTH = 512
 # uniforms coded at a time: the coding temporaries stay a few tens of KiB
 _SLICE = 4096
@@ -437,7 +450,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
         raise ValueError("n must be >= 1")
     if mu0.size != kernel.size:
         raise ValueError("dimension mismatch")
-    seeds = _seed_array(seeds)
+    seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
     s, r = kernel.size, len(seeds)
     cdf = np.cumsum(kernel.matrix, axis=1)
     # the distinct CDF values in order: np.unique(cdf), without its first-call numpy.ma import
@@ -479,14 +492,13 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     return paths
 
 
-def _seed_array(seeds: Sequence[int]) -> np.ndarray:
-    """The seeds as a uint64 array; a seed that is not an integer in
-    [0, 2^64) raises ValueError (a bool or a float with an integer value
-    is not an integer)."""
-    for seed in seeds:
-        if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-            raise ValueError(f"seed {seed!r} is not an integer in [0, 2^64)")
-    return np.array([int(seed) for seed in seeds], dtype=np.uint64)
+def check_seed(seed: int) -> int:
+    """``seed`` as a Python int; a seed that is not an integer in [0, 2^64)
+    raises ValueError (a bool or a float with an integer value is not an
+    integer)."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed!r} is not an integer in [0, 2^64)")
+    return int(seed)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -594,10 +606,21 @@ def _walk(store: np.ndarray, cdf: np.ndarray, cuts: np.ndarray) -> None:
     formed in an intp temporary one step (or one block) wide, so the store
     keeps its narrow type.  With rows * S >= ``_WIDTH`` each step is one
     contiguous lookup across all paths.  Below it time is cut into blocks
-    of about sqrt(steps): the end state of every block is found for every
-    start state at once, the block start states are chained in order, and
-    each block is replayed from its start, so the Python loop runs about
-    3 sqrt(steps) times instead of steps.
+    of about sqrt(steps), walked side by side, so the Python loop runs
+    O(sqrt(steps)) times instead of steps.  Every block is walked from
+    every start state at once (block 0 only from its known start), until
+    all copies of all blocks hold one state, which is checked at local
+    steps 1, 2, 4, 8, ...: the copies share their codes, so once they meet
+    they move as one (Propp and Wilson's grand coupling).  From that step
+    J on a block's states do not depend on its start, so one copy per
+    block walks on, writing its states, and each block's end is the next
+    block's start.  If some block's copies still differ at its last step,
+    the walk has the map from start to end state of every block instead,
+    and chains the maps by doubling: log2(blocks) passes of composition
+    (Hillis-Steele), in place.  Either way each block then replays its
+    first J steps (all of them after the chaining) from its start.  A
+    chain whose copies meet within a few steps runs about sqrt(steps) + J
+    loop passes, one whose copies never meet 2 sqrt(steps).
     """
     # w as an intp: a Python int above 127 times an int8 array raises OverflowError
     s, w = cdf.shape[0], np.intp(cuts.size + 1)
@@ -614,20 +637,46 @@ def _walk(store: np.ndarray, cdf: np.ndarray, cuts: np.ndarray) -> None:
         nb = steps // block
         # codes[p, b, j] is the code of path p at step 1 + b * block + j: a view of the store
         codes = store[1 : 1 + nb * block].reshape(nb, block, r).transpose(2, 0, 1)
-        # end state of every block but the last, for every start state
-        ends = np.broadcast_to(np.arange(s), (r, nb - 1, s))
+        # block b from every start state, but block 0 only from its known start (all copies agree)
+        copies = np.empty((r, nb, s), dtype=np.intp)
+        copies[...] = np.arange(s)
+        copies[:, 0] = store[0, :, None]
+        met = 0
         for j in range(block):
-            ends = nxt[ends * w + codes[:, :-1, j, None]]
-        ends = ends.reshape(r, (nb - 1) * s)
+            copies = nxt[copies * w + codes[:, :, j, None]]
+            # checked when j + 1 is a power of two
+            if (j + 1) & j == 0 and (copies == copies[..., :1]).all():
+                met = j + 1
+                break
+        if met:
+            # past step met no block depends on its start: walk one copy, whose end is the next start
+            ends = copies[..., 0]
+            for j in range(met, block):
+                ends = nxt[ends * w + codes[:, :, j]]
+                codes[:, :, j] = ends
+        else:
+            met, ends = block, _chain_block_maps(copies)
         starts = np.empty((r, nb), dtype=np.intp)
         starts[:, 0] = store[0]
-        rows = np.arange(r)
-        for b in range(1, nb):
-            starts[:, b] = ends[rows, (b - 1) * s + starts[:, b - 1]]
-        for j in range(block):
+        starts[:, 1:] = ends[:, :-1]
+        for j in range(met):
             starts = nxt[starts * w + codes[:, :, j]]
             codes[:, :, j] = starts
         done = nb * block
     # the steps after the last whole block: all of them when block == 1
     for t in range(done + 1, steps + 1):
         nxt.take(store[t - 1] * w + store[t], out=store[t])
+
+
+def _chain_block_maps(maps: np.ndarray) -> np.ndarray:
+    """The end state of every block, (rows, blocks), from ``maps``, whose
+    [p, b, x] is the end of block b of path p started from state x, and
+    whose block 0 is constant (its start is known).  Chained by doubling,
+    in place: after the pass of span d, maps[:, b] maps the start of block
+    max(0, b - 2d + 1) to the end of block b, so after log2(blocks) passes
+    every map is constant."""
+    d, nb = 1, maps.shape[1]
+    while d < nb:
+        maps[:, d:] = np.take_along_axis(maps[:, d:], maps[:, :-d], axis=-1)
+        d *= 2
+    return maps[..., 0]

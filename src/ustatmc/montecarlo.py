@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import evaluate_bounds
 from .errors import TENSOR_BUDGET, BudgetExceeded, ConfigError, DegreeTooLarge
-from .markov import Distribution, ErgodicityProfile, FiniteKernel, sample_paths, simulate
+from .markov import Distribution, ErgodicityProfile, FiniteKernel, check_seed, sample_paths, simulate
 from .ustats import (
     DEFAULT_BUDGET, SymmetricKernelFn, check_path_cost, hoeffding_project, tuple_sums,
 )
@@ -254,8 +254,11 @@ def replicate_u_grid(
     threads take the blocks in order (numpy releases the interpreter lock
     inside the array work).  Every row is computed on its own, so each
     value is bit-identical to ``u_statistic`` on that replicate's first n
-    steps at any ``jobs`` and any ``budget``.
+    steps at any ``jobs`` and any ``budget``.  ``master_seed`` must be a
+    seed as :func:`sample_paths` takes one, an integer in [0, 2^64) and not
+    a bool; any other raises ValueError before a seed is mixed.
     """
+    master_seed = check_seed(master_seed)
     tables = [h.table for h in hs]
     m, s, n_max = hs[0].degree, kernel.size, max(ns)
     if min(ns) < m:

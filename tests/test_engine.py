@@ -329,6 +329,63 @@ def test_sampler_rows_match_replay_at_any_width(s, n, rows, width, data):
         assert row.tolist() == replay_path(kernel.matrix, mu0.weights, n, seed)
 
 
+def _cycle(s):
+    return np.roll(np.eye(s), 1, axis=1)
+
+
+# the blocked walk's cases, by when the copies of a block started from every state meet
+# under the inverse-CDF coupling: never (a permutation), late (rows that nearly permute or
+# stay put), at a block's first code below 0.3 (a reset to state 0, else a cycle: some
+# blocks agree at the first check and others do not), within a few steps (dense rows),
+# or at once (one state)
+WALK_CHAINS = {
+    "cycle": _cycle(8),
+    "near-permutation": 0.995 * _cycle(8) + 0.005 / 8,
+    "sticky": 0.99 * np.eye(8) + 0.01 / 8,
+    "reset": 0.3 * np.eye(5)[[0] * 5] + 0.7 * _cycle(5),
+    "dense": (lambda m: m / m.sum(axis=1, keepdims=True))(np.random.default_rng(4).random((6, 6)) + 0.05),
+    "one-state": np.ones((1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CHAINS)
+@pytest.mark.parametrize("n", [401, 411, 2000])
+def test_walk_rows_match_replay_on_chains_whose_copies_meet_late_or_never(name, n):
+    # 400 steps are 20 whole blocks of 20; 410 and 1999 steps leave a tail of 10 and 19
+    # steps after the last whole block.  Rows 1 to 5 on both routes: a width of 1 takes one
+    # lookup per step, 10^9 the blocked walk
+    matrix = WALK_CHAINS[name]
+    kernel = FiniteKernel(np.arange(float(len(matrix))), matrix)
+    mu0 = Distribution.uniform(len(matrix))
+    seeds = [mix64(n, r) for r in range(5)]
+    expected = [replay_path(matrix, mu0.weights, n, seed) for seed in seeds]
+    for width in (1, 10**9):
+        with mock.patch.object(markov, "_WIDTH", width):
+            for rows in range(1, 6):
+                assert sample_paths(kernel, mu0, n, seeds[:rows]).tolist() == expected[:rows]
+
+
+@pytest.mark.parametrize("name, falls_back", [
+    ("cycle", True), ("near-permutation", True), ("sticky", True), ("reset", False), ("dense", False),
+    ("one-state", False),
+])
+def test_walk_chains_block_maps_only_when_some_block_never_agrees(name, falls_back):
+    # 1999 steps: 45 blocks of 44.  Block maps are composed only when some block's copies
+    # still disagree at its last step
+    matrix = WALK_CHAINS[name]
+    kernel = FiniteKernel(np.arange(float(len(matrix))), matrix)
+    seeds = [mix64(7, r) for r in range(3)]
+    with mock.patch.object(markov, "_chain_block_maps", wraps=markov._chain_block_maps) as chain:
+        paths = sample_paths(kernel, Distribution.uniform(len(matrix)), 2000, seeds)
+    assert chain.called == falls_back
+    for row, seed in zip(paths, seeds):
+        assert row.tolist() == replay_path(matrix, np.full(len(matrix), 1 / len(matrix)), 2000, seed)
+    if name == "reset":
+        # the premise: some block of some row starts with a reset code and some does not
+        firsts = [np.random.Generator(np.random.PCG64(seed)).random(2000)[1:1981:44] for seed in seeds]
+        assert 0 < (np.concatenate(firsts) < 0.3).sum() < 45 * len(seeds)
+
+
 @pytest.mark.parametrize("s, width", [
     (1, np.int8), (11, np.int8), (12, np.int16), (181, np.int16), (182, np.int32), (46_340, np.int32),
     (46_341, np.int64),
@@ -343,18 +400,20 @@ def test_index_width_holds_every_code(s, width):
 @pytest.mark.parametrize("rows", [2, 60])
 def test_sampler_stores_codes_up_to_s_squared(s, rows):
     # a dense random chain has nearly S^2 distinct CDF values: more than int8
-    # holds at S = 12.  rows * S is 22 or 24 (the blocked walk) and 660 or 720
-    # (the one-lookup-per-step walk), against a width of 512
+    # holds at S = 12.  Each row count takes both walks: a width of 1 takes one
+    # lookup per step, 10^9 the blocked walk
     rng = np.random.default_rng(s)
     matrix = rng.random((s, s)) + 0.01
     kernel = FiniteKernel(np.arange(float(s)), matrix / matrix.sum(axis=1, keepdims=True))
     assert (np.unique(np.cumsum(kernel.matrix, axis=1)).size > 127) == (s == 12)
     mu0 = Distribution.uniform(s)
     seeds = [int(x) for x in rng.integers(0, 2**63, rows)]
-    paths = sample_paths(kernel, mu0, 300, seeds)
-    assert paths.dtype == index_dtype(s)
-    for row, seed in zip(paths, seeds):
-        assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 300, seed)
+    expected = [replay_path(kernel.matrix, mu0.weights, 300, seed) for seed in seeds]
+    for width in (1, 10**9):
+        with mock.patch.object(markov, "_WIDTH", width):
+            paths = sample_paths(kernel, mu0, 300, seeds)
+        assert paths.dtype == index_dtype(s)
+        assert paths.tolist() == expected
 
 
 def test_concurrent_calls_keep_their_own_streams():
@@ -406,18 +465,22 @@ def test_replicate_block_holds_its_paths_in_one_byte_a_cell(two_state_kernel):
 def test_simulate_draws_a_long_path_in_slices():
     # 10^6 steps over 8 states: the int8 path is 0.95 MiB; the uniforms and
     # their codes are drawn and coded a slice at a time, so no other array
-    # of 10^6 cells exists
-    rng = np.random.default_rng(8)
-    matrix = rng.random((8, 8)) + 0.05
-    kernel = FiniteKernel(np.linspace(0.5, 1.5, 8), matrix / matrix.sum(axis=1, keepdims=True))
-    tracemalloc.start()
-    try:
-        path = simulate(kernel, Distribution.dirac(0, 8), 10**6, 12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20
-    assert path[:3000].tolist() == replay_path(kernel.matrix, np.eye(8)[0], 3000, 12)
+    # of 10^6 cells exists.  The dense chain's block copies meet; the cycle's
+    # never do, so its maps of 1000 blocks x 8 start states are chained by
+    # doubling, and that stays within the same pin
+    dense = np.random.default_rng(8).random((8, 8)) + 0.05
+    for matrix in (dense / dense.sum(axis=1, keepdims=True), _cycle(8)):
+        kernel = FiniteKernel(np.linspace(0.5, 1.5, 8), matrix)
+        tracemalloc.start()
+        try:
+            path = simulate(kernel, Distribution.dirac(0, 8), 10**6, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert path[:3000].tolist() == replay_path(kernel.matrix, np.eye(8)[0], 3000, 12)
+    # the cycle from state 0 is at state t mod 8 at time t
+    assert np.array_equal(path, np.arange(10**6) % 8)
 
 
 def _peak_bytes(fn, *args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ustatmc import (
     run_slln_experiment,
     run_variance_experiment,
 )
+from ustatmc import montecarlo
 
 
 def _config(kernel, profile, h, **kw):
@@ -152,6 +154,32 @@ def test_estimate_l2_same_seed_identical(two_state_kernel, canonical_product_h):
         replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [canonical_product_h], [12], 128, 5150)[0, 0]
     ) for _ in range(2))
     assert a == b
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.True_, 2**64, 2**64 + 1, -1, "1", None])
+def test_replicate_u_refuses_a_master_seed_outside_uint64_before_any_work(
+    monkeypatch, two_state_kernel, canonical_product_h, bad
+):
+    # mix64 reduces mod 2^64, so 2^64 + 1 or True would alias master seed 1 and 1.5 would
+    # die inside mix64: each is refused as sample_paths refuses it, before a seed is mixed
+    # and before 10^4 replicates of 10^4 steps are charged or sampled
+    monkeypatch.setattr(montecarlo, "mix64", lambda *a: pytest.fail("a seed was mixed"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="seed .* is not an integer in"):
+            replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [canonical_product_h], [10**4], 10**4, bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_replicate_u_takes_numpy_integer_master_seeds(two_state_kernel, canonical_product_h):
+    mu = Distribution.dirac(0, 2)
+    for plain, seeds in ((5, [np.int64(5), np.int8(5), np.uint64(5)]), (2**64 - 1, [np.uint64(2**64 - 1)])):
+        want = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [20], 4, plain).tobytes()
+        for seed in seeds:
+            assert replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [20], 4, seed).tobytes() == want
 
 
 def test_replicate_u_matches_per_path_dp(two_state_kernel, canonical_product_h):
