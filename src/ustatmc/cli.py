@@ -11,8 +11,8 @@ check-propositions.  Exit status: 0 when every asserted inequality holds,
 ergodic, an M(mu, V) that cannot be bounded, an artifact that cannot be
 written, or memory that runs out).  A rho table or builtin kernel table
 over 10^7 cells, and a proposition grid whose f_sigma rows of one tuple
-(binom(2m, m) * S^(2m) cells) or instances (tuples times (2m)!
-permutations) exceed that fixed tensor budget, are refused with status 3
+(binom(2m, m) * S^(2m) cells) or work (tuples times binom(2m, m) / 2
+splits) exceed that fixed tensor budget, are refused with status 3
 before any work.  A command returns a
 violation and never raises it, so any other package error means the check
 did not run.  Statuses 2 and 3 print one line.
@@ -71,10 +71,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
         p.add_argument("--budget", type=int, default=None,
-                       help="override the counting engine's cap, in cells whatever their width: the "
-                            "path and count cells of one replicate block, rows*S^m for a counted batch, "
-                            "n*S^(m-1) for one counted path, and simulate.n (the exact oracle, B_q and "
-                            "the proposition grid keep fixed caps)")
+                       help="override the counting engine's cap, in cells whatever their width: r paths "
+                            "of n steps hold r*(n + 4S + tables*(2*checkpoints + 1) + 8) cells and a part set "
+                            "by S, m and the tables, checked before sampling; simulate counts only its n path "
+                            "cells (the exact oracle, B_q and the proposition grid keep fixed caps)")
         p.add_argument("--jobs", type=int, default=1,
                        help="Monte Carlo replicate blocks, run on at most the CPU count of threads (never changes results)")
     return parser

@@ -62,11 +62,12 @@ SCHEMA: dict = {
         "bounds": "non-empty list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, "
                   "required by corollary3}, needed by bound and verify-variance; theorem1/corollary3 run as "
                   "corollary2 unless h is completely degenerate",
-        "budget": "int >= 1 — the counting engine's cap, in cells whatever their width: the path and "
-                  "count cells of one replicate block (max n + sum_{c<=m} S^c per replicate), rows*S^m for a "
-                  "counted batch (at least its rows*binom(S+m-1, m) multiset counts), n*S^(m-1) for one "
-                  "counted path, and the simulate.n path cells; the exact oracle, B_q and the proposition "
-                  "grid keep fixed caps (default 1e8)",
+        "budget": "int >= 1 — the counting engine's cap, in cells whatever their width: one count of r "
+                  "paths of n steps holds r*(n + 4S + tables*(2*checkpoints + 1) + 8) cells plus a part "
+                  "set by S, m and the tables alone (ustats.count_cells), refused before any path is "
+                  "sampled; a Monte Carlo replicate block is as many rows as fit, and simulate counts only "
+                  "its simulate.n path cells; the exact oracle, B_q and the proposition grid keep fixed caps "
+                  "(default 1e8)",
     },
     "slln": {
         "n_max": "int",

@@ -41,9 +41,7 @@ import numpy as np
 from .bounds import evaluate_bounds
 from .errors import TENSOR_BUDGET, BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, check_seed, sample_paths, simulate
-from .ustats import (
-    DEFAULT_BUDGET, SymmetricKernelFn, check_path_cost, hoeffding_project, tuple_sums,
-)
+from .ustats import DEFAULT_BUDGET, SymmetricKernelFn, count_cells, hoeffding_project, tuple_sums
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -242,17 +240,16 @@ def replicate_u_grid(
     Replicate r's path at n is the first n steps of its path at max(ns):
     its PCG64 stream's first n uniforms do not depend on how many are
     drawn.  So each replicate is sampled once, to max(ns), and counted
-    once.  This is the one place that splits replicates: one replicate
-    is charged cells = max(ns) + sum_{c=0..m} S^c cells (its path, and a
-    bound on its S occupation counts and binom(S + m - 1, m) multiset
-    counts, whatever their width), refused before sampling when over
-    ``budget``, and the
-    replicates are cut in order into blocks of min(ceil(replicates / jobs),
-    budget // cells) rows, so refusal never depends on ``jobs``.  Each
-    block is one :func:`sample_paths` and one :func:`tuple_sums` call,
-    which reads every n as the count passes it; min(``jobs``, CPU count)
-    threads take the blocks in order (numpy releases the interpreter lock
-    inside the array work).  Every row is computed on its own, so each
+    once.  This is the one place that splits replicates.  Counting r of
+    them holds r * per_row + fixed cells (:func:`count_cells`); a pass
+    whose one replicate is over ``budget`` is refused before sampling, and
+    the rest are cut in order into blocks of min(ceil(replicates / jobs),
+    (budget - fixed) // per_row) rows, so refusal never depends on
+    ``jobs``.  Each block is one :func:`sample_paths` and one
+    :func:`tuple_sums` call, which reads every n as the count passes it;
+    min(``jobs``, CPU count) threads take the blocks in order (numpy
+    releases the interpreter lock inside the array work).  Every row is
+    computed on its own, so each
     value is bit-identical to ``u_statistic`` on that replicate's first n
     steps at any ``jobs`` and any ``budget``.  ``master_seed`` must be a
     seed as :func:`sample_paths` takes one, an integer in [0, 2^64) and not
@@ -263,11 +260,10 @@ def replicate_u_grid(
     m, s, n_max = hs[0].degree, kernel.size, max(ns)
     if min(ns) < m:
         raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
-    cells = n_max + sum(s**c for c in range(m + 1))
-    if cells > budget:
-        raise BudgetExceeded(f"one replicate's path and count cells, {cells}, exceed budget {budget}")
+    fixed = count_cells(0, n_max, s, m, len(tables), len(ns))
+    per_row = count_cells(1, n_max, s, m, len(tables), len(ns), budget) - fixed
     seeds = [mix64(master_seed, r) for r in range(replicates)]
-    rows = min(math.ceil(replicates / max(jobs, 1)), budget // cells)
+    rows = min(math.ceil(replicates / max(jobs, 1)), (budget - fixed) // per_row)
     blocks = [seeds[i : i + rows] for i in range(0, replicates, rows)]
 
     def work(block: list[int]) -> np.ndarray:
@@ -350,7 +346,7 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     m = config.m
     checkpoints = config.slln.checkpoints
     n_max = checkpoints[-1]
-    check_path_cost(n_max, config.kernel.size, m, config.budget)
+    count_cells(1, n_max, config.kernel.size, m, 1, len(checkpoints), config.budget)
     pi = config.kernel.stationary()
     target = float(hoeffding_project(config.h, pi, 0).table)
     path = simulate(config.kernel, config.mu0, n_max, config.master_seed)

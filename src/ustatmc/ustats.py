@@ -41,10 +41,9 @@ from .markov import Distribution
 
 DEFAULT_BUDGET = 10**8
 DEGENERACY_EPS = 1e-10
-# path cells counted per slice (8 bytes a cell as bin indices), and multiset
-# counts formed per chunk of rows (three arrays of 8 bytes a cell)
+# the cells of one path slice (8 bytes each as bin indices) and of one chunk of multiset-count rows
 _SLICE = 2**13
-_CHUNK = 2**14
+_CHUNK = 2**15
 
 
 def _check_table_symmetry(table: np.ndarray) -> None:
@@ -189,25 +188,21 @@ def tuple_sums(
     store ``paths.T`` between checkpoints in slices of ``_SLICE`` cells;
     at each checkpoint :func:`_contract` forms N_A exactly in int64 and
     contracts it with every table, once for each distinct row of c
-    (:func:`_distinct_rows`), and every row with that occupation vector
-    reads the same values: at S = 2 a checkpoint n has at most n + 1
-    distinct rows, whatever the batch.  One path counts as a one-row
-    batch, and every distinct row is contracted on its own by the same
-    arithmetic, so a sum does not depend on the batch it is counted in, on
-    how a batch is split, on which rows it shares its counts with, or on
-    the budget.  Every integer stays below 2^63 (checked: see
-    :func:`_check_counting`).  The budget counts rows * S^m cells, which
-    bounds the rows * binom(S + m - 1, m) multiset counts.  State indices
-    must lie in [0, S), in any integer type.
+    (:func:`_distinct_rows`): at S = 2 a checkpoint n has at most n + 1
+    distinct rows, whatever the batch.  One path is a one-row batch, and
+    every distinct row is contracted on its own by the same arithmetic, so
+    a sum depends on its own row only: not on the batch, its split, or the
+    budget.  Before anything is allocated, :func:`_check_counting` refuses
+    a count whose integers could reach 2^63 or whose :func:`count_cells`
+    exceed the budget.  State indices must lie in [0, S), any integer type.
     """
     paths = np.asarray(paths)
     s, m = tables[0].shape[0], tables[0].ndim
-    _check_counting(paths, s, m, budget)
+    marks = _check_counting(paths, s, m, len(tables), checkpoints, budget)
     for table in tables:
         if table.shape != (s,) * m:
             raise ValueError(f"kernel tables must share one shape (S,) * m = {(s,) * m}, got {table.shape}")
         _check_table_symmetry(table)
-    marks = _checkpoints(checkpoints, m, paths.shape[-1])
     store = np.atleast_2d(paths).T
     rows = store.shape[1]
     multisets, factors = _multisets(s, m)
@@ -230,9 +225,29 @@ def tuple_sums(
     return out if paths.ndim == 2 else out[..., 0]
 
 
-def _check_counting(paths: np.ndarray, s: int, m: int, budget: int) -> None:
-    """Refuse, before anything is allocated, what the engine cannot count
-    exactly within the budget."""
+def count_cells(rows: int, n: int, s: int, m: int, tables: int = 1, checkpoints: int = 1, budget: int | None = None) -> int:
+    """The cells (8 bytes) one :func:`tuple_sums` call holds at most: per
+    row its path (of any width), counts with their bincount or sort keys,
+    results and indices; fixed, the symmetry check's two S^m temporaries,
+    the K = binom(S + m - 1, m) multisets and weights, one path slice and
+    one :func:`_contract` chunk.  Every counting refusal is this charge:
+    given a ``budget``, a count over it raises :class:`BudgetExceeded`."""
+    k = math.comb(s + m - 1, m)
+    per_row = n + 4 * s + tables * (2 * checkpoints + 1) + 8
+    cells = rows * per_row + 2 * s**m + k * (2 * m + 6 + tables) + _SLICE + max(_CHUNK, _chunk_width(s, m, k))
+    if budget is not None and cells > budget:
+        raise BudgetExceeded(f"counting {rows} path(s) of {n} steps holds {cells} cells, over budget {budget}")
+    return cells
+
+
+def _chunk_width(s: int, m: int, k: int) -> int:
+    # a row of a _contract chunk: S (m + 1) binomials, K counts in int64 and float64, a dot's list entry
+    return s * (m + 1) + 2 * k + 5
+
+
+def _check_counting(paths: np.ndarray, s: int, m: int, tables: int, checkpoints: Sequence[int], budget: int) -> list[int]:
+    """Refuse, before any allocation, what cannot be counted exactly within
+    the budget; return the checkpoints as ints."""
     n = paths.shape[-1]
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
@@ -241,23 +256,11 @@ def _check_counting(paths: np.ndarray, s: int, m: int, budget: int) -> None:
     # m * binom(n, min(m, n // 2))
     if m * math.comb(n, min(m, n // 2)) >= 2**63:
         raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
-    rows = len(paths) if paths.ndim == 2 else 1
-    if rows * s**m > budget:
-        raise BudgetExceeded(f"multiset counts of {rows} row(s), rows * S^m = {rows * s**m}, exceed budget {budget}")
+    marks = [int(c) for c in checkpoints]
+    count_cells(len(paths) if paths.ndim == 2 else 1, n, s, m, tables, len(marks), budget)
     # an index >= S would be counted in the next row's bins
     if paths.size and (paths.min() < 0 or paths.max() >= s):
         raise ValueError(f"state indices must lie in [0, {s})")
-
-
-def check_path_cost(n: int, s: int, m: int, budget: int) -> None:
-    """Refuse one path of n steps whose counting cost n * S^(m-1) exceeds
-    the budget."""
-    if n * s ** (m - 1) > budget:
-        raise BudgetExceeded(f"counting cost n*S^(m-1) = {n * s ** (m - 1)} exceeds budget {budget}")
-
-
-def _checkpoints(checkpoints: Sequence[int], m: int, n: int) -> list[int]:
-    marks = [int(c) for c in checkpoints]
     if not marks or any(not m <= c <= n for c in marks):
         raise ValueError(f"checkpoints must lie in [{m}, {n}]")
     return marks
@@ -310,14 +313,14 @@ def _contract(counts: np.ndarray, factors: np.ndarray, weights: list) -> np.ndar
 
     N_A is exact in int64: binom(c, k) = binom(c, k - 1) * (c - k + 1) // k
     for k = 1..m, then the product of the m factors of :func:`_multisets`.
-    The rows go in chunks of ``_CHUNK`` multiset counts, and each row is
-    one BLAS dot product over its C-contiguous float64 counts, so a value
-    never depends on the rows counted with it.  Counts convert to float64
-    exactly below 2^53.
+    The rows go in chunks of at most ``_CHUNK`` cells (at least one row),
+    and each row is one BLAS dot product over its C-contiguous float64
+    counts, so a value never depends on the rows counted with it.  Counts
+    convert to float64 exactly below 2^53.
     """
     m = len(factors)
     out = np.empty((len(weights), len(counts)))
-    chunk = max(1, _CHUNK // factors.shape[1])
+    chunk = max(1, _CHUNK // _chunk_width(counts.shape[1], m, factors.shape[1]))
     for lo in range(0, len(counts), chunk):
         c = counts[lo : lo + chunk]
         binoms = np.ones(c.shape + (m + 1,), dtype=np.int64)
@@ -338,7 +341,8 @@ def u_statistic(path: np.ndarray, h: SymmetricKernelFn, budget: int = DEFAULT_BU
 
     A degree-0 kernel (such as the projection pi_{0,m}h) evaluates to its
     constant.  Otherwise the path's kernel sum comes from the exact engine
-    :func:`tuple_sums`, whose n * S^(m-1) cost must fit the budget.
+    :func:`tuple_sums`, which refuses a path whose :func:`count_cells`
+    exceed the budget.
     """
     path = np.asarray(path)
     if path.ndim != 1:
@@ -346,9 +350,7 @@ def u_statistic(path: np.ndarray, h: SymmetricKernelFn, budget: int = DEFAULT_BU
     m = h.degree
     if m == 0:
         return float(h.table)
-    n = path.size
-    check_path_cost(n, h.table.shape[0], m, budget)
-    return float(tuple_sums(path, [h.table], [n], budget)[0, 0]) / math.comb(n, m)
+    return float(tuple_sums(path, [h.table], [path.size], budget)[0, 0]) / math.comb(path.size, m)
 
 
 def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> SymmetricKernelFn:

@@ -13,6 +13,7 @@ import pytest
 from ustatmc import ConfigError, bounds, cli, config, markov, montecarlo, proofs
 from ustatmc.cli import main
 from ustatmc.config import SCHEMA, build_chain, build_experiment, build_initial, build_kernel_fn, load_document
+from ustatmc.ustats import count_cells
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -317,6 +318,28 @@ def test_cli_verify_slln_threshold_and_exit(tmp_path):
     assert main(["verify-slln", "--config", cfg2, "--out", str(tmp_path / "s2")]) == 1
 
 
+def test_cli_verify_slln_over_budget_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
+    doc = {
+        "chain": TWO_STATE,
+        "kernel_fn": {"name": "product", "degree": 2},
+        "experiment": {"replicates": 2, "master_seed": 20240, "n_grid": []},
+        "slln": {"n_max": 4000, "checkpoints": [100, 4000]},
+    }
+    cfg = _write(tmp_path, "s.json", doc)
+    # the one charge of counting one 4000-step path at two checkpoints
+    charge = count_cells(1, 4000, 2, 2, 1, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "simulate", lambda *a, **k: pytest.fail("sampling started over the budget"))
+        assert main(["verify-slln", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--budget", str(charge - 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("could not check:") and f"budget {charge - 1}" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    # a budget of exactly the charge runs
+    assert main(["verify-slln", "--config", cfg, "--out", str(tmp_path / "out"), "--budget", str(charge)]) == 0
+    assert (tmp_path / "out" / "slln.csv").exists()
+
+
 def test_cli_verify_slln_jobs_byte_identical(tmp_path):
     doc = {
         "chain": TWO_STATE,
@@ -503,7 +526,8 @@ def test_cli_could_not_check_exits_3(tmp_path, capsys):
     assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("could not check:") and err.count("\n") == 1
-    # the exact oracle refuses n = 50, and one replicate's 50 path and 7 level cells exceed --budget 3
+    # the exact oracle refuses n = 50, and counting one replicate of 50 steps holds more than
+    # its 50 path cells, over --budget 3
     demo = str(CONFIGS / "two_state_variance.json")
     assert main(["verify-variance", "--config", demo, "--out", str(tmp_path / "v"), "--budget", "3"]) == 3
     err = capsys.readouterr().err

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from oracles import multiset_counts_enum, replay_path
 from ustatmc import (
-    BudgetExceeded, Distribution, FiniteKernel, SymmetricKernelFn, exact_l2, mix64, replicate_u_grid,
-    sample_paths, simulate, tuple_sums, u_statistic,
+    BudgetExceeded, Distribution, ExperimentConfig, FiniteKernel, SllnConfig, SymmetricKernelFn, certify_rho,
+    exact_l2, mix64, replicate_u_grid, run_slln_experiment, sample_paths, simulate, tuple_sums, u_statistic,
 )
-from ustatmc import markov, ustats
+from ustatmc import markov, montecarlo, ustats
 from ustatmc.markov import _guide_coder, index_dtype
+from ustatmc.ustats import count_cells
 
 
 @st.composite
@@ -31,9 +32,14 @@ def counting_cases(draw):
     n = draw(st.integers(m, 40))
     path = np.array(draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)))
     checkpoints = sorted(draw(st.sets(st.integers(m, n), min_size=1, max_size=5)))
-    # the budget holds this many rows of S^m cells
-    rows = draw(st.integers(1, 8))
-    return s, m, path, checkpoints, rows * s**m
+    # the budget holds this many rows: see _budget
+    return s, m, path, checkpoints, draw(st.integers(1, 8))
+
+
+def _budget(rows, path, tables, checkpoints):
+    """The budget that holds exactly ``rows`` paths like ``path`` by the
+    engine's one charge, so a one-path count fits it at rows = 1."""
+    return count_cells(rows, path.shape[-1], tables[0].shape[0], tables[0].ndim, len(tables), len(checkpoints))
 
 
 def _multiset_tables(s, m):
@@ -57,9 +63,9 @@ def _symmetric(raw):
 @settings(max_examples=150, deadline=None)
 @given(counting_cases())
 def test_counts_match_enumeration_at_checkpoints(case):
-    s, m, path, checkpoints, budget = case
+    s, m, path, checkpoints, rows = case
     tables = _multiset_tables(s, m)
-    got = tuple_sums(path, tables, checkpoints, budget)
+    got = tuple_sums(path, tables, checkpoints, _budget(rows, path, tables, checkpoints))
     assert got.shape == (len(tables), len(checkpoints))
     for c, counts in zip(checkpoints, got.T):
         assert np.array_equal(counts, multiset_counts_enum(path[:c], s, m))
@@ -70,9 +76,10 @@ def test_counts_match_enumeration_at_checkpoints(case):
 @settings(max_examples=100, deadline=None)
 @given(counting_cases(), st.data())
 def test_one_path_sums_match_a_one_row_batch(case, data):
-    s, m, path, checkpoints, budget = case
+    s, m, path, checkpoints, rows = case
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     tables = [_symmetric(rng.normal(size=(s,) * m)), _symmetric(rng.normal(size=(s,) * m))]
+    budget = _budget(rows, path, tables, checkpoints)
     one = tuple_sums(path, tables, checkpoints, budget)
     batch = tuple_sums(path[None, :], tables, checkpoints, budget)
     assert one.shape == (2, len(checkpoints)) and batch.shape == (2, len(checkpoints), 1)
@@ -82,23 +89,24 @@ def test_one_path_sums_match_a_one_row_batch(case, data):
 @st.composite
 def checkpoint_runs(draw):
     """A path, checkpoints with adjacent pairs among them (so a stretch
-    between two checkpoints may be one step), and a budget of 1 to 3 rows."""
+    between two checkpoints may be one step), and a budget of 1 to 3 rows
+    (see _budget)."""
     s = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     n = draw(st.integers(m + 1, 120 if m < 3 else 40))
     path = np.array(draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)))
     marks = draw(st.sets(st.integers(m, n - 1), max_size=6))
     checkpoints = sorted(marks | {c + 1 for c in marks if draw(st.booleans())} | {n})
-    return s, m, path, checkpoints, draw(st.integers(1, 3)) * s**m
+    return s, m, path, checkpoints, draw(st.integers(1, 3))
 
 
 @settings(max_examples=150, deadline=None)
 @given(checkpoint_runs())
 def test_tree_joined_pieces_match_batch_and_enumeration(case):
     # the stretches of the path between adjacent checkpoints, one path against its one-row batch
-    s, m, path, checkpoints, budget = case
+    s, m, path, checkpoints, rows = case
     tables = _multiset_tables(s, m)
-    one = tuple_sums(path, tables, checkpoints, budget)
+    one = tuple_sums(path, tables, checkpoints, _budget(rows, path, tables, checkpoints))
     assert one.tobytes() == tuple_sums(path[None, :], tables, checkpoints)[..., 0].tobytes()
     for c, counts in zip(checkpoints, one.T):
         assert np.array_equal(counts, multiset_counts_enum(path[:c], s, m))
@@ -145,7 +153,7 @@ def test_sums_within_the_float_bound_of_exact(case, rows, data):
     # a sum of K = binom(S + m - 1, m) products N_A h(A), in any order and with or without
     # fused multiply-adds, is within gamma_K * sum_A |N_A h(A)| of the exact sum
     # (N_A < 2^53 converts exactly), gamma_K = K u / (1 - K u)
-    s, m, path, checkpoints, budget = case
+    s, m, path, checkpoints, budget_rows = case
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     tables = [_symmetric(rng.normal(size=(s,) * m) * 10.0 ** rng.integers(-3, 4)) for _ in range(2)]
     batch = np.array([np.roll(path, 3 * k) for k in range(rows)])
@@ -161,6 +169,7 @@ def test_sums_within_the_float_bound_of_exact(case, rows, data):
                 terms = [int(n_a) * Fraction(float(table[a])) for n_a, a in zip(counts, multisets)]
                 assert abs(Fraction(float(got[t, j, i])) - sum(terms)) <= gamma * sum(map(abs, terms))
     # the one-path route and any split of the rows give the same bytes
+    budget = _budget(budget_rows, path, tables, checkpoints)
     assert tuple_sums(path, tables, checkpoints, budget).tobytes() == got[..., 0].tobytes()
     cut = data.draw(st.integers(0, rows))
     parts = [tuple_sums(part, tables, checkpoints) for part in (batch[:cut], batch[cut:]) if len(part)]
@@ -204,13 +213,14 @@ def test_engine_refuses_tables_it_cannot_read_by_multiset():
 
 
 def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
-    # one replicate is charged 30 path cells and 1 + 2 + 4 + 8 count cells, so 7 replicates
-    # do not fit a budget of 90: blocks of 2 rows
+    # the budget holds the count of 2 replicates of 30 steps, so 7 replicates go in blocks
+    # of 2 rows
     h = SymmetricKernelFn(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
     mu0 = Distribution.uniform(2)
     whole = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11)[0, 0]
+    budget = count_cells(2, 30, 2, 3)
     for jobs in (1, 2, 3):
-        got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, jobs, budget=90)[0, 0]
+        got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, jobs, budget=budget)[0, 0]
         assert got.tobytes() == whole.tobytes()
 
 
@@ -493,8 +503,9 @@ def _peak_bytes(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_level_tensors_refused_before_allocation():
-    # one row's 100^3 cells exceed the budget
+def test_large_tables_refused_before_allocation():
+    # a 100-state degree-3 table alone is charged twice its 100^3 cells (the symmetry
+    # check's temporaries), over the budget for one row as for many
     batch = np.broadcast_to(np.int64(0), (1000, 50))
     table = np.broadcast_to(0.0, (100,) * 3)
     assert _peak_bytes(tuple_sums, batch, [table], [50], budget=10**5) < 2**20
@@ -502,15 +513,18 @@ def test_level_tensors_refused_before_allocation():
 
 
 def test_batch_level_tensors_refused_before_allocation():
-    # 1000 rows of 10^2 cells exceed the budget though one row fits: a batch is charged whole
+    # the budget holds the count of 100 rows, so 1000 rows are refused though 100 fit: a
+    # batch is charged whole
     batch = np.broadcast_to(np.int64(0), (1000, 50))
     table = np.broadcast_to(0.0, (10, 10))
-    assert _peak_bytes(tuple_sums, batch, [table], [50], budget=10**4) < 2**20
-    assert tuple_sums(batch[:100], [table], [50], budget=10**4).shape == (1, 1, 100)
+    budget = count_cells(100, 50, 10, 2)
+    assert _peak_bytes(tuple_sums, batch, [table], [50], budget=budget) < 2**20
+    assert tuple_sums(batch[:100], [table], [50], budget=budget).shape == (1, 1, 100)
 
 
 def test_replicate_blocks_hold_their_paths_within_the_budget(two_state_kernel):
-    # 300 int8 paths of 2000 steps are 0.6 MB; the budget holds blocks of 49 replicates (0.1 MB)
+    # 300 int8 paths of 2000 steps are 0.6 MB; the budget holds the count of a block of 29
+    # replicates (count_cells: 41 001 fixed cells and 2021 a replicate), 58 kB of paths
     h = SymmetricKernelFn(np.array([[1.0, -0.5], [-0.5, 2.0]]))
     mu0 = Distribution.uniform(2)
     # a first call loads what numpy loads once: keep that out of the trace
@@ -527,10 +541,77 @@ def test_replicate_blocks_hold_their_paths_within_the_budget(two_state_kernel):
 
 
 def test_replicate_over_budget_refused_before_sampling(two_state_kernel):
-    # one replicate's 10^5 path cells and 1 + 2 + 4 count cells exceed the budget
+    # counting one replicate holds its 10^5 path cells and more, over the budget
     h = SymmetricKernelFn(np.ones((2, 2)))
     args = (two_state_kernel, Distribution.uniform(2), [h], [10**5], 2, 3)
     assert _peak_bytes(replicate_u_grid, *args, budget=10**5) < 2**20
+
+
+# Slack over 8 bytes a charged cell for what the allocator and numpy add. Measured on
+# 2000 draws of the test below (numpy 2.4, Python 3.11): the largest traced peak less
+# 8 * count_cells was -121 kB for the replicate pass and -90 kB for tuple_sums, so the
+# charge alone covered every peak.
+CHARGE_BASE = 2**16
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 3), st.integers(2, 50), st.integers(1, 2), st.data())
+def test_counts_peak_within_their_charge(s, m, replicates, tables, data):
+    # a count's traced peak, its int64 paths or the sampler's included, is at most 8 bytes a
+    # cell of count_cells plus CHARGE_BASE; one cell less is refused before any allocation
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ns = sorted(data.draw(st.sets(st.integers(m, 120), min_size=1, max_size=2)))
+    hs = [SymmetricKernelFn(_symmetric(rng.normal(size=(s,) * m))) for _ in range(tables)]
+    matrix = rng.random((s, s)) + 0.05
+    kernel = FiniteKernel(np.arange(s, dtype=float), matrix / matrix.sum(axis=1, keepdims=True))
+    mu0 = Distribution.uniform(s)
+    charge = count_cells(replicates, max(ns), s, m, tables, len(ns))
+    # a first call of each loads what numpy loads once: keep that out of the trace
+    tuple_sums(np.zeros((2, m), dtype=np.int64), [h.table for h in hs], [m])
+    replicate_u_grid(kernel, mu0, hs, [m], 2, 1)
+
+    def count(budget):
+        paths = rng.integers(0, s, (replicates, max(ns)))
+        return tuple_sums(paths, [h.table for h in hs], ns, budget)
+
+    assert _traced_peak(count, charge) <= 8 * charge + CHARGE_BASE
+    assert _peak_bytes(count, charge - 1) < 2**20
+    # blocks of `rows` replicates, at least two of them
+    rows = data.draw(st.integers(1, replicates - 1))
+    budget = count_cells(rows, max(ns), s, m, tables, len(ns))
+    assert _traced_peak(replicate_u_grid, kernel, mu0, hs, ns, replicates, 7, budget=budget) <= 8 * budget + CHARGE_BASE
+    one = count_cells(1, max(ns), s, m, tables, len(ns))
+    assert _peak_bytes(replicate_u_grid, kernel, mu0, hs, ns, replicates, 7, budget=one - 1) < 2**20
+
+
+def test_every_counting_caller_reaches_the_one_charge(two_state_kernel):
+    h = SymmetricKernelFn(np.array([[1.0, -0.5], [-0.5, 2.0]]))
+    mu0 = Distribution.uniform(2)
+    config = ExperimentConfig(two_state_kernel, mu0, certify_rho(two_state_kernel, np.ones(2), 8), h, [], 2, 5,
+                              slln=SllnConfig(40))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return count_cells(*args)
+
+    with mock.patch.object(ustats, "count_cells", spy), mock.patch.object(montecarlo, "count_cells", spy):
+        for run in (lambda: u_statistic(np.zeros(10, dtype=np.int8), h),
+                    lambda: tuple_sums(np.zeros((3, 10), dtype=np.int8), [h.table], [5, 10]),
+                    lambda: replicate_u_grid(two_state_kernel, mu0, [h], [5, 10], 3, 1),
+                    lambda: run_slln_experiment(config)):
+            calls.clear()
+            run()
+            assert calls
 
 
 def test_int64_overflow_refused():
@@ -672,8 +753,8 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
     h = SymmetricKernelFn(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
     hs = [h, h.shifted(0.375)]
     # blocks of `rows` replicates, fewer than ceil(replicates / jobs) when rows is smaller:
-    # one replicate is charged max(ns) path cells and sum_c S^c count cells
-    budget = rows * (max(ns) + sum(s**c for c in range(m + 1)))
+    # the budget holds the count of exactly `rows` replicates
+    budget = count_cells(rows, max(ns), s, m, len(hs), len(ns))
     got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=budget)
     assert got.shape == (2, len(ns), replicates)
     for k, hk in enumerate(hs):

@@ -82,7 +82,7 @@ def test_u_statistic_errors():
     h = SymmetricKernelFn(np.zeros((2, 2)))
     with pytest.raises(DegreeTooLarge):
         u_statistic(np.array([0]), h)
-    # counting costs n * S^(m-1) = 300 * 2 cells, refused before any count
+    # counting the path holds its 300 cells and more (count_cells), refused before any count
     with pytest.raises(BudgetExceeded):
         u_statistic(np.zeros(300, dtype=int), h, budget=10)
 
