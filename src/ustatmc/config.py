@@ -37,7 +37,8 @@ SCHEMA: dict = {
     "profile": {
         "kind": "'certify' (default) | 'geometric' | 'explicit' | 'declared'; only certify gives provenance "
                 "'certified', every other kind is 'declared' and no key sets it",
-        "k_max": "int — table length for kind=certify (default: max n needed)",
+        "k_max": "int — table length for kind=certify (default: 64 for certify-profile; for every other command "
+                 "max(largest n_grid entry, 16), and at least 64 with an slln section)",
         "c / varrho": "floats for kind=geometric: rho(k) = c * varrho^k, c >= 0, 0 <= varrho <= 1",
         "values / tail_rate": "for kind=explicit: non-increasing rho(0..K), then rho(K) * tail_rate^(k-K) "
                               "(tail_rate in [0, 1], default 0)",
@@ -148,9 +149,9 @@ SEED_LIMIT = 2**64
 
 
 def seed(entries: dict, key: str, default: int, where: str) -> int:
-    """``entries[key]`` as a seed, an integer in [0, 2^64): the master seed
-    is reduced mod 2^64 by ``mix64`` while PCG64 takes the whole integer, so
-    a larger one would not name one stream."""
+    """``entries[key]`` as a seed, an integer in [0, 2^64): ``mix64`` mixes
+    the master seed in uint64 arithmetic while PCG64 takes the whole
+    integer, so a larger one would not name one stream."""
     value = integer(entries, key, default, where, 0)
     if value >= SEED_LIMIT:
         raise ConfigError(f"{where}.{key} must be < 2^64, got {value}")

@@ -414,7 +414,7 @@ def simulate(kernel: FiniteKernel, mu0: Distribution, n: int, seed: int) -> np.n
     return sample_paths(kernel, mu0, n, [seed])[0]
 
 
-def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequence[int]) -> np.ndarray:
+def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """Simulate one length-n path per seed; row r is the path of seeds[r].
 
     Seed s draws n uniforms u from its own PCG64 stream, the stream of
@@ -423,8 +423,8 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     CDF entries <= u, capped at S-1 against cumulative rounding overshoot
     at u ~ 1.  Rows depend only on their own seed, so any partition of the
     seed list yields identical rows.  A seed must be an integer in
-    [0, 2^64) (Python or numpy, not bool); any other raises ValueError
-    before anything is allocated.
+    [0, 2^64) (Python or numpy, not bool), as every entry of a uint64
+    array is; any other raises ValueError before anything is allocated.
 
     The streams of a call are seeded in one array pass: numpy's
     SeedSequence hash of every seed at once (:func:`_seed_sequence_words`),
@@ -450,7 +450,8 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
         raise ValueError("n must be >= 1")
     if mu0.size != kernel.size:
         raise ValueError("dimension mismatch")
-    seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
     s, r = kernel.size, len(seeds)
     cdf = np.cumsum(kernel.matrix, axis=1)
     # the distinct CDF values in order: np.unique(cdf), without its first-call numpy.ma import

@@ -25,12 +25,14 @@ reads its single path at every checkpoint with one ``tuple_sums`` call.
 
 The exact oracle :func:`exact_l2` takes a counting recursion in
 expectation: one forward pass over time carries the second moments of the
-ordered tuple counts, split by the current state, so it draws no path and
-counts none.  It shares no code with ``tuple_sums``.
+multiset tuple counts, split by the current state, so it draws no path and
+counts none.  Its multisets are the counting engine's, listed by
+:func:`ustatmc.ustats._multisets`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -41,22 +43,22 @@ import numpy as np
 from .bounds import evaluate_bounds
 from .errors import TENSOR_BUDGET, BudgetExceeded, ConfigError, DegreeTooLarge
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, check_seed, sample_paths, simulate
-from .ustats import DEFAULT_BUDGET, SymmetricKernelFn, count_cells, hoeffding_project, tuple_sums
+from .ustats import DEFAULT_BUDGET, SymmetricKernelFn, _multisets, count_cells, hoeffding_project, tuple_sums
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 EXACT_PAIRS_BUDGET = 20_000
 
 
-def mix64(seed: int, r: int) -> int:
-    """Derive the r-th replicate seed from a master seed (splitmix64)."""
-    z = (seed + (r + 1) * _GOLDEN) & _MASK64
+def mix64(seed: int, r):
+    """Derive the r-th replicate seed from a master seed (splitmix64); an
+    array of r gives a uint64 array, whose arithmetic wraps mod 2^64."""
+    z = (np.atleast_1d(np.asarray(r, dtype=np.uint64)) + 1) * _GOLDEN + seed
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z *= 0x94D049BB133111EB
     z ^= z >> 31
-    return z
+    return z if np.ndim(r) else int(z[0])
 
 
 def l2_estimate(u: np.ndarray) -> tuple[float, float]:
@@ -178,35 +180,41 @@ def exact_l2(
     pairs_budget: int = EXACT_PAIRS_BUDGET,
 ) -> float:
     """||U_{n,m}(h)||_2 exactly (times 0..n-1, Y_0 ~ mu), by a recursion
-    over ordered tuple counts taken in expectation.
+    over multiset tuple counts taken in expectation.
 
-    A path's count vector l = (L_0, ..., L_m), with L_0 = 1 and L_c the
-    increasing c-tuples of times by their states (S^c cells, newest index
-    first), gains L_{c-1} in the slice L_c[x] when the path sees state x.
-    The pass carries second[x] = E[l l^T ; Y_t = x], an (S, K, K) array
-    with K = sum_c S^c: seeing applies that update to both axes of every
-    second[x] at once, and a step moves the mass through P.  After n steps the block m x m of
-    sum_x second[x] is E[L_m L_m^T], and sum_A h(Y_A) = <w, L_m> with w the
-    flat table (h is symmetric, so the layout's index order does not
-    matter).
+    A path's count vector l holds, in block c, N_A for the multisets A of
+    c states as :func:`_multisets` lists them (block 0 is N_{} = 1): the
+    increasing c-tuples of times whose states form A.  When the path sees
+    state x, each line B of block c - 1 adds N_B to the line of B + {x}
+    (Pascal's rule on each binom(c_x, k_x) of N_A).  The pass carries
+    second[x] = E[l l^T ; Y_t = x], an (S, K', K') array with K' = sum_c
+    binom(S + c - 1, c): seeing applies that update to both axes of every
+    second[x] at once, and a step moves the mass through P.  After n steps
+    the block m x m of sum_x second[x] is E[N N^T], and sum_A h(Y_A) =
+    <w, N> with w_A = h(A).
 
-    binom(n, m)^2 must fit ``pairs_budget`` (checked first) and the S*K^2
-    cells of second must fit ``TENSOR_BUDGET``, both before anything is
-    allocated.
+    ``m`` must be ``h.degree`` (any other raises ValueError).  binom(n, m)^2
+    must fit ``pairs_budget`` (checked first) and the S*K'^2 cells of second
+    must fit ``TENSOR_BUDGET``, both before the index or any array is built.
     """
+    if m != h.degree:
+        raise ValueError(f"m = {m} does not match the kernel's degree h.degree = {h.degree}")
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
     pairs = math.comb(n, m) ** 2
     if pairs > pairs_budget:
         raise BudgetExceeded(f"binom(n,m)^2 = {pairs} exceeds exact-oracle budget {pairs_budget}")
     s = kernel.size
-    # block c of l is l[offsets[c] : offsets[c + 1]]
-    offsets = [sum(s**j for j in range(c)) for c in range(m + 2)]
+    # block c of l is l[offsets[c] : offsets[c + 1]], and tuples[i] the multiset of line i
+    offsets = [0] + list(itertools.accumulate(math.comb(s + c - 1, c) for c in range(m + 1)))
     k = offsets[-1]
     if s * k * k > TENSOR_BUDGET:
-        raise BudgetExceeded(f"second-moment cells S*K^2 = {s * k * k} exceed tensor budget {TENSOR_BUDGET}")
-    # lines[c][x] = the lines of block c that hold the slice L_c[x]
-    lines = [None] + [offsets[c] + np.arange(s**c).reshape(s, -1) for c in range(1, m + 1)]
+        raise BudgetExceeded(f"second-moment cells S*K'^2 = {s * k * k} exceed tensor budget {TENSOR_BUDGET}")
+    tuples = [()] + [a for c in range(1, m + 1) for a in map(tuple, _multisets(s, c)[0].tolist())]
+    line = {a: i for i, a in enumerate(tuples)}
+    # lines[c][x] = the lines of block c that gain block c - 1 when the path sees x
+    lines = [None] + [np.array([[line[tuple(sorted(b + (x,)))] for b in tuples[offsets[c - 1] : offsets[c]]]
+                                for x in range(s)]) for c in range(1, m + 1)]
     seen = np.arange(s)[:, None]
     second = np.zeros((s, k, k))
     second[:, 0, 0] = mu.weights
@@ -216,7 +224,7 @@ def exact_l2(
         for moments in (second, second.swapaxes(1, 2)):
             for c in range(m, 0, -1):
                 moments[seen, lines[c]] += moments[:, offsets[c - 1] : offsets[c]]
-    w = h.table.ravel()
+    w = np.array([h.table[a] for a in tuples[offsets[m] :]])
     mean_sq = float(w @ second[:, offsets[m] :, offsets[m] :].sum(axis=0) @ w) / math.comb(n, m) ** 2
     return math.sqrt(max(mean_sq, 0.0))
 
@@ -241,45 +249,51 @@ def replicate_u_grid(
     its PCG64 stream's first n uniforms do not depend on how many are
     drawn.  So each replicate is sampled once, to max(ns), and counted
     once.  This is the one place that splits replicates.  Counting r of
-    them holds r * per_row + fixed cells (:func:`count_cells`); a pass
-    whose one replicate is over ``budget`` is refused before sampling, and
-    the rest are cut in order into blocks of min(ceil(replicates / jobs),
-    (budget - fixed) // per_row) rows, so refusal never depends on
-    ``jobs``.  Each block is one :func:`sample_paths` and one
-    :func:`tuple_sums` call, which reads every n as the count passes it;
-    min(``jobs``, CPU count) threads take the blocks in order (numpy
-    releases the interpreter lock inside the array work).  Every row is
-    computed on its own, so each
-    value is bit-identical to ``u_statistic`` on that replicate's first n
-    steps at any ``jobs`` and any ``budget``.  ``master_seed`` must be a
-    seed as :func:`sample_paths` takes one, an integer in [0, 2^64) and not
-    a bool; any other raises ValueError before a seed is mixed.
+    them holds r * per_row + fixed cells (:func:`count_cells`), ``out``
+    among the fixed; a pass whose one replicate is over ``budget`` is
+    refused before sampling, and the rest are cut in order into blocks of
+    min(ceil(replicates / jobs), (budget - fixed) // per_row) rows, so
+    refusal never depends on ``jobs``.  Each block mixes its seeds as one
+    uint64 array and counts one :func:`sample_paths` call by one
+    :func:`tuple_sums` call, which reads every n as it passes, into its
+    columns of ``out``; min(``jobs``, CPU count) threads take the blocks in
+    order (numpy releases the interpreter lock inside the array work).
+    Every row is computed on its own, so each value is bit-identical to
+    ``u_statistic`` on that replicate's first n steps at any ``jobs`` and
+    any ``budget``.  ``master_seed`` must be an integer in [0, 2^64), not a
+    bool, as :func:`sample_paths` takes a seed, and ``replicates`` must be
+    >= 1; any other raises ValueError before a seed is mixed.
     """
     master_seed = check_seed(master_seed)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     tables = [h.table for h in hs]
     m, s, n_max = hs[0].degree, kernel.size, max(ns)
     if min(ns) < m:
         raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
-    fixed = count_cells(0, n_max, s, m, len(tables), len(ns))
-    per_row = count_cells(1, n_max, s, m, len(tables), len(ns), budget) - fixed
-    seeds = [mix64(master_seed, r) for r in range(replicates)]
+    shape = (len(tables), len(ns))
+    fixed = count_cells(0, n_max, s, m, *shape, None, replicates)
+    per_row = count_cells(1, n_max, s, m, *shape, budget, replicates) - fixed
     rows = min(math.ceil(replicates / max(jobs, 1)), (budget - fixed) // per_row)
-    blocks = [seeds[i : i + rows] for i in range(0, replicates, rows)]
+    out = np.empty(shape + (replicates,))
+    blocks = (range(i, min(i + rows, replicates)) for i in range(0, replicates, rows))
 
-    def work(block: list[int]) -> np.ndarray:
-        return tuple_sums(sample_paths(kernel, mu0, n_max, block), tables, ns, budget)
+    def work(block: range) -> None:
+        seeds = mix64(master_seed, np.arange(block.start, block.stop, dtype=np.uint64))
+        out[..., block.start : block.stop] = tuple_sums(sample_paths(kernel, mu0, n_max, seeds), tables, ns, budget)
 
     workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or len(blocks) == 1:
-        parts = [work(b) for b in blocks]
+    if workers <= 1 or rows >= replicates:
+        list(map(work, blocks))
     else:
         # imported here: the pool (and the logging it imports) serves jobs > 1 only
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, blocks))
-    sums = np.concatenate(parts, axis=-1)
-    return np.stack([sums[:, j] / math.comb(n, m) for j, n in enumerate(ns)], axis=1)
+            list(pool.map(work, blocks))
+    for j, n in enumerate(ns):
+        out[:, j] /= math.comb(n, m)
+    return out
 
 
 # ---------------------------------------------------------------------------

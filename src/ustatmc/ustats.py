@@ -225,16 +225,19 @@ def tuple_sums(
     return out if paths.ndim == 2 else out[..., 0]
 
 
-def count_cells(rows: int, n: int, s: int, m: int, tables: int = 1, checkpoints: int = 1, budget: int | None = None) -> int:
+def count_cells(rows: int, n: int, s: int, m: int, tables: int = 1, checkpoints: int = 1, budget: int | None = None,
+                replicates: int = 0) -> int:
     """The cells (8 bytes) one :func:`tuple_sums` call holds at most: per
     row its path (of any width), counts with their bincount or sort keys,
     results and indices; fixed, the symmetry check's two S^m temporaries,
     the K = binom(S + m - 1, m) multisets and weights, one path slice and
-    one :func:`_contract` chunk.  Every counting refusal is this charge:
-    given a ``budget``, a count over it raises :class:`BudgetExceeded`."""
+    one :func:`_contract` chunk and, for a pass of ``replicates`` rows in
+    all, their results.  Every counting refusal is this charge: given a
+    ``budget``, a count over it raises :class:`BudgetExceeded`."""
     k = math.comb(s + m - 1, m)
     per_row = n + 4 * s + tables * (2 * checkpoints + 1) + 8
-    cells = rows * per_row + 2 * s**m + k * (2 * m + 6 + tables) + _SLICE + max(_CHUNK, _chunk_width(s, m, k))
+    fixed = replicates * tables * checkpoints + 2 * s**m + k * (2 * m + 6 + tables) + _SLICE
+    cells = rows * per_row + fixed + max(_CHUNK, _chunk_width(s, m, k))
     if budget is not None and cells > budget:
         raise BudgetExceeded(f"counting {rows} path(s) of {n} steps holds {cells} cells, over budget {budget}")
     return cells

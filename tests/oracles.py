@@ -186,6 +186,32 @@ def l2_enum(mu: np.ndarray, p: np.ndarray, table: np.ndarray, n: int) -> float:
     return math.sqrt(math.fsum(terms))
 
 
+def l2_ordered(mu: np.ndarray, p: np.ndarray, table: np.ndarray, n: int) -> float:
+    """||U_{n,m}(h)||_2 for Y_0 ~ mu by the ordered tuple recursion: a
+    path's count vector l = (L_0, ..., L_m) holds L_0 = 1 and, in block c,
+    the increasing c-tuples of times by their states (S^c lines, newest
+    index first); seeing state x adds L_{c-1} to the slice L_c[x].  The
+    pass carries second[x] = E[l l^T ; Y_t = x] and moves it through P;
+    the block m x m of sum_x second[x] is E[L_m L_m^T], read against the
+    flat table."""
+    s, m = len(mu), table.ndim
+    offsets = [sum(s**j for j in range(c)) for c in range(m + 2)]
+    k = offsets[-1]
+    lines = [None] + [offsets[c] + np.arange(s**c).reshape(s, -1) for c in range(1, m + 1)]
+    seen = np.arange(s)[:, None]
+    second = np.zeros((s, k, k))
+    second[:, 0, 0] = mu
+    for t in range(n):
+        if t:
+            second = np.tensordot(p, second, axes=(0, 0))
+        for moments in (second, second.swapaxes(1, 2)):
+            for c in range(m, 0, -1):
+                moments[seen, lines[c]] += moments[:, offsets[c - 1] : offsets[c]]
+    w = table.ravel()
+    mean_sq = float(w @ second[:, offsets[m] :, offsets[m] :].sum(axis=0) @ w) / math.comb(n, m) ** 2
+    return math.sqrt(max(mean_sq, 0.0))
+
+
 def f_sigma_expectation(law: np.ndarray, h: SymmetricKernelFn, sigma: Sequence[int]) -> float:
     """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact tensor
     contraction.  ``sigma`` is a 0-based permutation of range(2m)."""

@@ -23,13 +23,16 @@ from ustatmc import (
     Unbounded,
     b_q,
     bound_requests,
+    canonicalize,
     certify_rho,
     c_nm,
     corollary2_bound,
     corollary3_bound,
     d_constant,
     evaluate_bounds,
+    exact_l2,
     geometric_sum_bound,
+    hoeffding_project,
     lemma6_constant,
     m_sup,
     theorem1_bound,
@@ -347,3 +350,46 @@ def test_evaluate_bounds_matches_the_bound_functions(two_state_kernel, two_state
         ]
         for n in (30, 60)
     }
+
+
+EVERY_BOUND = [("theorem1", None), ("corollary2", None), ("corollary3", 0.5), ("corollary3", 1), ("corollary3", 2)]
+
+
+@st.composite
+def bounded_experiments(draw):
+    """A random ergodic chain (lazy, so some mix slowly), V = 1 or a random
+    V >= 1, a Dirac or a random initial law, a raw or a canonical kernel,
+    and a grid of n <= 10 inside the exact oracle's pair cap."""
+    s, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jump = rng.random((s, s)) + 0.05
+    lazy = draw(st.floats(0.1, 1.0))
+    matrix = lazy * jump / jump.sum(axis=1, keepdims=True) + (1.0 - lazy) * np.eye(s)
+    kernel = FiniteKernel(np.arange(s, dtype=float), matrix)
+    v = np.ones(s) if draw(st.booleans()) else 1.0 + rng.exponential(3.0, s)
+    mu = Distribution.dirac(draw(st.integers(0, s - 1)), s) if draw(st.booleans()) else Distribution.normalized(
+        rng.random(s) + 0.01)
+    h = SymmetricKernelFn(rng.normal(size=(s,) * m)[tuple(np.sort(np.indices((s,) * m), axis=0))])
+    if draw(st.booleans()):
+        h = canonicalize(h, kernel.stationary())
+    ns = sorted(draw(st.sets(st.integers(m, 10), min_size=1, max_size=3)))
+    return kernel, v, mu, h, ns
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_experiments())
+def test_every_routed_bound_dominates_the_exact_l2(case):
+    # theorem1, corollary2 and corollary3 (p = 0.5, 1, 2), routed as verify-variance routes
+    # them, against the exact L2 of the statistic each one bounds
+    kernel, v, mu, h, ns = case
+    profile = certify_rho(kernel, v, max(ns))
+    _, entries = evaluate_bounds(EVERY_BOUND, ns, h, profile, mu, kernel)
+    stats = {"u": h, "u_centered": h.shifted(float(hoeffding_project(h, kernel.stationary(), 0).table))}
+    for n in ns:
+        exact = {name: exact_l2(mu, kernel, stat, n, h.degree) for name, stat in stats.items()}
+        for statistic, label, value, _ in entries[n]:
+            assert value >= exact[statistic], (
+                f"{label} = {value!r} < exact L2 {exact[statistic]!r} of {statistic} at n = {n}: "
+                f"P = {kernel.matrix.tolist()}, V = {v.tolist()}, mu = {mu.weights.tolist()}, "
+                f"h = {h.table.tolist()}"
+            )

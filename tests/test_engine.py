@@ -213,12 +213,12 @@ def test_engine_refuses_tables_it_cannot_read_by_multiset():
 
 
 def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
-    # the budget holds the count of 2 replicates of 30 steps, so 7 replicates go in blocks
-    # of 2 rows
+    # the budget holds the count of 2 replicates of 30 steps beside the seeds and results of
+    # all 7, so they go in blocks of 2 rows
     h = SymmetricKernelFn(np.array([1.0, -0.5, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)])
     mu0 = Distribution.uniform(2)
     whole = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11)[0, 0]
-    budget = count_cells(2, 30, 2, 3)
+    budget = count_cells(2, 30, 2, 3, replicates=7)
     for jobs in (1, 2, 3):
         got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, jobs, budget=budget)[0, 0]
         assert got.tobytes() == whole.tobytes()
@@ -585,12 +585,28 @@ def test_counts_peak_within_their_charge(s, m, replicates, tables, data):
 
     assert _traced_peak(count, charge) <= 8 * charge + CHARGE_BASE
     assert _peak_bytes(count, charge - 1) < 2**20
-    # blocks of `rows` replicates, at least two of them
+    # blocks of `rows` replicates, at least two of them, beside every replicate's seed and results
     rows = data.draw(st.integers(1, replicates - 1))
-    budget = count_cells(rows, max(ns), s, m, tables, len(ns))
+    budget = count_cells(rows, max(ns), s, m, tables, len(ns), replicates=replicates)
     assert _traced_peak(replicate_u_grid, kernel, mu0, hs, ns, replicates, 7, budget=budget) <= 8 * budget + CHARGE_BASE
-    one = count_cells(1, max(ns), s, m, tables, len(ns))
+    one = count_cells(1, max(ns), s, m, tables, len(ns), replicates=replicates)
     assert _peak_bytes(replicate_u_grid, kernel, mu0, hs, ns, replicates, 7, budget=one - 1) < 2**20
+
+
+def test_replicate_pass_charges_every_seed_and_result(two_state_kernel):
+    # 10^5 replicates of 4 steps in blocks of 2000: each replicate's uint64 seed and result
+    # are charged in the fixed part, a cell each, and nothing else grows with the replicates
+    # (a Python int per seed, the block results, their concatenation and the divided stack
+    # once took about 86 bytes a replicate outside the charge)
+    h = SymmetricKernelFn(np.array([[1.0, -0.5], [-0.5, 2.0]]))
+    mu0 = Distribution.uniform(2)
+    replicates = 10**5
+    budget = count_cells(2000, 4, 2, 2, replicates=replicates)
+    replicate_u_grid(two_state_kernel, mu0, [h], [4], 2, 1)
+    assert _traced_peak(replicate_u_grid, two_state_kernel, mu0, [h], [4], replicates, 1, budget=budget) <= (
+        8 * budget + CHARGE_BASE)
+    one = count_cells(1, 4, 2, 2, replicates=replicates)
+    assert _peak_bytes(replicate_u_grid, two_state_kernel, mu0, [h], [4], replicates, 1, budget=one - 1) < 2**20
 
 
 def test_every_counting_caller_reaches_the_one_charge(two_state_kernel):
@@ -699,8 +715,9 @@ def test_exact_l2_refuses_before_listing_tuples(two_state_kernel):
 
 
 def test_exact_l2_refuses_its_second_moments_before_allocating():
-    # S = 25, m = 2: K = 1 + 25 + 625 and S*K^2 > 10^7, while one tuple pair passes the pair cap
-    s = 25
+    # S = 32, m = 2: K' = 1 + 32 + binom(33, 2) = 561 multisets and S*K'^2 > 10^7 (the smallest
+    # such S), while one tuple pair passes the pair cap
+    s = 32
     kernel = FiniteKernel(np.arange(s, dtype=float), np.full((s, s), 1.0 / s))
     h = SymmetricKernelFn(np.ones((s, s)))
     assert _peak_bytes(exact_l2, Distribution.uniform(s), kernel, h, 2, 2) < 2**20
@@ -710,7 +727,8 @@ def test_exact_l2_refuses_its_second_moments_before_allocating():
 
 
 def test_exact_l2_memory_stays_at_its_second_moments():
-    # S = 10, m = 2, n = 17: 18,496 tuple pairs; the second moments hold 10 * 111^2 cells
+    # S = 10, m = 2, n = 17: 18,496 tuple pairs; the second moments hold S * K'^2 = 10 * 66^2
+    # cells (0.35 MB), and a step holds them twice
     rng = np.random.default_rng(4)
     matrix = rng.random((10, 10))
     kernel = FiniteKernel(np.arange(10.0), matrix / matrix.sum(axis=1, keepdims=True))
@@ -722,7 +740,7 @@ def test_exact_l2_memory_stays_at_its_second_moments():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 3 * 8 * 10 * 66**2
 
 
 def test_engine_rejects_bad_checkpoints():
@@ -753,8 +771,8 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
     h = SymmetricKernelFn(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
     hs = [h, h.shifted(0.375)]
     # blocks of `rows` replicates, fewer than ceil(replicates / jobs) when rows is smaller:
-    # the budget holds the count of exactly `rows` replicates
-    budget = count_cells(rows, max(ns), s, m, len(hs), len(ns))
+    # the budget holds the count of exactly `rows` replicates beside every seed and result
+    budget = count_cells(rows, max(ns), s, m, len(hs), len(ns), replicates=replicates)
     got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=budget)
     assert got.shape == (2, len(ns), replicates)
     for k, hk in enumerate(hs):

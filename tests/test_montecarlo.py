@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import l2_enum
+from oracles import l2_enum, l2_ordered
 from ustatmc import (
     BudgetExceeded,
     Distribution,
@@ -88,6 +88,43 @@ def test_exact_l2_matches_path_enumeration(case):
     assert got == pytest.approx(l2_enum(mu, matrix, table, n), rel=1e-12)
 
 
+@st.composite
+def oracle_grids(draw):
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # at most 3^8 paths to enumerate
+    ns = sorted(draw(st.sets(st.integers(m, 8 if s < 4 else 6), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.random((s, s)) * (rng.random((s, s)) > 0.3) + 0.01 * np.eye(s)
+    mu = rng.random(s)
+    table = rng.normal(size=(s,) * m)[tuple(np.sort(np.indices((s,) * m), axis=0))]
+    return mu / mu.sum(), matrix / matrix.sum(axis=1, keepdims=True), table, ns
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_grids())
+def test_exact_l2_matches_the_ordered_recursion_on_grids(case):
+    # the multiset pass against the ordered-tuple pass it replaced and against path enumeration
+    mu, matrix, table, ns = case
+    kernel = FiniteKernel(np.arange(len(mu), dtype=float), matrix)
+    for n in ns:
+        got = exact_l2(Distribution(mu), kernel, SymmetricKernelFn(table), n, table.ndim)
+        assert got == pytest.approx(l2_ordered(mu, matrix, table, n), rel=1e-12, abs=1e-300)
+        assert got == pytest.approx(l2_enum(mu, matrix, table, n), rel=1e-12, abs=1e-300)
+
+
+def test_exact_l2_refuses_a_degree_other_than_the_kernels(two_state_kernel, canonical_product_h, monkeypatch):
+    # a degree-2 kernel read at m = 3 is refused by name before the index is built
+    monkeypatch.setattr(montecarlo, "_multisets", lambda *a: pytest.fail("the index was built"))
+    with pytest.raises(ValueError, match=r"h\.degree"):
+        exact_l2(Distribution.dirac(0, 2), two_state_kernel, canonical_product_h, 6, 3)
+
+
+def test_replicate_u_grid_refuses_zero_replicates(monkeypatch, two_state_kernel, canonical_product_h):
+    monkeypatch.setattr(montecarlo, "mix64", lambda *a: pytest.fail("a seed was mixed"))
+    with pytest.raises(ValueError, match="replicates"):
+        replicate_u_grid(two_state_kernel, Distribution.dirac(0, 2), [canonical_product_h], [6], 0, 1)
+
+
 def test_exact_l2_budget(two_state_kernel, canonical_product_h):
     mu = Distribution.dirac(0, 2)
     with pytest.raises(BudgetExceeded):
@@ -160,8 +197,8 @@ def test_estimate_l2_same_seed_identical(two_state_kernel, canonical_product_h):
 def test_replicate_u_refuses_a_master_seed_outside_uint64_before_any_work(
     monkeypatch, two_state_kernel, canonical_product_h, bad
 ):
-    # mix64 reduces mod 2^64, so 2^64 + 1 or True would alias master seed 1 and 1.5 would
-    # die inside mix64: each is refused as sample_paths refuses it, before a seed is mixed
+    # mix64 works in uint64, so True would alias master seed 1 and 1.5 or 2^64 + 1 would die
+    # inside numpy: each is refused as sample_paths refuses it, before a seed is mixed
     # and before 10^4 replicates of 10^4 steps are charged or sampled
     monkeypatch.setattr(montecarlo, "mix64", lambda *a: pytest.fail("a seed was mixed"))
     tracemalloc.start()

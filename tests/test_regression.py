@@ -150,18 +150,18 @@ DIGESTS = {
     ("two_state_variance", "variance.csv"): "f0888e64f31a3da195bfca8ea73fd3fc49eea8ed40719821bf103b37b2dae84d",
     ("two_state_variance", "bounds.csv"): "a8e48827a58f73429ec41e276a794d2e493f002eb97cfcc8c8c8cae5c87ec555",
     ("slln", "slln.csv"): "7824f92884b6a0c44f286966bcfc50f10c165e9615a3af2c1e3f99b2b526cf69",
-    ("degree_three", "variance.csv"): "df322f5d20795afaaf009d31a5044217c1c5cebbcda91db89484b7220023bcfc",
+    ("degree_three", "variance.csv"): "a6255ab143e253ef16e928e1f6ff1fe9f50054fec07819acf2e8f67a4e9e9ba8",
     ("additive_centered", "variance.csv"): "4bcd21b9af245e45d0b0afdb6c401cedd54b497724dca176bc3abca93ddd091d",
     ("both_statistics", "variance.csv"): "eb648baff1be739cd17a3401d86b05b6b621ed16208b52bcd724ec1b3babfb9b",
-    ("gaussian_rbf", "variance.csv"): "e0b3c1303e3004c5a1fbdec12d04d71255df220c93a342a3bf264431b26d7f01",
-    ("indicator_diag", "variance.csv"): "deb0f6eb15e3841a4deab6da401cd49d116f6ce7384d6f8d609cf688d34c76b1",
+    ("gaussian_rbf", "variance.csv"): "35dffac18171e066861f55c782775dc828b4125c83f6d02459c2639fc9a765a9",
+    ("indicator_diag", "variance.csv"): "bf2badeb95b53debabcf467edec42c118d8b0baf44e157b6fedc4f99f334e47d",
     ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
     ("propositions", "propositions.json"): "207833bb083659c93193d0398b367b675108be3ef92947b1b517a26ca3b4a304",
     ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
     ("routed_to_corollary2", "bounds.csv"): "60baf58058f6d4ea0f22a757d1a1d32bfdd776f07618e327fbf608a577494d11",
     ("canonical_p_as_written", "bounds.csv"): "c94640713e49d88fabc46387a286e2a59212c492aeefaa1f58f12635cf1020a0",
-    ("failing_bounds", "variance.csv"): "6546f55e73bb96f02b532f9702b01cfd1c1dc462b261a48770b334c23f99ecc6",
-    ("failing_bounds", "variance_summary.json"): "2900c0a9d0170c9cfb67fd466713e5e3d1c254cd1b63583f8769db05f0a0a04c",
+    ("failing_bounds", "variance.csv"): "b5492c3112b6c51d4c9ebc3abdec4c85719e6e40bd93ba9e90f5e711b62b3f4d",
+    ("failing_bounds", "variance_summary.json"): "9cd1ac6d6a1d1204665823bd5193636e0fad62a570db02c08aa8a3d8644f429e",
     ("trajectory", "trajectory.csv"): "fc7b69c9b7ecda86e67083d2b9d492d6c0b8a74331c01b5c05f6f3aabf21d77c",
     ("propositions_degree_one", "propositions.json"):
         "2693a6a3b6b892fa97e84d90fa504fa9fc29be452c5ce885503ed253b251cb2e",
