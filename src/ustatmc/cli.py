@@ -9,11 +9,14 @@ check-propositions.  Exit status: 0 when every asserted inequality holds,
 1 on a violation (worst instance is reported), 2 on a configuration error,
 3 when a check could not run (a budget refusal, a chain that is not
 ergodic, an M(mu, V) that cannot be bounded, an artifact that cannot be
-written, or memory that runs out).  A rho table or builtin kernel table
-over 10^7 cells, and a proposition grid whose f_sigma rows of one tuple
-(binom(2m, m) * S^(2m) cells) or work (tuples times binom(2m, m) / 2
-splits) exceed that fixed tensor budget, are refused with status 3
-before any work.  A command returns a
+written, or memory that runs out).  --budget leaves the fixed caps as
+they are: 10^7 cells each for the rho table (certify_rho,
+ExplicitRho.table), builtin kernel tables, the sampler's next-state
+table, the exact oracle's cells, B_q, joint and tilted laws and the
+proposition grid (f_sigma rows of one tuple, binom(2m, m) * S^(2m)
+cells, and work, tuples times binom(2m, m) / 2 splits), and 2 * 10^4
+index pairs for the exact oracle.  Past a cap a check is refused with
+status 3 before any work.  A command returns a
 violation and never raises it, so any other package error means the check
 did not run.  Statuses 2 and 3 print one line.
 A configuration error is found before any work starts; it includes an
@@ -74,7 +77,10 @@ def _parser() -> argparse.ArgumentParser:
                        help="override the counting engine's cap, in cells whatever their width: r paths "
                             "of n steps hold r*(n + 4S + tables*(2*checkpoints + 1) + 8) cells and a part set "
                             "by S, m and the tables, checked before sampling; simulate counts only its n path "
-                            "cells (the exact oracle, B_q and the proposition grid keep fixed caps)")
+                            "cells. Fixed caps stay: 10^7 cells each for the rho table (certify_rho, "
+                            "ExplicitRho.table), builtin kernel tables, the sampler's next-state table, the exact "
+                            "oracle's cells, B_q, joint and tilted laws and the proposition grid, and 2*10^4 "
+                            "exact-oracle index pairs")
         p.add_argument("--jobs", type=int, default=1,
                        help="Monte Carlo replicate blocks, run on at most the CPU count of threads (never changes results)")
     return parser
@@ -92,7 +98,7 @@ def cmd_simulate(args) -> int:
     mu0 = cfg.build_initial(doc, kernel.size)
     section = cfg.section(doc, "simulate", {})
     n = cfg.integer(section, "n", 1000, "simulate", 1)
-    seed = args.seed if args.seed is not None else cfg.seed(section, "seed", 0, "simulate")
+    seed = args.seed if args.seed is not None else cfg.seed(section.get("seed", 0), "simulate.seed")
     budget = cfg.budget(doc, args.budget)
     if n > budget:
         raise BudgetExceeded(f"simulate.n = {n} path cells exceed budget {budget}")
@@ -217,8 +223,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        if args.seed is not None and not 0 <= args.seed < cfg.SEED_LIMIT:
-            raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
+        if args.seed is not None:
+            cfg.seed(args.seed, "--seed")
         if args.budget is not None and args.budget < 1:
             raise ConfigError(f"--budget must be >= 1, got {args.budget}")
         if args.jobs < 1:

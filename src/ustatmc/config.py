@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, certify_rho
+from .markov import Distribution, ErgodicityProfile, ExplicitRho, FiniteKernel, certify_rho, check_seed
 from .montecarlo import ExperimentConfig, SllnConfig, parse_bound_requests, positive_number
 from .ustats import (
     DEFAULT_BUDGET,
@@ -67,8 +67,10 @@ SCHEMA: dict = {
                   "paths of n steps holds r*(n + 4S + tables*(2*checkpoints + 1) + 8) cells plus a part "
                   "set by S, m and the tables alone (ustats.count_cells), refused before any path is "
                   "sampled; a Monte Carlo replicate block is as many rows as fit, and simulate counts only "
-                  "its simulate.n path cells; the exact oracle, B_q and the proposition grid keep fixed caps "
-                  "(default 1e8)",
+                  "its simulate.n path cells (default 1e8). Fixed caps stay: 10^7 cells each for the rho "
+                  "table (certify_rho, ExplicitRho.table), builtin kernel tables, the sampler's next-state "
+                  "table, the exact oracle's cells, B_q, joint and tilted laws and the proposition grid, and "
+                  "2*10^4 exact-oracle index pairs",
     },
     "slln": {
         "n_max": "int",
@@ -145,17 +147,15 @@ def integer(entries: dict, key: str, default: object, where: str, least: int) ->
     return value
 
 
-SEED_LIMIT = 2**64
-
-
-def seed(entries: dict, key: str, default: int, where: str) -> int:
-    """``entries[key]`` as a seed, an integer in [0, 2^64): ``mix64`` mixes
-    the master seed in uint64 arithmetic while PCG64 takes the whole
-    integer, so a larger one would not name one stream."""
-    value = integer(entries, key, default, where, 0)
-    if value >= SEED_LIMIT:
-        raise ConfigError(f"{where}.{key} must be < 2^64, got {value}")
-    return value
+def seed(raw: object, name: str) -> int:
+    """``raw``, the value of the seed ``name``, under the one seed rule,
+    :func:`markov.check_seed`: an integer in [0, 2^64), where a float with
+    no fractional part counts as its integer.  A seed it refuses raises
+    ConfigError."""
+    try:
+        return check_seed(_as_int(raw, name))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def budget(doc: dict, override: int | None = None) -> int:
@@ -295,7 +295,9 @@ def build_experiment(
         k_needed = max(k_needed, 64)
     profile = build_profile(doc, kernel, v, k_max_default=max(k_needed, 16))
     h = build_kernel_fn(doc, kernel)
-    master_seed = seed(entries, "master_seed", 0, "experiment") if seed_override is None else seed_override
+    master_seed = seed_override
+    if master_seed is None:
+        master_seed = seed(entries.get("master_seed", 0), "experiment.master_seed")
     cap = budget(doc, budget_override)
     try:
         return ExperimentConfig(
@@ -327,6 +329,6 @@ def build_propositions(doc: dict, seed_override: int | None = None) -> dict:
         "size": integer(entries, "size", 3, "propositions", 2),
         "m": integer(entries, "m", 2, "propositions", 1),
         "i_max": integer(entries, "i_max", 8, "propositions", 1),
-        "seed": seed_override if seed_override is not None else seed(entries, "seed", 7, "propositions"),
+        "seed": seed_override if seed_override is not None else seed(entries.get("seed", 7), "propositions.seed"),
         "p_values": tuple(p_values),
     }

@@ -14,15 +14,16 @@ in :mod:`ustatmc.bounds` and :mod:`ustatmc.proofs` assumes it.
 
 A path is a 1-D array of state indices in the narrowest signed integer
 type that holds S^2 (:func:`index_dtype`: int8 up to 11 states).  Paths
-come from one sampler, :func:`sample_paths` (a batch of seeds, one PCG64
-stream each); :func:`simulate` is its one-seed case.
+come from one sampler, :func:`sample_paths` (a batch of seeds, one stream
+each, numpy's own ``PCG64(seed)``); :func:`simulate` is its one-seed case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,24 +148,11 @@ class FiniteKernel:
             raise ValueError("every row must sum to 1 within 1e-12")
         self.states = states
         self.matrix = matrix
-        self._powers: dict[int, np.ndarray] = {0: _freeze(np.eye(s)), 1: matrix}
         self._stationary: Distribution | None = None
 
     @property
     def size(self) -> int:
         return self.states.size
-
-    def power(self, k: int) -> np.ndarray:
-        """P^k by cached repeated multiplication (exact float recurrence)."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k not in self._powers:
-            best = max(j for j in self._powers if j <= k)
-            p = self._powers[best]
-            for j in range(best + 1, k + 1):
-                p = p @ self.matrix
-                self._powers[j] = _freeze(p)
-        return self._powers[k]
 
     def is_ergodic(self) -> bool:
         """True iff some power P^k, k <= S^2, is strictly positive.
@@ -426,12 +414,14 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     [0, 2^64) (Python or numpy, not bool), as every entry of a uint64
     array is; any other raises ValueError before anything is allocated.
 
-    The streams of a call are seeded in one array pass: numpy's
-    SeedSequence hash of every seed at once (:func:`_seed_sequence_words`),
-    then PCG64's seeding of each hashed seed (:func:`_stream_states`).
-    One ``PCG64`` and one ``Generator`` per call are re-stated to each
-    seed's stream in turn, so every stream is bit for bit numpy's, and no
-    generator is shared between calls (threads may call this at once).
+    The streams of a call are hashed in one array pass: numpy's
+    SeedSequence hash of every seed at once (:func:`_seed_sequence_words`).
+    Each seed's ``PCG64`` then seeds itself from its row of hashed words,
+    handed over as a seed sequence (:func:`_hashed_seed`), so numpy sets
+    every stream's state itself and each stream is bit for bit numpy's.  A
+    seed's generator is built as its first uniform is drawn, so one is
+    alive at a time, and no generator is shared between calls (threads may
+    call this at once).
 
     A uniform is first coded by how many distinct CDF values lie at or
     below it (:func:`_guide_coder`, in slices of at most ``_SLICE`` cells,
@@ -462,9 +452,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
             f"next-state table S * (distinct CDF values + 1) = {s * (cuts.size + 1)} cells "
             f"exceeds tensor budget {TENSOR_BUDGET}"
         )
-    states = _stream_states(_seed_sequence_words(seeds))
-    bits = np.random.PCG64(0)
-    stream = np.random.Generator(bits)
+    words, hashed_seed = iter(_seed_sequence_words(seeds)), _hashed_seed()
     cdf0 = np.cumsum(mu0.weights)
     code = _guide_coder(cuts)
     # slot t of a path holds the code of the step into time t until the walk
@@ -483,7 +471,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
             block = u[: rows.stop - i, : min(span, n - a)]
             for line in block:
                 if a == 0:
-                    bits.state = next(states)
+                    stream = np.random.Generator(np.random.PCG64(hashed_seed(next(words))))
                 stream.random(out=line)
             if a == 0:
                 first = np.minimum(np.searchsorted(cdf0, block[:, 0], side="right"), s - 1)
@@ -496,7 +484,8 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
 def check_seed(seed: int) -> int:
     """``seed`` as a Python int; a seed that is not an integer in [0, 2^64)
     raises ValueError (a bool or a float with an integer value is not an
-    integer)."""
+    integer).  The one seed rule: the config, the CLI's --seed, the
+    replicate estimator and :func:`sample_paths` all check a seed here."""
     if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed!r} is not an integer in [0, 2^64)")
     return int(seed)
@@ -545,25 +534,27 @@ def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
         mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], _MIX_HASHES[4 + 3 * src : 8 + 3 * src])
         pool[dst] = mixed ^ (mixed >> 16)
     out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASHES).astype(np.uint64)
-    return (out[0::2] | out[1::2] << 32).T
+    # C-contiguous rows: PCG64 reads a seed's words from the raw buffer
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
 
 
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+@functools.cache
+def _hashed_seed() -> type:
+    """The ``ISeedSequence`` whose ``generate_state`` returns one row of
+    :func:`_seed_sequence_words`: numpy's bit generators seed themselves
+    from any seed sequence, so ``np.random.PCG64(_hashed_seed()(row))`` is
+    ``np.random.PCG64(seed)``.  PCG64 reads the row's 4 uint64 words from
+    its buffer, so the row must be C-contiguous.  Built on first use, as
+    importing the package does not load numpy.random."""
 
+    class HashedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-def _stream_states(words: np.ndarray) -> Iterator[dict]:
-    """The state of ``np.random.PCG64(seed)`` for each row of hashed
-    words ``_seed_sequence_words(seeds)`` in turn, as a
-    ``bit_generator.state`` dict: PCG64 seeds itself from words 0-1
-    (initstate) and 2-3 (initseq), with inc = 2 * initseq + 1 and
-    state = (inc + initstate) * MULT + inc, mod 2^128.  Each dict is built
-    as it is read, so the words are all that is held per seed."""
-    for row in words:
-        w0, w1, w2, w3 = row.tolist()
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return HashedSeed
 
 
 def _guide_coder(cuts: np.ndarray):

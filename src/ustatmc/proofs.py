@@ -107,8 +107,11 @@ class _ChainTables:
 
     def __init__(self, mu: Distribution, kernel: FiniteKernel, k_max: int):
         self.kernel = kernel
-        self.starts = np.array([mu.weights @ kernel.power(k) for k in range(k_max + 1)])
-        self.powers = np.array([kernel.power(k) for k in range(k_max + 1)])
+        powers = [np.eye(kernel.size), kernel.matrix]
+        while len(powers) <= k_max:
+            powers.append(powers[-1] @ kernel.matrix)
+        self.powers = np.array(powers[: k_max + 1])
+        self.starts = np.array([mu.weights @ p for p in self.powers])
 
 
 def _law_block(tables: _ChainTables, ks: np.ndarray) -> np.ndarray:
@@ -145,7 +148,7 @@ def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.n
     """Law of (Y_{k_1}, ..., Y_{k_l}) for the chain started at mu at time 0,
     as a tensor over S^l.
 
-    Built coordinate by coordinate from cached matrix powers:
+    Built coordinate by coordinate from the matrix powers P^k:
     T_l(..., a, b) = T_{l-1}(..., a) * P^{k_l - k_{l-1}}(a, b).
     """
     ks = [int(k) for k in ks]

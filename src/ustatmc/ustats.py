@@ -397,9 +397,12 @@ def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> Symmetr
 def degeneracy_order(h: SymmetricKernelFn, pi: Distribution, eps: float = DEGENERACY_EPS) -> int:
     """Smallest d with pi_{d,m}h not identically zero; m+1 if all vanish
     (then h integrates to zero against every product argument and
-    U_{n,m}(h) is identically pi^{(m)}h = 0)."""
+    U_{n,m}(h) is identically pi^{(m)}h = 0).  A projection vanishes when
+    its sup norm is at most eps * sup|h|, so d does not change when h is
+    scaled: a kernel of tiny values is not taken as completely degenerate."""
+    tol = eps * h.sup_norm()
     for d in range(h.degree + 1):
-        if hoeffding_project(h, pi, d).sup_norm() > eps:
+        if hoeffding_project(h, pi, d).sup_norm() > tol:
             return d
     return h.degree + 1
 

@@ -280,11 +280,30 @@ def test_cli_verify_variance_pass_and_exit_codes(tmp_path):
     assert main(["verify-variance", "--config", str(bad), "--out", str(tmp_path / "v2")]) == 2
 
 
+def test_cli_verify_variance_passes_on_a_kernel_of_tiny_values(tmp_path):
+    # a table of order 1e-11 is not completely degenerate: its corollary2 bound is not the empty sum 0
+    doc = _variance_doc()
+    doc["kernel_fn"] = {"name": "table", "degree": 2, "params": {"values": [[3e-11, 1e-11], [1e-11, 2e-11]]}}
+    doc["experiment"].update(n_grid=[6, 10], bounds=[{"name": "corollary2"}])
+    cfg = _write(tmp_path, "tiny.json", doc)
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    with open(tmp_path / "v" / "variance.csv") as fh:
+        assert all(float(row["bound"]) > float(row["estimate"]) > 0 for row in csv.DictReader(fh))
+
+
 def test_cli_verify_variance_jobs_byte_identical(tmp_path):
     cfg = _write(tmp_path, "v.json", _variance_doc())
     assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
     assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "j4"), "--jobs", "4"]) == 0
     assert (tmp_path / "j1" / "variance.csv").read_bytes() == (tmp_path / "j4" / "variance.csv").read_bytes()
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # numpy loads numpy.random on first attribute access; a command that samples nothing has no use for it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    script = "import sys, ustatmc.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "False", done.stdout + done.stderr
 
 
 def test_cli_verify_variance_leaves_numpy_ma_unimported(tmp_path):

@@ -428,7 +428,7 @@ def test_sampler_stores_codes_up_to_s_squared(s, rows):
 
 def test_concurrent_calls_keep_their_own_streams():
     # --jobs threads sample their blocks at once (more threads than cores, switching
-    # often): each call re-states its own generator, so no stream sees another call's draws
+    # often): each call builds its own generators, so no stream sees another call's draws
     rng = np.random.default_rng(5)
     matrix = rng.random((3, 3)) + 0.1
     kernel = FiniteKernel(np.arange(3.0), matrix / matrix.sum(axis=1, keepdims=True))

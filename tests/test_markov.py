@@ -347,16 +347,15 @@ _SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
 def test_stream_replica_is_numpys_pcg64(seeds):
-    # the array hash and PCG64 seeding re-state one bit generator to each seed's own stream
+    # rows of one array hash over the whole seed list seed numpy's own PCG64, as sample_paths hands
+    # them over: PCG64 reads a row's buffer raw, so a non-contiguous row would seed another stream
     seeds = seeds + _SEED_EDGES
     words = markov._seed_sequence_words(np.array(seeds, dtype=np.uint64))
-    bits = np.random.PCG64(0)
-    stream = np.random.Generator(bits)
-    for seed, row, state in zip(seeds, words, markov._stream_states(words)):
+    for seed, row in zip(seeds, words):
         assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-        bits.state = state
-        assert bits.state == np.random.PCG64(seed).state
-        assert np.array_equal(stream.random(5), np.random.Generator(np.random.PCG64(seed)).random(5))
+        bits, reference = np.random.PCG64(markov._hashed_seed()(row)), np.random.PCG64(seed)
+        assert bits.state == reference.state
+        assert np.array_equal(np.random.Generator(bits).random(5), np.random.Generator(reference).random(5))
 
 
 def test_sample_paths_takes_numpy_integer_seeds(two_state_kernel, mu_dirac0):

@@ -164,6 +164,20 @@ def test_degeneracy_orders(two_state_kernel):
     assert degeneracy_order(SymmetricKernelFn(np.zeros((2, 2))), pi) == 3
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_degeneracy_order_does_not_change_when_h_is_scaled(m):
+    rng = np.random.default_rng(40 + m)
+    for _ in range(4):
+        kernel = random_ergodic_kernel(3, rng)
+        pi = kernel.stationary()
+        h = SymmetricKernelFn(_random_symmetric_table(rng, 3, m))
+        # generic (d = 0), mean-free (d = 1) and completely degenerate (d = m)
+        for kernel_fn, d in ((h, 0), (h.shifted(float(hoeffding_project(h, pi, 0).table)), 1),
+                             (canonicalize(h, pi), m)):
+            for c in (1e-12, 1.0, 1e8):
+                assert degeneracy_order(SymmetricKernelFn(c * kernel_fn.table), pi) == d
+
+
 def test_degeneracy_zero_mean_value(two_state_kernel):
     pi = two_state_kernel.stationary()
     h = SymmetricKernelFn(np.full((2, 2), 5.0))
