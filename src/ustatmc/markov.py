@@ -51,6 +51,9 @@ _ATOL = 1e-12
 _WIDTH = 512
 # uniforms coded at a time: the coding temporaries stay a few tens of KiB
 _SLICE = 4096
+# bytes of whole paths coded before one transposed write into the store:
+# larger stages sampled the variance-m2 block no faster (README)
+_STAGE = 2**15
 # cells of one block of Dirac steps in certify_rho (256 KiB; a block holds
 # at least one step of S^2 cells): larger blocks took no less time at
 # S = 2, 8 and 20 on a 2-core x86 VM, numpy 2.4
@@ -434,7 +437,13 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     table of more than ``TENSOR_BUDGET`` cells raises
     :class:`BudgetExceeded` before any seed is hashed.  The
     store is time-major, (n, rows), each time step contiguous across the
-    paths, and the result is its transpose.
+    paths, and the result is its transpose.  A path longer than
+    ``_SLICE`` is coded into its row a slice at a time.  Shorter paths are
+    coded whole, path-major, into a stage of whole slice groups of at most
+    ``_STAGE`` bytes, and each full stage goes into the store in one
+    transposed write, so each time step gets one run as long as the stage
+    has paths.  Each path's first uniform is kept, and every first state
+    is inverted through mu0's CDF in one pass after the coding.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -453,30 +462,44 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
             f"exceeds tensor budget {TENSOR_BUDGET}"
         )
     words, hashed_seed = iter(_seed_sequence_words(seeds)), _hashed_seed()
-    cdf0 = np.cumsum(mu0.weights)
-    code = _guide_coder(cuts)
     # slot t of a path holds the code of the step into time t until the walk
     # replaces it by the state at time t
     store = np.empty((n, r), dtype=index_dtype(s))
     paths = store.T
+    code = _guide_coder(cuts, store.dtype)
     # a slice codes `group` seeds side by side, `span` steps each: either
     # one seed over several slices or several seeds within one slice, so
     # each stream draws its uniforms without another stream in between
     span = min(n, _SLICE)
-    group = max(1, _SLICE // span)
+    group = _SLICE // span
     u = np.empty((group, span))
-    for i in range(0, r, group):
-        rows = slice(i, min(i + group, r))
-        for a in range(0, n, span):
-            block = u[: rows.stop - i, : min(span, n - a)]
-            for line in block:
-                if a == 0:
-                    stream = np.random.Generator(np.random.PCG64(hashed_seed(next(words))))
+    # each path's first uniform, inverted through mu0's CDF after the loop
+    first = np.empty(r)
+    if n > span:
+        # a long path is coded into its own row of the result, a slice at a time
+        for row in range(r):
+            stream = np.random.Generator(np.random.PCG64(hashed_seed(next(words))))
+            for a in range(0, n, span):
+                line = u[0, : min(span, n - a)]
                 stream.random(out=line)
-            if a == 0:
-                first = np.minimum(np.searchsorted(cdf0, block[:, 0], side="right"), s - 1)
-            paths[rows, a : a + block.shape[1]] = code(block)
-        paths[rows, 0] = first
+                if a == 0:
+                    first[row] = line[0]
+                paths[row, a : a + line.size] = code(line)
+    else:
+        # whole paths are coded path-major into a stage of whole groups, which goes
+        # into the time-major store in one transposed write: a run of stage rows per step
+        groups = min(-(-r // group), _STAGE // (group * n * store.itemsize))
+        stage = np.empty((group * max(1, groups), n), store.dtype)
+        for base in range(0, r, len(stage)):
+            top = min(base + len(stage), r)
+            for i in range(base, top, group):
+                block = u[: min(group, top - i)]
+                for line in block:
+                    np.random.Generator(np.random.PCG64(hashed_seed(next(words)))).random(out=line)
+                first[i : i + len(block)] = block[:, 0]
+                stage[i - base : i - base + len(block)] = code(block)
+            store[:, base:top] = stage[: top - base].T
+    store[0] = np.minimum(np.searchsorted(np.cumsum(mu0.weights), first, side="right"), s - 1)
     _walk(store, cdf, cuts)
     return paths
 
@@ -557,22 +580,24 @@ def _hashed_seed() -> type:
     return HashedSeed
 
 
-def _guide_coder(cuts: np.ndarray):
+def _guide_coder(cuts: np.ndarray, dtype: np.dtype):
     """The function u -> number of entries of the sorted array ``cuts`` at
     or below u, for arrays of uniforms in [0, 1): ``np.searchsorted(cuts,
-    u, "right")``, bit for bit, by comparisons only.
+    u, "right")``, bit for bit, by comparisons only, in the integer type
+    ``dtype``, which must hold len(cuts).
 
     u * G is exact for the power of two G >= 4 * len(cuts), so floor(u * G)
     picks u's bucket [b / G, (b + 1) / G), and lo[b] = #cuts <= b / G
-    counts every cut below the bucket.  The at most k cuts inside any
-    bucket are then bisected branch-free: ceil(log2(k + 1)) passes over
-    all of u, each adding its step where the cut it reads is <= u.  So a
-    guide with no cut inside a bucket needs no pass, and no guide needs
-    more passes than a binary search takes steps.
+    counts every cut below the bucket; lo is held in ``dtype``, so a code
+    comes out in it.  The at most k cuts inside any bucket are then
+    bisected branch-free: ceil(log2(k + 1)) passes over all of u, each
+    adding its step times the hit "the cut it reads is <= u", taken in
+    ``dtype``.  So a guide with no cut inside a bucket needs no pass, and
+    no guide needs more passes than a binary search takes steps.
     """
     size = 1 << (4 * cuts.size - 1).bit_length()
     edges = np.arange(size + 1) / size
-    lo = np.searchsorted(cuts, edges[:-1], side="right")
+    lo = np.searchsorted(cuts, edges[:-1], side="right").astype(dtype)
     inside = int((np.searchsorted(cuts, edges[1:], side="left") - lo).max())
     steps = [1 << j for j in reversed(range(inside.bit_length()))]
     # the bisection reads up to lo + 2 * steps[0] - 2: pad with cuts no u reaches
@@ -583,7 +608,7 @@ def _guide_coder(cuts: np.ndarray):
     def code(u: np.ndarray) -> np.ndarray:
         out = lo.take((u * size).astype(np.intp))
         for q, view in reads:
-            np.add(out, q, out=out, where=view.take(out) <= u)
+            out += np.multiply(view.take(out) <= u, q, dtype=out.dtype)
         return out
 
     return code

@@ -58,6 +58,11 @@ from .ustats import SymmetricKernelFn, canonicalize, degeneracy_order
 # has at least one tuple, so a grid with S^(2m) >= _BLOCK_CELLS runs one
 # tuple per block.
 _BLOCK_CELLS = 2**12
+# (tuple, split) values of one record update, 32 KiB of float64 per array:
+# the grid takes its records over runs of whole blocks of about this many
+# values (one run per chain on the benchmark grid), so what it holds for
+# them does not grow with the grid
+_RECORD_VALUES = 2**12
 
 
 @dataclass(frozen=True)
@@ -102,25 +107,44 @@ def j_indices(tup: OrderedTuple) -> tuple[list[int], int, int]:
 
 
 class _ChainTables:
-    """mu P^k and P^k for every k <= k_max, the tables the block law
-    builders read, and the kernel they came from."""
+    """mu P^k and P^k for each k that the laws of the rows of ``times``
+    (rows of non-decreasing times) read: every time, since a tilted law's
+    blocks may start at any of them, and every gap between successive
+    times; and the kernel they came from.  Each P^k is taken by the
+    recurrence P^k = P^(k-1) @ P (P^1 is P itself), but only the read ones
+    are kept: a law at the one time 20000 keeps one S x S power, not
+    20001."""
 
-    def __init__(self, mu: Distribution, kernel: FiniteKernel, k_max: int):
+    def __init__(self, mu: Distribution, kernel: FiniteKernel, times: np.ndarray):
         self.kernel = kernel
-        powers = [np.eye(kernel.size), kernel.matrix]
-        while len(powers) <= k_max:
-            powers.append(powers[-1] @ kernel.matrix)
-        self.powers = np.array(powers[: k_max + 1])
-        self.starts = np.array([mu.weights @ p for p in self.powers])
+        read = np.zeros(times.max() + 1, dtype=bool)
+        read[times] = read[np.diff(times)] = True
+        self.ks = np.flatnonzero(read)
+        s = kernel.size
+        self.powers, self.starts = np.empty((self.ks.size, s, s)), np.empty((self.ks.size, s))
+        power, k_now = np.eye(s), 0
+        for slot, k in enumerate(self.ks.tolist()):
+            while k_now < k:
+                k_now += 1
+                power = kernel.matrix if k_now == 1 else power @ kernel.matrix
+            self.powers[slot], self.starts[slot] = power, mu.weights @ power
+
+    def power(self, ks: np.ndarray) -> np.ndarray:
+        """P^k for each k of ``ks``, stacked."""
+        return self.powers[np.searchsorted(self.ks, ks)]
+
+    def start(self, ks: np.ndarray) -> np.ndarray:
+        """mu P^k for each k of ``ks``, stacked."""
+        return self.starts[np.searchsorted(self.ks, ks)]
 
 
 def _law_block(tables: _ChainTables, ks: np.ndarray) -> np.ndarray:
     """Law of (Y_{k_1}, ..., Y_{k_l}) for each row of ``ks`` (B, l), as an
     array (B, S, ..., S), built coordinate by coordinate:
     T_l(..., a, b) = T_{l-1}(..., a) * P^{k_l - k_{l-1}}(a, b)."""
-    law = tables.starts[ks[:, 0]]
+    law = tables.start(ks[:, 0])
     for c in range(1, ks.shape[1]):
-        step = tables.powers[ks[:, c] - ks[:, c - 1]]
+        step = tables.power(ks[:, c] - ks[:, c - 1])
         law = law[..., None] * step.reshape((len(ks),) + (1,) * (c - 1) + step.shape[1:])
     return law
 
@@ -159,7 +183,8 @@ def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.n
     s = kernel.size
     if s ** len(ks) > TENSOR_BUDGET:
         raise BudgetExceeded(f"S^l = {s ** len(ks)} exceeds tensor budget {TENSOR_BUDGET}")
-    return _law_block(_ChainTables(mu, kernel, ks[-1]), np.array([ks]))[0]
+    ks = np.array([ks])
+    return _law_block(_ChainTables(mu, kernel, ks), ks)[0]
 
 
 def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.ndarray:
@@ -173,7 +198,7 @@ def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.n
     if kernel.size ** (2 * tup.m) > TENSOR_BUDGET:
         raise BudgetExceeded("tilted-law tensor exceeds budget")
     tuples = np.array([tup.indices])
-    return _tilted_block(_ChainTables(mu, kernel, tup.indices[-1]), tuples, _gaps(tuples)[2])[0]
+    return _tilted_block(_ChainTables(mu, kernel, tuples), tuples, _gaps(tuples)[2])[0]
 
 
 @functools.cache
@@ -245,7 +270,7 @@ def _tuple_step(
     tuples = np.array([tup.indices])
     _, j_star, ell_star = _gaps(tuples)
     rho_j = profile.rho_at(int(j_star[0]))
-    tables = _ChainTables(mu, kernel, tup.indices[-1])
+    tables = _ChainTables(mu, kernel, tuples)
     laws, tv, bound = _prop5_step(tables, tuples, ell_star, np.array([rho_j]), m_value)
     return laws, float(tv[0]), float(bound[0]), rho_j
 
@@ -457,8 +482,12 @@ def proposition_grid_check(
     raises :class:`BudgetExceeded` before any work.
 
     Each chain's tuples go in blocks of rows, in enumeration order, and the
-    rho(j*) certificates are taken once per distinct j*; the report is the
-    one a tuple-by-tuple scan gives, bit for bit.
+    rho(j*) certificates are taken once per distinct j*.  The blocks fill
+    arrays of each tuple's TV, its certificate and its |f_sigma| values (2
+    laws times binom(2m, m) / 2 splits) over a run of whole blocks of
+    about ``_RECORD_VALUES`` (tuple, split) values, and each record is then
+    updated once per run, over its tuples in enumeration order; the report
+    is the one a tuple-by-tuple scan gives, bit for bit.
     """
     cells, work = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.comb(2 * m, m) // 2
     stack = math.comb(2 * m, m) * cells
@@ -472,6 +501,7 @@ def proposition_grid_check(
     block = max(1, _BLOCK_CELLS // cells)
     # a split column stands for the 2 (m!)^2 permutations that share its value
     splits, weight = _splits(m), 2 * math.factorial(m) ** 2
+    run = block * max(1, _RECORD_VALUES // (block * len(splits)))
     eq19 = _Record(tolerance=1e-11, weight=weight)
     prop5 = _Record("tv")
     prop7 = {p: _Record("lhs", weight=weight) for p in (None, *p_values)}
@@ -482,21 +512,28 @@ def proposition_grid_check(
         profile = certify_rho(kernel, np.ones(size), k_max=i_max + 1)
         h = random_canonical_kernel(kernel, m, rng)
         m_value = m_sup(mu, profile, kernel)
-        tables = _ChainTables(mu, kernel, i_max)
+        tables = _ChainTables(mu, kernel, tuples)
         # j* takes every value in 0..max(j*): each certificate once per value, read by each row's j*
         rho = [profile.rho_at(j) for j in range(int(j_star.max()) + 1)]
         prop7_bounds = list(map(_prop7_bounds(h, profile, m_value, p_values), rho))
         bound7 = {p: np.array([b1 if p is None else b2[p] for b1, b2 in prop7_bounds])[j_star] for p in prop7}
         rho = np.array(rho)[j_star]
-        for start in range(0, len(tuples), block):
-            rows = slice(start, start + block)
-            laws, tv, bound5 = _prop5_step(tables, tuples[rows], ell_star[rows], rho[rows], m_value)
-            case = functools.partial(_case, chain_idx, tuples[rows])
+        for head in range(0, len(tuples), run):
+            part = slice(head, head + run)
+            size_of_run = len(tuples[part])
+            # per tuple of the run: the TV, its certificate, and |f_sigma| under the tilted and the true law
+            tv, bound5 = np.empty(size_of_run), np.empty(size_of_run)
+            values = np.empty((size_of_run, 2, len(splits)))
+            for start in range(0, size_of_run, block):
+                rows, at = slice(start, start + block), slice(head + start, head + start + block)
+                laws, tv[rows], bound5[rows] = _prop5_step(tables, tuples[at], ell_star[at], rho[at], m_value)
+                np.abs(f_sigma_values(laws, h), out=values[rows])
+            case = functools.partial(_case, chain_idx, tuples[part])
             prop5.update(tv[:, None], bound5, case)
-            resid, lhs = np.abs(f_sigma_values(laws, h)).transpose(1, 0, 2)
+            resid, lhs = values.transpose(1, 0, 2)
             eq19.update(resid, np.zeros(len(tv)), case, splits)
             for p, record in prop7.items():
-                record.update(lhs, bound7[p][rows], case, splits)
+                record.update(lhs, bound7[p][part], case, splits)
 
     xi, xi_p, f = (np.empty((lemma6_trials, lemma6_points)) for _ in range(3))
     exponents = np.empty(lemma6_trials)

@@ -281,7 +281,10 @@ def test_guide_coder_matches_binary_search(matrix, data):
     edges = np.concatenate((cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)))
     u = np.concatenate((rng.random(500), edges, [0.0, np.nextafter(1.0, 0.0)]))
     u = u[(u >= 0.0) & (u < 1.0)]
-    code = _guide_coder(cuts)
+    # codes come out in the sampler's store type, as narrow as int8
+    dtype = index_dtype(len(matrix))
+    code = _guide_coder(cuts, dtype)
+    assert code(u).dtype == dtype
     assert np.array_equal(code(u), np.searchsorted(cuts, u, "right"))
     # a 2-D block codes as its cells do
     block = rng.random((3, 7))
@@ -295,7 +298,8 @@ def test_sampler_cut_list_is_np_unique(matrix):
     # the sampler hands its cut list to the guide coder
     cut_lists = []
     kernel = FiniteKernel(np.arange(float(len(matrix))), matrix)
-    with mock.patch.object(markov, "_guide_coder", lambda cuts: cut_lists.append(cuts) or _guide_coder(cuts)):
+    spy = lambda cuts, dtype: cut_lists.append(cuts) or _guide_coder(cuts, dtype)  # noqa: E731
+    with mock.patch.object(markov, "_guide_coder", spy):
         sample_paths(kernel, Distribution.uniform(len(matrix)), 2, [5])
     [cuts] = cut_lists
     assert cuts.dtype == np.float64 and cuts.tobytes() == np.unique(np.cumsum(kernel.matrix, axis=1)).tobytes()
@@ -320,6 +324,46 @@ def test_sampler_slices_and_layouts_match_replay(monkeypatch, rows, width, cells
     assert paths.shape == (rows, 61) and paths.dtype == np.int8
     for row, seed in zip(paths, seeds):
         assert row.tolist() == replay_path(kernel.matrix, mu0.weights, 61, seed)
+
+
+# (_SLICE, _STAGE), n, row counts.  A path of n <= _SLICE steps is coded whole, _SLICE // n
+# paths to a group, and a stage holds the most whole groups that fit in _STAGE bytes, but no
+# more groups than the paths fill (full stage sizes in brackets: int8 at 4 states, then int16
+# at 12).  The first four cases take the sampler's own sizes, the rest small ones
+STAGE_CASES = [
+    # n = 1: groups of 4096 (stages of 32768 and 16384): below one group, one group, two
+    ((4096, 2**15), 1, [3, 4096, 4099]),
+    # the variance-m2 shape, groups of 2 (stages of 20 and 10): one or two stages, then partial
+    ((4096, 2**15), 1600, [20, 21, 67]),
+    # n = _SLICE: groups of 1 (stages of 8 and 4): one or two stages, then partial
+    ((4096, 2**15), 4096, [8, 19]),
+    # n = _SLICE + 1: each path coded into its row in slices, no stage
+    ((4096, 2**15), 4097, [1, 3]),
+    # small slices and stages flush many times: groups of 64 (stages of 256 and 128) ...
+    ((64, 256), 1, [3, 64, 300]),
+    # ... groups of 3 (stages of 12 and 6) ...
+    ((64, 256), 20, [2, 12, 50]),
+    # ... groups of 1 at n = _SLICE (stages of 4 and 2), and slices past it
+    ((64, 256), 64, [4, 11]),
+    ((64, 256), 65, [1, 3]),
+]
+
+
+@pytest.mark.parametrize("s", [4, 12])
+@pytest.mark.parametrize("sizes, n, row_counts", STAGE_CASES)
+def test_sampler_stage_boundaries_match_replay(monkeypatch, s, sizes, n, row_counts):
+    monkeypatch.setattr(markov, "_SLICE", sizes[0])
+    monkeypatch.setattr(markov, "_STAGE", sizes[1])
+    rng = np.random.default_rng(s * n)
+    matrix = rng.random((s, s)) * (rng.random((s, s)) > 0.3) + np.eye(s) * 0.01
+    kernel = FiniteKernel(np.arange(float(s)), matrix / matrix.sum(axis=1, keepdims=True))
+    mu0 = Distribution.normalized(rng.random(s) + 0.1)
+    seeds = [mix64(n, r) for r in range(max(row_counts))]
+    expected = [replay_path(kernel.matrix, mu0.weights, n, seed) for seed in seeds]
+    for rows in row_counts:
+        paths = sample_paths(kernel, mu0, n, seeds[:rows])
+        assert paths.shape == (rows, n) and paths.dtype == index_dtype(s)
+        assert paths.tolist() == expected[:rows]
 
 
 @settings(max_examples=40, deadline=None)

@@ -73,6 +73,25 @@ def test_joint_law_arity_one_is_evolve(two_state_kernel):
         )
 
 
+def test_a_law_at_a_late_time_keeps_only_the_powers_it_reads():
+    # a stack of every P^k, k <= 20000, traced 41 MB to return these 10 cells
+    rng = np.random.default_rng(4)
+    kernel = random_ergodic_kernel(10, rng)
+    mu = Distribution.normalized(rng.random(10) + 0.05)
+    joint_law(mu, kernel, [3])  # a first call loads what numpy loads once
+    tracemalloc.start()
+    try:
+        law = joint_law(mu, kernel, [20000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    power = kernel.matrix
+    for _ in range(19999):
+        power = power @ kernel.matrix
+    assert law.tobytes() == (mu.weights @ power).tobytes()
+
+
 def test_joint_law_repeated_index_fully_correlated(two_state_kernel):
     mu = Distribution.dirac(0, 2)
     law = joint_law(mu, two_state_kernel, (3, 3))
@@ -493,7 +512,7 @@ def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max
     h = random_canonical_kernel(kernel, m, rng)
     tuples = _ordered_tuples(i_max, 2 * m)
     js, j_star, ell_star = _gaps(tuples)
-    laws, tv, _ = _prop5_step(_ChainTables(mu, kernel, i_max), tuples, ell_star, np.zeros(len(tuples)), 1.0)
+    laws, tv, _ = _prop5_step(_ChainTables(mu, kernel, tuples), tuples, ell_star, np.zeros(len(tuples)), 1.0)
     values = f_sigma_values(laws, h)
     assert laws.shape == (len(tuples), 2) + (size,) * (2 * m)
     assert values.shape == (len(tuples), 2, math.comb(2 * m, m) // 2)
@@ -524,6 +543,9 @@ def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max
     report = json.dumps(proposition_grid_check(**grid))
     with mock.patch.object(proofs, "_BLOCK_CELLS", 1):
         assert json.dumps(proposition_grid_check(**grid)) == report
+        # and so does a record update per block
+        with mock.patch.object(proofs, "_RECORD_VALUES", 1):
+            assert json.dumps(proposition_grid_check(**grid)) == report
 
 
 def test_batched_lemma6_matches_the_trial_by_trial_check(monkeypatch):
@@ -566,6 +588,22 @@ def test_proposition_grid_peak_memory_on_the_benchmark_shape():
         tracemalloc.stop()
     assert report["pass"] and report["prop5"]["instances"] == 3 * math.comb(13, 4)
     assert peak <= 2**20
+
+
+def test_a_large_grid_takes_its_records_in_runs_of_bounded_size():
+    # S = 2, m = 3, i_max = 14: 27 132 tuples x 10 splits.  Arrays of the TV, certificate and
+    # |f_sigma| values of a whole chain, and their record temporaries, traced 12.2 MiB; runs
+    # of about _RECORD_VALUES values hold the peak near the 1.3 MiB tuple list and one block
+    grid = {"num_chains": 1, "size": 2, "m": 3, "seed": 3, "lemma6_trials": 0, "counting_n_max": 0}
+    proposition_grid_check(**grid, i_max=3)  # a first small grid loads what numpy loads once
+    tracemalloc.start()
+    try:
+        report = proposition_grid_check(**grid, i_max=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] and report["prop5"]["instances"] == math.comb(19, 6)
+    assert peak < 6 * 2**20
 
 
 def test_a_grid_with_s_to_the_2m_over_the_block_cap_runs_one_tuple_per_block(monkeypatch):
