@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TENSOR_BUDGET, BudgetExceeded, DomainError, NotCanonical, PNotPositive, Unbounded
+from .errors import DomainError, NotCanonical, PNotPositive, Unbounded, refuse_over
 from .markov import Distribution, ErgodicityProfile, FiniteKernel
 from .ustats import SymmetricKernelFn, degeneracy_order
 
@@ -145,13 +145,13 @@ def corollary2_bound(n: int, m: int, profile: ErgodicityProfile, m_value: float,
 def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float) -> float:
     """B_q(h) = sup over m-tuples of |h| / sum_j V(y_j)^{1/q}.
 
-    Exact maximization over the dense table when S^m fits ``TENSOR_BUDGET``.
+    Exact maximization over the dense table, once its S^m cells pass
+    :func:`~ustatmc.errors.refuse_over`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     s = h.table.shape[0]
-    if s**h.degree > TENSOR_BUDGET:
-        raise BudgetExceeded(f"S^m = {s**h.degree} exceeds enumeration budget {TENSOR_BUDGET}")
+    refuse_over("B_q table cells S^m", s**h.degree)
     vq = profile.v_values ** (1.0 / q)
     denom = np.zeros((s,) * h.degree)
     for axis in range(h.degree):

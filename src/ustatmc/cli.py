@@ -9,16 +9,12 @@ check-propositions.  Exit status: 0 when every asserted inequality holds,
 1 on a violation (worst instance is reported), 2 on a configuration error,
 3 when a check could not run (a budget refusal, a chain that is not
 ergodic, an M(mu, V) that cannot be bounded, an artifact that cannot be
-written, or memory that runs out).  --budget leaves the fixed caps as
-they are: 10^7 cells each for the rho table (certify_rho,
-ExplicitRho.table), builtin kernel tables, the sampler's next-state
-table, the exact oracle's cells, B_q, joint and tilted laws and the
-proposition grid (f_sigma rows of one tuple, binom(2m, m) * S^(2m)
-cells, and work, tuples times binom(2m, m) / 2 splits), and 2 * 10^4
-index pairs for the exact oracle.  Past a cap a check is refused with
-status 3 before any work.  A command returns a
-violation and never raises it, so any other package error means the check
-did not run.  Statuses 2 and 3 print one line.
+written, or memory that runs out).  --budget caps counting and the
+simulate path; every other config-sized array has a fixed cap of 10^7
+cells, and a check past a cap is refused with status 3, before any
+work, by a message that names the array (the README lists the caps).
+A command returns a violation and never raises it, so any other package
+error means the check did not run.  Statuses 2 and 3 print one line.
 A configuration error is found before any work starts; it includes an
 --out that names an existing file, a number that is not finite (NaN or
 Infinity) in the chain, the initial weights, a kernel table or a profile,
@@ -47,7 +43,7 @@ from pathlib import Path
 
 from . import config as cfg
 from .bounds import evaluate_bounds
-from .errors import BudgetExceeded, ConfigError, UstatmcError
+from .errors import ConfigError, UstatmcError, refuse_over
 from .markov import simulate
 from .montecarlo import VARIANCE_COLUMNS, ExperimentConfig, run_slln_experiment, run_variance_experiment
 from .proofs import proposition_grid_check
@@ -77,10 +73,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="override the counting engine's cap, in cells whatever their width: r paths "
                             "of n steps hold r*(n + 4S + tables*(2*checkpoints + 1) + 8) cells and a part set "
                             "by S, m and the tables, checked before sampling; simulate counts only its n path "
-                            "cells. Fixed caps stay: 10^7 cells each for the rho table (certify_rho, "
-                            "ExplicitRho.table), builtin kernel tables, the sampler's next-state table, the exact "
-                            "oracle's cells, B_q, joint and tilted laws and the proposition grid, and 2*10^4 "
-                            "exact-oracle index pairs")
+                            "cells. Other config-sized arrays have a fixed cap of 10^7 cells, and a refusal "
+                            "names the array")
         p.add_argument("--jobs", type=int, default=1,
                        help="Monte Carlo replicate blocks, run on at most the CPU count of threads (never changes results)")
     return parser
@@ -99,9 +93,7 @@ def cmd_simulate(args) -> int:
     section = cfg.section(doc, "simulate", {})
     n = cfg.integer(section, "n", 1000, "simulate", 1)
     seed = args.seed if args.seed is not None else cfg.seed(section.get("seed", 0), "simulate.seed")
-    budget = cfg.budget(doc, args.budget)
-    if n > budget:
-        raise BudgetExceeded(f"simulate.n = {n} path cells exceed budget {budget}")
+    refuse_over("simulate.n path cells", n, cfg.budget(doc, args.budget))
     values = [float(x) for x in kernel.states]
     rows = ((t, i, values[i]) for t, i in enumerate(simulate(kernel, mu0, n, seed).tolist()))
     path = _out_dir(args) / "trajectory.csv"

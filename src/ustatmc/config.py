@@ -67,10 +67,8 @@ SCHEMA: dict = {
                   "paths of n steps holds r*(n + 4S + tables*(2*checkpoints + 1) + 8) cells plus a part "
                   "set by S, m and the tables alone (ustats.count_cells), refused before any path is "
                   "sampled; a Monte Carlo replicate block is as many rows as fit, and simulate counts only "
-                  "its simulate.n path cells (default 1e8). Fixed caps stay: 10^7 cells each for the rho "
-                  "table (certify_rho, ExplicitRho.table), builtin kernel tables, the sampler's next-state "
-                  "table, the exact oracle's cells, B_q, joint and tilted laws and the proposition grid, and "
-                  "2*10^4 exact-oracle index pairs",
+                  "its simulate.n path cells (default 1e8). Other config-sized arrays have a fixed cap of "
+                  "10^7 cells, and a refusal names the array",
     },
     "slln": {
         "n_max": "int",

@@ -24,6 +24,16 @@ class BudgetExceeded(UstatmcError):
 TENSOR_BUDGET = 10**7
 
 
+def refuse_over(what: str, size: int, cap: int | None = None) -> None:
+    """The one refusal rule: raise :class:`BudgetExceeded`, before ``what``
+    is allocated, when its ``size`` exceeds ``cap`` (``TENSOR_BUDGET``, read
+    at call time, when None).  The message names the allocation, its size
+    and the cap."""
+    limit = TENSOR_BUDGET if cap is None else cap
+    if size > limit:
+        raise BudgetExceeded(f"{what} = {size} exceeds {'tensor budget' if cap is None else 'budget'} {limit}")
+
+
 class DegreeTooLarge(UstatmcError):
     """The trajectory is shorter than the kernel degree (n < m)."""
 

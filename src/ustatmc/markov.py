@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TENSOR_BUDGET, BudgetExceeded, NotErgodic
+from .errors import NotErgodic, refuse_over
 
 _ATOL = 1e-12
 # rows * states below which the sampler walks blocks of time side by side,
@@ -280,8 +280,7 @@ class ExplicitRho:
         return float(self.values[-1]) * self.tail_rate ** (k - self.k_max)
 
     def table(self, n: int) -> np.ndarray:
-        if n + 1 > TENSOR_BUDGET:
-            raise BudgetExceeded(f"rho(0..n) = {n + 1} cells exceed tensor budget {TENSOR_BUDGET}")
+        refuse_over("rho(0..n) cells", n + 1)
         if n <= self.k_max:
             return self.values[: n + 1].copy()
         tail = self.values[-1] * self.tail_rate ** np.arange(1, n - self.k_max + 1)
@@ -355,21 +354,24 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     The tail rate is 1, so rho(k) = rho(k_max) for every k > k_max.  That
     is proven, not fitted: P contracts total variation, so each Dirac
     pair's tv(delta_x P^k, delta_x' P^k), and with it the pair's ratio,
-    cannot grow with k (Dobrushin 1956).  k_max must lie below ``TENSOR_BUDGET``.
+    cannot grow with k (Dobrushin 1956).  The rho table and the Dirac
+    block are refused past their caps (:func:`~ustatmc.errors.refuse_over`)
+    before the chain is probed.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if k_max + 1 > TENSOR_BUDGET:
-        raise BudgetExceeded(f"rho(0..k_max) = {k_max + 1} cells exceed tensor budget {TENSOR_BUDGET}")
+    refuse_over("rho(0..k_max) cells", k_max + 1)
     v = np.asarray(v_values, dtype=float)
     if v.shape != (kernel.size,):
         raise ValueError("V must assign one value per state")
+    s = kernel.size
+    steps_per_block = min(k_max + 1, max(1, _RHO_CELLS // (s * s)))
+    refuse_over("Dirac block cells (steps, S, S)", steps_per_block * s * s)
     if not kernel.is_ergodic():
         raise NotErgodic("cannot certify a non-ergodic kernel")
-    s = kernel.size
     measured = np.zeros(k_max + 1)
     if s > 1:
-        block = np.empty((min(k_max + 1, max(1, _RHO_CELLS // (s * s))), s, s))
+        block = np.empty((steps_per_block, s, s))
         raw = np.eye(s)
         for k0 in range(0, k_max + 1, block.shape[0]):
             steps = block[: k_max + 1 - k0]
@@ -434,10 +436,9 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     and the seed count.  The codes, the states that replace them and the
     table are all held in ``index_dtype(S)``, which holds any code (at
     most S^2), so the store takes one byte a cell up to 11 states.  A
-    table of more than ``TENSOR_BUDGET`` cells raises
-    :class:`BudgetExceeded` before any seed is hashed.  The
-    store is time-major, (n, rows), each time step contiguous across the
-    paths, and the result is its transpose.  A path longer than
+    table past its cap is refused (:func:`~ustatmc.errors.refuse_over`)
+    before any seed is hashed.  The store is time-major, (n, rows), each
+    time step contiguous across the paths, and the result is its transpose.  A path longer than
     ``_SLICE`` is coded into its row a slice at a time.  Shorter paths are
     coded whole, path-major, into a stage of whole slice groups of at most
     ``_STAGE`` bytes, and each full stage goes into the store in one
@@ -456,11 +457,7 @@ def sample_paths(kernel: FiniteKernel, mu0: Distribution, n: int, seeds: Sequenc
     # the distinct CDF values in order: np.unique(cdf), without its first-call numpy.ma import
     cuts = np.sort(cdf, axis=None)
     cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-    if s * (cuts.size + 1) > TENSOR_BUDGET:
-        raise BudgetExceeded(
-            f"next-state table S * (distinct CDF values + 1) = {s * (cuts.size + 1)} cells "
-            f"exceeds tensor budget {TENSOR_BUDGET}"
-        )
+    refuse_over("next-state table cells S * (distinct CDF values + 1)", s * (cuts.size + 1))
     words, hashed_seed = iter(_seed_sequence_words(seeds)), _hashed_seed()
     # slot t of a path holds the code of the step into time t until the walk
     # replaces it by the state at time t

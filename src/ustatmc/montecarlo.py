@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import evaluate_bounds
-from .errors import TENSOR_BUDGET, BudgetExceeded, ConfigError, DegreeTooLarge
+from .errors import BudgetExceeded, ConfigError, DegreeTooLarge, refuse_over
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, check_seed, sample_paths, simulate
 from .ustats import DEFAULT_BUDGET, SymmetricKernelFn, _multisets, count_cells, hoeffding_project, tuple_sums
 
@@ -195,21 +195,20 @@ def exact_l2(
 
     ``m`` must be ``h.degree`` (any other raises ValueError).  binom(n, m)^2
     must fit ``pairs_budget`` (checked first) and the S*K'^2 cells of second
-    must fit ``TENSOR_BUDGET``, both before the index or any array is built.
+    must fit the fixed cap, both checked by
+    :func:`~ustatmc.errors.refuse_over` before the index or any array is
+    built.
     """
     if m != h.degree:
         raise ValueError(f"m = {m} does not match the kernel's degree h.degree = {h.degree}")
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
-    pairs = math.comb(n, m) ** 2
-    if pairs > pairs_budget:
-        raise BudgetExceeded(f"binom(n,m)^2 = {pairs} exceeds exact-oracle budget {pairs_budget}")
+    refuse_over("exact-oracle index pairs binom(n,m)^2", math.comb(n, m) ** 2, pairs_budget)
     s = kernel.size
     # block c of l is l[offsets[c] : offsets[c + 1]], and tuples[i] the multiset of line i
     offsets = [0] + list(itertools.accumulate(math.comb(s + c - 1, c) for c in range(m + 1)))
     k = offsets[-1]
-    if s * k * k > TENSOR_BUDGET:
-        raise BudgetExceeded(f"second-moment cells S*K'^2 = {s * k * k} exceed tensor budget {TENSOR_BUDGET}")
+    refuse_over("exact-oracle second-moment cells S*K'^2", s * k * k)
     tuples = [()] + [a for c in range(1, m + 1) for a in map(tuple, _multisets(s, c)[0].tolist())]
     line = {a: i for i, a in enumerate(tuples)}
     # lines[c][x] = the lines of block c that gain block c - 1 when the path sees x
@@ -272,8 +271,9 @@ def replicate_u_grid(
     if min(ns) < m:
         raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
     shape = (len(tables), len(ns))
-    fixed = count_cells(0, n_max, s, m, *shape, None, replicates)
-    per_row = count_cells(1, n_max, s, m, *shape, budget, replicates) - fixed
+    fixed = count_cells(0, n_max, s, m, *shape, replicates)
+    per_row = count_cells(1, n_max, s, m, *shape, replicates) - fixed
+    refuse_over(f"cells to count 1 path(s) of {n_max} steps", fixed + per_row, budget)
     rows = min(math.ceil(replicates / max(jobs, 1)), (budget - fixed) // per_row)
     out = np.empty(shape + (replicates,))
     blocks = (range(i, min(i + rows, replicates)) for i in range(0, replicates, rows))
@@ -360,7 +360,8 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
     m = config.m
     checkpoints = config.slln.checkpoints
     n_max = checkpoints[-1]
-    count_cells(1, n_max, config.kernel.size, m, 1, len(checkpoints), config.budget)
+    charge = count_cells(1, n_max, config.kernel.size, m, 1, len(checkpoints))
+    refuse_over(f"cells to count 1 path(s) of {n_max} steps", charge, config.budget)
     pi = config.kernel.stationary()
     target = float(hoeffding_project(config.h, pi, 0).table)
     path = simulate(config.kernel, config.mu0, n_max, config.master_seed)

@@ -33,8 +33,8 @@ rho(j*) certificate once per distinct j*.  :func:`j_indices`,
 same code, so they return the grid's numbers bit for bit.  The module
 builds its laws only from a validated ``Distribution`` and
 ``FiniteKernel``, so they are non-negative and sum to 1 by construction.
-Every law tensor and every enumeration is checked against
-``TENSOR_BUDGET`` before it is allocated.
+Every law tensor and every enumeration is checked by the one refusal rule,
+:func:`~ustatmc.errors.refuse_over`, before it is allocated.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import b_q, d_constant, lemma6_constant, m_sup
-from .errors import TENSOR_BUDGET, BudgetExceeded, NotCanonical, PNotPositive
+from .errors import NotCanonical, PNotPositive, refuse_over
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
-from .ustats import SymmetricKernelFn, canonicalize, degeneracy_order
+from .ustats import SymmetricKernelFn, _multisets, canonicalize, degeneracy_order
 
 # Law cells (tuples x S^(2m)) of one block of the grid, 32 KiB of float64 per
 # law array; the f_sigma row stack holds binom(2m, m) times as many.  A block
@@ -82,13 +82,6 @@ class OrderedTuple:
     @property
     def m(self) -> int:
         return len(self.indices) // 2
-
-
-def _ordered_tuples(n: int, width: int) -> np.ndarray:
-    """Every non-decreasing tuple of ``width`` times in 1..n, one row each,
-    in ``itertools.combinations_with_replacement`` order."""
-    combos = itertools.combinations_with_replacement(range(1, n + 1), width)
-    return np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64).reshape(-1, width)
 
 
 def _gaps(tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,8 +174,7 @@ def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.n
     if ks[0] < 0 or any(a > b for a, b in zip(ks, ks[1:])):
         raise ValueError("time indices must be non-decreasing and >= 0")
     s = kernel.size
-    if s ** len(ks) > TENSOR_BUDGET:
-        raise BudgetExceeded(f"S^l = {s ** len(ks)} exceeds tensor budget {TENSOR_BUDGET}")
+    refuse_over("joint-law cells S^l", s ** len(ks))
     ks = np.array([ks])
     return _law_block(_ChainTables(mu, kernel, ks), ks)[0]
 
@@ -195,8 +187,7 @@ def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.n
     P_mu^{i_1..i_{2l*-2}} (x) pi (x) P_mu^{i_{2l*}..i_2m}, the blocks being
     independent (the right block restarts from mu at time 0).
     """
-    if kernel.size ** (2 * tup.m) > TENSOR_BUDGET:
-        raise BudgetExceeded("tilted-law tensor exceeds budget")
+    refuse_over("tilted-law cells S^(2m)", kernel.size ** (2 * tup.m))
     tuples = np.array([tup.indices])
     return _tilted_block(_ChainTables(mu, kernel, tuples), tuples, _gaps(tuples)[2])[0]
 
@@ -371,9 +362,8 @@ def jstar_histogram(n: int, m: int) -> dict[int, int]:
     """Bucket all binom(n + 2m - 1, 2m) ordered 2m-tuples by j*, keyed in
     order of first appearance."""
     total = math.comb(n + 2 * m - 1, 2 * m)
-    if total * 2 * m > TENSOR_BUDGET:
-        raise BudgetExceeded(f"{total} tuples of {2 * m} times exceed enumeration budget {TENSOR_BUDGET}")
-    return dict(Counter(_gaps(_ordered_tuples(n, 2 * m))[1].tolist()))
+    refuse_over(f"j* enumeration cells, {total} tuples of {2 * m} times", total * 2 * m)
+    return dict(Counter(_gaps(_multisets(n, 2 * m)[0] + 1)[1].tolist()))
 
 
 def counting_bound(n: int, m: int, k: int) -> int:
@@ -478,8 +468,8 @@ def proposition_grid_check(
     held to 1e-11 absolute).  A grid whose f_sigma row stack of one tuple
     (2 laws times binom(2m, m) / 2 splits times S^(2m) cells, which
     :func:`f_sigma_values` allocates) or whose work (binom(i_max + 2m - 1,
-    2m) tuples times binom(2m, m) / 2 splits) exceeds ``TENSOR_BUDGET``
-    raises :class:`BudgetExceeded` before any work.
+    2m) tuples times binom(2m, m) / 2 splits) exceeds the fixed cap is
+    refused (:func:`~ustatmc.errors.refuse_over`) before any work.
 
     Each chain's tuples go in blocks of rows, in enumeration order, and the
     rho(j*) certificates are taken once per distinct j*.  The blocks fill
@@ -491,12 +481,11 @@ def proposition_grid_check(
     """
     cells, work = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.comb(2 * m, m) // 2
     stack = math.comb(2 * m, m) * cells
-    if max(stack, work) > TENSOR_BUDGET:
-        raise BudgetExceeded(f"proposition grid of binom(2m, m) * S^(2m) = {stack} f_sigma row cells per tuple "
-                             f"and {work} (tuple, split) values exceeds budget {TENSOR_BUDGET}")
+    refuse_over(f"proposition grid of {stack} f_sigma row cells per tuple (binom(2m, m) * S^(2m)) "
+                f"and {work} (tuple, split) values, the larger", max(stack, work))
     rng = np.random.default_rng(seed)
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
-    tuples = _ordered_tuples(i_max, 2 * m)
+    tuples = _multisets(i_max, 2 * m)[0] + 1
     _, j_star, ell_star = _gaps(tuples)
     block = max(1, _BLOCK_CELLS // cells)
     # a split column stands for the 2 (m!)^2 permutations that share its value

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import TENSOR_BUDGET, BudgetExceeded, DegreeTooLarge
+from .errors import BudgetExceeded, DegreeTooLarge, refuse_over
 from .markov import Distribution
 
 DEFAULT_BUDGET = 10**8
@@ -112,12 +112,12 @@ class KernelFamily:
             raise ValueError("degree must be >= 1")
 
     def tabulated(self, states: Sequence[float]) -> SymmetricKernelFn:
-        """fn evaluated on every m-tuple of state values, once S^m fits
-        ``TENSOR_BUDGET``: one call on the sparse (S, 1, ...), (1, S, ...),
-        ... grids of the state values, broadcast to (S,) * m."""
+        """fn evaluated on every m-tuple of state values, once the S^m table
+        passes :func:`~ustatmc.errors.refuse_over`: one call on the sparse
+        (S, 1, ...), (1, S, ...), ... grids of the state values, broadcast
+        to (S,) * m."""
         states = np.asarray(states, dtype=float)
-        if states.size**self.degree > TENSOR_BUDGET:
-            raise BudgetExceeded(f"kernel table S^m = {states.size**self.degree} exceeds tensor budget {TENSOR_BUDGET}")
+        refuse_over("kernel table cells S^m", states.size**self.degree)
         grids = np.meshgrid(*([states] * self.degree), indexing="ij", sparse=True)
         return SymmetricKernelFn(np.broadcast_to(self.fn(*grids), (states.size,) * self.degree))
 
@@ -225,22 +225,18 @@ def tuple_sums(
     return out if paths.ndim == 2 else out[..., 0]
 
 
-def count_cells(rows: int, n: int, s: int, m: int, tables: int = 1, checkpoints: int = 1, budget: int | None = None,
-                replicates: int = 0) -> int:
+def count_cells(rows: int, n: int, s: int, m: int, tables: int = 1, checkpoints: int = 1, replicates: int = 0) -> int:
     """The cells (8 bytes) one :func:`tuple_sums` call holds at most: per
     row its path (of any width), counts with their bincount or sort keys,
     results and indices; fixed, the symmetry check's two S^m temporaries,
     the K = binom(S + m - 1, m) multisets and weights, one path slice and
     one :func:`_contract` chunk and, for a pass of ``replicates`` rows in
-    all, their results.  Every counting refusal is this charge: given a
-    ``budget``, a count over it raises :class:`BudgetExceeded`."""
+    all, their results.  Every counting refusal is this charge, held to the
+    run's budget by :func:`~ustatmc.errors.refuse_over`."""
     k = math.comb(s + m - 1, m)
     per_row = n + 4 * s + tables * (2 * checkpoints + 1) + 8
     fixed = replicates * tables * checkpoints + 2 * s**m + k * (2 * m + 6 + tables) + _SLICE
-    cells = rows * per_row + fixed + max(_CHUNK, _chunk_width(s, m, k))
-    if budget is not None and cells > budget:
-        raise BudgetExceeded(f"counting {rows} path(s) of {n} steps holds {cells} cells, over budget {budget}")
-    return cells
+    return rows * per_row + fixed + max(_CHUNK, _chunk_width(s, m, k))
 
 
 def _chunk_width(s: int, m: int, k: int) -> int:
@@ -260,7 +256,8 @@ def _check_counting(paths: np.ndarray, s: int, m: int, tables: int, checkpoints:
     if m * math.comb(n, min(m, n // 2)) >= 2**63:
         raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
     marks = [int(c) for c in checkpoints]
-    count_cells(len(paths) if paths.ndim == 2 else 1, n, s, m, tables, len(marks), budget)
+    rows = len(paths) if paths.ndim == 2 else 1
+    refuse_over(f"cells to count {rows} path(s) of {n} steps", count_cells(rows, n, s, m, tables, len(marks)), budget)
     # an index >= S would be counted in the next row's bins
     if paths.size and (paths.min() < 0 or paths.max() >= s):
         raise ValueError(f"state indices must lie in [0, {s})")

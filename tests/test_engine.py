@@ -102,7 +102,7 @@ def checkpoint_runs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(checkpoint_runs())
-def test_tree_joined_pieces_match_batch_and_enumeration(case):
+def test_checkpoints_with_adjacent_pairs_match_one_row_batch_and_enumeration(case):
     # the stretches of the path between adjacent checkpoints, one path against its one-row batch
     s, m, path, checkpoints, rows = case
     tables = _multiset_tables(s, m)

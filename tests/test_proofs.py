@@ -36,7 +36,8 @@ from ustatmc import (
 )
 from ustatmc import proofs, tv_distance
 from ustatmc.bounds import lemma6_constant
-from ustatmc.proofs import _ChainTables, _gaps, _ordered_tuples, _prop5_step, _split_column, _splits
+from ustatmc.proofs import _ChainTables, _gaps, _prop5_step, _split_column, _splits
+from ustatmc.ustats import _multisets
 
 
 def test_j_indices_worked_examples():
@@ -510,7 +511,7 @@ def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max
     kernel = random_ergodic_kernel(size, rng)
     mu = Distribution.normalized(rng.random(size) + 0.05)
     h = random_canonical_kernel(kernel, m, rng)
-    tuples = _ordered_tuples(i_max, 2 * m)
+    tuples = _multisets(i_max, 2 * m)[0] + 1
     js, j_star, ell_star = _gaps(tuples)
     laws, tv, _ = _prop5_step(_ChainTables(mu, kernel, tuples), tuples, ell_star, np.zeros(len(tuples)), 1.0)
     values = f_sigma_values(laws, h)
