@@ -23,15 +23,18 @@ not a finite number > 0, a boolean included), an experiment.bounds that is
 not a list, initial weights that do not list one value per state, a declared
 profile whose v does not list one value per state, a count that is not an
 integer (a fraction, a string or a boolean), an initial.dirac that is not a
-state index, an slln.checkpoints with no entry in [m, n_max], an
-slln.threshold that is not a finite number > 0, a seed (a config seed or
---seed) outside [0, 2^64), a --budget or --jobs below 1, and a bad
+state index, an slln.checkpoints with no entry in [m, n_max] (or, with
+no checkpoints listed, an slln.n_max below m), an slln.threshold that is
+not a finite number > 0, a seed (a config seed or --seed) outside
+[0, 2^64), a --budget or --jobs below 1, and a bad
 propositions section (a count below its least value, or a p_values entry
 that is not a finite number > 0).  bound and verify-variance also refuse
 an empty experiment.n_grid or experiment.bounds with status 2, once the
 experiment is built and before any artifact is written.
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
-and seeds yield byte-identical files at any --jobs value.
+and seeds yield byte-identical files at any --budget that lets the run
+finish.  --jobs has no effect: the Monte Carlo replicate blocks run in
+order in one thread.  It is still parsed, and refused below 1.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
                             "cells. Other config-sized arrays have a fixed cap of 10^7 cells, and a refusal "
                             "names the array")
         p.add_argument("--jobs", type=int, default=1,
-                       help="Monte Carlo replicate blocks, run on at most the CPU count of threads (never changes results)")
+                       help="has no effect: replicate blocks run in order in one thread (kept so old command lines parse)")
     return parser
 
 
@@ -119,7 +122,7 @@ def cmd_certify_profile(args) -> int:
 def _bound_experiment(args) -> ExperimentConfig:
     """The experiment of ``bound`` and ``verify-variance``, which check
     nothing unless both the n grid and the bound requests are non-empty."""
-    config = cfg.build_experiment(cfg.load_document(args.config), args.seed, args.budget, args.jobs)
+    config = cfg.build_experiment(cfg.load_document(args.config), args.seed, args.budget)
     if not config.n_grid:
         raise ConfigError(f"{args.command} needs a non-empty experiment.n_grid")
     if not config.bounds:
@@ -168,7 +171,7 @@ def cmd_verify_variance(args) -> int:
 
 def cmd_verify_slln(args) -> int:
     doc = cfg.load_document(args.config)
-    config = cfg.build_experiment(doc, args.seed, args.budget, args.jobs)
+    config = cfg.build_experiment(doc, args.seed, args.budget)
     result = run_slln_experiment(config)
     out = _out_dir(args)
     write_csv(out / "slln.csv", SLLN_COLUMNS, ([row[c] for c in SLLN_COLUMNS] for row in result["rows"]))

@@ -264,7 +264,6 @@ def build_experiment(
     doc: dict,
     seed_override: int | None = None,
     budget_override: int | None = None,
-    jobs: int = 1,
 ) -> ExperimentConfig:
     kernel, v = build_chain(doc)
     mu0 = build_initial(doc, kernel.size)
@@ -309,7 +308,6 @@ def build_experiment(
             bounds=entries.get("bounds", []),
             slln=slln,
             budget=cap,
-            jobs=jobs,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid experiment section: {exc}") from exc

@@ -9,9 +9,9 @@ where mix64 is the splitmix64 finalizer:
     z ^= z >> 27;  z *= 0x94D049BB133111EB  (mod 2^64)
     z ^= z >> 31
 
-Streams therefore do not depend on how replicates are partitioned across
-workers, and every reduction runs in fixed replicate order, so results are
-bitwise reproducible for a fixed master seed at any --jobs value.
+Streams therefore do not depend on how replicates are cut into blocks, and
+the blocks run in replicate order in one thread, so results are bitwise
+reproducible for a fixed master seed at any budget.
 
 Replicate paths come from the one sampler :func:`ustatmc.markov.sample_paths`
 and are counted by the one counting call :func:`ustatmc.ustats.tuple_sums`.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -121,6 +120,8 @@ class SllnConfig:
             if not pts or pts[-1] != self.n_max:
                 pts.append(self.n_max)
         pts = [c for c in pts if m <= c <= self.n_max]
+        if not pts and self.checkpoints is None:
+            raise ConfigError(f"slln.n_max = {self.n_max} is below the kernel degree m = {m}")
         if not pts:
             raise ConfigError(f"slln.checkpoints has no entry in [m, n_max] = [{m}, {self.n_max}]")
         return pts
@@ -146,7 +147,6 @@ class ExperimentConfig:
     bounds: list = field(default_factory=list)
     slln: SllnConfig | None = None
     budget: int = DEFAULT_BUDGET
-    jobs: int = 1
 
     def __post_init__(self):
         if self.replicates < 2:
@@ -157,8 +157,6 @@ class ExperimentConfig:
             raise ValueError("kernel degree must be >= 1")
         if self.n_grid and self.n_grid[0] < self.m:
             raise ValueError(f"n_grid entries must be >= m = {self.m}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.bounds = parse_bound_requests(self.bounds)
         if self.slln is not None:
             self.slln = replace(self.slln, checkpoints=self.slln.resolve_checkpoints(self.m))
@@ -238,7 +236,7 @@ def replicate_u_grid(
     ns: Sequence[int],
     replicates: int,
     master_seed: int,
-    jobs: int = 1,
+    *,
     budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """U values of every kernel of ``hs`` (one degree m) at every n of
@@ -251,17 +249,15 @@ def replicate_u_grid(
     them holds r * per_row + fixed cells (:func:`count_cells`), ``out``
     among the fixed; a pass whose one replicate is over ``budget`` is
     refused before sampling, and the rest are cut in order into blocks of
-    min(ceil(replicates / jobs), (budget - fixed) // per_row) rows, so
-    refusal never depends on ``jobs``.  Each block mixes its seeds as one
-    uint64 array and counts one :func:`sample_paths` call by one
-    :func:`tuple_sums` call, which reads every n as it passes, into its
-    columns of ``out``; min(``jobs``, CPU count) threads take the blocks in
-    order (numpy releases the interpreter lock inside the array work).
-    Every row is computed on its own, so each value is bit-identical to
-    ``u_statistic`` on that replicate's first n steps at any ``jobs`` and
-    any ``budget``.  ``master_seed`` must be an integer in [0, 2^64), not a
-    bool, as :func:`sample_paths` takes a seed, and ``replicates`` must be
-    >= 1; any other raises ValueError before a seed is mixed.
+    (budget - fixed) // per_row rows.  The blocks run in replicate order
+    in one thread: each mixes its seeds as one uint64 array and counts one
+    :func:`sample_paths` call by one :func:`tuple_sums` call, which reads
+    every n as it passes, into its columns of ``out``.  Every row is
+    computed on its own, so each value is bit-identical to
+    ``u_statistic`` on that replicate's first n steps at any ``budget``.
+    ``master_seed`` must be an integer in [0, 2^64), not a bool, as
+    :func:`sample_paths` takes a seed, and ``replicates`` must be >= 1;
+    any other raises ValueError before a seed is mixed.
     """
     master_seed = check_seed(master_seed)
     if replicates < 1:
@@ -274,23 +270,12 @@ def replicate_u_grid(
     fixed = count_cells(0, n_max, s, m, *shape, replicates)
     per_row = count_cells(1, n_max, s, m, *shape, replicates) - fixed
     refuse_over(f"cells to count 1 path(s) of {n_max} steps", fixed + per_row, budget)
-    rows = min(math.ceil(replicates / max(jobs, 1)), (budget - fixed) // per_row)
+    rows = (budget - fixed) // per_row
     out = np.empty(shape + (replicates,))
-    blocks = (range(i, min(i + rows, replicates)) for i in range(0, replicates, rows))
-
-    def work(block: range) -> None:
-        seeds = mix64(master_seed, np.arange(block.start, block.stop, dtype=np.uint64))
-        out[..., block.start : block.stop] = tuple_sums(sample_paths(kernel, mu0, n_max, seeds), tables, ns, budget)
-
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or rows >= replicates:
-        list(map(work, blocks))
-    else:
-        # imported here: the pool (and the logging it imports) serves jobs > 1 only
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))
+    for start in range(0, replicates, rows):
+        stop = min(start + rows, replicates)
+        seeds = mix64(master_seed, np.arange(start, stop, dtype=np.uint64))
+        out[..., start:stop] = tuple_sums(sample_paths(kernel, mu0, n_max, seeds), tables, ns, budget)
     for j, n in enumerate(ns):
         out[:, j] /= math.comb(n, m)
     return out
@@ -333,7 +318,7 @@ def run_variance_experiment(config: ExperimentConfig) -> list[dict]:
         mc_ns = sorted({n for n, _ in refused})
         mc_variants = sorted({variant for _, variant in refused})
         u = replicate_u_grid(kernel, config.mu0, [stat_hs[v] for v in mc_variants], mc_ns,
-                             config.replicates, config.master_seed, config.jobs, config.budget)
+                             config.replicates, config.master_seed, budget=config.budget)
         for n, variant in refused:
             point, stderr = l2_estimate(u[mc_variants.index(variant), mc_ns.index(n)])
             l2[n, variant] = ("monte-carlo", point, stderr, config.replicates)

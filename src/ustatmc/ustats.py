@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegreeTooLarge, refuse_over
+from .errors import DegreeTooLarge, refuse_over
 from .markov import Distribution
 
 DEFAULT_BUDGET = 10**8
@@ -253,8 +253,8 @@ def _check_counting(paths: np.ndarray, s: int, m: int, tables: int, checkpoints:
     # every binom(c, k), k <= m, c <= n, passes through k * binom(c, k) before its // k, and
     # every partial product of N_A is at most binom(n, sum of its k), so all stay below
     # m * binom(n, min(m, n // 2))
-    if m * math.comb(n, min(m, n // 2)) >= 2**63:
-        raise BudgetExceeded(f"tuple counts of n = {n}, m = {m} overflow int64")
+    width = min(m, n // 2)
+    refuse_over(f"int64 tuple-count bound {m}*binom({n}, {width})", m * math.comb(n, width), 2**63 - 1)
     marks = [int(c) for c in checkpoints]
     rows = len(paths) if paths.ndim == 2 else 1
     refuse_over(f"cells to count {rows} path(s) of {n} steps", count_cells(rows, n, s, m, tables, len(marks)), budget)

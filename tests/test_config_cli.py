@@ -291,11 +291,24 @@ def test_cli_verify_variance_passes_on_a_kernel_of_tiny_values(tmp_path):
         assert all(float(row["bound"]) > float(row["estimate"]) > 0 for row in csv.DictReader(fh))
 
 
-def test_cli_verify_variance_jobs_byte_identical(tmp_path):
+def test_cli_verify_variance_jobs_byte_identical(tmp_path, monkeypatch):
+    # a budget that holds the count of 40 of the 300 replicates beside all their seeds and
+    # results cuts them into 8 blocks; --jobs 4 still parses and changes nothing
     cfg = _write(tmp_path, "v.json", _variance_doc())
-    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
-    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "j4"), "--jobs", "4"]) == 0
-    assert (tmp_path / "j1" / "variance.csv").read_bytes() == (tmp_path / "j4" / "variance.csv").read_bytes()
+    budget = count_cells(40, 40, 2, 2, 1, 2, replicates=300)
+    blocks, sample_paths = [], montecarlo.sample_paths
+
+    def counted(kernel, mu0, n, seeds):
+        blocks.append(len(seeds))
+        return sample_paths(kernel, mu0, n, seeds)
+
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(montecarlo, "sample_paths", counted)
+    assert main(["verify-variance", "--config", cfg, "--out", str(tmp_path / "cut"), "--budget", str(budget),
+                 "--jobs", "4"]) == 0
+    assert blocks == [40] * 7 + [20]
+    whole = (tmp_path / "whole" / "variance.csv").read_bytes()
+    assert b"monte-carlo" in whole and whole == (tmp_path / "cut" / "variance.csv").read_bytes()
 
 
 def test_importing_the_cli_leaves_numpy_random_unimported():
@@ -311,12 +324,15 @@ def test_cli_verify_variance_leaves_numpy_ma_unimported(tmp_path):
     doc = _variance_doc()
     doc["experiment"].update(n_grid=[30, 3000], replicates=20, bounds=[{"name": "theorem1"}])
     cfg = _write(tmp_path, "v.json", doc)
-    script = ("import sys; from ustatmc.cli import main; "
-              f"status = main(['verify-variance', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
-              "print(status, 'numpy.ma' in sys.modules)")
+    # and --jobs starts no thread pool: the blocks run in order in the main thread
+    script = ("import sys, threading; from ustatmc.cli import main; "
+              f"status = main(['verify-variance', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}, "
+              "'--jobs', '4']); "
+              "print(status, 'numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules, "
+              "threading.active_count())")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False False 1", done.stdout + done.stderr
     rows = list(csv.DictReader((tmp_path / "out" / "variance.csv").open()))
     assert [row["l2_kind"] for row in rows] == ["monte-carlo"] * 2
 
@@ -495,18 +511,27 @@ def test_cli_malformed_section_is_config_error(tmp_path, capsys, command, bad):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("checkpoints", [[1], [10**9]], ids=["below-degree", "past-n-max"])
-def test_cli_unusable_checkpoints_exit_2_from_verify_slln(tmp_path, monkeypatch, capsys, checkpoints):
+UNUSABLE_CHECKPOINTS = {
+    "below-degree": (2, {"n_max": 100000, "checkpoints": [1]}, "slln.checkpoints has no entry in [m, n_max] = [2,"),
+    "past-n-max": (2, {"n_max": 100000, "checkpoints": [10**9]}, "slln.checkpoints has no entry"),
+    # no checkpoints listed: the defaults end at n_max, so n_max itself is below the degree
+    "n-max-below-degree": (3, {"n_max": 2}, "slln.n_max = 2 is below the kernel degree m = 3"),
+}
+
+
+@pytest.mark.parametrize("degree, slln, message", UNUSABLE_CHECKPOINTS.values(), ids=UNUSABLE_CHECKPOINTS.keys())
+def test_cli_unusable_checkpoints_exit_2_from_verify_slln(tmp_path, monkeypatch, capsys, degree, slln, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the strong-law run started before its checkpoints were resolved")
 
     for module, name in [(cli, "run_slln_experiment"), (montecarlo, "simulate")]:
         monkeypatch.setattr(module, name, no_work)
-    doc = {**_variance_doc(), "slln": {"n_max": 100000, "checkpoints": checkpoints}}
+    doc = {**_variance_doc(), "slln": slln}
+    doc["kernel_fn"] = {**doc["kernel_fn"], "degree": degree}
     cfg = _write(tmp_path, "s.json", doc)
     assert main(["verify-slln", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    assert err.startswith("config error:") and err.count("\n") == 1 and message in err, err
     assert not (tmp_path / "out").exists()
 
 

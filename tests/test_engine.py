@@ -219,9 +219,8 @@ def test_replicates_beyond_budget_match_at_any_jobs(two_state_kernel):
     mu0 = Distribution.uniform(2)
     whole = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11)[0, 0]
     budget = count_cells(2, 30, 2, 3, replicates=7)
-    for jobs in (1, 2, 3):
-        got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, jobs, budget=budget)[0, 0]
-        assert got.tobytes() == whole.tobytes()
+    got = replicate_u_grid(two_state_kernel, mu0, [h], [30], 7, 11, budget=budget)[0, 0]
+    assert got.tobytes() == whole.tobytes()
 
 
 @st.composite
@@ -471,8 +470,8 @@ def test_sampler_stores_codes_up_to_s_squared(s, rows):
 
 
 def test_concurrent_calls_keep_their_own_streams():
-    # --jobs threads sample their blocks at once (more threads than cores, switching
-    # often): each call builds its own generators, so no stream sees another call's draws
+    # callers' threads may sample at once (more threads than cores, switching often):
+    # each call builds its own generators, so no stream sees another call's draws
     rng = np.random.default_rng(5)
     matrix = rng.random((3, 3)) + 0.1
     kernel = FiniteKernel(np.arange(3.0), matrix / matrix.sum(axis=1, keepdims=True))
@@ -802,11 +801,10 @@ def test_engine_rejects_bad_checkpoints():
     st.integers(1, 3),
     st.data(),
     st.integers(2, 9),
-    st.sampled_from([1, 2, 3]),
     st.integers(1, 4),
     st.integers(0, 2**63),
 )
-def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, master_seed):
+def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, rows, master_seed):
     kernel, mu0 = chain
     s = kernel.size
     ns = sorted(data.draw(st.sets(st.integers(m + 1, 40), max_size=4)) | {m})
@@ -814,10 +812,10 @@ def test_grid_pass_matches_one_n_runs(chain, m, data, replicates, jobs, rows, ma
     idx = np.indices((s,) * m)
     h = SymmetricKernelFn(rng.normal(size=s)[idx].sum(axis=0) + rng.normal(size=s)[idx].prod(axis=0))
     hs = [h, h.shifted(0.375)]
-    # blocks of `rows` replicates, fewer than ceil(replicates / jobs) when rows is smaller:
-    # the budget holds the count of exactly `rows` replicates beside every seed and result
+    # blocks of `rows` replicates: the budget holds the count of exactly `rows` replicates
+    # beside every seed and result
     budget = count_cells(rows, max(ns), s, m, len(hs), len(ns), replicates=replicates)
-    got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, jobs, budget=budget)
+    got = replicate_u_grid(kernel, mu0, hs, ns, replicates, master_seed, budget=budget)
     assert got.shape == (2, len(ns), replicates)
     for k, hk in enumerate(hs):
         for j, n in enumerate(ns):

@@ -26,6 +26,7 @@ from ustatmc import (
     run_variance_experiment,
 )
 from ustatmc import montecarlo
+from ustatmc.ustats import count_cells
 
 
 def _config(kernel, profile, h, **kw):
@@ -147,43 +148,25 @@ def test_estimate_l2_constant_kernel(two_state_kernel):
     assert stderr == pytest.approx(0.0, abs=1e-12)
 
 
-def test_estimate_l2_deterministic_across_jobs(two_state_kernel, canonical_product_h):
+def test_estimate_l2_deterministic_across_jobs(monkeypatch, two_state_kernel, canonical_product_h):
+    # budgets that hold the count of 101 and of 38 replicates beside the seeds and results
+    # of all 301 cut them into 3 and 8 blocks; every value matches the run in one block
     mu = Distribution.dirac(0, 2)
-    u1, u3, u8 = (replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [37], 301, 888, jobs)[0, 0]
-                  for jobs in (1, 3, 8))
-    assert np.array_equal(u1, u3) and np.array_equal(u1, u8)
+    whole = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [37], 301, 888)[0, 0]
+    blocks, sample_paths = [], montecarlo.sample_paths
 
+    def counted(kernel, mu0, n, seeds):
+        blocks.append(len(seeds))
+        return sample_paths(kernel, mu0, n, seeds)
 
-def test_jobs_threads_are_bounded_by_the_cpu_count(monkeypatch, two_state_kernel, canonical_product_h):
-    # --jobs 100 cuts 10 replicates into 10 one-row blocks; a pool of 100 threads
-    # would run them, but 2 cores take only 2.  The fake pool runs the blocks in turn.
-    import concurrent.futures
-    import os
-
-    pools, blocks = [], []
-
-    class InTurnPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            blocks.extend(len(item) for item in items)
-            return map(fn, items)
-
-    mu = Distribution.dirac(0, 2)
-    alone = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [15], 10, 42, 1)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InTurnPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    got = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [15], 10, 42, 100)
-    assert pools == [2] and blocks == [1] * 10
-    assert got.tobytes() == alone.tobytes()
+    for rows, count in ((101, 3), (38, 8)):
+        budget = count_cells(rows, 37, 2, 2, replicates=301)
+        blocks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "sample_paths", counted)
+            got = replicate_u_grid(two_state_kernel, mu, [canonical_product_h], [37], 301, 888, budget=budget)[0, 0]
+        assert len(blocks) == count and sum(blocks) == 301
+        assert got.tobytes() == whole.tobytes()
 
 
 def test_estimate_l2_same_seed_identical(two_state_kernel, canonical_product_h):

@@ -97,11 +97,21 @@ def tuple_sums_count(tmp_path, fixed_cap):
 
 
 @case
+def tuple_count_int64(tmp_path, fixed_cap):
+    # binom(300000, 4) > 2^63: int64 counts could wrap
+    path = np.broadcast_to(np.int64(0), (300_000,))
+    bound = 4 * math.comb(300_000, 4)
+    return (lambda: tuple_sums(path, [np.zeros((1,) * 4)], [300_000]), "int64 tuple-count bound 4*binom(300000, 4)", bound,
+            2**63 - 1)
+
+
+@case
 def replicate_u_grid_count(tmp_path, fixed_cap):
     # the result array alone would hold 200 000 cells
     replicates = 200_000
     charge = count_cells(1, 4, 2, 2, 1, 1, replicates)
-    return (lambda: replicate_u_grid(TWO_STATE, Distribution.uniform(2), [H2], [4], replicates, 1, 1, charge - 1),
+    return (lambda: replicate_u_grid(TWO_STATE, Distribution.uniform(2), [H2], [4], replicates, 1,
+                                     budget=charge - 1),
             "cells to count 1 path(s)", charge, charge - 1)
 
 
