@@ -54,9 +54,10 @@ _SLICE = 4096
 # bytes of whole paths coded before one transposed write into the store:
 # larger stages sampled the variance-m2 block no faster (README)
 _STAGE = 2**15
-# cells of one block of Dirac steps in certify_rho (256 KiB; a block holds
-# at least one step of S^2 cells): larger blocks took no less time at
-# S = 2, 8 and 20 on a 2-core x86 VM, numpy 2.4
+# cells of the largest block of Dirac steps in certify_rho (256 KiB; a block
+# holds at least one step of S^2 cells; blocks start at 16 steps and double
+# up to it): larger blocks took no less time at S = 2, 8 and 20 on a 2-core
+# x86 VM, numpy 2.4
 _RHO_CELLS = 2**15
 
 
@@ -347,7 +348,22 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     each block is normalized and reduced in array passes, one per first
     state x of a pair, each summing |norm(x') - norm(x)| along the state
     axis as :func:`tv_distance` does; so memory stays within a few blocks
-    of max(``_RHO_CELLS``, S^2) cells whatever S and k_max are.  A reversed
+    of max(``_RHO_CELLS``, S^2) cells whatever S and k_max are.
+
+    The float path stops at its first repeat.  Step k's Diracs, and so its
+    measured ratio, are a function of the bits of step k - 1 alone; so once
+    step a holds the same bits as an earlier step b, every later step
+    repeats the cycle b + 1 .. a, and the measured ratios past a are those
+    of b + 1 .. a tiled to k_max, bit for bit what the full replay gives.
+    Blocks start at 16 steps and double up to the cap, and after each
+    block its last step is compared, bit pattern against bit pattern, with
+    every earlier step of the block and with the step before the block, so
+    a repeat at step a is seen by about step 2a (by the step after it when
+    a block holds one step, S > 181).  Dense chains reach a fixed point or
+    a short cycle within a few dozen steps: on a dense chain at S = 8,
+    k_max = 10^6 the table takes about 18 ms (5.6 s when every step was
+    replayed; 2-core x86 VM).  A chain with no repeat by k_max replays
+    every step, as before.  A reversed
     running maximum makes the stored table exactly non-increasing while
     still dominating every measured ratio.
 
@@ -372,9 +388,12 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     measured = np.zeros(k_max + 1)
     if s > 1:
         block = np.empty((steps_per_block, s, s))
+        bits = block.view(np.uint64)
         raw = np.eye(s)
-        for k0 in range(0, k_max + 1, block.shape[0]):
-            steps = block[: k_max + 1 - k0]
+        k0, size = 0, min(16, steps_per_block)
+        while k0 <= k_max:
+            before = raw
+            steps = block[: min(size, k_max + 1 - k0)]
             for j in range(steps.shape[0]):
                 if k0 + j:
                     raw = (raw[:, None, :] @ kernel.matrix)[:, 0]
@@ -386,6 +405,19 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
                 gaps = norm[:, x + 1 :] - norm[:, x : x + 1]
                 ratios = np.abs(gaps, out=gaps).sum(axis=-1) / (v[x] + v[x + 1 :])
                 np.maximum(best, ratios.max(axis=-1), out=best)
+            # once the block's last step k repeats step b's bits, measured[b + 1 .. k] repeats to k_max
+            last = steps.shape[0] - 1
+            k = k0 + last
+            # one cell picks the candidate steps (a whole-block compare cost 3-12 % of a block that
+            # does not repeat), and only candidates are compared whole
+            hits = np.flatnonzero(bits[:last, 0, 0] == bits[last, 0, 0])
+            hits = hits[(bits[hits] == bits[last]).all(axis=(1, 2))]
+            if hits.size or (k0 and np.array_equal(before.view(np.uint64), bits[last])):
+                b = k0 + hits[-1] if hits.size else k0 - 1
+                # np.tile, not np.resize: resize concatenates one array per repeat
+                measured[k + 1 :] = np.tile(measured[b + 1 : k + 1], -(-(k_max - k) // (k - b)))[: k_max - k]
+                break
+            k0, size = k + 1, min(2 * size, steps_per_block)
     rho_vals = np.maximum.accumulate(measured[::-1])[::-1]
     if s > 1 and rho_vals[0] > 0 and not rho_vals[k_max] < rho_vals[0] * (1.0 - 1e-9):
         raise NotErgodic(

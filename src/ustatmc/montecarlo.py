@@ -42,7 +42,9 @@ import numpy as np
 from .bounds import evaluate_bounds
 from .errors import BudgetExceeded, ConfigError, DegreeTooLarge, refuse_over
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, check_seed, sample_paths, simulate
-from .ustats import DEFAULT_BUDGET, SymmetricKernelFn, _multisets, count_cells, hoeffding_project, tuple_sums
+from .ustats import (
+    DEFAULT_BUDGET, SymmetricKernelFn, _multisets, check_tuple_counts, count_cells, hoeffding_project, tuple_sums,
+)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 EXACT_PAIRS_BUDGET = 20_000
@@ -247,8 +249,9 @@ def replicate_u_grid(
     drawn.  So each replicate is sampled once, to max(ns), and counted
     once.  This is the one place that splits replicates.  Counting r of
     them holds r * per_row + fixed cells (:func:`count_cells`), ``out``
-    among the fixed; a pass whose one replicate is over ``budget`` is
-    refused before sampling, and the rest are cut in order into blocks of
+    among the fixed; a pass whose one replicate is over ``budget``, or
+    whose counts could reach 2^63 (:func:`check_tuple_counts`), is refused
+    before sampling, and the rest are cut in order into blocks of
     (budget - fixed) // per_row rows.  The blocks run in replicate order
     in one thread: each mixes its seeds as one uint64 array and counts one
     :func:`sample_paths` call by one :func:`tuple_sums` call, which reads
@@ -266,6 +269,7 @@ def replicate_u_grid(
     m, s, n_max = hs[0].degree, kernel.size, max(ns)
     if min(ns) < m:
         raise DegreeTooLarge(f"n = {min(ns)} < m = {m}")
+    check_tuple_counts(n_max, m)
     shape = (len(tables), len(ns))
     fixed = count_cells(0, n_max, s, m, *shape, replicates)
     per_row = count_cells(1, n_max, s, m, *shape, replicates) - fixed
@@ -338,13 +342,16 @@ def run_slln_experiment(config: ExperimentConfig) -> dict:
 
     Emits (n, U_n, target, |U_n - target|) with target = pi^{(m)}h computed
     exactly.  A finite ergodic chain mixes geometrically and a tabulated h
-    is bounded, so the strong law's conditions hold without a check.
+    is bounded, so the strong law's conditions hold without a check.  A
+    count that could reach 2^63 or exceed the budget is refused before the
+    path is drawn.
     """
     if config.slln is None:
         raise ConfigError("no slln section configured")
     m = config.m
     checkpoints = config.slln.checkpoints
     n_max = checkpoints[-1]
+    check_tuple_counts(n_max, m)
     charge = count_cells(1, n_max, config.kernel.size, m, 1, len(checkpoints))
     refuse_over(f"cells to count 1 path(s) of {n_max} steps", charge, config.budget)
     pi = config.kernel.stationary()

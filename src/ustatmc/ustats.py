@@ -244,17 +244,24 @@ def _chunk_width(s: int, m: int, k: int) -> int:
     return s * (m + 1) + 2 * k + 5
 
 
+def check_tuple_counts(n: int, m: int) -> None:
+    """Refuse a count of m-tuples in paths of n steps whose int64
+    integers could reach 2^63.  Every binom(c, k), k <= m, c <= n, passes
+    through k * binom(c, k) before its // k, and every partial product of
+    N_A is at most binom(n, sum of its k), so all stay below
+    m * binom(n, min(m, n // 2)).  Callers that sample call it before
+    drawing a path."""
+    width = min(m, n // 2)
+    refuse_over(f"int64 tuple-count bound {m}*binom({n}, {width})", m * math.comb(n, width), 2**63 - 1)
+
+
 def _check_counting(paths: np.ndarray, s: int, m: int, tables: int, checkpoints: Sequence[int], budget: int) -> list[int]:
     """Refuse, before any allocation, what cannot be counted exactly within
     the budget; return the checkpoints as ints."""
     n = paths.shape[-1]
     if n < m:
         raise DegreeTooLarge(f"n = {n} < m = {m}")
-    # every binom(c, k), k <= m, c <= n, passes through k * binom(c, k) before its // k, and
-    # every partial product of N_A is at most binom(n, sum of its k), so all stay below
-    # m * binom(n, min(m, n // 2))
-    width = min(m, n // 2)
-    refuse_over(f"int64 tuple-count bound {m}*binom({n}, {width})", m * math.comb(n, width), 2**63 - 1)
+    check_tuple_counts(n, m)
     marks = [int(c) for c in checkpoints]
     rows = len(paths) if paths.ndim == 2 else 1
     refuse_over(f"cells to count {rows} path(s) of {n} steps", count_cells(rows, n, s, m, tables, len(marks)), budget)

@@ -150,6 +150,22 @@ def pair_loop_rho_table(matrix: np.ndarray, v: np.ndarray, k_max: int) -> np.nda
     return np.maximum.accumulate(np.array(measured)[::-1])[::-1]
 
 
+def float_path_repeat(matrix: np.ndarray, k_max: int) -> tuple[int, int] | None:
+    """(b, a): the first step a <= k_max at which the Diracs of
+    :func:`pair_loop_rho_table`, each moved by one w @ P per step, hold the
+    same bits as at an earlier step b; None when no step up to k_max
+    repeats."""
+    s = matrix.shape[0]
+    raw = [np.eye(s)[x] for x in range(s)]
+    seen = {np.array(raw).tobytes(): 0}
+    for k in range(1, k_max + 1):
+        raw = [w @ matrix for w in raw]
+        b = seen.setdefault(np.array(raw).tobytes(), k)
+        if b != k:
+            return b, k
+    return None
+
+
 def scalar_family_fn(name: str, param: float):
     """The builtin kernel families as scalar formulas of m Python floats:
     ``param`` is the center (product, additive), atol (indicator_diag) or

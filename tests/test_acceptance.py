@@ -43,7 +43,9 @@ from ustatmc import (
     verify_hoeffding,
     verify_lemma6,
 )
+from ustatmc import montecarlo
 from ustatmc.cli import main as cli_main
+from ustatmc.ustats import count_cells
 
 CHAIN8_SEED = 2024   # criterion 8 master seed (frozen)
 SLLN_SEED = 20240    # criterion 13 master seed (frozen)
@@ -300,7 +302,7 @@ def test_criterion_13_slln(two_state_kernel, two_state_profile, mu_dirac0):
             f"< first-3 max {max(errs[:3]):.5f}, {elapsed:.1f}s (< 1min)")
 
 
-def test_criterion_14_jobs_determinism(tmp_path):
+def test_criterion_14_jobs_determinism(tmp_path, monkeypatch):
     variance_doc = {
         "chain": {"states": [-1.0, 1.0], "matrix": [[0.7, 0.3], [0.2, 0.8]]},
         "initial": {"dirac": 0},
@@ -319,15 +321,27 @@ def test_criterion_14_jobs_determinism(tmp_path):
     vpath.write_text(json.dumps(variance_doc))
     spath = tmp_path / "slln.json"
     spath.write_text(json.dumps(slln_doc))
+    # verify-variance: the whole 2000 replicates in one block against a --budget that holds the
+    # count of 300 of them beside all their seeds and results, so 7 blocks; --jobs 3 still parses
+    blocks, sample_paths = [], montecarlo.sample_paths
+
+    def counted(kernel, mu0, n, seeds):
+        blocks.append(len(seeds))
+        return sample_paths(kernel, mu0, n, seeds)
+
+    monkeypatch.setattr(montecarlo, "sample_paths", counted)
+    cut = str(count_cells(300, 400, 2, 2, 1, 4, replicates=2000))
     outputs = {}
-    for jobs in ("1", "3"):
+    for jobs, budget in (("1", []), ("3", ["--budget", cut])):
         vout = tmp_path / f"v{jobs}"
         sout = tmp_path / f"s{jobs}"
-        assert cli_main(["verify-variance", "--config", str(vpath), "--out", str(vout), "--jobs", jobs]) == 0
+        assert cli_main(["verify-variance", "--config", str(vpath), "--out", str(vout), "--jobs", jobs, *budget]) == 0
         assert cli_main(["verify-slln", "--config", str(spath), "--out", str(sout), "--jobs", jobs]) == 0
         outputs[jobs] = (
             (vout / "variance.csv").read_bytes(),
             (sout / "slln.csv").read_bytes(),
         )
+    assert blocks == [2000] + [300] * 6 + [200]
     same = outputs["1"] == outputs["3"]
-    _report(14, same, "criteria 8 and 13 reruns at --jobs 1 vs 3: byte-identical CSVs")
+    _report(14, same, "criterion 8 rerun in 1 vs 7 replicate blocks and criterion 13 rerun at --jobs 1 vs 3: "
+                      "byte-identical CSVs")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dirac_pair_rho, pair_loop_rho_table
+from oracles import dirac_pair_rho, float_path_repeat, pair_loop_rho_table
 from ustatmc import markov
 from ustatmc import (
     BudgetExceeded,
@@ -198,6 +198,94 @@ def test_certify_rho_memory_does_not_grow_with_pairs():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert np.array_equal(profile.rho.values, pair_loop_rho_table(matrix, np.ones(200), 2))
+
+
+# (S, seed) of dense chains whose float paths enter cycles of period 3 to 6 with numpy 2.4 on
+# x86-64; elsewhere they are simply more dense chains
+CYCLING_DENSE = [(4, 73), (8, 0), (9, 42), (10, 69), (11, 79)]
+
+
+@st.composite
+def repeating_chains_with_weights(draw):
+    """Dense chains, whose float paths mostly reach a fixed point or a cycle
+    of period 2 to 6 within a few dozen steps; sticky chains, which repeat
+    later; and near-permutations, which repeat no step within a few hundred
+    and show no decay.  V = 1 or a random V >= 1."""
+    kind = draw(st.sampled_from(["dense", "cycling", "sticky", "near-permutation"]))
+    if kind == "cycling":
+        s, seed = draw(st.sampled_from(CYCLING_DENSE))
+    else:
+        s, seed = draw(st.integers(2, 10)), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((s, s)) + 0.05
+    if kind == "sticky":
+        matrix += np.eye(s) * s * draw(st.sampled_from([3.0, 30.0]))
+    elif kind == "near-permutation":
+        matrix = matrix * 1e-13 + np.eye(s)[np.roll(np.arange(s), 1)]
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    v = 1.0 + 9.0 * rng.random(s) if draw(st.booleans()) else np.ones(s)
+    return matrix, v
+
+
+def _block_ends(steps_per_block, k_max):
+    # the last step of each certify_rho block: 16 steps first, doubling up to the cap
+    ends, size = [], min(16, steps_per_block)
+    while not ends or ends[-1] < k_max:
+        ends.append(min(k_max, (ends[-1] if ends else -1) + size))
+        size = min(2 * size, steps_per_block)
+    return ends
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeating_chains_with_weights(), st.integers(48, 400))
+def test_certify_rho_tiles_the_repeat_of_its_float_path(chain, k_max):
+    # bit for bit against the pair loop, which replays every step, well past the first
+    # repeat (b, a), with blocks of one step (caps 1 and S^2), blocks whose edges put a
+    # at the end of a block or at the start of one, and one block of up to k_max + 1
+    # steps (10^9); a table that shows no decay by k_max is still refused
+    matrix, v = chain
+    s = len(v)
+    kernel = FiniteKernel(np.arange(float(s)), matrix)
+    expected = pair_loop_rho_table(matrix, v, k_max)
+    repeat = float_path_repeat(matrix, k_max)
+    steps = set()
+    if repeat is not None:
+        a = repeat[1]
+        edges = [q for q in range(2, k_max + 2) if {a - 1, a} & set(_block_ends(q, k_max))]
+        steps.update(edges[:2] + edges[-2:])
+    for cap in (1, s * s, *(q * s * s for q in sorted(steps)), 10**9):
+        with mock.patch.object(markov, "_RHO_CELLS", cap):
+            if expected[k_max] < expected[0] * (1.0 - 1e-9):
+                assert np.array_equal(certify_rho(kernel, v, k_max).rho.values, expected)
+            else:
+                with pytest.raises(NotErgodic):
+                    certify_rho(kernel, v, k_max)
+
+
+class _CountingMatmul(np.ndarray):
+    """A transition matrix that counts the products taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatmul.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_certify_rho_stops_at_the_first_repeat(monkeypatch):
+    # S = 8, k_max = 10^6: replaying every step took about 4 s; the float path repeats
+    # within a few dozen steps, and one stacked product is taken per step evolved
+    rng = np.random.default_rng(8)
+    matrix = rng.random((8, 8)) + 0.05
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    kernel = FiniteKernel(np.arange(8.0), matrix)
+    monkeypatch.setattr(kernel, "matrix", kernel.matrix.view(_CountingMatmul))
+    monkeypatch.setattr(_CountingMatmul, "products", 0)
+    values = certify_rho(kernel, np.ones(8), 10**6).rho.values
+    assert 0 < _CountingMatmul.products <= 300
+    # past the repeat the ratios cycle, so the head matches a replay of 400 steps
+    assert np.array_equal(values[:300], pair_loop_rho_table(matrix, np.ones(8), 400)[:300])
 
 
 def test_profile_serialization_round_trip(two_state_kernel, two_state_profile):

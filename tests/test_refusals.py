@@ -36,6 +36,7 @@ from ustatmc import (
     tilde_law,
     tuple_sums,
 )
+from ustatmc import markov, montecarlo
 from ustatmc.ustats import count_cells
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ustatmc"
@@ -211,3 +212,30 @@ def test_every_call_of_the_rule_refuses_before_allocating(name, tmp_path, monkey
 def test_each_call_of_the_rule_has_a_case():
     calls = sum(len(re.findall(r"\brefuse_over\(", path.read_text())) for path in SRC.glob("*.py"))
     assert calls - 1 == len(CASES)  # less the rule's own definition
+
+
+@pytest.mark.parametrize("command, doc", [
+    # m = 3 at n = 3 * 10^6: the path alone would take 3 MB, and sampling it about 0.17 s
+    ("verify-slln", {"kernel_fn": {"name": "product", "degree": 3}, "slln": {"n_max": 3 * 10**6}}),
+    # m = 6 at n = 3300, where one replicate's path is small but its counts could wrap
+    ("verify-variance", {"kernel_fn": {"name": "product", "degree": 6},
+                         "experiment": {"n_grid": [3300], "bounds": [{"name": "theorem1"}]}}),
+])
+def test_int64_tuple_count_is_refused_before_any_path_is_drawn(command, doc, tmp_path, monkeypatch, capsys):
+    def no_path(*args, **kwargs):
+        pytest.fail("a path was drawn before the int64 refusal")
+
+    monkeypatch.setattr(markov, "sample_paths", no_path)
+    monkeypatch.setattr(montecarlo, "sample_paths", no_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"chain": {"states": [-1.0, 1.0], "matrix": [[0.7, 0.3], [0.2, 0.8]]}, **doc}))
+    tracemalloc.start()
+    try:
+        status = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 3
+    assert "int64 tuple-count bound" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
