@@ -66,7 +66,6 @@ from .ustats import (
     KernelFamily,
     SymmetricKernelFn,
     additive_kernel,
-    canonicalize,
     degeneracy_order,
     gaussian_rbf_kernel,
     hoeffding_project,

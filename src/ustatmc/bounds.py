@@ -80,7 +80,7 @@ def _log_binom(n: int, m: int) -> float:
 
 def mixing_sum(n: int, m: int, profile: ErgodicityProfile, exponent: float = 1.0) -> float:
     """sum_{k=0}^{n} (k+1)^m rho(k)^exponent."""
-    rho = profile.rho_table(n)
+    rho = profile.rho.table(n)
     k1 = np.arange(1, n + 2, dtype=float)
     return float(np.sum(k1**m * rho**exponent))
 

@@ -47,7 +47,7 @@ from pathlib import Path
 from . import config as cfg
 from .bounds import evaluate_bounds
 from .errors import ConfigError, UstatmcError, refuse_over
-from .markov import simulate
+from .markov import certify_rho, simulate
 from .montecarlo import VARIANCE_COLUMNS, ExperimentConfig, run_slln_experiment, run_variance_experiment
 from .proofs import proposition_grid_check
 from .reporting import write_csv, write_json
@@ -109,8 +109,6 @@ def cmd_certify_profile(args) -> int:
     doc = cfg.load_document(args.config)
     kernel, v = cfg.build_chain(doc)
     k_max = cfg.integer(cfg.section(doc, "profile", {}), "k_max", 64, "profile", 0)
-    from .markov import certify_rho
-
     profile = certify_rho(kernel, v, k_max)
     path = _out_dir(args) / "profile.json"
     write_json(path, profile.to_dict())

@@ -251,7 +251,8 @@ class ExplicitRho:
 
     A declared sequence c * varrho^k is the one-entry table [c] with tail
     rate varrho.  A table from :func:`certify_rho` has tail rate 1: the
-    chain's rho(k_max) bounds every later term.
+    chain's rho(k_max) bounds every later term.  :meth:`at` and :meth:`table`
+    read one tail formula, so rho.at(k) is rho.table(n)[k] bit for bit.
     """
 
     values: np.ndarray
@@ -275,17 +276,22 @@ class ExplicitRho:
     def k_max(self) -> int:
         return self.values.size - 1
 
+    def _tail(self, steps: int | np.ndarray):
+        """rho(k_max + steps), steps >= 1, by ``np.float_power``: the C
+        library's pow, as Python's ** on floats; numpy's ** on float64
+        arrays is dispatched per CPU and may round otherwise."""
+        return self.values[-1] * np.float_power(self.tail_rate, steps)
+
     def at(self, k: int) -> float:
         if k <= self.k_max:
             return float(self.values[k])
-        return float(self.values[-1]) * self.tail_rate ** (k - self.k_max)
+        return float(self._tail(k - self.k_max))
 
     def table(self, n: int) -> np.ndarray:
         refuse_over("rho(0..n) cells", n + 1)
         if n <= self.k_max:
             return self.values[: n + 1].copy()
-        tail = self.values[-1] * self.tail_rate ** np.arange(1, n - self.k_max + 1)
-        return np.concatenate([self.values, tail])
+        return np.concatenate([self.values, self._tail(np.arange(1, n - self.k_max + 1))])
 
     def uses_tail(self, n: int) -> bool:
         return n > self.k_max
@@ -316,9 +322,6 @@ class ErgodicityProfile:
 
     def rho_at(self, k: int) -> float:
         return self.rho.at(k)
-
-    def rho_table(self, n: int) -> np.ndarray:
-        return self.rho.table(n)
 
     def to_dict(self) -> dict:
         out = {

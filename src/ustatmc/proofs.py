@@ -27,7 +27,9 @@ into two halves (3 at m = 2, not 24), whose rows of all tuples form one
 C-contiguous stack so that each tuple gets the matrix-vector product it
 would get alone.  :func:`proposition_grid_check` runs them on blocks of at
 most ``_BLOCK_CELLS`` law cells, with no loop over tuples, and takes each
-rho(j*) certificate once per distinct j*.  :func:`j_indices`,
+rho(j*) certificate once per distinct j*; its Lemma 6 and counting
+sections (:func:`jstar_histogram` against :func:`counting_bound`) run at
+fixed sizes.  :func:`j_indices`,
 :func:`joint_law`, :func:`tilde_law`, :func:`verify_prop5`,
 :func:`verify_prop7` and :func:`verify_lemma6` are one-row calls of the
 same code, so they return the grid's numbers bit for bit.  The module
@@ -51,7 +53,7 @@ import numpy as np
 from .bounds import b_q, d_constant, lemma6_constant, m_sup
 from .errors import NotCanonical, PNotPositive, refuse_over
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
-from .ustats import SymmetricKernelFn, _multisets, canonicalize, degeneracy_order
+from .ustats import SymmetricKernelFn, _multisets, degeneracy_order, hoeffding_project
 
 # Law cells (tuples x S^(2m)) of one block of the grid, 32 KiB of float64 per
 # law array; the f_sigma row stack holds binom(2m, m) times as many.  A block
@@ -63,6 +65,8 @@ _BLOCK_CELLS = 2**12
 # values (one run per chain on the benchmark grid), so what it holds for
 # them does not grow with the grid
 _RECORD_VALUES = 2**12
+# the sizes of the grid's Lemma 6 section (trials, support points) and counting section (largest n)
+_LEMMA6_TRIALS, _LEMMA6_POINTS, _COUNTING_N_MAX = 1000, 10, 10
 
 
 @dataclass(frozen=True)
@@ -210,14 +214,14 @@ def _split_column(m: int, sigma: Sequence[int]) -> int:
     return _splits(m).index((*low, *(a for a in range(2 * m) if a not in low)))
 
 
-def f_sigma_values(laws: Sequence[np.ndarray] | np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
+def f_sigma_values(laws: np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
     """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact
     contraction, for each law and each split of :func:`_splits` in order
     (the last axis of the result), the value of every sigma of that split.
 
-    ``laws`` is a sequence of law tensors over S^(2m), giving a result of
-    shape (len(laws), binom(2m, m) / 2), or an array (..., L, S, ..., S)
-    of such sequences, giving (..., L, binom(2m, m) / 2).  f_sigma = <T
+    ``laws`` is an array (..., L, S, ..., S) of sequences of L law tensors
+    over S^(2m), or anything ``np.asarray`` makes one of, such as a list
+    of L tensors; the result is (..., L, binom(2m, m) / 2).  f_sigma = <T
     transposed by sigma, h (x) h>, so one matrix-vector product per
     sequence, with a row per (law, split), gives every value.  The rows of
     all sequences are one C-contiguous stack, so each sequence gets the
@@ -225,11 +229,7 @@ def f_sigma_values(laws: Sequence[np.ndarray] | np.ndarray, h: SymmetricKernelFn
     one-row product is a dot product), so a law's values depend on the
     sequence it sits in, never on the others."""
     m, s = h.degree, h.table.shape[0]
-    if not isinstance(laws, np.ndarray):
-        for law in laws:
-            if law.ndim != 2 * m:
-                raise ValueError(f"law arity {law.ndim} does not match 2m = {2 * m}")
-        laws = np.array(laws)
+    laws = np.asarray(laws)
     lead = laws.shape[: max(laws.ndim - 2 * m, 0)]
     if not lead or laws.shape[len(lead) :] != (s,) * (2 * m):
         raise ValueError(f"laws of shape {laws.shape} are not tensors over S^(2m), S = {s}, 2m = {2 * m}")
@@ -379,20 +379,19 @@ def _case(chain_idx: int, tuples: np.ndarray, t: int) -> dict:
     return {"chain": chain_idx, "tuple": tuples[t].tolist()}
 
 
-def random_ergodic_kernel(size: int, rng: np.random.Generator, states: Sequence[float] | None = None) -> FiniteKernel:
-    """Strictly positive random row-stochastic matrix (hence ergodic)."""
+def random_ergodic_kernel(size: int, rng: np.random.Generator) -> FiniteKernel:
+    """Strictly positive random row-stochastic matrix (hence ergodic) on
+    the states evenly spaced over [-1, 1] (the state 0 when size is 1)."""
     mat = rng.random((size, size)) + 0.05
     mat /= mat.sum(axis=1, keepdims=True)
-    if states is None:
-        states = np.linspace(-1.0, 1.0, size) if size > 1 else np.zeros(1)
-    return FiniteKernel(states, mat)
+    return FiniteKernel(np.linspace(-1.0, 1.0, size) if size > 1 else np.zeros(1), mat)
 
 
 def random_canonical_kernel(
     kernel: FiniteKernel, m: int, rng: np.random.Generator
 ) -> SymmetricKernelFn:
-    """Random symmetric table pushed through the full projection, so it is
-    exactly pi-canonical for this chain."""
+    """Random symmetric table pushed through the full projection pi_{m,m},
+    so it is exactly pi-canonical for this chain."""
     s = kernel.size
     pi = kernel.stationary()
     for _ in range(16):
@@ -401,7 +400,7 @@ def random_canonical_kernel(
         for perm in itertools.permutations(range(m)):
             sym += np.transpose(raw, perm)
         sym /= math.factorial(m)
-        h = canonicalize(SymmetricKernelFn(sym), pi)
+        h = hoeffding_project(SymmetricKernelFn(sym), pi, m)
         if np.abs(h.table).max() > 1e-8:
             return h
     raise RuntimeError("could not draw a nonvanishing canonical kernel")
@@ -456,9 +455,6 @@ def proposition_grid_check(
     i_max: int = 8,
     seed: int = 7,
     p_values: Sequence[float] = (0.5, 1.0),
-    lemma6_trials: int = 1000,
-    lemma6_points: int = 10,
-    counting_n_max: int = 10,
 ) -> dict:
     """Exhaustive small-space verification of every proof-level inequality.
 
@@ -478,6 +474,10 @@ def proposition_grid_check(
     about ``_RECORD_VALUES`` (tuple, split) values, and each record is then
     updated once per run, over its tuples in enumeration order; the report
     is the one a tuple-by-tuple scan gives, bit for bit.
+
+    Its Lemma 6 section (``_LEMMA6_TRIALS`` trials of ``_LEMMA6_POINTS``
+    support points, drawn after the chains) and counting section (every n
+    <= ``_COUNTING_N_MAX`` at m = 1 and 2) have fixed sizes.
     """
     cells, work = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.comb(2 * m, m) // 2
     stack = math.comb(2 * m, m) * cells
@@ -524,11 +524,11 @@ def proposition_grid_check(
             for p, record in prop7.items():
                 record.update(lhs, bound7[p][part], case, splits)
 
-    xi, xi_p, f = (np.empty((lemma6_trials, lemma6_points)) for _ in range(3))
-    exponents = np.empty(lemma6_trials)
-    for trial in range(lemma6_trials):  # the draws of one trial, in order, from the one stream
-        xi[trial], xi_p[trial] = rng.random(lemma6_points), rng.random(lemma6_points)
-        f[trial], exponents[trial] = rng.standard_normal(lemma6_points), (0.5, 1.0, 2.0)[rng.integers(3)]
+    xi, xi_p, f = (np.empty((_LEMMA6_TRIALS, _LEMMA6_POINTS)) for _ in range(3))
+    exponents = np.empty(_LEMMA6_TRIALS)
+    for trial in range(_LEMMA6_TRIALS):  # the draws of one trial, in order, from the one stream
+        xi[trial], xi_p[trial] = rng.random(_LEMMA6_POINTS), rng.random(_LEMMA6_POINTS)
+        f[trial], exponents[trial] = rng.standard_normal(_LEMMA6_POINTS), (0.5, 1.0, 2.0)[rng.integers(3)]
     for weights in (xi, xi_p):
         weights += 1e-3
         weights /= weights.sum(axis=1, keepdims=True)
@@ -539,7 +539,7 @@ def proposition_grid_check(
 
     counting_viol = 0
     counting_total_ok = True
-    for n in range(1, counting_n_max + 1):
+    for n in range(1, _COUNTING_N_MAX + 1):
         for mm in (1, 2):
             hist = jstar_histogram(n, mm)
             if sum(hist.values()) != math.comb(n + 2 * mm - 1, 2 * mm):
@@ -551,7 +551,7 @@ def proposition_grid_check(
     report = {"eq19": eq19.report(), "prop5": prop5.report(), "prop7_bound1": prop7[None].report()}
     report.update({f"prop7_bound2_p{p}": prop7[p].report() for p in p_values})
     report["lemma6"] = {
-        "instances": lemma6_trials,
+        "instances": _LEMMA6_TRIALS,
         "violations": lemma6_viol,
         "max_ratio": lemma6_max_ratio,
         "pass": lemma6_viol == 0,

@@ -9,10 +9,11 @@ kernel is always its dense table over the S states of the chain
 (:class:`SymmetricKernelFn`, one axis per argument; a 0-d table for degree
 0).  The builtin families are recipes (:class:`KernelFamily`) that become
 kernels only when tabulated over the state values.  The projection
-pi_{c,m}h applies (delta_{y_1} - pi) x ... x (delta_{y_c} - pi) x
-pi^{(m-c)} to h and is again a kernel, of degree c; the signed product is
-expanded exactly over the 2^c subsets of fixed arguments, so every identity
-here is checkable to float precision.
+pi_{c,m}h, :func:`hoeffding_project`, applies (delta_{y_1} - pi) x ... x
+(delta_{y_c} - pi) x pi^{(m-c)} to h and is again a kernel, of degree c
+(at c = m, the canonical part of h); the signed product is expanded
+exactly over the 2^c subsets of fixed arguments, so every identity here is
+checkable to float precision.
 
 Every path is evaluated by one counting call, :func:`tuple_sums`, which
 takes one path or a batch and serves :func:`u_statistic`, the replicate
@@ -132,10 +133,10 @@ def additive_kernel(m: int, center: float = 0.0) -> KernelFamily:
     return KernelFamily(m, lambda *ys: sum(y - center for y in ys))
 
 
-def indicator_diag_kernel(m: int, atol: float = 0.0) -> KernelFamily:
-    """1 if all arguments coincide (within atol), else 0."""
+def indicator_diag_kernel(m: int) -> KernelFamily:
+    """1 if all arguments are equal, else 0."""
     return KernelFamily(
-        m, lambda *ys: np.where(functools.reduce(np.maximum, ys) - functools.reduce(np.minimum, ys) <= atol, 1.0, 0.0)
+        m, lambda *ys: np.where(functools.reduce(np.maximum, ys) == functools.reduce(np.minimum, ys), 1.0, 0.0)
     )
 
 
@@ -398,13 +399,13 @@ def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> Symmetr
     return SymmetricKernelFn(out[tuple(np.sort(np.indices(out.shape), axis=0))])
 
 
-def degeneracy_order(h: SymmetricKernelFn, pi: Distribution, eps: float = DEGENERACY_EPS) -> int:
+def degeneracy_order(h: SymmetricKernelFn, pi: Distribution) -> int:
     """Smallest d with pi_{d,m}h not identically zero; m+1 if all vanish
     (then h integrates to zero against every product argument and
     U_{n,m}(h) is identically pi^{(m)}h = 0).  A projection vanishes when
-    its sup norm is at most eps * sup|h|, so d does not change when h is
-    scaled: a kernel of tiny values is not taken as completely degenerate."""
-    tol = eps * h.sup_norm()
+    its sup norm is at most DEGENERACY_EPS * sup|h|, so d does not change
+    when h is scaled: a kernel of tiny values is not taken as degenerate."""
+    tol = DEGENERACY_EPS * h.sup_norm()
     for d in range(h.degree + 1):
         if hoeffding_project(h, pi, d).sup_norm() > tol:
             return d
@@ -425,8 +426,3 @@ def verify_hoeffding(
     for c in range(h.degree + 1):
         rhs += math.comb(h.degree, c) * u_statistic(path, hoeffding_project(h, pi, c), budget)
     return abs(lhs - rhs)
-
-
-def canonicalize(h: SymmetricKernelFn, pi: Distribution) -> SymmetricKernelFn:
-    """The completely degenerate part pi_{m,m}h."""
-    return hoeffding_project(h, pi, h.degree)

@@ -168,14 +168,14 @@ def float_path_repeat(matrix: np.ndarray, k_max: int) -> tuple[int, int] | None:
 
 def scalar_family_fn(name: str, param: float):
     """The builtin kernel families as scalar formulas of m Python floats:
-    ``param`` is the center (product, additive), atol (indicator_diag) or
-    bandwidth (gaussian_rbf)."""
+    ``param`` is the center (product, additive) or bandwidth (gaussian_rbf),
+    and indicator_diag, which has no parameter, ignores it."""
     if name == "product":
         return lambda *ys: math.prod(y - param for y in ys)
     if name == "additive":
         return lambda *ys: sum(y - param for y in ys)
     if name == "indicator_diag":
-        return lambda *ys: 1.0 if max(ys) - min(ys) <= param else 0.0
+        return lambda *ys: 1.0 if len(set(ys)) == 1 else 0.0
     if name == "gaussian_rbf":
         inv = 1.0 / (2.0 * param * param)
         return lambda *ys: math.exp(-sum((a - b) ** 2 for a, b in itertools.combinations(ys, 2)) * inv)

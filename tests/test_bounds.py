@@ -23,7 +23,6 @@ from ustatmc import (
     Unbounded,
     b_q,
     bound_requests,
-    canonicalize,
     certify_rho,
     c_nm,
     corollary2_bound,
@@ -371,7 +370,7 @@ def bounded_experiments(draw):
         rng.random(s) + 0.01)
     h = SymmetricKernelFn(rng.normal(size=(s,) * m)[tuple(np.sort(np.indices((s,) * m), axis=0))])
     if draw(st.booleans()):
-        h = canonicalize(h, kernel.stationary())
+        h = hoeffding_project(h, kernel.stationary(), m)
     ns = sorted(draw(st.sets(st.integers(m, 10), min_size=1, max_size=3)))
     return kernel, v, mu, h, ns
 

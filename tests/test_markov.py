@@ -17,6 +17,7 @@ from ustatmc import (
     NotErgodic,
     certify_rho,
     evolve,
+    random_ergodic_kernel,
     sample_paths,
     simulate,
     stationary,
@@ -91,7 +92,7 @@ def test_tv_distance_values():
 def test_certify_rho_two_state_closed_form(two_state_kernel):
     # eigen-gap gives rho(k) = |1 - a - b|^k = 0.5^k when V = 1
     profile = certify_rho(two_state_kernel, np.ones(2), k_max=30)
-    assert np.allclose(profile.rho_table(30), 0.5 ** np.arange(31), rtol=1e-12)
+    assert np.allclose(profile.rho.table(30), 0.5 ** np.arange(31), rtol=1e-12)
     # cross-check against the independent matrix-power oracle
     v = np.ones(2)
     for k in (0, 1, 3, 9):
@@ -315,18 +316,35 @@ def test_explicit_rho_tail_and_monotonicity():
 
 
 def test_declared_geometric_rho_is_a_one_entry_table():
-    # c * varrho^k in the float order of the closed form, at every k and in tables
+    # c * varrho^k in the float order of the closed form, at every k and in tables; np.float_power
+    # is the C library's pow, as Python's ** is, where numpy's ** on arrays is dispatched per CPU
     for c, varrho in [(1.0, 0.5), (2.0, 0.9), (0.37, 0.123), (5.5, 0.999)]:
         rho = ExplicitRho(np.array([c]), varrho)
         assert all(rho.at(k) == c * varrho**k for k in range(200))
-        assert np.array_equal(rho.table(150), c * varrho ** np.arange(151, dtype=float))
+        assert np.array_equal(rho.table(150), c * np.float_power(varrho, np.arange(151)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_lookup_is_its_table_entry_bit_for_bit(data):
+    # a certified table (tail rate 1) of a random chain, or a declared c * varrho^k
+    if data.draw(st.booleans(), label="certified"):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s = data.draw(st.integers(2, 6), label="S")
+        kernel = random_ergodic_kernel(s, rng)
+        rho = certify_rho(kernel, 1.0 + rng.exponential(1.0, s), k_max=data.draw(st.integers(1, 60))).rho
+    else:
+        rho = ExplicitRho(np.array([data.draw(st.floats(0.0, 10.0), label="c")]),
+                          data.draw(st.floats(0.0, 1.0), label="varrho"))
+    n = data.draw(st.integers(0, 2000), label="n")
+    assert np.array([rho.at(k) for k in range(n + 1)]).tobytes() == rho.table(n).tobytes()
 
 
 def test_certified_tail_is_flat(two_state_kernel):
     profile = certify_rho(two_state_kernel, np.ones(2), k_max=5)
     assert profile.rho.tail_rate == 1.0
     assert all(profile.rho_at(k) == profile.rho_at(5) for k in range(6, 40))
-    assert np.array_equal(profile.rho_table(12)[5:], np.full(8, profile.rho_at(5)))
+    assert np.array_equal(profile.rho.table(12)[5:], np.full(8, profile.rho_at(5)))
 
 
 def test_profile_requires_v_at_least_one():

@@ -349,14 +349,14 @@ def test_count_tuples_stars_and_bars_identity():
 
 
 def test_proposition_grid_check_passes_quickly():
-    report = proposition_grid_check(num_chains=1, size=3, m=2, i_max=5, seed=3, lemma6_trials=50, counting_n_max=5)
+    report = proposition_grid_check(num_chains=1, size=3, m=2, i_max=5, seed=3)
     assert report["pass"]
     assert report["eq19"]["max_abs_residual"] <= 1e-11
     assert report["prop5"]["instances"] == math.comb(5 + 3, 4)
 
 
 def test_proposition_grid_check_degree_three():
-    report = proposition_grid_check(num_chains=1, size=2, m=3, i_max=5, seed=3, lemma6_trials=20, counting_n_max=3)
+    report = proposition_grid_check(num_chains=1, size=2, m=3, i_max=5, seed=3)
     assert report["pass"]
     assert report["eq19"]["instances"] == report["prop7_bound1"]["instances"] == math.comb(5 + 5, 6) * 720
 
@@ -364,7 +364,7 @@ def test_proposition_grid_check_degree_three():
 def test_degree_five_grid_runs_within_its_work_cap():
     # m = 5, S = 2, i_max = 2: 11 tuples x 126 splits of work and 2 x 126 x 2^10 f_sigma row
     # cells per tuple; the 11 x 10! (tuple, sigma) instances are counted, never listed
-    report = proposition_grid_check(num_chains=1, size=2, m=5, i_max=2, seed=3, lemma6_trials=20, counting_n_max=3)
+    report = proposition_grid_check(num_chains=1, size=2, m=5, i_max=2, seed=3)
     assert report["pass"]
     assert report["prop5"]["instances"] == math.comb(2 + 9, 10) == 11
     assert report["eq19"]["instances"] == report["prop7_bound1"]["instances"] == 11 * math.factorial(10)
@@ -435,9 +435,7 @@ def test_split_contraction_matches_every_f_sigma(size, m, seed, data):
 
 @pytest.mark.parametrize("size, m, i_max, seed", [(3, 2, 6, 5), (2, 3, 4, 11), (4, 1, 9, 23)])
 def test_verifiers_replay_the_grid_worst_cases_bit_for_bit(size, m, i_max, seed):
-    report = proposition_grid_check(
-        num_chains=1, size=size, m=m, i_max=i_max, seed=seed, p_values=(1.0,), lemma6_trials=0, counting_n_max=0
-    )
+    report = proposition_grid_check(num_chains=1, size=size, m=m, i_max=i_max, seed=seed, p_values=(1.0,))
     # the grid's draws for its one chain, in its order
     rng = np.random.default_rng(seed)
     kernel = random_ergodic_kernel(size, rng)
@@ -456,7 +454,8 @@ def test_verifiers_replay_the_grid_worst_cases_bit_for_bit(size, m, i_max, seed)
 
 def test_f_sigma_values_rejects_a_law_of_the_wrong_arity(two_state_kernel):
     law = joint_law(Distribution.dirac(0, 2), two_state_kernel, (1, 2, 3))
-    with pytest.raises(ValueError, match="law arity 3"):
+    # a list of laws is read as the array np.asarray stacks, and held to its shape
+    with pytest.raises(ValueError, match=r"laws of shape \(1, 2, 2, 2\) are not tensors over S\^\(2m\), S = 2"):
         f_sigma_values([law], SymmetricKernelFn(np.ones((2, 2))))
 
 
@@ -468,7 +467,7 @@ def test_prop7_rejects_a_sigma_that_is_not_a_permutation(two_state_kernel, two_s
 
 
 def test_grid_reads_p_values_as_distinct_floats():
-    grid = {"num_chains": 1, "size": 2, "m": 1, "i_max": 3, "lemma6_trials": 0, "counting_n_max": 0}
+    grid = {"num_chains": 1, "size": 2, "m": 1, "i_max": 3}
     report = proposition_grid_check(p_values=(1, 1.0), **grid)
     assert [key for key in report if key.startswith("prop7_bound2")] == ["prop7_bound2_p1.0"]
     assert report["prop7_bound2_p1.0"]["instances"] == math.comb(3 + 1, 2) * 2
@@ -539,8 +538,7 @@ def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max
             assert abs(law_values[_split_column(m, sigma)] - f_sigma_expectation(law, h, sigma)) <= tol
 
     # one tuple per block gives the same report, byte for byte
-    grid = {"num_chains": 2, "size": size, "m": m, "i_max": i_max, "seed": seed, "lemma6_trials": 0,
-            "counting_n_max": 0}
+    grid = {"num_chains": 2, "size": size, "m": m, "i_max": i_max, "seed": seed}
     report = json.dumps(proposition_grid_check(**grid))
     with mock.patch.object(proofs, "_BLOCK_CELLS", 1):
         assert json.dumps(proposition_grid_check(**grid)) == report
@@ -553,18 +551,17 @@ def test_batched_lemma6_matches_the_trial_by_trial_check(monkeypatch):
     generators = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: generators.append(default_rng(seed)) or generators[-1])
-    report = proposition_grid_check(num_chains=1, size=2, m=1, i_max=2, seed=17, lemma6_trials=400,
-                                    counting_n_max=0)["lemma6"]
+    report = proposition_grid_check(num_chains=1, size=2, m=1, i_max=2, seed=17)["lemma6"]
     # the grid's draws, in its order: one chain, then the trials
     rng = default_rng(17)
     kernel = random_ergodic_kernel(2, rng)
     rng.random(2)
     random_canonical_kernel(kernel, 1, rng)
     violations, max_ratio = 0, 0.0
-    for _ in range(400):
-        xi = Distribution.normalized(rng.random(10) + 1e-3)
-        xi_p = Distribution.normalized(rng.random(10) + 1e-3)
-        f = rng.standard_normal(10) * 10.0
+    for _ in range(proofs._LEMMA6_TRIALS):
+        xi = Distribution.normalized(rng.random(proofs._LEMMA6_POINTS) + 1e-3)
+        xi_p = Distribution.normalized(rng.random(proofs._LEMMA6_POINTS) + 1e-3)
+        f = rng.standard_normal(proofs._LEMMA6_POINTS) * 10.0
         p = float(rng.choice([0.5, 1.0, 2.0]))
         lhs, rhs = verify_lemma6(xi, xi_p, f, p)
         # the scalar formula, one Distribution at a time
@@ -574,13 +571,14 @@ def test_batched_lemma6_matches_the_trial_by_trial_check(monkeypatch):
         if rhs > 0:
             max_ratio = max(max_ratio, lhs / rhs)
         violations += lhs > rhs * (1 + 1e-12)
-    assert report == {"instances": 400, "violations": violations, "max_ratio": max_ratio, "pass": violations == 0}
+    assert report == {"instances": proofs._LEMMA6_TRIALS, "violations": violations, "max_ratio": max_ratio,
+                      "pass": violations == 0}
     assert generators[0].bit_generator.state == rng.bit_generator.state
 
 
 def test_proposition_grid_peak_memory_on_the_benchmark_shape():
     # the shape of the benchmark's propositions workload; a first small grid loads what numpy loads once
-    proposition_grid_check(num_chains=1, size=4, m=2, i_max=2, seed=1, lemma6_trials=2, counting_n_max=2)
+    proposition_grid_check(num_chains=1, size=4, m=2, i_max=2, seed=1)
     tracemalloc.start()
     try:
         report = proposition_grid_check(num_chains=3, size=4, m=2, i_max=10, seed=1)
@@ -595,7 +593,7 @@ def test_a_large_grid_takes_its_records_in_runs_of_bounded_size():
     # S = 2, m = 3, i_max = 14: 27 132 tuples x 10 splits.  Arrays of the TV, certificate and
     # |f_sigma| values of a whole chain, and their record temporaries, traced 12.2 MiB; runs
     # of about _RECORD_VALUES values hold the peak near the 1.3 MiB tuple list and one block
-    grid = {"num_chains": 1, "size": 2, "m": 3, "seed": 3, "lemma6_trials": 0, "counting_n_max": 0}
+    grid = {"num_chains": 1, "size": 2, "m": 3, "seed": 3}
     proposition_grid_check(**grid, i_max=3)  # a first small grid loads what numpy loads once
     tracemalloc.start()
     try:
@@ -613,5 +611,5 @@ def test_a_grid_with_s_to_the_2m_over_the_block_cap_runs_one_tuple_per_block(mon
     monkeypatch.setattr(proofs, "_prop5_step", lambda tables, tuples, *rest: blocks.append(len(tuples)) or step(
         tables, tuples, *rest))
     assert 5**6 > proofs._BLOCK_CELLS
-    report = proposition_grid_check(num_chains=1, size=5, m=3, i_max=2, seed=9, lemma6_trials=0, counting_n_max=0)
+    report = proposition_grid_check(num_chains=1, size=5, m=3, i_max=2, seed=9)
     assert report["pass"] and blocks == [1] * math.comb(7, 6)

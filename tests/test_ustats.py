@@ -11,9 +11,9 @@ from ustatmc import (
     BudgetExceeded,
     DegreeTooLarge,
     Distribution,
+    FiniteKernel,
     SymmetricKernelFn,
     additive_kernel,
-    canonicalize,
     degeneracy_order,
     gaussian_rbf_kernel,
     hoeffding_project,
@@ -173,7 +173,7 @@ def test_degeneracy_order_does_not_change_when_h_is_scaled(m):
         h = SymmetricKernelFn(_random_symmetric_table(rng, 3, m))
         # generic (d = 0), mean-free (d = 1) and completely degenerate (d = m)
         for kernel_fn, d in ((h, 0), (h.shifted(float(hoeffding_project(h, pi, 0).table)), 1),
-                             (canonicalize(h, pi), m)):
+                             (hoeffding_project(h, pi, m), m)):
             for c in (1e-12, 1.0, 1e8):
                 assert degeneracy_order(SymmetricKernelFn(c * kernel_fn.table), pi) == d
 
@@ -201,7 +201,7 @@ def test_hoeffding_identity_large_mean_kernel():
     # every projection must come out symmetric despite that cancellation.
     rng = np.random.default_rng(22)
     for seed in range(5):
-        kernel = random_ergodic_kernel(5, rng, states=300.0 + rng.standard_normal(5))
+        kernel = FiniteKernel(300.0 + rng.standard_normal(5), random_ergodic_kernel(5, rng).matrix)
         pi = kernel.stationary()
         h = product_kernel(3).tabulated(kernel.states)
         for c in range(4):
@@ -231,7 +231,7 @@ def test_canonicalize_produces_canonical(two_state_kernel):
     rng = np.random.default_rng(30)
     pi = two_state_kernel.stationary()
     h = SymmetricKernelFn(_random_symmetric_table(rng, 2, 2))
-    hc = canonicalize(h, pi)
+    hc = hoeffding_project(h, pi, h.degree)
     assert degeneracy_order(hc, pi) >= 2
 
 
@@ -248,11 +248,11 @@ def test_builtin_families_need_degree_one():
             family(0)
 
 
-# each family's second argument is its center, atol or bandwidth
+# each family's second argument is its center or bandwidth; indicator_diag has none
 FAMILIES = {
     "product": product_kernel,
     "additive": additive_kernel,
-    "indicator_diag": indicator_diag_kernel,
+    "indicator_diag": lambda m, _: indicator_diag_kernel(m),
     "gaussian_rbf": gaussian_rbf_kernel,
 }
 
@@ -260,8 +260,8 @@ FAMILIES = {
 @st.composite
 def family_cases(draw):
     """A family, a degree 1 to 4, up to 8 state values with duplicates,
-    negatives and a wide range, and a random center, atol or bandwidth on
-    the scale of the states."""
+    negatives and a wide range, and a random center or bandwidth on the
+    scale of the states (drawn but unused for indicator_diag)."""
     name = draw(st.sampled_from(sorted(FAMILIES)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     values = draw(st.lists(st.floats(-4.0, 4.0).map(lambda y: y * scale), min_size=1, max_size=6))
