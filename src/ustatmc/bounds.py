@@ -152,7 +152,7 @@ def b_q(h: SymmetricKernelFn, profile: ErgodicityProfile, q: float) -> float:
         raise ValueError("q must be >= 1")
     s = h.table.shape[0]
     refuse_over("B_q table cells S^m", s**h.degree)
-    vq = profile.v_values ** (1.0 / q)
+    vq = np.float_power(profile.v_values, 1.0 / q)  # libm's pow, not the CPU-dispatched **
     denom = np.zeros((s,) * h.degree)
     for axis in range(h.degree):
         shape = tuple(s if a == axis else 1 for a in range(h.degree))

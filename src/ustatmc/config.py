@@ -83,9 +83,9 @@ SCHEMA: dict = {
         "i_max": "int largest time index >= 1 (default 8)",
         "seed": "uint64, an integer in [0, 2^64) (default 7)",
         "p_values": "list[float] > 0 (default [0.5, 1.0])",
-        "cap": "binom(2m, m) * size^(2m) f_sigma row cells per tuple and binom(i_max + 2m - 1, 2m) * "
-               "binom(2m, m) / 2 (tuple, split) values must each be <= 1e7, or the command exits 3 before "
-               "any work",
+        "cap": "(binom(2m, m) / 2 + 2 * tuples a block) * size^(2m) f_sigma cells and "
+               "binom(i_max + 2m - 1, 2m) * binom(2m, m) / 2 (tuple, split) values must each be <= 1e7, "
+               "or the command exits 3 before any work",
     },
 }
 

@@ -23,9 +23,10 @@ gaps of every row, ``_law_block`` and ``_tilted_block`` build the true and
 tilted laws with the elementwise products of a one-tuple build,
 ``_prop5_step`` is the one Proposition 5 step and :func:`f_sigma_values`
 the one evaluator of E[f_sigma], one value per split of the 2m positions
-into two halves (3 at m = 2, not 24), whose rows of all tuples form one
-C-contiguous stack so that each tuple gets the matrix-vector product it
-would get alone.  :func:`proposition_grid_check` runs them on blocks of at
+into two halves (3 at m = 2, not 24): it contracts each tuple's two laws
+with one split matrix of h (x) h, in one product of that per-tuple
+shape, so that each tuple gets the product it would get alone.
+:func:`proposition_grid_check` runs them on blocks of at
 most ``_BLOCK_CELLS`` law cells, with no loop over tuples, and takes each
 rho(j*) certificate once per distinct j*; its Lemma 6 and counting
 sections (:func:`jstar_histogram` against :func:`counting_bound`) run at
@@ -55,11 +56,11 @@ from .errors import NotCanonical, PNotPositive, refuse_over
 from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
 from .ustats import SymmetricKernelFn, _multisets, degeneracy_order, hoeffding_project
 
-# Law cells (tuples x S^(2m)) of one block of the grid, 32 KiB of float64 per
-# law array; the f_sigma row stack holds binom(2m, m) times as many.  A block
-# has at least one tuple, so a grid with S^(2m) >= _BLOCK_CELLS runs one
-# tuple per block.
-_BLOCK_CELLS = 2**12
+# Law cells (tuples x S^(2m)) of one block of the grid, 128 KiB of float64 per
+# law array: the benchmark's grid (S = 4, m = 2, i_max = 10) peaks at 0.91 MiB
+# traced at this cap, and at 1.66 MiB at 2^15.  A block has at least one
+# tuple, so a grid with S^(2m) >= _BLOCK_CELLS runs one tuple per block.
+_BLOCK_CELLS = 2**14
 # (tuple, split) values of one record update, 32 KiB of float64 per array:
 # the grid takes its records over runs of whole blocks of about this many
 # values (one run per chain on the benchmark grid), so what it holds for
@@ -222,23 +223,24 @@ def f_sigma_values(laws: np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
     ``laws`` is an array (..., L, S, ..., S) of sequences of L law tensors
     over S^(2m), or anything ``np.asarray`` makes one of, such as a list
     of L tensors; the result is (..., L, binom(2m, m) / 2).  f_sigma = <T
-    transposed by sigma, h (x) h>, so one matrix-vector product per
-    sequence, with a row per (law, split), gives every value.  The rows of
-    all sequences are one C-contiguous stack, so each sequence gets the
+    transposed by sigma, h (x) h> = <T, h (x) h transposed by sigma^-1>, so
+    the (S^(2m), splits) matrix G whose column is h (x) h transposed by the
+    inverse of its split's representative gives every value of a sequence
+    in one (L, S^(2m)) @ G product.  G is built once per call and the
+    sequences are never folded into one product, so each sequence gets the
     product it would get alone: numpy rounds a product by its shape (a
-    one-row product is a dot product), so a law's values depend on the
-    sequence it sits in, never on the others."""
+    one-row product is a vector-matrix product), so a law's values depend
+    on the sequence it sits in, never on the others."""
     m, s = h.degree, h.table.shape[0]
     laws = np.asarray(laws)
     lead = laws.shape[: max(laws.ndim - 2 * m, 0)]
     if not lead or laws.shape[len(lead) :] != (s,) * (2 * m):
         raise ValueError(f"laws of shape {laws.shape} are not tensors over S^(2m), S = {s}, 2m = {2 * m}")
-    splits = _splits(m)
-    rows = np.empty(lead + (len(splits),) + (s,) * (2 * m))
-    for row, rep in zip(np.moveaxis(rows, len(lead), 0), splits):
-        row[...] = laws.transpose(tuple(range(len(lead))) + tuple(len(lead) + a for a in rep))
-    values = rows.reshape(lead[:-1] + (-1, s ** (2 * m))) @ np.multiply.outer(h.table, h.table).ravel()
-    return values.reshape(lead + (len(splits),))
+    splits, hh = _splits(m), np.multiply.outer(h.table, h.table)
+    g_rows = np.empty((len(splits),) + hh.shape)  # G transposed, a row per split
+    for row, rep in zip(g_rows, splits):
+        row[...] = hh.transpose(np.argsort(rep))
+    return laws.reshape(lead + (s ** (2 * m),)) @ g_rows.reshape(len(splits), -1).T
 
 
 def _prop5_step(
@@ -282,10 +284,10 @@ def _lemma6_block(xi: np.ndarray, xi_prime: np.ndarray, f: np.ndarray, p: np.nda
     """Both sides of Lemma 6 for each row: probability vectors ``xi`` and
     ``xi_prime`` (T, n), values ``f`` (T, n) and exponents ``p`` (T,) > 0.
 
-    Each expectation is its own dot product and each |f|^{1+p} takes a
-    scalar exponent, as for one pair of ``Distribution``s.  The right side
-    is taken in Python floats, because numpy's power does not round like
-    Python's pow."""
+    Each expectation is its own dot product, as for one pair of
+    ``Distribution``s.  Each |f|^{1+p} is libm's ``pow`` (``np.float_power``)
+    and the right side is taken in Python floats, because numpy's ``**``
+    rounds by the loop the CPU dispatches, not like Python's pow."""
     def expect(w, v):
         return (w[:, None] @ v[:, :, None])[:, 0, 0]
 
@@ -293,7 +295,7 @@ def _lemma6_block(xi: np.ndarray, xi_prime: np.ndarray, f: np.ndarray, p: np.nda
     moment = np.empty(len(p))
     for q in constant:
         rows = p == q
-        g = np.abs(f[rows]) ** (1 + q)
+        g = np.float_power(np.abs(f[rows]), 1 + q)
         moment[rows] = expect(xi[rows], g) + expect(xi_prime[rows], g)
     tv = np.abs(xi - xi_prime).sum(axis=1)
     rhs = [constant[q] * mo ** (1.0 / (q + 1.0)) * t ** (q / (q + 1.0))
@@ -461,11 +463,11 @@ def proposition_grid_check(
     Returns a JSON-ready summary per inequality: number of instances, the
     worst lhs/bound ratio, and the tuple attaining it.  ``"pass"`` is True
     iff no instance violates its certificate (the tilted-moment identity is
-    held to 1e-11 absolute).  A grid whose f_sigma row stack of one tuple
-    (2 laws times binom(2m, m) / 2 splits times S^(2m) cells, which
-    :func:`f_sigma_values` allocates) or whose work (binom(i_max + 2m - 1,
-    2m) tuples times binom(2m, m) / 2 splits) exceeds the fixed cap is
-    refused (:func:`~ustatmc.errors.refuse_over`) before any work.
+    held to 1e-11 absolute).  A grid whose f_sigma cells (the split matrix
+    of :func:`f_sigma_values`, binom(2m, m) / 2 times S^(2m) cells, and a
+    block's 2 laws of S^(2m) cells per tuple) or whose work (binom(i_max +
+    2m - 1, 2m) tuples times binom(2m, m) / 2 splits) exceeds the fixed cap
+    is refused (:func:`~ustatmc.errors.refuse_over`) before any work.
 
     Each chain's tuples go in blocks of rows, in enumeration order, and the
     rho(j*) certificates are taken once per distinct j*.  The blocks fill
@@ -479,15 +481,16 @@ def proposition_grid_check(
     support points, drawn after the chains) and counting section (every n
     <= ``_COUNTING_N_MAX`` at m = 1 and 2) have fixed sizes.
     """
-    cells, work = size ** (2 * m), math.comb(i_max + 2 * m - 1, 2 * m) * math.comb(2 * m, m) // 2
-    stack = math.comb(2 * m, m) * cells
-    refuse_over(f"proposition grid of {stack} f_sigma row cells per tuple (binom(2m, m) * S^(2m)) "
-                f"and {work} (tuple, split) values, the larger", max(stack, work))
+    cells, columns = size ** (2 * m), math.comb(2 * m, m) // 2
+    block, work = max(1, _BLOCK_CELLS // cells), math.comb(i_max + 2 * m - 1, 2 * m) * columns
+    held = (columns + 2 * block) * cells  # f_sigma_values' split matrix and a block's laws
+    refuse_over(f"proposition grid of {held} f_sigma cells (a split matrix of binom(2m, m) / 2 * S^(2m) and "
+                f"a block's 2 * {block} laws of S^(2m)) and {work} (tuple, split) values, the larger",
+                max(held, work))
     rng = np.random.default_rng(seed)
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
     tuples = _multisets(i_max, 2 * m)[0] + 1
     _, j_star, ell_star = _gaps(tuples)
-    block = max(1, _BLOCK_CELLS // cells)
     # a split column stands for the 2 (m!)^2 permutations that share its value
     splits, weight = _splits(m), 2 * math.factorial(m) ** 2
     run = block * max(1, _RECORD_VALUES // (block * len(splits)))

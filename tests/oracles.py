@@ -246,3 +246,17 @@ def f_sigma_expectation(law: np.ndarray, h: SymmetricKernelFn, sigma: Sequence[i
         [],
     )
     return float(out)
+
+
+def f_sigma_rows(laws: np.ndarray, h: SymmetricKernelFn, reps: Sequence[Sequence[int]]) -> np.ndarray:
+    """E_law[f_sigma] for each law of ``laws`` (..., S, ..., S) and each
+    permutation of ``reps`` (the last axis of the result), by a stack of
+    rows: one copy of each law transposed by each permutation, times
+    vec(h (x) h)."""
+    m, s = h.degree, h.table.shape[0]
+    laws = np.asarray(laws)
+    lead = laws.shape[: laws.ndim - 2 * m]
+    rows = np.empty(lead + (len(reps),) + (s,) * (2 * m))
+    for row, rep in zip(np.moveaxis(rows, len(lead), 0), reps):
+        row[...] = laws.transpose(tuple(range(len(lead))) + tuple(len(lead) + a for a in rep))
+    return rows.reshape(lead + (len(reps), -1)) @ np.multiply.outer(h.table, h.table).ravel()

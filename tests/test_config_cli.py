@@ -425,8 +425,8 @@ def test_cli_bad_propositions_section_is_config_error(tmp_path, monkeypatch, cap
 OVERSIZED_GRIDS = {
     "degree-six": {"m": 6},
     "i-max-10000": {"i_max": 10_000},
-    # the law cells and the (tuple, split) work fit, but one tuple's f_sigma rows do not
-    "f-sigma-rows": {"size": 4, "m": 5, "i_max": 1},
+    # the law cells and the (tuple, split) work fit, but the f_sigma split matrix does not
+    "f-sigma-split-matrix": {"size": 4, "m": 5, "i_max": 1},
 }
 
 

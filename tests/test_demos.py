@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 STDOUT_SHA256 = {
     # joint and tilted laws, the f_sigma identity, Propositions 5 and 7, the j* histogram
-    "04_proof_apparatus": "d918f17acaf593e6722ac2fee4425b2fee6b0a4a3755a4e041601ee5087fa2e7",
+    "04_proof_apparatus": "0c73168f62fe0a9ae889aa5415690f25b8b06c1ec06be22197ef695da6fe7b18",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import f_sigma_expectation, naive_joint_law
+from oracles import f_sigma_expectation, f_sigma_rows, naive_joint_law
 from ustatmc import (
     BudgetExceeded,
     Distribution,
@@ -362,8 +362,8 @@ def test_proposition_grid_check_degree_three():
 
 
 def test_degree_five_grid_runs_within_its_work_cap():
-    # m = 5, S = 2, i_max = 2: 11 tuples x 126 splits of work and 2 x 126 x 2^10 f_sigma row
-    # cells per tuple; the 11 x 10! (tuple, sigma) instances are counted, never listed
+    # m = 5, S = 2, i_max = 2: 11 tuples x 126 splits of work and a 126 x 2^10 f_sigma split
+    # matrix; the 11 x 10! (tuple, sigma) instances are counted, never listed
     report = proposition_grid_check(num_chains=1, size=2, m=5, i_max=2, seed=3)
     assert report["pass"]
     assert report["prop5"]["instances"] == math.comb(2 + 9, 10) == 11
@@ -382,9 +382,9 @@ def test_oversized_proposition_grid_is_refused_before_allocating(grid):
     assert peak < 2**16
 
 
-def test_f_sigma_row_stack_is_refused_before_listing_permutations(monkeypatch):
+def test_f_sigma_split_matrix_is_refused_before_listing_splits(monkeypatch):
     # S = 4, m = 5, i_max = 1: the 4^10 law cells and the 126 splits of work fit the
-    # budget, but one tuple's f_sigma rows, 2 laws x 126 splits x 4^10 cells, are 2.1 GB
+    # budget, but the f_sigma split matrix, 126 splits x 4^10 cells, is 1.1 GB
     def no_work(*args, **kwargs):
         raise AssertionError("the grid listed its splits before its size was checked")
 
@@ -431,6 +431,28 @@ def test_split_contraction_matches_every_f_sigma(size, m, seed, data):
     for law, row in zip(laws, values):
         for sigma in itertools.permutations(range(2 * m)):
             assert abs(row[_split_column(m, sigma)] - f_sigma_expectation(law, h, sigma)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(2, 4), m=st.integers(1, 3), lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_split_matrix_matches_the_row_stack_and_the_einsum_oracle(size, m, lead, seed, data):
+    # stacks of several sequences of signed tensors, so no sum-to-one cancels an error
+    rng = np.random.default_rng(seed)
+    laws = rng.standard_normal(tuple(lead) + (size,) * (2 * m))
+    raw = rng.standard_normal((size,) * m)
+    h = SymmetricKernelFn(sum(np.transpose(raw, perm) for perm in itertools.permutations(range(m))) / math.factorial(m))
+    splits = _splits(m)
+    values = f_sigma_values(laws, h)
+    assert values.shape == tuple(lead) + (len(splits),)
+    rows = f_sigma_rows(laws, h, splits)
+    sigma = data.draw(st.permutations(range(2 * m)))
+    for at in np.ndindex(*lead):
+        tol = 1e-12 * np.abs(laws[at]).sum() * h.sup_norm() ** 2
+        assert np.abs(values[at] - rows[at]).max() <= tol
+        for column, rep in enumerate(splits):
+            assert abs(values[at][column] - f_sigma_expectation(laws[at], h, rep)) <= tol
+        assert abs(values[at][_split_column(m, sigma)] - f_sigma_expectation(laws[at], h, sigma)) <= tol
 
 
 @pytest.mark.parametrize("size, m, i_max, seed", [(3, 2, 6, 5), (2, 3, 4, 11), (4, 1, 9, 23)])
@@ -564,8 +586,9 @@ def test_batched_lemma6_matches_the_trial_by_trial_check(monkeypatch):
         f = rng.standard_normal(proofs._LEMMA6_POINTS) * 10.0
         p = float(rng.choice([0.5, 1.0, 2.0]))
         lhs, rhs = verify_lemma6(xi, xi_p, f, p)
-        # the scalar formula, one Distribution at a time
-        moment = xi.expect(np.abs(f) ** (1 + p)) + xi_p.expect(np.abs(f) ** (1 + p))
+        # the scalar formula, one Distribution at a time, each |f|^{1+p} by Python's pow
+        g = np.array([abs(x) ** (1 + p) for x in f.tolist()])
+        moment = xi.expect(g) + xi_p.expect(g)
         assert lhs == abs(xi.expect(f) - xi_p.expect(f))
         assert rhs == lemma6_constant(p) * moment ** (1.0 / (p + 1.0)) * tv_distance(xi, xi_p) ** (p / (p + 1.0))
         if rhs > 0:
@@ -610,6 +633,6 @@ def test_a_grid_with_s_to_the_2m_over_the_block_cap_runs_one_tuple_per_block(mon
     step = proofs._prop5_step
     monkeypatch.setattr(proofs, "_prop5_step", lambda tables, tuples, *rest: blocks.append(len(tuples)) or step(
         tables, tuples, *rest))
-    assert 5**6 > proofs._BLOCK_CELLS
-    report = proposition_grid_check(num_chains=1, size=5, m=3, i_max=2, seed=9)
+    assert 6**6 > proofs._BLOCK_CELLS
+    report = proposition_grid_check(num_chains=1, size=6, m=3, i_max=2, seed=9)
     assert report["pass"] and blocks == [1] * math.comb(7, 6)

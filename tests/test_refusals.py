@@ -36,7 +36,7 @@ from ustatmc import (
     tilde_law,
     tuple_sums,
 )
-from ustatmc import markov, montecarlo
+from ustatmc import markov, montecarlo, proofs
 from ustatmc.ustats import count_cells
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ustatmc"
@@ -173,10 +173,10 @@ def jstar_enumeration(tmp_path, fixed_cap):
 
 @case
 def proposition_grid(tmp_path, fixed_cap):
-    # one tuple's f_sigma rows: binom(10, 5) * 2^10 cells
-    stack = math.comb(10, 5) * 2**10
-    return (lambda: proposition_grid_check(num_chains=1, size=2, m=5, i_max=1), "f_sigma row cells", stack,
-            fixed_cap(stack - 1))
+    # the f_sigma split matrix, binom(10, 5) / 2 * 2^10 cells, and a block's 2 laws of 2^10 cells a tuple
+    held = (math.comb(10, 5) // 2 + 2 * (proofs._BLOCK_CELLS // 2**10)) * 2**10
+    return (lambda: proposition_grid_check(num_chains=1, size=2, m=5, i_max=1), "f_sigma cells", held,
+            fixed_cap(held - 1))
 
 
 @case
