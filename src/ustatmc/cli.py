@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
 def cmd_certify_profile(args) -> int:
     doc = cfg.load_document(args.config)
     kernel, v = cfg.build_chain(doc)
-    k_max = cfg.integer(cfg.section(doc, "profile", {}), "k_max", 64, "profile", 0)
+    k_max = cfg.integer(cfg.section(doc, "profile", {}), "k_max", 64, "profile", 1)
     profile = certify_rho(kernel, v, k_max)
     path = _out_dir(args) / "profile.json"
     write_json(path, profile.to_dict())

@@ -37,8 +37,9 @@ SCHEMA: dict = {
     "profile": {
         "kind": "'certify' (default) | 'geometric' | 'explicit' | 'declared'; only certify gives provenance "
                 "'certified', every other kind is 'declared' and no key sets it",
-        "k_max": "int — table length for kind=certify (default: 64 for certify-profile; for every other command "
-                 "max(largest n_grid entry, 16), and at least 64 with an slln section)",
+        "k_max": "int >= 1 — last step of the rho table for kind=certify, which must show rho decaying "
+                 "(default: 64 for certify-profile; for every other command max(largest n_grid entry, 16), "
+                 "and at least 64 with an slln section)",
         "c / varrho": "floats for kind=geometric: rho(k) = c * varrho^k, c >= 0, 0 <= varrho <= 1",
         "values / tail_rate": "for kind=explicit: non-increasing rho(0..K), then rho(K) * tail_rate^(k-K) "
                               "(tail_rate in [0, 1], default 0)",
@@ -83,7 +84,7 @@ SCHEMA: dict = {
         "i_max": "int largest time index >= 1 (default 8)",
         "seed": "uint64, an integer in [0, 2^64) (default 7)",
         "p_values": "list[float] > 0 (default [0.5, 1.0])",
-        "cap": "(binom(2m, m) / 2 + 2 * tuples a block) * size^(2m) f_sigma cells and "
+        "cap": "(binom(2m, m) / 2 + 4 * tuples a block) * size^(2m) f_sigma cells and "
                "binom(i_max + 2m - 1, 2m) * binom(2m, m) / 2 (tuple, split) values must each be <= 1e7, "
                "or the command exits 3 before any work",
     },
@@ -207,7 +208,7 @@ def build_profile(doc: dict, kernel: FiniteKernel, v: np.ndarray, k_max_default:
     entries = section(doc, "profile", {"kind": "certify"})
     kind = entries.get("kind", "certify")
     if kind == "certify":
-        return certify_rho(kernel, v, integer(entries, "k_max", k_max_default, "profile", 0))
+        return certify_rho(kernel, v, integer(entries, "k_max", k_max_default, "profile", 1))
     if kind not in ("geometric", "explicit", "declared"):
         raise ConfigError(f"unknown profile kind {kind!r}")
     rho, m_value = entries, entries.get("m_value")

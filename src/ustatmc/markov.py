@@ -337,7 +337,8 @@ class ErgodicityProfile:
 def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> ErgodicityProfile:
     """Tabulate the minimal certified mixing sequence of a finite chain.
 
-    For each k <= k_max,
+    For each k <= k_max (at least 1, so that the table can show rho(k_max)
+    below rho(0)),
 
         rho(k) = max_{x, x'} tv(delta_x P^k, delta_x' P^k) / (V(x) + V(x'))
 
@@ -377,8 +378,8 @@ def certify_rho(kernel: FiniteKernel, v_values: Sequence[float], k_max: int) -> 
     block are refused past their caps (:func:`~ustatmc.errors.refuse_over`)
     before the chain is probed.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1: rho must be seen to decay from rho(0)")
     refuse_over("rho(0..k_max) cells", k_max + 1)
     v = np.asarray(v_values, dtype=float)
     if v.shape != (kernel.size,):

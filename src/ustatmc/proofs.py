@@ -24,13 +24,14 @@ tilted laws with the elementwise products of a one-tuple build,
 ``_prop5_step`` is the one Proposition 5 step and :func:`f_sigma_values`
 the one evaluator of E[f_sigma], one value per split of the 2m positions
 into two halves (3 at m = 2, not 24): it contracts each tuple's two laws
-with one split matrix of h (x) h, in one product of that per-tuple
-shape, so that each tuple gets the product it would get alone.
-:func:`proposition_grid_check` runs them on blocks of at
-most ``_BLOCK_CELLS`` law cells, with no loop over tuples, and takes each
-rho(j*) certificate once per distinct j*; its Lemma 6 and counting
-sections (:func:`jstar_histogram` against :func:`counting_bound`) run at
-fixed sizes.  :func:`j_indices`,
+with one split matrix of h (x) h (``_split_matrix``), in one product of
+that per-tuple shape, so that each tuple gets the product it would get
+alone.  :func:`proposition_grid_check` builds each chain's split matrix
+and rho(j*) certificates once, then walks the chain in one loop over
+blocks of at most ``_BLOCK_CELLS`` law cells, with no loop over tuples,
+each block taking that same product and updating every record; its
+Lemma 6 and counting sections (:func:`jstar_histogram` against
+:func:`counting_bound`) run at fixed sizes.  :func:`j_indices`,
 :func:`joint_law`, :func:`tilde_law`, :func:`verify_prop5`,
 :func:`verify_prop7` and :func:`verify_lemma6` are one-row calls of the
 same code, so they return the grid's numbers bit for bit.  The module
@@ -57,15 +58,10 @@ from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
 from .ustats import SymmetricKernelFn, _multisets, degeneracy_order, hoeffding_project
 
 # Law cells (tuples x S^(2m)) of one block of the grid, 128 KiB of float64 per
-# law array: the benchmark's grid (S = 4, m = 2, i_max = 10) peaks at 0.91 MiB
-# traced at this cap, and at 1.66 MiB at 2^15.  A block has at least one
+# law array: the benchmark's grid (S = 4, m = 2, i_max = 10) peaks at 0.84 MiB
+# traced at this cap, and at 1.59 MiB at 2^15.  A block has at least one
 # tuple, so a grid with S^(2m) >= _BLOCK_CELLS runs one tuple per block.
 _BLOCK_CELLS = 2**14
-# (tuple, split) values of one record update, 32 KiB of float64 per array:
-# the grid takes its records over runs of whole blocks of about this many
-# values (one run per chain on the benchmark grid), so what it holds for
-# them does not grow with the grid
-_RECORD_VALUES = 2**12
 # the sizes of the grid's Lemma 6 section (trials, support points) and counting section (largest n)
 _LEMMA6_TRIALS, _LEMMA6_POINTS, _COUNTING_N_MAX = 1000, 10, 10
 
@@ -215,6 +211,17 @@ def _split_column(m: int, sigma: Sequence[int]) -> int:
     return _splits(m).index((*low, *(a for a in range(2 * m) if a not in low)))
 
 
+def _split_matrix(h: SymmetricKernelFn) -> np.ndarray:
+    """The (S^(2m), splits) matrix G of :func:`f_sigma_values`: the column
+    of a split of :func:`_splits` is h (x) h transposed by the inverse of
+    the split's representative, flattened."""
+    splits, hh = _splits(h.degree), np.multiply.outer(h.table, h.table)
+    g_rows = np.empty((len(splits),) + hh.shape)  # G transposed, a row per split
+    for row, rep in zip(g_rows, splits):
+        row[...] = hh.transpose(np.argsort(rep))
+    return g_rows.reshape(len(splits), -1).T
+
+
 def f_sigma_values(laws: np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
     """E_law[ h(y_{sigma(1..m)}) * h(y_{sigma(m+1..2m)}) ] by exact
     contraction, for each law and each split of :func:`_splits` in order
@@ -224,23 +231,18 @@ def f_sigma_values(laws: np.ndarray, h: SymmetricKernelFn) -> np.ndarray:
     over S^(2m), or anything ``np.asarray`` makes one of, such as a list
     of L tensors; the result is (..., L, binom(2m, m) / 2).  f_sigma = <T
     transposed by sigma, h (x) h> = <T, h (x) h transposed by sigma^-1>, so
-    the (S^(2m), splits) matrix G whose column is h (x) h transposed by the
-    inverse of its split's representative gives every value of a sequence
-    in one (L, S^(2m)) @ G product.  G is built once per call and the
-    sequences are never folded into one product, so each sequence gets the
-    product it would get alone: numpy rounds a product by its shape (a
-    one-row product is a vector-matrix product), so a law's values depend
-    on the sequence it sits in, never on the others."""
+    the split matrix G (:func:`_split_matrix`) gives every value of a
+    sequence in one (L, S^(2m)) @ G product.  The sequences are never
+    folded into one product, so each sequence gets the product it would
+    get alone: numpy rounds a product by its shape (a one-row product is a
+    vector-matrix product), so a law's values depend on the sequence it
+    sits in, never on the others."""
     m, s = h.degree, h.table.shape[0]
     laws = np.asarray(laws)
     lead = laws.shape[: max(laws.ndim - 2 * m, 0)]
     if not lead or laws.shape[len(lead) :] != (s,) * (2 * m):
         raise ValueError(f"laws of shape {laws.shape} are not tensors over S^(2m), S = {s}, 2m = {2 * m}")
-    splits, hh = _splits(m), np.multiply.outer(h.table, h.table)
-    g_rows = np.empty((len(splits),) + hh.shape)  # G transposed, a row per split
-    for row, rep in zip(g_rows, splits):
-        row[...] = hh.transpose(np.argsort(rep))
-    return laws.reshape(lead + (s ** (2 * m),)) @ g_rows.reshape(len(splits), -1).T
+    return laws.reshape(lead + (s ** (2 * m),)) @ _split_matrix(h)
 
 
 def _prop5_step(
@@ -430,10 +432,11 @@ class _Record:
         sigmas[i] is the permutation that names instance i."""
         self.instances += lhs.size * self.weight
         positive = bound > 0
-        self.max_ratio = float(np.max(lhs[positive] / bound[positive, None], initial=self.max_ratio))
+        # division by a positive bound is monotone, so a row's largest lhs gives its largest ratio, bit for bit
+        self.max_ratio = float((lhs.max(axis=1)[positive] / bound[positive]).max(initial=self.max_ratio))
         excess = lhs - bound[:, None]
         # first maximum of the rounded excesses: what a sequential scan with a strict > keeps
-        t, i = np.unravel_index(excess.argmax(), excess.shape)
+        t, i = divmod(int(excess.argmax()), excess.shape[1])
         if excess[t, i] > self.max_excess:
             self.max_excess = float(excess[t, i])
             self.worst = case(t)
@@ -464,18 +467,16 @@ def proposition_grid_check(
     worst lhs/bound ratio, and the tuple attaining it.  ``"pass"`` is True
     iff no instance violates its certificate (the tilted-moment identity is
     held to 1e-11 absolute).  A grid whose f_sigma cells (the split matrix
-    of :func:`f_sigma_values`, binom(2m, m) / 2 times S^(2m) cells, and a
-    block's 2 laws of S^(2m) cells per tuple) or whose work (binom(i_max +
-    2m - 1, 2m) tuples times binom(2m, m) / 2 splits) exceeds the fixed cap
-    is refused (:func:`~ustatmc.errors.refuse_over`) before any work.
+    of :func:`f_sigma_values`, binom(2m, m) / 2 times S^(2m) cells, and
+    what a block holds while :func:`_prop5_step` builds its laws, 4 laws of
+    S^(2m) cells per tuple) or whose work (binom(i_max + 2m - 1, 2m) tuples
+    times binom(2m, m) / 2 splits) exceeds the fixed cap is refused
+    (:func:`~ustatmc.errors.refuse_over`) before any work.
 
-    Each chain's tuples go in blocks of rows, in enumeration order, and the
-    rho(j*) certificates are taken once per distinct j*.  The blocks fill
-    arrays of each tuple's TV, its certificate and its |f_sigma| values (2
-    laws times binom(2m, m) / 2 splits) over a run of whole blocks of
-    about ``_RECORD_VALUES`` (tuple, split) values, and each record is then
-    updated once per run, over its tuples in enumeration order; the report
-    is the one a tuple-by-tuple scan gives, bit for bit.
+    Each chain builds its split matrix once, takes the rho(j*) certificates
+    once per distinct j*, and walks its tuples in blocks of rows, in
+    enumeration order, each block updating every record; the report is the
+    one a tuple-by-tuple scan gives, bit for bit.
 
     Its Lemma 6 section (``_LEMMA6_TRIALS`` trials of ``_LEMMA6_POINTS``
     support points, drawn after the chains) and counting section (every n
@@ -483,9 +484,9 @@ def proposition_grid_check(
     """
     cells, columns = size ** (2 * m), math.comb(2 * m, m) // 2
     block, work = max(1, _BLOCK_CELLS // cells), math.comb(i_max + 2 * m - 1, 2 * m) * columns
-    held = (columns + 2 * block) * cells  # f_sigma_values' split matrix and a block's laws
+    held = (columns + 4 * block) * cells  # the split matrix and a block's laws as _prop5_step builds them
     refuse_over(f"proposition grid of {held} f_sigma cells (a split matrix of binom(2m, m) / 2 * S^(2m) and "
-                f"a block's 2 * {block} laws of S^(2m)) and {work} (tuple, split) values, the larger",
+                f"a block's 4 * {block} laws of S^(2m)) and {work} (tuple, split) values, the larger",
                 max(held, work))
     rng = np.random.default_rng(seed)
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
@@ -493,7 +494,6 @@ def proposition_grid_check(
     _, j_star, ell_star = _gaps(tuples)
     # a split column stands for the 2 (m!)^2 permutations that share its value
     splits, weight = _splits(m), 2 * math.factorial(m) ** 2
-    run = block * max(1, _RECORD_VALUES // (block * len(splits)))
     eq19 = _Record(tolerance=1e-11, weight=weight)
     prop5 = _Record("tv")
     prop7 = {p: _Record("lhs", weight=weight) for p in (None, *p_values)}
@@ -504,28 +504,22 @@ def proposition_grid_check(
         profile = certify_rho(kernel, np.ones(size), k_max=i_max + 1)
         h = random_canonical_kernel(kernel, m, rng)
         m_value = m_sup(mu, profile, kernel)
-        tables = _ChainTables(mu, kernel, tuples)
+        tables, g = _ChainTables(mu, kernel, tuples), _split_matrix(h)
         # j* takes every value in 0..max(j*): each certificate once per value, read by each row's j*
         rho = [profile.rho_at(j) for j in range(int(j_star.max()) + 1)]
         prop7_bounds = list(map(_prop7_bounds(h, profile, m_value, p_values), rho))
         bound7 = {p: np.array([b1 if p is None else b2[p] for b1, b2 in prop7_bounds])[j_star] for p in prop7}
         rho = np.array(rho)[j_star]
-        for head in range(0, len(tuples), run):
-            part = slice(head, head + run)
-            size_of_run = len(tuples[part])
-            # per tuple of the run: the TV, its certificate, and |f_sigma| under the tilted and the true law
-            tv, bound5 = np.empty(size_of_run), np.empty(size_of_run)
-            values = np.empty((size_of_run, 2, len(splits)))
-            for start in range(0, size_of_run, block):
-                rows, at = slice(start, start + block), slice(head + start, head + start + block)
-                laws, tv[rows], bound5[rows] = _prop5_step(tables, tuples[at], ell_star[at], rho[at], m_value)
-                np.abs(f_sigma_values(laws, h), out=values[rows])
-            case = functools.partial(_case, chain_idx, tuples[part])
+        for start in range(0, len(tuples), block):
+            at = slice(start, start + block)
+            laws, tv, bound5 = _prop5_step(tables, tuples[at], ell_star[at], rho[at], m_value)
+            # f_sigma_values' product: |f_sigma| under the tilted and the true law of each tuple
+            resid, lhs = np.abs(laws.reshape(laws.shape[:2] + (cells,)) @ g).transpose(1, 0, 2)
+            case = functools.partial(_case, chain_idx, tuples[at])
             prop5.update(tv[:, None], bound5, case)
-            resid, lhs = values.transpose(1, 0, 2)
             eq19.update(resid, np.zeros(len(tv)), case, splits)
             for p, record in prop7.items():
-                record.update(lhs, bound7[p][part], case, splits)
+                record.update(lhs, bound7[p][at], case, splits)
 
     xi, xi_p, f = (np.empty((_LEMMA6_TRIALS, _LEMMA6_POINTS)) for _ in range(3))
     exponents = np.empty(_LEMMA6_TRIALS)

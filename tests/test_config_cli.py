@@ -498,6 +498,8 @@ BAD_SECTIONS = {
     "explicit-rho-nan": {"profile": {"kind": "explicit", "values": [1.0, float("nan")], "m_value": 1.0}},
     "declared-v-nan": {"profile": {"kind": "declared", "v": [float("nan"), 1.0], "m_value": 1.0,
                                    "rho": {"values": [1.0, 0.5], "tail_rate": 0.5}}},
+    # a table of rho(0) alone can never show rho decaying
+    "k-max-zero": {"profile": {"k_max": 0}},
 }
 
 
@@ -508,6 +510,20 @@ def test_cli_malformed_section_is_config_error(tmp_path, capsys, command, bad):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify-profile", "bound", "verify-variance"])
+def test_cli_k_max_zero_is_config_error_before_the_profile_is_certified(tmp_path, monkeypatch, capsys, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the profile was certified with k_max = 0")
+
+    monkeypatch.setattr(config, "certify_rho", no_work)
+    monkeypatch.setattr(cli, "certify_rho", no_work)
+    cfg = _write(tmp_path, "k.json", {**_variance_doc(), "profile": {"k_max": 0}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: profile.k_max must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
 
 

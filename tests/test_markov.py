@@ -107,6 +107,12 @@ def test_certify_rho_identical_rows_one_step_coupling():
     assert all(profile.rho_at(k) == 0.0 for k in range(1, 6))
 
 
+def test_certify_rho_needs_a_step_to_see_rho_decay(two_state_kernel):
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        certify_rho(two_state_kernel, np.ones(2), k_max=0)
+    assert certify_rho(two_state_kernel, np.ones(2), k_max=1).rho_at(1) == pytest.approx(0.5, rel=1e-12)
+
+
 def test_certify_rho_k0_upper_bound():
     rng = np.random.default_rng(5)
     mat = rng.random((4, 4)) + 0.1
@@ -167,7 +173,7 @@ def cycle_chains_with_weights(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(cycle_chains_with_weights(), st.integers(0, 80), st.integers(2, 7))
+@given(cycle_chains_with_weights(), st.integers(1, 80), st.integers(2, 7))
 def test_certify_rho_equals_pair_loop(chain, k_max, steps):
     # bit for bit against the per-Dirac pair loop, with block edges after
     # every step (caps 1 and S^2), after every `steps` steps, and nowhere

@@ -559,14 +559,12 @@ def test_blocks_match_one_tuple_calls_bit_for_bit_and_the_oracles(size, m, i_max
         for sigma in itertools.permutations(range(2 * m)):
             assert abs(law_values[_split_column(m, sigma)] - f_sigma_expectation(law, h, sigma)) <= tol
 
-    # one tuple per block gives the same report, byte for byte
+    # the records take the first maximum, so any block size gives the same report, byte for byte
     grid = {"num_chains": 2, "size": size, "m": m, "i_max": i_max, "seed": seed}
     report = json.dumps(proposition_grid_check(**grid))
-    with mock.patch.object(proofs, "_BLOCK_CELLS", 1):
+    cells = data.draw(st.sampled_from([1, size ** (2 * m), 3 * size ** (2 * m), 2**14]))
+    with mock.patch.object(proofs, "_BLOCK_CELLS", cells):
         assert json.dumps(proposition_grid_check(**grid)) == report
-        # and so does a record update per block
-        with mock.patch.object(proofs, "_RECORD_VALUES", 1):
-            assert json.dumps(proposition_grid_check(**grid)) == report
 
 
 def test_batched_lemma6_matches_the_trial_by_trial_check(monkeypatch):
@@ -612,10 +610,10 @@ def test_proposition_grid_peak_memory_on_the_benchmark_shape():
     assert peak <= 2**20
 
 
-def test_a_large_grid_takes_its_records_in_runs_of_bounded_size():
+def test_a_large_grid_holds_one_block_of_record_values_at_a_time():
     # S = 2, m = 3, i_max = 14: 27 132 tuples x 10 splits.  Arrays of the TV, certificate and
-    # |f_sigma| values of a whole chain, and their record temporaries, traced 12.2 MiB; runs
-    # of about _RECORD_VALUES values hold the peak near the 1.3 MiB tuple list and one block
+    # |f_sigma| values of a whole chain, and their record temporaries, traced 12.2 MiB; record
+    # updates per block hold the peak near the 1.3 MiB tuple list and one block
     grid = {"num_chains": 1, "size": 2, "m": 3, "seed": 3}
     proposition_grid_check(**grid, i_max=3)  # a first small grid loads what numpy loads once
     tracemalloc.start()
@@ -626,6 +624,15 @@ def test_a_large_grid_takes_its_records_in_runs_of_bounded_size():
         tracemalloc.stop()
     assert report["pass"] and report["prop5"]["instances"] == math.comb(19, 6)
     assert peak < 6 * 2**20
+
+
+def test_the_grid_builds_one_split_matrix_per_chain(monkeypatch):
+    builds = []
+    split_matrix = proofs._split_matrix
+    monkeypatch.setattr(proofs, "_split_matrix", lambda h: builds.append(h) or split_matrix(h))
+    # the benchmark's shape: 715 tuples a chain, in 12 blocks of 64
+    report = proposition_grid_check(num_chains=3, size=4, m=2, i_max=10, seed=1)
+    assert report["pass"] and len(builds) == 3
 
 
 def test_a_grid_with_s_to_the_2m_over_the_block_cap_runs_one_tuple_per_block(monkeypatch):

@@ -73,7 +73,7 @@ def certify_rho_table(tmp_path, fixed_cap):
 def certify_rho_dirac_block(tmp_path, fixed_cap):
     # one step of 400 Diracs over 400 states is 160 000 cells, at least S^2 whatever k_max
     kernel = _uniform(400)
-    return lambda: certify_rho(kernel, np.ones(400), 0), "Dirac block", 400**2, fixed_cap(400**2 - 1)
+    return lambda: certify_rho(kernel, np.ones(400), 1), "Dirac block", 400**2, fixed_cap(400**2 - 1)
 
 
 @case
@@ -173,8 +173,8 @@ def jstar_enumeration(tmp_path, fixed_cap):
 
 @case
 def proposition_grid(tmp_path, fixed_cap):
-    # the f_sigma split matrix, binom(10, 5) / 2 * 2^10 cells, and a block's 2 laws of 2^10 cells a tuple
-    held = (math.comb(10, 5) // 2 + 2 * (proofs._BLOCK_CELLS // 2**10)) * 2**10
+    # the f_sigma split matrix, binom(10, 5) / 2 * 2^10 cells, and a block's 4 laws of 2^10 cells a tuple
+    held = (math.comb(10, 5) // 2 + 4 * (proofs._BLOCK_CELLS // 2**10)) * 2**10
     return (lambda: proposition_grid_check(num_chains=1, size=2, m=5, i_max=1), "f_sigma cells", held,
             fixed_cap(held - 1))
 
