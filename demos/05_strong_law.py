@@ -5,19 +5,12 @@ h(x, y) = xy on states {-1, +1}; the limit is the squared stationary mean
 full 10^5-step table costs about as much as the simulation itself.
 """
 
-import numpy as np
-
-from ustatmc import Distribution, ExperimentConfig, FiniteKernel, SllnConfig, certify_rho, product_kernel, run_slln_experiment
+from ustatmc import Distribution, FiniteKernel, SllnConfig, product_kernel, run_slln_experiment
 
 kernel = FiniteKernel([-1.0, 1.0], [[0.7, 0.3], [0.2, 0.8]])
-profile = certify_rho(kernel, np.ones(2), k_max=64)
 h = product_kernel(2).tabulated(kernel.states)
 
-config = ExperimentConfig(
-    kernel=kernel, mu0=Distribution.dirac(0, 2), profile=profile, h=h,
-    n_grid=[10], replicates=2, master_seed=20240,
-    slln=SllnConfig(n_max=100_000),
-)
+config = SllnConfig(kernel=kernel, mu0=Distribution.dirac(0, 2), h=h, n_max=100_000, seed=20240)
 result = run_slln_experiment(config)
 print("target pi^(2) h =", result["target"])
 print(f"\n{'n':>8} {'U_n':>12} {'|U_n - target|':>16}")

@@ -30,7 +30,9 @@ not a finite number > 0, a seed (a config seed or --seed) outside
 propositions section (a count below its least value, or a p_values entry
 that is not a finite number > 0).  bound and verify-variance also refuse
 an empty experiment.n_grid or experiment.bounds with status 2, once the
-experiment is built and before any artifact is written.
+experiment is built and before any artifact is written.  verify-slln
+reads only the chain, the initial law, kernel_fn, experiment.master_seed,
+the budget and the slln section: it certifies no profile.
 Artifacts are CSV/JSON with round-trip float formatting; identical configs
 and seeds yield byte-identical files at any --budget that lets the run
 finish.  --jobs has no effect: the Monte Carlo replicate blocks run in
@@ -168,15 +170,14 @@ def cmd_verify_variance(args) -> int:
 
 
 def cmd_verify_slln(args) -> int:
-    doc = cfg.load_document(args.config)
-    config = cfg.build_experiment(doc, args.seed, args.budget)
+    config = cfg.build_slln(cfg.load_document(args.config), args.seed, args.budget)
     result = run_slln_experiment(config)
     out = _out_dir(args)
     write_csv(out / "slln.csv", SLLN_COLUMNS, ([row[c] for c in SLLN_COLUMNS] for row in result["rows"]))
     meta = {k: v for k, v in result.items() if k != "rows"}
     final = result["rows"][-1]
     meta["final_abs_error"] = final["abs_error"]
-    threshold = config.slln.threshold
+    threshold = config.threshold
     meta["threshold"] = threshold
     meta["pass"] = threshold is None or final["abs_error"] < threshold
     write_json(out / "slln_summary.json", meta)

@@ -38,8 +38,8 @@ SCHEMA: dict = {
         "kind": "'certify' (default) | 'geometric' | 'explicit' | 'declared'; only certify gives provenance "
                 "'certified', every other kind is 'declared' and no key sets it",
         "k_max": "int >= 1 — last step of the rho table for kind=certify, which must show rho decaying "
-                 "(default: 64 for certify-profile; for every other command max(largest n_grid entry, 16), "
-                 "and at least 64 with an slln section)",
+                 "(default: 64 for certify-profile; for bound and verify-variance max(largest n_grid entry, 16), "
+                 "and at least 64 with an slln section). verify-slln and check-propositions read no profile",
         "c / varrho": "floats for kind=geometric: rho(k) = c * varrho^k, c >= 0, 0 <= varrho <= 1",
         "values / tail_rate": "for kind=explicit: non-increasing rho(0..K), then rho(K) * tail_rate^(k-K) "
                               "(tail_rate in [0, 1], default 0)",
@@ -60,7 +60,8 @@ SCHEMA: dict = {
     "experiment": {
         "n_grid": "strictly increasing list[int]; non-empty for bound and verify-variance",
         "replicates": "int >= 2",
-        "master_seed": "uint64, an integer in [0, 2^64)",
+        "master_seed": "uint64, an integer in [0, 2^64) — the replicates' master seed, and the seed of "
+                       "verify-slln's one path",
         "bounds": "non-empty list of {'name': 'theorem1'|'corollary2'|'corollary3', 'p': finite number > 0, "
                   "required by corollary3}, needed by bound and verify-variance; theorem1/corollary3 run as "
                   "corollary2 unless h is completely degenerate",
@@ -261,57 +262,56 @@ def build_kernel_fn(doc: dict, kernel: FiniteKernel) -> SymmetricKernelFn:
     raise ConfigError(f"unknown kernel_fn name {name!r}")
 
 
+def _master_seed(doc: dict, seed_override: int | None) -> int:
+    """``seed_override`` (``--seed``) when given, else experiment.master_seed (default 0)."""
+    if seed_override is not None:
+        return seed_override
+    return seed(section(doc, "experiment", {}).get("master_seed", 0), "experiment.master_seed")
+
+
 def build_experiment(
-    doc: dict,
-    seed_override: int | None = None,
-    budget_override: int | None = None,
+    doc: dict, seed_override: int | None = None, budget_override: int | None = None
 ) -> ExperimentConfig:
     kernel, v = build_chain(doc)
     mu0 = build_initial(doc, kernel.size)
     entries = section(doc, "experiment", {})
     parse_bound_requests(entries.get("bounds", []))  # refuse a bad request before the profile is certified
     n_grid = _int_list(entries.get("n_grid", []), "experiment.n_grid")
-    slln = None
-    if doc.get("slln") is not None:
-        slln_entries = section(doc, "slln")
-        checkpoints = slln_entries.get("checkpoints")
-        if checkpoints is not None:
-            checkpoints = _int_list(checkpoints, "slln.checkpoints")
-        threshold = slln_entries.get("threshold")
-        if threshold is not None and not positive_number(threshold):
-            raise ConfigError(f"slln.threshold must be a finite number > 0 or null, got {threshold!r}")
-        try:
-            slln = SllnConfig(
-                n_max=integer(slln_entries, "n_max", None, "slln", 2),
-                checkpoints=checkpoints,
-                threshold=threshold,
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid slln section: {exc}") from exc
     k_needed = max(n_grid, default=0)
-    if slln is not None:
+    if doc.get("slln") is not None:
+        build_slln(doc)  # a malformed slln section is refused here too, before the profile is certified
         k_needed = max(k_needed, 64)
     profile = build_profile(doc, kernel, v, k_max_default=max(k_needed, 16))
     h = build_kernel_fn(doc, kernel)
-    master_seed = seed_override
-    if master_seed is None:
-        master_seed = seed(entries.get("master_seed", 0), "experiment.master_seed")
-    cap = budget(doc, budget_override)
+    master_seed, cap = _master_seed(doc, seed_override), budget(doc, budget_override)
     try:
-        return ExperimentConfig(
-            kernel=kernel,
-            mu0=mu0,
-            profile=profile,
-            h=h,
-            n_grid=n_grid,
-            replicates=integer(entries, "replicates", 2, "experiment", 2),
-            master_seed=master_seed,
-            bounds=entries.get("bounds", []),
-            slln=slln,
-            budget=cap,
-        )
+        return ExperimentConfig(kernel, mu0, profile, h, n_grid, integer(entries, "replicates", 2, "experiment", 2),
+                                master_seed, entries.get("bounds", []), cap)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid experiment section: {exc}") from exc
+
+
+def build_slln(doc: dict, seed_override: int | None = None, budget_override: int | None = None) -> SllnConfig:
+    """The strong-law run of the slln section: the chain, its initial law
+    and the kernel, the path's seed (experiment.master_seed) and the
+    counting cap.  It reads no profile, n grid, replicates or bound
+    requests."""
+    kernel, _ = build_chain(doc)
+    mu0 = build_initial(doc, kernel.size)
+    entries = section(doc, "slln")
+    checkpoints = entries.get("checkpoints")
+    if checkpoints is not None:
+        checkpoints = _int_list(checkpoints, "slln.checkpoints")
+    threshold = entries.get("threshold")
+    if threshold is not None and not positive_number(threshold):
+        raise ConfigError(f"slln.threshold must be a finite number > 0 or null, got {threshold!r}")
+    n_max = integer(entries, "n_max", None, "slln", 2)
+    h = build_kernel_fn(doc, kernel)
+    try:
+        return SllnConfig(kernel, mu0, h, n_max, _master_seed(doc, seed_override), checkpoints, threshold,
+                          budget(doc, budget_override))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid slln section: {exc}") from exc
 
 
 def build_propositions(doc: dict, seed_override: int | None = None) -> dict:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -97,20 +97,29 @@ def parse_bound_requests(raw: object) -> list[tuple[str, float | None]]:
 
 @dataclass
 class SllnConfig:
-    """Strong-law settings.  Inside an :class:`ExperimentConfig`,
-    ``checkpoints`` holds the resolved list of :meth:`resolve_checkpoints`."""
+    """Resolved inputs for the strong-law run: one path of ``n_max`` steps
+    of ``kernel`` from ``mu0``, drawn from ``seed``, and U_n(h) at each
+    checkpoint, counted within ``budget``.  ``checkpoints`` takes the
+    listed ones, or None for the powers of two from 8 and then n_max, and
+    holds the sorted ones in [m, n_max].  An n_max below 2 or a kernel of
+    degree 0 raises ValueError, and no usable checkpoint ConfigError, here,
+    before any work."""
 
+    kernel: FiniteKernel
+    mu0: Distribution
+    h: SymmetricKernelFn
     n_max: int
+    seed: int
     checkpoints: list[int] | None = None
     threshold: float | None = None
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError("n_max must be >= 2")
-
-    def resolve_checkpoints(self, m: int) -> list[int]:
-        """The sorted checkpoints in [m, n_max]: the listed ones, or the
-        powers of two from 8 and then n_max itself."""
+        m = self.h.degree
+        if m < 1:
+            raise ValueError("kernel degree must be >= 1")
         if self.checkpoints is not None:
             pts = sorted(set(int(c) for c in self.checkpoints))
         else:
@@ -126,17 +135,16 @@ class SllnConfig:
             raise ConfigError(f"slln.n_max = {self.n_max} is below the kernel degree m = {m}")
         if not pts:
             raise ConfigError(f"slln.checkpoints has no entry in [m, n_max] = [{m}, {self.n_max}]")
-        return pts
+        self.checkpoints = pts
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved inputs for the variance and strong-law experiments.
+    """Resolved inputs for the variance experiment.
 
     ``bounds`` takes the requests as written, {"name", "p"} objects, and
-    holds them as :func:`parse_bound_requests` returns them.  ``slln``
-    holds its resolved checkpoints.  A bad request or an unusable
-    checkpoint list raises :class:`ConfigError` here, before any work.
+    holds them as :func:`parse_bound_requests` returns them.  A bad request
+    raises :class:`ConfigError` here, before any work.
     """
 
     kernel: FiniteKernel
@@ -147,7 +155,6 @@ class ExperimentConfig:
     replicates: int
     master_seed: int
     bounds: list = field(default_factory=list)
-    slln: SllnConfig | None = None
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -160,8 +167,6 @@ class ExperimentConfig:
         if self.n_grid and self.n_grid[0] < self.m:
             raise ValueError(f"n_grid entries must be >= m = {self.m}")
         self.bounds = parse_bound_requests(self.bounds)
-        if self.slln is not None:
-            self.slln = replace(self.slln, checkpoints=self.slln.resolve_checkpoints(self.m))
 
     @property
     def m(self) -> int:
@@ -337,29 +342,26 @@ def run_variance_experiment(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_slln_experiment(config: ExperimentConfig) -> dict:
+def run_slln_experiment(config: SllnConfig) -> dict:
     """Single seeded trajectory tracked at dyadic checkpoints.
 
     Emits (n, U_n, target, |U_n - target|) with target = pi^{(m)}h computed
     exactly.  A finite ergodic chain mixes geometrically and a tabulated h
-    is bounded, so the strong law's conditions hold without a check.  A
-    count that could reach 2^63 or exceed the budget is refused before the
-    path is drawn.
+    is bounded, so the strong law's conditions hold without a check, and no
+    mixing profile is read.  A count that could reach 2^63 or exceed the
+    budget is refused before the path is drawn.
     """
-    if config.slln is None:
-        raise ConfigError("no slln section configured")
-    m = config.m
-    checkpoints = config.slln.checkpoints
+    m, checkpoints = config.h.degree, config.checkpoints
     n_max = checkpoints[-1]
     check_tuple_counts(n_max, m)
     charge = count_cells(1, n_max, config.kernel.size, m, 1, len(checkpoints))
     refuse_over(f"cells to count 1 path(s) of {n_max} steps", charge, config.budget)
     pi = config.kernel.stationary()
     target = float(hoeffding_project(config.h, pi, 0).table)
-    path = simulate(config.kernel, config.mu0, n_max, config.master_seed)
+    path = simulate(config.kernel, config.mu0, n_max, config.seed)
     numerators = tuple_sums(path, [config.h.table], checkpoints, config.budget)[0]
     rows = []
     for c, numerator in zip(checkpoints, numerators):
         u_n = float(numerator) / math.comb(c, m)
         rows.append({"n": c, "u_n": u_n, "target": target, "abs_error": abs(u_n - target)})
-    return {"rows": rows, "target": target, "seed": config.master_seed}
+    return {"rows": rows, "target": target, "seed": config.seed}

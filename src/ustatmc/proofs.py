@@ -16,27 +16,29 @@ moment bound needs.
 
 Every law is a plain float array, a dense probability tensor over S^l
 whose axis i is the state at the i-th time, so every inequality in this
-module is checked by exact contraction rather than sampling.
-
-The code works on blocks of tuples, one row each.  ``_gaps`` gives the
-gaps of every row, ``_law_block`` and ``_tilted_block`` build the true and
-tilted laws with the elementwise products of a one-tuple build,
-``_prop5_step`` is the one Proposition 5 step and :func:`f_sigma_values`
-the one evaluator of E[f_sigma], one value per split of the 2m positions
-into two halves (3 at m = 2, not 24): it contracts each tuple's two laws
-with one split matrix of h (x) h (``_split_matrix``), in one product of
-that per-tuple shape, so that each tuple gets the product it would get
-alone.  :func:`proposition_grid_check` builds each chain's split matrix
-and rho(j*) certificates once, then walks the chain in one loop over
-blocks of at most ``_BLOCK_CELLS`` law cells, with no loop over tuples,
-each block taking that same product and updating every record; its
-Lemma 6 and counting sections (:func:`jstar_histogram` against
-:func:`counting_bound`) run at fixed sizes.  :func:`j_indices`,
+module is checked by exact contraction rather than sampling.  Every law is
+one chain of factors (:func:`_law_chain`): a start vector, then an S x S
+matrix into each later coordinate, all from one factor table per chain
+(``_ChainTables``).  The true law's factors are mu P^{i_1} and the powers
+of its gaps.  The tilted law is the true law with two factors swapped: the
+factor into coordinate 2l* - 1 becomes pi, and the one into 2l* becomes
+mu P^{i_2l*} (every row of each matrix that row), so one chain builds both
+laws of a block of tuples, one row each (:func:`_law_index`).  ``_gaps`` gives
+the gaps of every row, ``_prop5_step`` is the one Proposition 5 step and
+:func:`f_sigma_values` the one evaluator of E[f_sigma], one value per split
+of the 2m positions into two halves (3 at m = 2, not 24): it contracts each
+tuple's two laws with one split matrix of h (x) h (``_split_matrix``), in
+one product of that per-tuple shape, so that each tuple gets the product
+it would get alone.  :func:`proposition_grid_check` builds each chain's
+factor table, split matrix and rho(j*) certificates once, then walks the
+chain in one loop over blocks of at most ``_BLOCK_CELLS`` law cells, each
+block taking that same product and updating every record; its Lemma 6 and
+counting sections run at fixed sizes.  :func:`j_indices`,
 :func:`joint_law`, :func:`tilde_law`, :func:`verify_prop5`,
 :func:`verify_prop7` and :func:`verify_lemma6` are one-row calls of the
-same code, so they return the grid's numbers bit for bit.  The module
-builds its laws only from a validated ``Distribution`` and
-``FiniteKernel``, so they are non-negative and sum to 1 by construction.
+same code, so they return the grid's numbers bit for bit.  The laws come
+only from a validated ``Distribution`` and ``FiniteKernel``, so they are
+non-negative and sum to 1 by construction.
 Every law tensor and every enumeration is checked by the one refusal rule,
 :func:`~ustatmc.errors.refuse_over`, before it is allocated.
 """
@@ -58,8 +60,8 @@ from .markov import Distribution, ErgodicityProfile, FiniteKernel, certify_rho
 from .ustats import SymmetricKernelFn, _multisets, degeneracy_order, hoeffding_project
 
 # Law cells (tuples x S^(2m)) of one block of the grid, 128 KiB of float64 per
-# law array: the benchmark's grid (S = 4, m = 2, i_max = 10) peaks at 0.84 MiB
-# traced at this cap, and at 1.59 MiB at 2^15.  A block has at least one
+# law array: the benchmark's grid (S = 4, m = 2, i_max = 10) peaks at 0.59 MiB
+# traced at this cap, and at 0.97 MiB at 2^15.  A block has at least one
 # tuple, so a grid with S^(2m) >= _BLOCK_CELLS runs one tuple per block.
 _BLOCK_CELLS = 2**14
 # the sizes of the grid's Lemma 6 section (trials, support points) and counting section (largest n)
@@ -101,74 +103,71 @@ def j_indices(tup: OrderedTuple) -> tuple[list[int], int, int]:
 
 
 class _ChainTables:
-    """mu P^k and P^k for each k that the laws of the rows of ``times``
-    (rows of non-decreasing times) read: every time, since a tilted law's
-    blocks may start at any of them, and every gap between successive
-    times; and the kernel they came from.  Each P^k is taken by the
-    recurrence P^k = P^(k-1) @ P (P^1 is P itself), but only the read ones
-    are kept: a law at the one time 20000 keeps one S x S power, not
-    20001."""
+    """The factors of every law of the rows of ``times`` (rows of
+    non-decreasing times) for the chain from ``mu`` on ``kernel``:
+    ``vectors`` holds mu P^k for each read k, then pi; ``matrices`` holds
+    P^k for each read k, the matrix of rows pi, then for each read k the
+    matrix of rows mu P^k (a restart from mu).  The read k are every time
+    and every gap between successive times.  Each P^k is taken by the
+    recurrence P^k = P^(k-1) @ P (P^1 is P itself), and only the read ones
+    are kept: a law at the one time 20000 keeps one S x S power, not 20001."""
 
     def __init__(self, mu: Distribution, kernel: FiniteKernel, times: np.ndarray):
-        self.kernel = kernel
         read = np.zeros(times.max() + 1, dtype=bool)
         read[times] = read[np.diff(times)] = True
         self.ks = np.flatnonzero(read)
-        s = kernel.size
-        self.powers, self.starts = np.empty((self.ks.size, s, s)), np.empty((self.ks.size, s))
+        s, count = kernel.size, self.ks.size
+        self.pi_slot = count  # the index of pi among the vectors, and of the all-rows-pi matrix
+        self.vectors, self.matrices = np.empty((count + 1, s)), np.empty((2 * count + 1, s, s))
         power, k_now = np.eye(s), 0
         for slot, k in enumerate(self.ks.tolist()):
             while k_now < k:
                 k_now += 1
                 power = kernel.matrix if k_now == 1 else power @ kernel.matrix
-            self.powers[slot], self.starts[slot] = power, mu.weights @ power
+            self.matrices[slot], self.vectors[slot] = power, mu.weights @ power
+        self.vectors[count] = self.matrices[count] = kernel.stationary().weights
+        self.matrices[count + 1 :] = self.vectors[:count, None]
 
-    def power(self, ks: np.ndarray) -> np.ndarray:
-        """P^k for each k of ``ks``, stacked."""
-        return self.powers[np.searchsorted(self.ks, ks)]
+    def slot(self, ks: np.ndarray) -> np.ndarray:
+        """The index of mu P^k among the vectors, and of P^k among the
+        matrices, for each read k of ``ks``."""
+        return np.searchsorted(self.ks, ks)
 
-    def start(self, ks: np.ndarray) -> np.ndarray:
-        """mu P^k for each k of ``ks``, stacked."""
-        return self.starts[np.searchsorted(self.ks, ks)]
+    def true_index(self, times: np.ndarray) -> np.ndarray:
+        """The factors of the true law of each row of ``times``: mu P^{t_1},
+        then P^{t_c - t_(c-1)} for each later time."""
+        return self.slot(np.diff(times, axis=-1, prepend=0))
 
 
-def _law_block(tables: _ChainTables, ks: np.ndarray) -> np.ndarray:
-    """Law of (Y_{k_1}, ..., Y_{k_l}) for each row of ``ks`` (B, l), as an
-    array (B, S, ..., S), built coordinate by coordinate:
-    T_l(..., a, b) = T_{l-1}(..., a) * P^{k_l - k_{l-1}}(a, b)."""
-    law = tables.start(ks[:, 0])
-    for c in range(1, ks.shape[1]):
-        step = tables.power(ks[:, c] - ks[:, c - 1])
-        law = law[..., None] * step.reshape((len(ks),) + (1,) * (c - 1) + step.shape[1:])
+def _law_chain(tables: _ChainTables, index: np.ndarray) -> np.ndarray:
+    """The law of each row of factor indices ``index`` (..., L), as an array
+    (..., S, ..., S): index[..., 0] names a vector of ``tables`` and each
+    later entry a matrix, built coordinate by coordinate:
+    law(..., a, b) = law(..., a) * F(..., a, b)."""
+    law, lead = tables.vectors[index[..., 0]], index.shape[:-1]
+    for c in range(1, index.shape[-1]):
+        step = tables.matrices[index[..., c]]
+        law = law[..., None] * step.reshape(lead + (1,) * (c - 1) + step.shape[-2:])
     return law
 
 
-def _tilted_block(tables: _ChainTables, tuples: np.ndarray, ell_star: np.ndarray) -> np.ndarray:
-    """Tilted law of each row of ``tuples`` given its l*: per l* group,
-    pi (x) P_mu^{i_2..i_2m} for l* = 1 and otherwise
-    (P_mu^{i_1..i_{2l*-2}} (x) pi) (x) P_mu^{i_{2l*}..i_2m}."""
-    pi = tables.kernel.stationary().weights
-    width = tuples.shape[1]
-    tilted = np.empty((len(tuples),) + pi.shape * width)
-    for ell in sorted(set(ell_star.tolist())):
-        rows = ell_star == ell
-        right = _law_block(tables, tuples[rows, 2 * ell - 1 :])
-        right = right.reshape((len(right),) + (1,) * (2 * ell - 1) + right.shape[1:])
-        if ell == 1:
-            tilted[rows] = pi.reshape((1, -1) + (1,) * (width - 1)) * right
-        else:
-            left = _law_block(tables, tuples[rows, : 2 * ell - 2])[..., None] * pi
-            tilted[rows] = left.reshape(left.shape + (1,) * (width - 2 * ell + 1)) * right
-    return tilted
+def _law_index(tables: _ChainTables, tuples: np.ndarray, ell_star: np.ndarray) -> np.ndarray:
+    """The factors (B, 2, 2m) of the tilted and the true law of each row of
+    ``tuples`` given its l*, for :func:`_law_chain`.  The tilted factors are
+    the true ones with two swapped: the factor into q = 2l* - 2 (0-based)
+    becomes pi, so coordinate i_{2l*-1} is an independent stationary draw,
+    and the factor into q + 1 becomes mu P^{i_{2l*}}, so the chain restarts
+    from mu at time 0."""
+    index = np.repeat(tables.true_index(tuples)[:, None], 2, axis=1)
+    rows, q = np.arange(len(tuples)), 2 * ell_star - 2
+    index[rows, 0, q] = tables.pi_slot
+    index[rows, 0, q + 1] = tables.pi_slot + 1 + tables.slot(tuples[rows, q + 1])
+    return index
 
 
 def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.ndarray:
     """Law of (Y_{k_1}, ..., Y_{k_l}) for the chain started at mu at time 0,
-    as a tensor over S^l.
-
-    Built coordinate by coordinate from the matrix powers P^k:
-    T_l(..., a, b) = T_{l-1}(..., a) * P^{k_l - k_{l-1}}(a, b).
-    """
+    as a tensor over S^l: the chain of mu P^{k_1} and the powers of the gaps."""
     ks = [int(k) for k in ks]
     if len(ks) < 1:
         raise ValueError("need at least one time index")
@@ -176,21 +175,19 @@ def joint_law(mu: Distribution, kernel: FiniteKernel, ks: Sequence[int]) -> np.n
         raise ValueError("time indices must be non-decreasing and >= 0")
     s = kernel.size
     refuse_over("joint-law cells S^l", s ** len(ks))
-    ks = np.array([ks])
-    return _law_block(_ChainTables(mu, kernel, ks), ks)[0]
+    tables = _ChainTables(mu, kernel, np.array([ks]))
+    return _law_chain(tables, tables.true_index(np.array(ks)))
 
 
 def tilde_law(mu: Distribution, kernel: FiniteKernel, tup: OrderedTuple) -> np.ndarray:
-    """Tilted joint law: the coordinate at the largest minimal gap is
-    replaced by an independent draw from the stationary law pi.
-
-    With l* = 1 the law is pi (x) P_mu^{i_2..i_2m}; otherwise it is
-    P_mu^{i_1..i_{2l*-2}} (x) pi (x) P_mu^{i_{2l*}..i_2m}, the blocks being
-    independent (the right block restarts from mu at time 0).
-    """
+    """Tilted joint law: P_mu^{i_1..i_{2l*-2}} (x) pi (x) P_mu^{i_{2l*}..i_2m}
+    (pi (x) P_mu^{i_2..i_2m} at l* = 1), the coordinate at the largest
+    minimal gap an independent draw from pi and the right block a restart
+    from mu at time 0: the true law with two factors swapped (:func:`_law_index`)."""
     refuse_over("tilted-law cells S^(2m)", kernel.size ** (2 * tup.m))
     tuples = np.array([tup.indices])
-    return _tilted_block(_ChainTables(mu, kernel, tuples), tuples, _gaps(tuples)[2])[0]
+    tables = _ChainTables(mu, kernel, tuples)
+    return _law_chain(tables, _law_index(tables, tuples, _gaps(tuples)[2])[0, 0])
 
 
 @functools.cache
@@ -253,8 +250,9 @@ def _prop5_step(
     each tuple as :func:`f_sigma_values` contracts them together, the exact
     TV between the two, and its certificate 4 rho(j*) M(mu, V) given
     ``m_value`` = M(mu, V)."""
-    laws = np.stack((_tilted_block(tables, tuples, ell_star), _law_block(tables, tuples)), axis=1)
-    tv = np.abs(laws[:, 1] - laws[:, 0]).reshape(len(tuples), -1).sum(axis=1)
+    laws = _law_chain(tables, _law_index(tables, tuples, ell_star))
+    diff = laws[:, 1] - laws[:, 0]
+    tv = np.abs(diff, out=diff).reshape(len(tuples), -1).sum(axis=1)
     return laws, tv, 4.0 * rho_j * m_value
 
 
@@ -271,10 +269,7 @@ def _tuple_step(
 
 
 def verify_prop5(
-    mu: Distribution,
-    kernel: FiniteKernel,
-    profile: ErgodicityProfile,
-    tup: OrderedTuple,
+    mu: Distribution, kernel: FiniteKernel, profile: ErgodicityProfile, tup: OrderedTuple
 ) -> tuple[float, float]:
     """Exact TV between the true and tilted laws of (Y_{i_1}, ..., Y_{i_2m})
     against its certificate 4 rho(j*) M(mu, V)."""
@@ -431,9 +426,10 @@ class _Record:
         of a block, in order; ``case(t)`` names tuple t and, when given,
         sigmas[i] is the permutation that names instance i."""
         self.instances += lhs.size * self.weight
-        positive = bound > 0
-        # division by a positive bound is monotone, so a row's largest lhs gives its largest ratio, bit for bit
-        self.max_ratio = float((lhs.max(axis=1)[positive] / bound[positive]).max(initial=self.max_ratio))
+        if self.tolerance is None:  # an identity reports no ratio
+            positive = bound > 0
+            # division by a positive bound is monotone, so a row's largest lhs gives its largest ratio, bit for bit
+            self.max_ratio = float((lhs.max(axis=1)[positive] / bound[positive]).max(initial=self.max_ratio))
         excess = lhs - bound[:, None]
         # first maximum of the rounded excesses: what a sequential scan with a strict > keeps
         t, i = divmod(int(excess.argmax()), excess.shape[1])
@@ -468,15 +464,18 @@ def proposition_grid_check(
     iff no instance violates its certificate (the tilted-moment identity is
     held to 1e-11 absolute).  A grid whose f_sigma cells (the split matrix
     of :func:`f_sigma_values`, binom(2m, m) / 2 times S^(2m) cells, and
-    what a block holds while :func:`_prop5_step` builds its laws, 4 laws of
-    S^(2m) cells per tuple) or whose work (binom(i_max + 2m - 1, 2m) tuples
-    times binom(2m, m) / 2 splits) exceeds the fixed cap is refused
-    (:func:`~ustatmc.errors.refuse_over`) before any work.
+    what a block holds while :func:`_prop5_step` builds its laws: per
+    tuple its two laws of S^(2m) cells and the larger of the TV's
+    difference law and the last chain step's two laws of S^(2m-1), two
+    S x S factors and 2 * 2m factor indices) or whose work
+    (binom(i_max + 2m - 1, 2m) tuples times binom(2m, m) / 2 splits)
+    exceeds the fixed cap is refused (:func:`~ustatmc.errors.refuse_over`)
+    before any work.
 
-    Each chain builds its split matrix once, takes the rho(j*) certificates
-    once per distinct j*, and walks its tuples in blocks of rows, in
-    enumeration order, each block updating every record; the report is the
-    one a tuple-by-tuple scan gives, bit for bit.
+    Each chain builds its factor table and split matrix once, takes the
+    rho(j*) certificates once per distinct j*, and walks its tuples in
+    blocks of rows, in enumeration order, each block updating every record;
+    the report is the one a tuple-by-tuple scan gives, bit for bit.
 
     Its Lemma 6 section (``_LEMMA6_TRIALS`` trials of ``_LEMMA6_POINTS``
     support points, drawn after the chains) and counting section (every n
@@ -484,10 +483,12 @@ def proposition_grid_check(
     """
     cells, columns = size ** (2 * m), math.comb(2 * m, m) // 2
     block, work = max(1, _BLOCK_CELLS // cells), math.comb(i_max + 2 * m - 1, 2 * m) * columns
-    held = (columns + 4 * block) * cells  # the split matrix and a block's laws as _prop5_step builds them
+    # the split matrix, and per tuple of a block its two laws and the larger of _prop5_step's two peaks: the
+    # TV's difference law, or the last chain step's two prefix laws, two factors and 2 * 2m factor indices
+    held = columns * cells + block * (2 * cells + max(cells, 2 * (cells // size + size * size + 2 * m)))
     refuse_over(f"proposition grid of {held} f_sigma cells (a split matrix of binom(2m, m) / 2 * S^(2m) and "
-                f"a block's 4 * {block} laws of S^(2m)) and {work} (tuple, split) values, the larger",
-                max(held, work))
+                f"what a block of {block} tuples holds while its laws are built) and {work} "
+                f"(tuple, split) values, the larger", max(held, work))
     rng = np.random.default_rng(seed)
     p_values = tuple(dict.fromkeys(float(p) for p in p_values))
     tuples = _multisets(i_max, 2 * m)[0] + 1
@@ -515,6 +516,7 @@ def proposition_grid_check(
             laws, tv, bound5 = _prop5_step(tables, tuples[at], ell_star[at], rho[at], m_value)
             # f_sigma_values' product: |f_sigma| under the tilted and the true law of each tuple
             resid, lhs = np.abs(laws.reshape(laws.shape[:2] + (cells,)) @ g).transpose(1, 0, 2)
+            del laws  # so that the next block's laws are built without this one's
             case = functools.partial(_case, chain_idx, tuples[at])
             prop5.update(tv[:, None], bound5, case)
             eq19.update(resid, np.zeros(len(tv)), case, splits)
@@ -534,29 +536,17 @@ def proposition_grid_check(
     lemma6_viol = int(np.count_nonzero(lhs > rhs * (1 + 1e-12)))
     lemma6_max_ratio = float(np.max(lhs[rhs > 0] / rhs[rhs > 0], initial=0.0))
 
-    counting_viol = 0
-    counting_total_ok = True
-    for n in range(1, _COUNTING_N_MAX + 1):
-        for mm in (1, 2):
-            hist = jstar_histogram(n, mm)
-            if sum(hist.values()) != math.comb(n + 2 * mm - 1, 2 * mm):
-                counting_total_ok = False
-            for k, cnt in hist.items():
-                if cnt > counting_bound(n, mm, k):
-                    counting_viol += 1
+    counting_viol, counting_total_ok = 0, True
+    for n, mm in itertools.product(range(1, _COUNTING_N_MAX + 1), (1, 2)):
+        hist = jstar_histogram(n, mm)
+        counting_total_ok &= sum(hist.values()) == math.comb(n + 2 * mm - 1, 2 * mm)
+        counting_viol += sum(cnt > counting_bound(n, mm, k) for k, cnt in hist.items())
 
     report = {"eq19": eq19.report(), "prop5": prop5.report(), "prop7_bound1": prop7[None].report()}
     report.update({f"prop7_bound2_p{p}": prop7[p].report() for p in p_values})
-    report["lemma6"] = {
-        "instances": _LEMMA6_TRIALS,
-        "violations": lemma6_viol,
-        "max_ratio": lemma6_max_ratio,
-        "pass": lemma6_viol == 0,
-    }
-    report["counting"] = {
-        "violations": counting_viol,
-        "totals_match_stars_and_bars": counting_total_ok,
-        "pass": counting_viol == 0 and counting_total_ok,
-    }
+    report["lemma6"] = {"instances": _LEMMA6_TRIALS, "violations": lemma6_viol, "max_ratio": lemma6_max_ratio,
+                        "pass": lemma6_viol == 0}
+    report["counting"] = {"violations": counting_viol, "totals_match_stars_and_bars": counting_total_ok,
+                          "pass": counting_viol == 0 and counting_total_ok}
     report["pass"] = all(v["pass"] for v in report.values() if isinstance(v, dict))
     return report

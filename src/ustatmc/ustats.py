@@ -195,7 +195,8 @@ def tuple_sums(
     a sum depends on its own row only: not on the batch, its split, or the
     budget.  Before anything is allocated, :func:`_check_counting` refuses
     a count whose integers could reach 2^63 or whose :func:`count_cells`
-    exceed the budget.  State indices must lie in [0, S), any integer type.
+    exceed the budget.  State indices must lie in [0, S), any integer type:
+    a path of floats or bools raises ValueError.
     """
     paths = np.asarray(paths)
     s, m = tables[0].shape[0], tables[0].ndim
@@ -266,7 +267,9 @@ def _check_counting(paths: np.ndarray, s: int, m: int, tables: int, checkpoints:
     marks = [int(c) for c in checkpoints]
     rows = len(paths) if paths.ndim == 2 else 1
     refuse_over(f"cells to count {rows} path(s) of {n} steps", count_cells(rows, n, s, m, tables, len(marks)), budget)
-    # an index >= S would be counted in the next row's bins
+    # a float or bool path would be truncated to states, and an index >= S counted in the next row's bins
+    if not np.issubdtype(paths.dtype, np.integer):
+        raise ValueError(f"state indices must be integers, got a path of dtype {paths.dtype}")
     if paths.size and (paths.min() < 0 or paths.max() >= s):
         raise ValueError(f"state indices must lie in [0, {s})")
     if not marks or any(not m <= c <= n for c in marks):
@@ -344,13 +347,13 @@ def _contract(counts: np.ndarray, factors: np.ndarray, weights: list) -> np.ndar
     return out
 
 
-def u_statistic(path: np.ndarray, h: SymmetricKernelFn, budget: int = DEFAULT_BUDGET) -> float:
+def u_statistic(path: np.ndarray, h: SymmetricKernelFn) -> float:
     """Average of h over all strictly increasing index m-tuples of a 1-D path.
 
     A degree-0 kernel (such as the projection pi_{0,m}h) evaluates to its
     constant.  Otherwise the path's kernel sum comes from the exact engine
     :func:`tuple_sums`, which refuses a path whose :func:`count_cells`
-    exceed the budget.
+    exceed the counting engine's default budget.
     """
     path = np.asarray(path)
     if path.ndim != 1:
@@ -358,7 +361,7 @@ def u_statistic(path: np.ndarray, h: SymmetricKernelFn, budget: int = DEFAULT_BU
     m = h.degree
     if m == 0:
         return float(h.table)
-    return float(tuple_sums(path, [h.table], [path.size], budget)[0, 0]) / math.comb(path.size, m)
+    return float(tuple_sums(path, [h.table], [path.size])[0, 0]) / math.comb(path.size, m)
 
 
 def hoeffding_project(h: SymmetricKernelFn, pi: Distribution, c: int) -> SymmetricKernelFn:
@@ -412,17 +415,15 @@ def degeneracy_order(h: SymmetricKernelFn, pi: Distribution) -> int:
     return h.degree + 1
 
 
-def verify_hoeffding(
-    path: np.ndarray, h: SymmetricKernelFn, pi: Distribution, budget: int = DEFAULT_BUDGET
-) -> float:
+def verify_hoeffding(path: np.ndarray, h: SymmetricKernelFn, pi: Distribution) -> float:
     """Residual of the decomposition of U_{n,m}(h) into canonical parts:
 
         |U_{n,m}(h) - sum_{c=0}^m binom(m, c) U_{n,c}(pi_{c,m}h)|
 
     which is zero up to float roundoff for every path.
     """
-    lhs = u_statistic(path, h, budget)
+    lhs = u_statistic(path, h)
     rhs = 0.0
     for c in range(h.degree + 1):
-        rhs += math.comb(h.degree, c) * u_statistic(path, hoeffding_project(h, pi, c), budget)
+        rhs += math.comb(h.degree, c) * u_statistic(path, hoeffding_project(h, pi, c))
     return abs(lhs - rhs)

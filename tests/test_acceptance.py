@@ -287,11 +287,7 @@ def test_criterion_12_counting_bound():
 def test_criterion_13_slln(two_state_kernel, two_state_profile, mu_dirac0):
     start = time.perf_counter()
     h = product_kernel(2).tabulated(two_state_kernel.states)  # h(x, y) = xy on {-1, +1}
-    config = ExperimentConfig(
-        kernel=two_state_kernel, mu0=mu_dirac0, profile=two_state_profile,
-        h=h, n_grid=[10], replicates=2, master_seed=SLLN_SEED,
-        slln=SllnConfig(n_max=100_000),
-    )
+    config = SllnConfig(kernel=two_state_kernel, mu0=mu_dirac0, h=h, n_max=100_000, seed=SLLN_SEED)
     result = run_slln_experiment(config)
     errs = [row["abs_error"] for row in result["rows"]]
     final_ok = errs[-1] < 0.01

@@ -375,6 +375,29 @@ def test_cli_verify_slln_over_budget_exits_3_before_sampling(tmp_path, monkeypat
     assert (tmp_path / "out" / "slln.csv").exists()
 
 
+def test_cli_verify_slln_reads_only_the_strong_law_inputs(tmp_path, monkeypatch, capsys):
+    # a chain too sticky for a rho table of 64 steps to show decay, and experiment and profile
+    # sections the strong-law run never reads: no profile is certified and none of them is refused
+    def no_profile(*args, **kwargs):
+        raise AssertionError("verify-slln certified a mixing profile")
+
+    for module in (config, markov):
+        monkeypatch.setattr(module, "certify_rho", no_profile)
+    stay = 1.0 - 1e-13
+    doc = {
+        "chain": {"states": [-1.0, 1.0], "matrix": [[stay, 1e-13], [1e-13, stay]]},
+        "kernel_fn": {"name": "product", "degree": 2},
+        "profile": {"k_max": 0},
+        "experiment": {"bounds": [{"name": "nope"}], "n_grid": "not a list", "replicates": 1, "master_seed": 7},
+        "slln": {"n_max": 1000},
+    }
+    cfg = _write(tmp_path, "sticky.json", doc)
+    assert main(["verify-slln", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("verify-slln: n=1000 ")
+    summary = json.loads((tmp_path / "out" / "slln_summary.json").read_text())
+    assert summary["seed"] == 7 and summary["pass"]
+
+
 def test_cli_verify_slln_jobs_byte_identical(tmp_path):
     doc = {
         "chain": TWO_STATE,

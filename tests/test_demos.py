@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 STDOUT_SHA256 = {
     # joint and tilted laws, the f_sigma identity, Propositions 5 and 7, the j* histogram
-    "04_proof_apparatus": "0c73168f62fe0a9ae889aa5415690f25b8b06c1ec06be22197ef695da6fe7b18",
+    "04_proof_apparatus": "288c6c5ece99c01462ca9214937d1b8173d756a00fd6958810aae7ac5a180c7b",
 }
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import multiset_counts_enum, replay_path
 from ustatmc import (
-    BudgetExceeded, Distribution, ExperimentConfig, FiniteKernel, SllnConfig, SymmetricKernelFn, certify_rho,
+    BudgetExceeded, Distribution, FiniteKernel, SllnConfig, SymmetricKernelFn,
     exact_l2, mix64, replicate_u_grid, run_slln_experiment, sample_paths, simulate, tuple_sums, u_statistic,
 )
 from ustatmc import markov, montecarlo, ustats
@@ -655,8 +655,7 @@ def test_replicate_pass_charges_every_seed_and_result(two_state_kernel):
 def test_every_counting_caller_reaches_the_one_charge(two_state_kernel):
     h = SymmetricKernelFn(np.array([[1.0, -0.5], [-0.5, 2.0]]))
     mu0 = Distribution.uniform(2)
-    config = ExperimentConfig(two_state_kernel, mu0, certify_rho(two_state_kernel, np.ones(2), 8), h, [], 2, 5,
-                              slln=SllnConfig(40))
+    config = SllnConfig(two_state_kernel, mu0, h, 40, 5)
     calls = []
 
     def spy(*args):
@@ -838,3 +837,16 @@ def test_engine_refuses_states_outside_the_table():
         tuple_sums(np.array([[0, 1, -1], [0, 1, 1]]), [np.ones((2, 2))], [3])
     with pytest.raises(ValueError, match="state indices"):
         tuple_sums(np.array([[0, 1, 1], [0, 2, 1]]), [np.ones((2, 2))], [2, 3])
+
+
+@pytest.mark.parametrize("path", [np.array([0.5, 1.7, 1.2]), np.array([0.0, 1.0, 1.0]), np.array([False, True, True]),
+                                  np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])], ids=["fractions", "whole-floats",
+                                                                                   "bools", "float-batch"])
+def test_engine_refuses_paths_that_are_not_integer(path):
+    # a float path was truncated to states: [0.5, 1.7, 1.2] counted as [0, 1, 1]
+    table = np.array([[1.0, 2.0], [2.0, 3.0]])
+    with pytest.raises(ValueError, match=f"dtype {path.dtype}"):
+        tuple_sums(path, [table], [3])
+    if path.ndim == 1:
+        with pytest.raises(ValueError, match=f"dtype {path.dtype}"):
+            u_statistic(path, SymmetricKernelFn(table))

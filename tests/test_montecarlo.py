@@ -43,6 +43,10 @@ def _config(kernel, profile, h, **kw):
     return ExperimentConfig(**defaults)
 
 
+def _slln(kernel, h, **kw):
+    return SllnConfig(**{"kernel": kernel, "mu0": Distribution.dirac(0, kernel.size), "h": h, "seed": 5150, **kw})
+
+
 def test_mix64_avalanche_and_determinism():
     a = mix64(1234, 0)
     assert a == mix64(1234, 0)
@@ -265,47 +269,37 @@ def test_variance_experiment_single_state_degenerate_chain():
     assert rows[0]["pass"]
 
 
-def test_slln_constant_kernel_zero_error(two_state_kernel, two_state_profile):
+def test_slln_constant_kernel_zero_error(two_state_kernel):
     h = SymmetricKernelFn(np.full((2, 2), 3.0))
-    config = _config(two_state_kernel, two_state_profile, h, slln=SllnConfig(n_max=2000), replicates=2)
-    result = run_slln_experiment(config)
+    result = run_slln_experiment(_slln(two_state_kernel, h, n_max=2000))
     assert all(row["abs_error"] <= 1e-12 for row in result["rows"])
 
 
-def test_slln_product_kernel_target(two_state_kernel, two_state_profile):
+def test_slln_product_kernel_target(two_state_kernel):
     h = product_kernel(2).tabulated(two_state_kernel.states)
     pi = two_state_kernel.stationary()
-    config = _config(two_state_kernel, two_state_profile, h, slln=SllnConfig(n_max=5000), replicates=2)
-    result = run_slln_experiment(config)
+    result = run_slln_experiment(_slln(two_state_kernel, h, n_max=5000))
     target = pi.expect(two_state_kernel.states) ** 2
     assert result["target"] == pytest.approx(target, abs=1e-12)
     assert result["rows"][-1]["n"] == 5000
 
 
-def test_slln_incremental_matches_direct(two_state_kernel, two_state_profile):
+def test_slln_incremental_matches_direct(two_state_kernel):
     from ustatmc import simulate, u_statistic
 
     h = product_kernel(2).tabulated(two_state_kernel.states)
-    config = _config(
-        two_state_kernel, two_state_profile, h,
-        slln=SllnConfig(n_max=600, checkpoints=[8, 64, 600]), replicates=2, master_seed=31,
-    )
-    result = run_slln_experiment(config)
+    result = run_slln_experiment(_slln(two_state_kernel, h, n_max=600, checkpoints=[8, 64, 600], seed=31))
     path = simulate(two_state_kernel, Distribution.dirac(0, 2), 600, 31)
     for row in result["rows"]:
         n = row["n"]
         assert row["u_n"] == pytest.approx(u_statistic(path[:n], h), rel=1e-12, abs=1e-15)
 
 
-def test_slln_degree_three_incremental(two_state_kernel, two_state_profile):
+def test_slln_degree_three_incremental(two_state_kernel):
     from ustatmc import simulate, u_statistic
 
     h3 = product_kernel(3).tabulated(two_state_kernel.states)
-    config = _config(
-        two_state_kernel, two_state_profile, h3,
-        slln=SllnConfig(n_max=300, checkpoints=[16, 300]), replicates=2, master_seed=5,
-    )
-    result = run_slln_experiment(config)
+    result = run_slln_experiment(_slln(two_state_kernel, h3, n_max=300, checkpoints=[16, 300], seed=5))
     path = simulate(two_state_kernel, Distribution.dirac(0, 2), 300, 5)
     for row in result["rows"]:
         assert row["u_n"] == pytest.approx(u_statistic(path[: row["n"]], h3), rel=1e-12, abs=1e-15)
@@ -324,7 +318,7 @@ def test_both_bounds_reported_when_both_apply(two_state_kernel, two_state_profil
     assert all(r["pass"] for r in rows)
 
 
-def test_slln_error_within_extrapolated_scale(two_state_kernel, two_state_profile):
+def test_slln_error_within_extrapolated_scale(two_state_kernel):
     # final strong-law error stays below 10x the small-n exact L2 of the
     # centered statistic extrapolated at the n^{-1/2} rate
     h = product_kernel(2).tabulated(two_state_kernel.states)
@@ -332,11 +326,7 @@ def test_slln_error_within_extrapolated_scale(two_state_kernel, two_state_profil
     mu = Distribution.dirac(0, 2)
     centered = h.shifted(float(hoeffding_project(h, pi, 0).table))
     base = exact_l2(mu, two_state_kernel, centered, 12, 2)
-    config = _config(
-        two_state_kernel, two_state_profile, h,
-        slln=SllnConfig(n_max=100_000), replicates=2, master_seed=20240,
-    )
-    result = run_slln_experiment(config)
+    result = run_slln_experiment(_slln(two_state_kernel, h, n_max=100_000, seed=20240))
     scale = base * math.sqrt(12 / 100_000)
     assert result["rows"][-1]["abs_error"] <= 10.0 * scale
 
@@ -349,7 +339,9 @@ def test_experiment_config_validation(two_state_kernel, two_state_profile, canon
     with pytest.raises(ValueError):
         _config(two_state_kernel, two_state_profile, SymmetricKernelFn(np.array(1.0)))  # degree 0
     with pytest.raises(ValueError):
-        SllnConfig(n_max=1)
+        _slln(two_state_kernel, canonical_product_h, n_max=1)
+    with pytest.raises(ValueError):
+        _slln(two_state_kernel, SymmetricKernelFn(np.array(1.0)), n_max=100)  # degree 0
     assert _config(two_state_kernel, two_state_profile, canonical_product_h).m == 2
 
 

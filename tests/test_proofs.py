@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -34,7 +35,7 @@ from ustatmc import (
     verify_prop5,
     verify_prop7,
 )
-from ustatmc import proofs, tv_distance
+from ustatmc import errors, proofs, tv_distance
 from ustatmc.bounds import lemma6_constant
 from ustatmc.proofs import _ChainTables, _gaps, _prop5_step, _split_column, _splits
 from ustatmc.ustats import _multisets
@@ -597,17 +598,63 @@ def test_batched_lemma6_matches_the_trial_by_trial_check(monkeypatch):
     assert generators[0].bit_generator.state == rng.bit_generator.state
 
 
-def test_proposition_grid_peak_memory_on_the_benchmark_shape():
-    # the shape of the benchmark's propositions workload; a first small grid loads what numpy loads once
-    proposition_grid_check(num_chains=1, size=4, m=2, i_max=2, seed=1)
+def _grid_peak(m, i_max):
+    """The traced peak of a 3-chain grid on 4 states; a first small grid loads what numpy loads once."""
+    proposition_grid_check(num_chains=1, size=4, m=m, i_max=2, seed=1)
     tracemalloc.start()
     try:
-        report = proposition_grid_check(num_chains=3, size=4, m=2, i_max=10, seed=1)
+        report = proposition_grid_check(num_chains=3, size=4, m=m, i_max=i_max, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report["pass"] and report["prop5"]["instances"] == 3 * math.comb(13, 4)
-    assert peak <= 2**20
+    assert report["pass"] and report["prop5"]["instances"] == 3 * math.comb(i_max + 2 * m - 1, 2 * m)
+    return peak
+
+
+# both traced 0.84 and 1.28 MiB when a block stacked its two laws into a third array and the last
+# block's laws lived on through the next block's build
+def test_proposition_grid_peak_memory_on_the_benchmark_shape():
+    assert _grid_peak(2, 10) <= 0.75 * 2**20  # 0.59 MiB
+
+
+def test_proposition_grid_peak_memory_at_degree_three():
+    assert _grid_peak(3, 8) <= 1.1 * 2**20  # 0.97 MiB
+
+
+@pytest.mark.parametrize("size, m, i_max", [(4, 2, 10), (4, 3, 8), (2, 3, 8), (2, 2, 12), (3, 1, 60), (6, 3, 2)])
+def test_the_grid_refusal_charges_what_a_block_holds(monkeypatch, size, m, i_max):
+    # the charge, read off the refusal of a grid whose cap is 0
+    monkeypatch.setattr(errors, "TENSOR_BUDGET", 0)
+    with pytest.raises(BudgetExceeded) as refused:
+        proposition_grid_check(num_chains=1, size=size, m=m, i_max=i_max)
+    cells = size ** (2 * m)
+    charge = int(re.search(r"grid of (\d+) f_sigma cells", str(refused.value))[1]) - math.comb(2 * m, m) // 2 * cells
+    monkeypatch.undo()
+    rng = np.random.default_rng(1)
+    kernel = random_ergodic_kernel(size, rng)
+    mu = Distribution.normalized(rng.random(size) + 0.05)
+    tuples = (_multisets(i_max, 2 * m)[0] + 1)[: max(1, proofs._BLOCK_CELLS // cells)]  # a full block
+    assert len(tuples) == max(1, proofs._BLOCK_CELLS // cells)
+    args = (_ChainTables(mu, kernel, tuples), tuples, _gaps(tuples)[2], np.zeros(len(tuples)), 1.0)
+    _prop5_step(*args)  # a first call loads what numpy loads once
+    tracemalloc.start()
+    try:
+        _prop5_step(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the charge: numpy's iteration buffers (at most two of getbufsize() cells) and a few small objects
+    assert 8 * charge <= peak <= 8 * charge + 16 * np.getbufsize() + 4096
+
+
+def test_one_chain_builds_both_laws_of_a_block(monkeypatch):
+    chains = []
+    law_chain = proofs._law_chain
+    monkeypatch.setattr(proofs, "_law_chain", lambda tables, index: chains.append(index.shape) or law_chain(
+        tables, index))
+    # the benchmark's shape: 715 tuples a chain, in 11 blocks of 64 and one of 11
+    report = proposition_grid_check(num_chains=3, size=4, m=2, i_max=10, seed=1)
+    assert report["pass"] and chains == ([(64, 2, 4)] * 11 + [(11, 2, 4)]) * 3
 
 
 def test_a_large_grid_holds_one_block_of_record_values_at_a_time():

@@ -15,7 +15,6 @@ import pytest
 from ustatmc import (
     BudgetExceeded,
     Distribution,
-    ExperimentConfig,
     ExplicitRho,
     FiniteKernel,
     OrderedTuple,
@@ -120,8 +119,7 @@ def replicate_u_grid_count(tmp_path, fixed_cap):
 def slln_count(tmp_path, fixed_cap):
     n = 2 * 10**6
     charge = count_cells(1, n, 2, 2, 1, 1)
-    config = ExperimentConfig(TWO_STATE, Distribution.uniform(2), certify_rho(TWO_STATE, np.ones(2), 8), H2, [], 2, 5,
-                              slln=SllnConfig(n, [n]), budget=charge - 1)
+    config = SllnConfig(TWO_STATE, Distribution.uniform(2), H2, n, 5, [n], budget=charge - 1)
     return lambda: run_slln_experiment(config), "cells to count 1 path(s)", charge, charge - 1
 
 
@@ -173,8 +171,9 @@ def jstar_enumeration(tmp_path, fixed_cap):
 
 @case
 def proposition_grid(tmp_path, fixed_cap):
-    # the f_sigma split matrix, binom(10, 5) / 2 * 2^10 cells, and a block's 4 laws of 2^10 cells a tuple
-    held = (math.comb(10, 5) // 2 + 4 * (proofs._BLOCK_CELLS // 2**10)) * 2**10
+    # the f_sigma split matrix, binom(10, 5) / 2 * 2^10 cells, and per tuple of a block its 2 laws of 2^10
+    # cells and, at the last chain step, 2 laws of 2^9 cells, 2 factors of 2^2 cells and 2 * 10 factor indices
+    held = math.comb(10, 5) // 2 * 2**10 + proofs._BLOCK_CELLS // 2**10 * (2 * 2**10 + 2 * (2**9 + 2**2 + 10))
     return (lambda: proposition_grid_check(num_chains=1, size=2, m=5, i_max=1), "f_sigma cells", held,
             fixed_cap(held - 1))
 

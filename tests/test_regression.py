@@ -156,7 +156,7 @@ DIGESTS = {
     ("gaussian_rbf", "variance.csv"): "35dffac18171e066861f55c782775dc828b4125c83f6d02459c2639fc9a765a9",
     ("indicator_diag", "variance.csv"): "bf2badeb95b53debabcf467edec42c118d8b0baf44e157b6fedc4f99f334e47d",
     ("declared_geometric", "bounds.csv"): "e85f2bc3e281f74057abdc6948c7bb7644c5b30f6054b7d0f88b63dda34c806e",
-    ("propositions", "propositions.json"): "afdedbc095c7ffc9cbc6177f68f9160688860ece69422c70228c35d5741d2426",
+    ("propositions", "propositions.json"): "719374a1dfb1537e5a7fa4aa87ec2b861efd6124e308a77b5cbeec80db8cbb6a",
     ("slln_degree_three", "slln.csv"): "3213650321445e84b2c6ac5c59718601447699a317c7893cf32c698fc61f50f0",
     ("routed_to_corollary2", "bounds.csv"): "60baf58058f6d4ea0f22a757d1a1d32bfdd776f07618e327fbf608a577494d11",
     ("canonical_p_as_written", "bounds.csv"): "c94640713e49d88fabc46387a286e2a59212c492aeefaa1f58f12635cf1020a0",
@@ -166,7 +166,7 @@ DIGESTS = {
     ("propositions_degree_one", "propositions.json"):
         "2693a6a3b6b892fa97e84d90fa504fa9fc29be452c5ce885503ed253b251cb2e",
     ("propositions_degree_three", "propositions.json"):
-        "147d8d21043c8b9c37961646da593b3f6267d0391d5d5dae87861351866f2905",
+        "65dda95adf8f9f5f9aa8164efdeb1747b64065148a4df05174fa143abae40721",
 }
 
 

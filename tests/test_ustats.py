@@ -21,6 +21,7 @@ from ustatmc import (
     product_kernel,
     random_ergodic_kernel,
     simulate,
+    tuple_sums,
     u_statistic,
     verify_hoeffding,
 )
@@ -82,9 +83,12 @@ def test_u_statistic_errors():
     h = SymmetricKernelFn(np.zeros((2, 2)))
     with pytest.raises(DegreeTooLarge):
         u_statistic(np.array([0]), h)
+
+
+def test_tuple_sums_refuses_a_count_over_its_budget():
     # counting the path holds its 300 cells and more (count_cells), refused before any count
     with pytest.raises(BudgetExceeded):
-        u_statistic(np.zeros(300, dtype=int), h, budget=10)
+        tuple_sums(np.zeros(300, dtype=int), [np.zeros((2, 2))], [300], budget=10)
 
 
 def test_u_statistic_refuses_a_batch_of_paths():
